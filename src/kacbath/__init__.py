@@ -45,7 +45,6 @@ from .evolution import (
 from .hermite import Basis, HermiteCoeffs, evaluate_basis, make_basis
 from .jump import (
     EquilibriumInit,
-    EventKind,
     MomentRecord,
     PerturbationInit,
     RateTable,
@@ -53,15 +52,11 @@ from .jump import (
     event_rates,
     hermite_observable,
     run_ensemble,
-    sample_equilibrium,
-    simulate_events,
-    step,
 )
 from .kinematics import (
     JointState,
     ModelParams,
     pair_collide,
-    thermostat_collide,
     total_energy,
     total_momentum,
 )
@@ -103,7 +98,6 @@ __all__ = [
     "DegenerateBoundError",
     "DistanceCurve",
     "EquilibriumInit",
-    "EventKind",
     "GAMMA_SIGMA",
     "HermiteCoeffs",
     "HorizonError",
@@ -156,14 +150,10 @@ __all__ = [
     "make_bound_params",
     "pair_collide",
     "run_ensemble",
-    "sample_equilibrium",
     "scaling_study",
-    "simulate_events",
     "spectral_gap",
-    "step",
     "symmetric_tensor_eigenvalues",
     "tensor_T",
-    "thermostat_collide",
     "total_energy",
     "total_momentum",
     "verify_gaussian_identity",

@@ -24,7 +24,6 @@ from .bounds import (
     anisotropic_pair_data,
     bound_curve,
     estimate_l,
-    lambda_rate,
     make_bound_params,
     scaling_study,
 )
@@ -102,15 +101,30 @@ def perturbation_data(family: str, eps: float, m: int) -> HermiteCoeffs:
     return HermiteCoeffs(b, vec)
 
 
+def _v1x(s: JointState) -> float:
+    return float(s.v[0, 0])
+
+
+def _system_energy(s: JointState) -> float:
+    return float(np.sum(s.v ** 2))
+
+
+def _momentum_x(s: JointState) -> float:
+    return float(total_momentum(s)[0])
+
+
 def observable_registry(p: ModelParams) -> dict:
-    """The named observables the simulate subcommand can record."""
+    """The named observables the simulate subcommand can record.
+
+    Every entry pickles, so `threads` >= 2 can ship them to workers.
+    """
     return {
-        "v1x": lambda s: float(s.v[0, 0]),
+        "v1x": _v1x,
         "v1x_h1": hermite_observable(_unit_coeff(p.m, 1, {0: 1}), p),
         "v1x_h2": hermite_observable(_unit_coeff(p.m, 2, {0: 2}), p),
-        "system_energy": lambda s: float(np.sum(s.v ** 2)),
+        "system_energy": _system_energy,
         "total_energy": total_energy,
-        "momentum_x": lambda s: float(total_momentum(s)[0]),
+        "momentum_x": _momentum_x,
     }
 
 
@@ -506,16 +520,9 @@ def main(argv=None) -> int:
     try:
         cfg = None
         if args.config is not None:
-            cfg = load_config(args.config)
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.threads is not None:
-                overrides["threads"] = args.threads
-            if overrides:
-                import dataclasses
-
-                cfg = dataclasses.replace(cfg, **overrides)
+            overrides = {key: getattr(args, key) for key in ("seed", "threads")
+                         if getattr(args, key) is not None}
+            cfg = load_config(args.config, overrides)
         return _HANDLERS[args.command](cfg, args)
     except (KacbathError, OSError) as exc:
         code = _exit_code(exc)

@@ -161,7 +161,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     return RunConfig(**merged)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """Read a config file; `overrides` replace top-level keys before the
+    schema check, so command-line values are validated like file values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -169,4 +171,4 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    return config_from_dict(doc)
+    return config_from_dict({**doc, **(overrides or {})})

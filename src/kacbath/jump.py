@@ -1,11 +1,11 @@
-"""Continuous-time jump simulation of both couplings.
+"""Continuous-time jump simulation of both couplings, a block of members at a time.
 
-Direct Gillespie stepping: all jump rates are state-independent, so the
-waiting time is exponential with a constant total rate and the event
-category, colliding pair, and collision direction are drawn fresh per
-event. There is no time discretization anywhere; trajectories are
-piecewise constant and observables are read off the state at the last
-event before each record time.
+All jump rates are state-independent, so every member's event clock is
+a Poisson process with one constant total rate, and the event category,
+colliding pair and collision direction are drawn fresh per event
+(Gillespie direct stepping). There is no time discretization anywhere;
+trajectories are piecewise constant and observables are read off the
+state at the last event before each record time.
 
 The two couplings share everything except one event category: the
 finite-reservoir coupling ("reservoir") scatters system particles
@@ -13,50 +13,43 @@ against reservoir particles, while the infinite-bath coupling
 ("thermostat") scatters them against a Gaussian partner that is drawn
 for the event and thrown away afterwards.
 
-Per-event randomness order is fixed (waiting time, category, indices,
-direction, bath partner) so that a seed fully determines a trajectory.
+Blocks and streams. Ensemble members are grouped into consecutive
+blocks of BLOCK members, and block b draws all of its randomness from
+RngStream(seed, b). The block size is a constant, so results do not
+depend on how many worker processes share the blocks.
+
+Event rounds. Each member keeps the time of its next event. In one
+round, every member whose next event time is at or before the current
+record time takes one event, all of them together as arrays; rounds
+repeat until no member is due, and then the observables are read.
+
+Per-block draw order, which fixes every trajectory given the seed:
+the initial states (count, M+N, 3) and the first waiting times
+(count,); then, per round with k members due, k category uniforms, k
+first indices, k second indices, k directions, one Gaussian partner per
+thermostat event, and k waiting times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NegativeWeightError, StateError
 from .hermite import HermiteCoeffs
-from .kinematics import JointState, ModelParams
-from .randomness import GAMMA_SIGMA, RngStream
+from .kinematics import JointState, ModelParams, pair_collide
+from .randomness import RngStream, sample_gamma_vec3, sample_unit_sphere
 
 SYSTEM_KINDS = ("reservoir", "thermostat")
 
+# Members per random stream and per unit of work for the process pool.
+BLOCK = 1024
+
 _CONSERVE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EventKind:
-    """One jump event: which category fired and which members collided.
-
-    Indices are local to their block: system and thermostat events index
-    system particles, reservoir events index reservoir particles, and an
-    interaction event pairs system particle i with reservoir particle j.
-    Thermostat events have no persistent partner (j is None).
-    """
-
-    category: str
-    i: int
-    j: int | None
-
-    def __post_init__(self):
-        if self.category not in ("system", "reservoir", "interaction", "thermostat"):
-            raise ConfigError(f"unknown event category {self.category!r}")
-        if self.category == "thermostat":
-            if self.j is not None:
-                raise ConfigError("thermostat events have no partner index")
-        elif self.j is None or (self.category != "interaction" and self.i == self.j):
-            raise ConfigError("pair events need two distinct indices")
 
 
 class RateTable(NamedTuple):
@@ -89,115 +82,62 @@ def event_rates(p: ModelParams, kind: str) -> RateTable:
     return RateTable(system, reservoir, interaction, thermostat, total)
 
 
-def _unit3(rng) -> np.ndarray:
-    while True:
-        x = rng.standard_normal(3)
-        s = float(x @ x)
-        if s > 0.0:
-            return x / sqrt(s)
+def _check_pairs(va, vb, va2, vb2):
+    """Raise StateError unless every collided pair kept its energy and momentum."""
+    e0 = np.sum(va * va + vb * vb, axis=-1)
+    e1 = np.sum(va2 * va2 + vb2 * vb2, axis=-1)
+    excess = np.abs(e1 - e0) - _CONSERVE_TOL * np.maximum(1.0, np.abs(e0))
+    if np.any(excess > 0.0):
+        worst = int(np.argmax(excess))
+        raise StateError(f"pair event broke energy: {e1[worst] - e0[worst]:.3e}")
+    drift = float(np.max(np.abs(va2 + vb2 - va - vb)))
+    if drift > _CONSERVE_TOL:
+        raise StateError(f"pair event broke momentum: {drift:.3e}")
 
 
-def _one_event(
-    vw: np.ndarray, m: int, n: int, rates: RateTable, stream: RngStream,
-    check: bool = False,
-) -> tuple[str, int, int | None]:
-    """Apply one jump event in place to the stacked (M+N, 3) state.
+def _advance(
+    vw: np.ndarray, t_next: np.ndarray, until: float, p: ModelParams,
+    rates: RateTable, stream: RngStream, check: bool = False,
+) -> int:
+    """Take, in place, every event of a block up to time `until`.
 
-    Returns (category, i, j) with block-local indices as in EventKind.
-    With check=True the pair conservation laws are verified per event.
+    vw is the (count, M+N, 3) block state and t_next each member's next
+    event time. Returns the number of events taken. With check=True the
+    pair conservation laws are verified for every event.
     """
+    m, n = p.m, p.n
     rng = stream.rng
-    u = rng.random() * rates.total
-    if u < rates.system:
-        category = "system"
-        i = int(rng.integers(m))
-        j = int(rng.integers(m - 1))
-        j += j >= i
-        a, b = i, j
-    elif u < rates.system + rates.reservoir:
-        category = "reservoir"
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        j += j >= i
-        a, b = m + i, m + j
-    elif u < rates.system + rates.reservoir + rates.interaction:
-        category = "interaction"
-        i = int(rng.integers(m))
-        j = int(rng.integers(n))
-        a, b = i, m + j
-    else:
-        category = "thermostat"
-        i = int(rng.integers(m))
-        j = None
-        a, b = i, -1
-
-    om = _unit3(rng)
-    if category == "thermostat":
-        partner = rng.normal(0.0, GAMMA_SIGMA, 3)
-        va = vw[a]
-        rel = float((va - partner) @ om)
-        if check:
-            before = float(va @ va + partner @ partner)
-        vw[a] = va - rel * om
-        if check:
-            out = partner + rel * om
-            after = float(vw[a] @ vw[a] + out @ out)
-            if abs(after - before) > _CONSERVE_TOL * max(1.0, abs(before)):
-                raise StateError(f"thermostat event broke pair energy: {after - before:.3e}")
-    else:
-        va, vb = vw[a].copy(), vw[b]
-        rel = float((va - vb) @ om)
-        if check:
-            e_before = float(va @ va + vb @ vb)
-            p_before = va + vb
-        vw[a] = va - rel * om
-        vw[b] = vb + rel * om
-        if check:
-            e_after = float(vw[a] @ vw[a] + vw[b] @ vw[b])
-            if abs(e_after - e_before) > _CONSERVE_TOL * max(1.0, abs(e_before)):
-                raise StateError(f"pair event broke energy: {e_after - e_before:.3e}")
-            drift = np.max(np.abs(vw[a] + vw[b] - p_before))
-            if drift > _CONSERVE_TOL:
-                raise StateError(f"pair event broke momentum: {drift:.3e}")
-    return category, i, j
-
-
-def step(
-    s: JointState, p: ModelParams, kind: str, stream: RngStream,
-) -> tuple[JointState, float, EventKind]:
-    """One exact jump step: returns (new state, waiting time, event).
-
-    The waiting time is Exponential(total rate); the event is chosen
-    with probability proportional to its category rate and uniformly
-    within the category. The input state is not modified.
-    """
-    if s.m != p.m or s.n != p.n:
-        raise StateError(f"state is ({s.m},{s.n}) but params are ({p.m},{p.n})")
-    rates = event_rates(p, kind)
-    dt = float(stream.rng.exponential(1.0 / rates.total))
-    vw = np.vstack([s.v, s.w])
-    category, i, j = _one_event(vw, p.m, p.n, rates, stream)
-    out = JointState(vw[: p.m].copy(), vw[p.m :].copy())
-    return out, dt, EventKind(category, i, j)
-
-
-def simulate_events(
-    s: JointState, p: ModelParams, kind: str, n_events: int, stream: RngStream,
-    check: bool = False,
-) -> JointState:
-    """Run a fixed number of jump events and return the final state.
-
-    Waiting times are still drawn (keeping the randomness sequence
-    identical to step-by-step simulation) but not accumulated; this is
-    the throughput path for conservation soak tests.
-    """
-    rates = event_rates(p, kind)
-    vw = np.vstack([s.v, s.w])
+    # per category (system, reservoir, interaction, thermostat): index
+    # ranges of the two partners and their first row in vw
+    edges = np.cumsum([rates.system, rates.reservoir, rates.interaction])
+    hi_i = np.array([m, n, m, m])
+    hi_j = np.array([m - 1, n - 1, n, 1])
+    off_a = np.array([0, m, 0, 0])
+    off_b = np.array([0, m, m, 0])
     scale = 1.0 / rates.total
-    for _ in range(n_events):
-        stream.rng.exponential(scale)
-        _one_event(vw, p.m, p.n, rates, stream, check=check)
-    return JointState(vw[: p.m].copy(), vw[p.m :].copy())
+    events = 0
+    while True:
+        rows = np.flatnonzero(t_next <= until)
+        k = rows.size
+        if k == 0:
+            return events
+        cat = np.searchsorted(edges, rng.random(k) * rates.total, side="right")
+        i = rng.integers(0, hi_i[cat])
+        j = rng.integers(0, hi_j[cat])
+        j += (cat < 2) & (j >= i)  # two distinct members of one species
+        a, b = off_a[cat] + i, off_b[cat] + j
+        omega = sample_unit_sphere(stream, k)
+        va, vb = vw[rows, a], vw[rows, b]
+        bath = cat == 3
+        if bath.any():
+            vb[bath] = sample_gamma_vec3(stream, int(bath.sum()))
+        va2, vb2 = pair_collide(va, vb, omega)
+        if check:
+            _check_pairs(va, vb, va2, vb2)
+        vw[rows, a] = va2
+        vw[rows[~bath], b[~bath]] = vb2[~bath]
+        t_next[rows] += rng.exponential(scale, k)
+        events += k
 
 
 @dataclass(frozen=True)
@@ -241,18 +181,18 @@ class MomentRecord:
             raise StateError("standard error cannot be negative")
 
 
-def sample_equilibrium(p: ModelParams, stream: RngStream) -> JointState:
-    """A state drawn exactly from the background Gaussian."""
-    flat = stream.rng.normal(0.0, GAMMA_SIGMA, 3 * (p.m + p.n))
-    return JointState(flat[: 3 * p.m].reshape(p.m, 3), flat[3 * p.m :].reshape(p.n, 3))
+def _gaussian_states(p: ModelParams, stream: RngStream, count: int) -> np.ndarray:
+    """count states (count, M+N, 3) drawn exactly from the background Gaussian."""
+    return sample_gamma_vec3(stream, count * (p.m + p.n)).reshape(count, p.m + p.n, 3)
 
 
 @dataclass(frozen=True)
 class EquilibriumInit:
     """Exact stationary initial condition: unit weights, Gaussian states."""
 
-    def sample(self, p: ModelParams, stream: RngStream) -> tuple[JointState, float]:
-        return sample_equilibrium(p, stream), 1.0
+    def sample(self, p: ModelParams, stream: RngStream,
+               count: int) -> tuple[np.ndarray, np.ndarray]:
+        return _gaussian_states(p, stream, count), np.ones(count)
 
 
 @dataclass(frozen=True)
@@ -269,57 +209,45 @@ class PerturbationInit:
 
     h0: HermiteCoeffs
 
-    def sample(self, p: ModelParams, stream: RngStream) -> tuple[JointState, float]:
-        state = sample_equilibrium(p, stream)
+    def sample(self, p: ModelParams, stream: RngStream,
+               count: int) -> tuple[np.ndarray, np.ndarray]:
         nv = self.h0.basis.nvars
-        flat = state.flatten()
-        if nv == 3 * p.m:
-            x = flat[: 3 * p.m]
-        elif nv == 3 * (p.m + p.n):
-            x = flat
-        else:
+        if nv not in (3 * p.m, 3 * (p.m + p.n)):
             raise StateError(
                 f"h0 must live on {3 * p.m} or {3 * (p.m + p.n)} variables, got {nv}"
             )
-        weight = float(self.h0.evaluate(x[None, :])[0])
-        if weight < 0.0:
+        states = _gaussian_states(p, stream, count)
+        weights = self.h0.evaluate(states.reshape(count, -1)[:, :nv])
+        if np.any(weights < 0.0):
             raise NegativeWeightError(
-                f"initial density is negative ({weight:.3e}) at a sampled state; "
-                "shrink the perturbation"
+                f"initial density is negative ({weights.min():.3e}) at a sampled "
+                "state; shrink the perturbation"
             )
-        return state, weight
+        return states, weights
 
 
-def _member_rows(
-    member_range: range,
+def _block_values(
+    block: int,
     cfg: SimConfig,
     p: ModelParams,
     init,
-    obs_fns: Sequence[Callable[[JointState], float]],
+    obs_fns: list[Callable[[JointState], float]],
     check: bool,
 ) -> np.ndarray:
-    """Weighted observable values for a block of ensemble members.
-
-    Returns shape (len(member_range), n_times, n_obs). Each member uses
-    its own stream keyed by member index, so the result is independent
-    of how members are grouped into blocks.
-    """
+    """Weighted observable values of one member block, (count, n_times, n_obs)."""
+    count = min(BLOCK, cfg.ensemble - block * BLOCK)
+    stream = RngStream(cfg.seed, block)
+    vw, weights = init.sample(p, stream, count)
     rates = event_rates(p, cfg.system_kind)
-    scale = 1.0 / rates.total
-    out = np.empty((len(member_range), len(cfg.record_times), len(obs_fns)))
-    for row, member in enumerate(member_range):
-        stream = RngStream(cfg.seed, member)
-        state, weight = init.sample(p, stream)
-        vw = np.vstack([state.v, state.w])
-        t_next = float(stream.rng.exponential(scale))
-        for k, tau in enumerate(cfg.record_times):
-            while t_next <= tau:
-                _one_event(vw, p.m, p.n, rates, stream, check=check)
-                t_next += float(stream.rng.exponential(scale))
-            snapshot = JointState(vw[: p.m].copy(), vw[p.m :].copy())
-            for o, fn in enumerate(obs_fns):
-                out[row, k, o] = weight * fn(snapshot)
-    return out
+    t_next = stream.rng.exponential(1.0 / rates.total, count)
+    out = np.empty((count, len(cfg.record_times), len(obs_fns)))
+    for k, tau in enumerate(cfg.record_times):
+        _advance(vw, t_next, tau, p, rates, stream, check)
+        for row in range(count):
+            snap = vw[row].copy()
+            state = JointState(snap[: p.m], snap[p.m :])
+            out[row, k] = [fn(state) for fn in obs_fns]
+    return out * weights[:, None, None]
 
 
 def run_ensemble(
@@ -332,32 +260,30 @@ def run_ensemble(
 ) -> list[MomentRecord]:
     """Ensemble moment curves: one MomentRecord per (record time, observable).
 
-    Members are independent trajectories with per-member streams keyed
-    by (seed, member index); weighted means use the raw importance
-    estimator (unbiased when the initial density integrates to one).
-    With workers > 1, members are processed in index blocks by a
-    process pool and re-assembled in index order, so results and any
-    downstream CSV are identical to a serial run.
+    Members run in blocks with one stream per block (see the module
+    docstring); weighted means use the raw importance estimator
+    (unbiased when the initial density integrates to one). With
+    workers > 1, blocks go to a pool of at most min(workers, blocks)
+    processes and are re-assembled in block order, so results and any
+    downstream CSV are identical to a serial run. Observables must then
+    be picklable.
     """
     if not observables:
         raise ConfigError("need at least one observable")
     names = list(observables)
     obs_fns = [observables[k] for k in names]
-    values = np.empty((cfg.ensemble, len(cfg.record_times), len(names)))
-    if workers <= 1 or cfg.ensemble < 2 * workers:
-        values[:] = _member_rows(range(cfg.ensemble), cfg, p, init, obs_fns, check)
+    blocks = range(-(-cfg.ensemble // BLOCK))
+    workers = min(workers, len(blocks))
+    if workers <= 1:
+        parts = [_block_values(b, cfg, p, init, obs_fns, check) for b in blocks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        blocks = np.array_split(np.arange(cfg.ensemble), workers)
-        ranges = [range(int(b[0]), int(b[-1]) + 1) for b in blocks if b.size]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_member_rows, r, cfg, p, init, obs_fns, check)
-                for r in ranges
-            ]
-            for r, fut in zip(ranges, futures):
-                values[r.start : r.stop] = fut.result()
+            futures = [pool.submit(_block_values, b, cfg, p, init, obs_fns, check)
+                       for b in blocks]
+            parts = [fut.result() for fut in futures]
+    values = np.concatenate(parts)
 
     records = []
     for k, tau in enumerate(cfg.record_times):
@@ -376,21 +302,21 @@ def run_ensemble(
     return records
 
 
+def _hermite_value(coeffs: HermiteCoeffs, full_state: bool, s: JointState) -> float:
+    x = s.flatten() if full_state else s.v.ravel()
+    return float(coeffs.evaluate(x[None, :])[0])
+
+
 def hermite_observable(coeffs: HermiteCoeffs, p: ModelParams) -> Callable[[JointState], float]:
     """Pointwise evaluator of a Hermite polynomial as an observable.
 
     Accepts coefficients over the system velocities (3M variables) or
-    the full state (3(M+N) variables) and closes over that choice.
+    the full state (3(M+N) variables). The result pickles, so it can be
+    used with a worker pool.
     """
     nv = coeffs.basis.nvars
-    if nv == 3 * p.m:
-        def fn(s: JointState) -> float:
-            return float(coeffs.evaluate(s.v.reshape(1, -1))[0])
-    elif nv == 3 * (p.m + p.n):
-        def fn(s: JointState) -> float:
-            return float(coeffs.evaluate(s.flatten()[None, :])[0])
-    else:
+    if nv not in (3 * p.m, 3 * (p.m + p.n)):
         raise StateError(
             f"observable must live on {3 * p.m} or {3 * (p.m + p.n)} variables, got {nv}"
         )
-    return fn
+    return partial(_hermite_value, coeffs, nv != 3 * p.m)

@@ -25,7 +25,6 @@ __all__ = [
     "ModelParams",
     "JointState",
     "pair_collide",
-    "thermostat_collide",
     "total_energy",
     "total_momentum",
 ]
@@ -119,17 +118,6 @@ def pair_collide(a, b, omega):
     omega = _check_unit(omega)
     rel = np.sum((a - b) * omega, axis=-1, keepdims=True)
     return a - rel * omega, b + rel * omega
-
-
-def thermostat_collide(v, x, omega):
-    """Collide a tagged velocity v with a thermostat particle at velocity x.
-
-    Same kernel as pair_collide; returns (v', x'). In the thermostat
-    dynamics x is drawn fresh from the background Gaussian each event and
-    x' is discarded, but the map itself conserves pair energy and momentum
-    and is exposed for testing that.
-    """
-    return pair_collide(v, x, omega)
 
 
 def total_energy(state: JointState) -> float:

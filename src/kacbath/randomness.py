@@ -3,8 +3,9 @@
 Everything that draws randomness goes through an RngStream: a named
 (seed, stream_id) pair backed by numpy's PCG64 via SeedSequence spawn
 keys. Identical pairs reproduce identical draws on a given build, and
-distinct stream ids give statistically independent streams, so ensemble
-members can be distributed across workers without coordination.
+distinct stream ids give statistically independent streams, so blocks
+of ensemble members can be distributed across workers without
+coordination.
 
 The background velocity distribution is the Gaussian with density
 exp(-pi |x|^2), i.e. independent coordinates of variance 1/(2 pi).
@@ -18,7 +19,6 @@ __all__ = [
     "GAMMA_SIGMA",
     "RngStream",
     "sample_gamma_vec3",
-    "sample_gamma_flat",
     "sample_unit_sphere",
     "haar_special_orthogonal",
     "sample_momentum_preserving_rotation",
@@ -49,11 +49,6 @@ def sample_gamma_vec3(stream: RngStream, size: int | None = None) -> np.ndarray:
     """Velocities from the background Gaussian: (3,) or (size, 3)."""
     shape = 3 if size is None else (size, 3)
     return stream.rng.normal(0.0, GAMMA_SIGMA, shape)
-
-
-def sample_gamma_flat(stream: RngStream, dim: int) -> np.ndarray:
-    """A point of the full phase space, flattened to shape (dim,)."""
-    return stream.rng.normal(0.0, GAMMA_SIGMA, dim)
 
 
 def sample_unit_sphere(stream: RngStream, size: int | None = None) -> np.ndarray:

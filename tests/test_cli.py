@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kacbath.cli import main, perturbation_data
+from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
 
 
@@ -41,6 +42,30 @@ def test_simulate_deterministic_and_seed_sensitive(tmp_path):
     assert _run("simulate", "--config", cfg, "--out", str(c), "--seed", "99") == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_simulate_threads_do_not_change_the_csv(tmp_path):
+    # three member blocks; every registered observable crosses to the workers
+    cfg = _write_config(
+        tmp_path, t_end=0.5, record_times=[0.25, 0.5], ensemble=2 * BLOCK + 8,
+        observables=["v1x", "v1x_h1", "v1x_h2", "system_energy",
+                     "total_energy", "momentum_x"],
+        init={"kind": "perturbation", "family": "h1_v1x", "eps": 0.1})
+    one, two = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    assert _run("simulate", "--config", cfg, "--out", str(one)) == 0
+    assert _run("simulate", "--config", cfg, "--out", str(two),
+                "--threads", "2") == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--threads", "0")])
+def test_command_line_overrides_pass_the_schema(tmp_path, capsys, flag, value):
+    cfg = _write_config(tmp_path, t_end=0.5, record_times=[0.5], ensemble=8)
+    out = tmp_path / "m.csv"
+    assert _run("simulate", "--config", cfg, "--out", str(out), flag, value) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert not out.exists()
 
 
 def test_spectral_exports_symmetric_operator(tmp_path):

@@ -5,26 +5,25 @@ import numpy as np
 import pytest
 from math import pi, sqrt
 
+from hypothesis import given, settings, strategies as st
+
 from kacbath import (
     ConfigError,
     EquilibriumInit,
-    JointState,
     ModelParams,
     NegativeWeightError,
     PerturbationInit,
     RngStream,
     SimConfig,
+    StateError,
     event_rates,
     hermite_observable,
     make_basis,
     run_ensemble,
-    sample_equilibrium,
-    simulate_events,
-    step,
     total_energy,
-    total_momentum,
 )
 from kacbath.hermite import HermiteCoeffs
+from kacbath.jump import BLOCK, _advance
 
 
 def _h1_data(eps: float) -> HermiteCoeffs:
@@ -57,51 +56,97 @@ def test_single_particle_system_has_no_system_collisions():
     assert r.total == pytest.approx(1.0 + 1.0)  # lambda_R N/2 + mu M
 
 
-def test_step_conserves_energy_and_updates_state():
+def _block(p: ModelParams, seed: int, count: int):
+    """A fresh equilibrium block: states, next event times, rates, stream."""
+    stream = RngStream(seed, 0)
+    vw, _ = EquilibriumInit().sample(p, stream, count)
+    rates = event_rates(p, "reservoir")
+    return vw, stream.rng.exponential(1.0 / rates.total, count), rates, stream
+
+
+def _energies(vw):
+    return np.sum(vw * vw, axis=(1, 2))
+
+
+def test_event_round_conserves_energy_and_updates_state():
     p = ModelParams(2, 3)
-    s = sample_equilibrium(p, RngStream(1, 0))
-    e0 = total_energy(s)
-    mom0 = total_momentum(s)
-    s1, dt, ev = step(s, p, "reservoir", RngStream(1, 1))
-    assert dt > 0.0
-    assert ev.category in ("system", "reservoir", "interaction")
-    assert total_energy(s1) == pytest.approx(e0, rel=1e-12)
-    np.testing.assert_allclose(total_momentum(s1), mom0, atol=1e-12)
+    vw, t_next, rates, stream = _block(p, 1, 64)
+    before = vw.copy()
+    due = t_next <= 0.3
+    events = _advance(vw, t_next, 0.3, p, rates, stream)
+    assert events >= due.sum() > 0
+    assert np.all(t_next > 0.3)
+    # exactly the members whose first event fell before 0.3 have moved
+    np.testing.assert_array_equal(np.any(vw != before, axis=(1, 2)), due)
+    np.testing.assert_allclose(_energies(vw), _energies(before), rtol=1e-12)
+    np.testing.assert_allclose(vw.sum(axis=1), before.sum(axis=1), atol=1e-12)
 
 
 def test_event_sequence_with_conservation_checks():
+    # about 500 events per member, every one checked for pair conservation
     p = ModelParams(1, 4)
-    s = sample_equilibrium(p, RngStream(3, 0))
-    out = simulate_events(s, p, "reservoir", 500, RngStream(3, 1), check=True)
-    assert total_energy(out) == pytest.approx(total_energy(s), rel=1e-9)
-    np.testing.assert_allclose(total_momentum(out), total_momentum(s), atol=1e-9)
+    vw, t_next, rates, stream = _block(p, 3, 8)
+    before = vw.copy()
+    events = _advance(vw, t_next, 500.0 / rates.total, p, rates, stream, check=True)
+    assert events > 8 * 400
+    np.testing.assert_allclose(_energies(vw), _energies(before), rtol=1e-9)
+    np.testing.assert_allclose(vw.sum(axis=1), before.sum(axis=1), atol=1e-9)
 
 
 def test_thermostat_events_break_system_conservation():
     p = ModelParams(1, 2, lambda_r=0.0)  # only thermostat events touch v
-    s = JointState(np.array([[3.0, 0.0, 0.0]]), np.zeros((2, 3)))
-    out = simulate_events(s, p, "thermostat", 50, RngStream(9, 0))
-    assert total_energy(out) != pytest.approx(total_energy(s), rel=1e-6)
+    vw = np.zeros((16, 3, 3))
+    vw[:, 0, 0] = 3.0
+    rates = event_rates(p, "thermostat")
+    stream = RngStream(9, 0)
+    t_next = stream.rng.exponential(1.0 / rates.total, 16)
+    _advance(vw, t_next, 50.0, p, rates, stream, check=True)
+    assert np.all(np.abs(_energies(vw) - 9.0) > 1e-6)
+    np.testing.assert_array_equal(vw[:, 1:], 0.0)
 
 
 def test_mean_waiting_time():
     p = ModelParams(2, 4)
-    stream = RngStream(5, 0)
-    s = sample_equilibrium(p, stream)
-    dts = []
-    for _ in range(4000):
-        s, dt, _ = step(s, p, "reservoir", stream)
-        dts.append(dt)
+    vw, t_next, rates, stream = _block(p, 5, 400)
+    horizon = 10.0
+    events = _advance(vw, t_next, horizon, p, rates, stream)
     # total category rate is 5, so mean waiting time is 1/5
-    assert np.mean(dts) == pytest.approx(0.2, abs=0.01)
+    assert rates.total == pytest.approx(5.0)
+    assert horizon * 400 / events == pytest.approx(0.2, abs=0.01)
 
 
 def test_equilibrium_moments():
     p = ModelParams(1, 2)
-    stream = RngStream(6, 0)
-    vals = np.array([total_energy(sample_equilibrium(p, stream)) for _ in range(20000)])
+    vw, weights = EquilibriumInit().sample(p, RngStream(6, 0), 20000)
+    assert vw.shape == (20000, 3, 3)
+    np.testing.assert_array_equal(weights, 1.0)
     want = 3 * (p.m + p.n) / (2 * pi)  # each coordinate has variance 1/(2 pi)
-    assert vals.mean() == pytest.approx(want, rel=0.02)
+    assert _energies(vw).mean() == pytest.approx(want, rel=0.02)
+    assert abs(vw.mean()) < 3e-3
+    assert vw.var() == pytest.approx(1.0 / (2.0 * pi), abs=2e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(2, 8),
+       kind=st.sampled_from(["reservoir", "thermostat"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_checked_run_conserves_whole_state(m, n, kind, seed):
+    p = ModelParams(m, n)
+    stream = RngStream(seed, 0)
+    vw, _ = EquilibriumInit().sample(p, stream, 16)
+    rates = event_rates(p, kind)
+    t_next = stream.rng.exponential(1.0 / rates.total, 16)
+    before = vw.copy()
+    _advance(vw, t_next, 20.0 / rates.total, p, rates, stream, check=True)
+    if kind == "reservoir":
+        e0 = _energies(before)
+        assert np.max(np.abs(_energies(vw) - e0) / np.maximum(1.0, e0)) < 1e-10
+        assert np.max(np.abs(vw.sum(axis=1) - before.sum(axis=1))) < 1e-10
+    else:
+        # the reservoir never meets the system, so it keeps its own totals
+        w0, w1 = before[:, m:], vw[:, m:]
+        assert np.max(np.abs(_energies(w1) - _energies(w0))) < 1e-10
+        assert np.max(np.abs(w1.sum(axis=1) - w0.sum(axis=1))) < 1e-10
 
 
 def test_gamma_is_stationary_for_the_jump_process():
@@ -124,8 +169,9 @@ def test_gamma_is_stationary_for_the_jump_process():
 
 
 def test_ensemble_deterministic_and_worker_invariant():
+    # three blocks, so the pool really runs (on three processes)
     p = ModelParams(1, 2)
-    cfg = SimConfig(t_end=1.0, record_times=(0.5, 1.0), ensemble=64,
+    cfg = SimConfig(t_end=1.0, record_times=(0.5, 1.0), ensemble=2 * BLOCK + 64,
                     seed=23, system_kind="thermostat")
     obs = {"e": total_energy}
     a = run_ensemble(cfg, p, EquilibriumInit(), obs)
@@ -137,13 +183,15 @@ def test_ensemble_deterministic_and_worker_invariant():
 def test_perturbation_weights():
     p = ModelParams(1, 2)
     init = PerturbationInit(_h1_data(0.2))
-    s, w = init.sample(p, RngStream(2, 0))
-    assert w == pytest.approx(1.0 + 0.2 * sqrt(2 * pi) * s.v[0, 0], rel=1e-12)
-    # a large perturbation goes negative for some states
+    vw, w = init.sample(p, RngStream(2, 0), 200)
+    assert vw.shape == (200, 3, 3) and w.shape == (200,)
+    np.testing.assert_allclose(w, 1.0 + 0.2 * sqrt(2 * pi) * vw[:, 0, 0], rtol=1e-12)
+    # a large perturbation goes negative for some states of the same draw
     bad = PerturbationInit(_h1_data(5.0))
     with pytest.raises(NegativeWeightError):
-        for k in range(200):
-            bad.sample(p, RngStream(2, k))
+        bad.sample(p, RngStream(2, 0), 200)
+    with pytest.raises(StateError):
+        PerturbationInit(_h1_data(0.2)).sample(ModelParams(2, 2), RngStream(2, 0), 4)
 
 
 def test_weighted_initial_mean_matches_perturbation():

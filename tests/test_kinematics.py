@@ -9,11 +9,9 @@ from kacbath import (
     StateError,
     UnitVectorError,
     pair_collide,
-    thermostat_collide,
     total_energy,
     total_momentum,
 )
-from kacbath.randomness import RngStream, sample_unit_sphere
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -39,17 +37,6 @@ def test_pair_collide_axis_aligned():
 def test_pair_collide_rejects_non_unit_direction():
     with pytest.raises(UnitVectorError):
         pair_collide(np.ones(3), np.zeros(3), np.array([1.0, 1.0, 0.0]))
-
-
-def test_thermostat_collide_matches_pair_map():
-    stream = RngStream(11, 0)
-    v = stream.rng.normal(size=3)
-    x = stream.rng.normal(size=3)
-    omega = sample_unit_sphere(stream)
-    vstar, xstar = thermostat_collide(v, x, omega)
-    vref, xref = pair_collide(v, x, omega)
-    np.testing.assert_allclose(vstar, vref, atol=1e-15)
-    np.testing.assert_allclose(xstar, xref, atol=1e-15)
 
 
 def test_batched_collisions_conserve_and_invert():

@@ -7,7 +7,6 @@ from kacbath import GAMMA_SIGMA, RngStream
 from kacbath.projector import build_frame
 from kacbath.randomness import (
     haar_special_orthogonal,
-    sample_gamma_flat,
     sample_gamma_vec3,
     sample_momentum_preserving_rotation,
     sample_unit_sphere,
@@ -35,8 +34,7 @@ def test_gamma_moments():
     assert x.shape == (200_000, 3)
     assert abs(x.mean()) < 3e-3
     assert abs(x.var() - 1.0 / (2.0 * np.pi)) < 2e-3
-    flat = sample_gamma_flat(RngStream(7, 1), 12)
-    assert flat.shape == (12,)
+    assert sample_gamma_vec3(RngStream(7, 1)).shape == (3,)
 
 
 def test_unit_sphere_isotropy():
