@@ -44,6 +44,7 @@ from .evolution import (
 )
 from .hermite import Basis, HermiteCoeffs, evaluate_basis, make_basis
 from .jump import (
+    BlockObservable,
     EquilibriumInit,
     MomentRecord,
     PerturbationInit,
@@ -64,8 +65,6 @@ from .projector import (
     BoundConstant,
     Lemma1Estimate,
     MomentumFrame,
-    RotationAverage,
-    apply_R_mc,
     build_frame,
     estimate_lemma1_ratio,
     lemma1_constant,
@@ -93,6 +92,7 @@ __all__ = [
     "BoundCurve",
     "BoundParams",
     "Basis",
+    "BlockObservable",
     "CONFIG_SCHEMA",
     "ConfigError",
     "DegenerateBoundError",
@@ -115,7 +115,6 @@ __all__ = [
     "QuadratureError",
     "RateTable",
     "RngStream",
-    "RotationAverage",
     "RunConfig",
     "ScalingRow",
     "ScalingStudy",
@@ -124,7 +123,6 @@ __all__ = [
     "ToleranceError",
     "UnitVectorError",
     "anisotropic_pair_data",
-    "apply_R_mc",
     "assemble_T",
     "assemble_generator",
     "assemble_pair_rotation",

@@ -41,13 +41,14 @@ from .errors import (
 from .evolution import default_time_grid, distance_curve
 from .hermite import HermiteCoeffs, make_basis
 from .jump import (
+    BlockObservable,
     EquilibriumInit,
     PerturbationInit,
     SimConfig,
     hermite_observable,
     run_ensemble,
 )
-from .kinematics import JointState, ModelParams, total_energy, total_momentum
+from .kinematics import ModelParams
 from .output import read_json, write_csv, write_json, write_matrix
 from .projector import estimate_lemma1_ratio, lemma1_constant
 from .randomness import RngStream
@@ -101,30 +102,45 @@ def perturbation_data(family: str, eps: float, m: int) -> HermiteCoeffs:
     return HermiteCoeffs(b, vec)
 
 
-def _v1x(s: JointState) -> float:
-    return float(s.v[0, 0])
+# Block forms of the registry's observables: each maps a read-only
+# (count, M+N, 3) block state to (count,) values with the per-member
+# arithmetic of the per-state form (kinematics.total_energy and
+# total_momentum for the totals), so both give the same numbers.
+
+def _v1x(vw: np.ndarray) -> np.ndarray:
+    return vw[:, 0, 0]
 
 
-def _system_energy(s: JointState) -> float:
-    return float(np.sum(s.v ** 2))
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    return np.sum(a.reshape(len(a), -1), axis=1)
 
 
-def _momentum_x(s: JointState) -> float:
-    return float(total_momentum(s)[0])
+def _system_energy(vw: np.ndarray, m: int) -> np.ndarray:
+    return _row_sums(vw[:, :m] ** 2)
 
 
-def observable_registry(p: ModelParams) -> dict:
+def _total_energy(vw: np.ndarray, m: int) -> np.ndarray:
+    v, w = vw[:, :m], vw[:, m:]
+    return _row_sums(v * v) + _row_sums(w * w)
+
+
+def _momentum_x(vw: np.ndarray, m: int) -> np.ndarray:
+    return (vw[:, :m].sum(axis=1) + vw[:, m:].sum(axis=1))[:, 0]
+
+
+def observable_registry(p: ModelParams) -> dict[str, BlockObservable]:
     """The named observables the simulate subcommand can record.
 
-    Every entry pickles, so `threads` >= 2 can ship them to workers.
+    All are batched, and every entry pickles, so `threads` >= 2 can
+    ship them to workers.
     """
     return {
-        "v1x": _v1x,
+        "v1x": BlockObservable(_v1x),
         "v1x_h1": hermite_observable(_unit_coeff(p.m, 1, {0: 1}), p),
         "v1x_h2": hermite_observable(_unit_coeff(p.m, 2, {0: 2}), p),
-        "system_energy": _system_energy,
-        "total_energy": total_energy,
-        "momentum_x": _momentum_x,
+        "system_energy": BlockObservable(_system_energy, (p.m,)),
+        "total_energy": BlockObservable(_total_energy, (p.m,)),
+        "momentum_x": BlockObservable(_momentum_x, (p.m,)),
     }
 
 

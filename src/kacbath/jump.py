@@ -23,6 +23,10 @@ round, every member whose next event time is at or before the current
 record time takes one event, all of them together as arrays; rounds
 repeat until no member is due, and then the observables are read.
 
+Observables. A BlockObservable is read once per block and record time
+on the whole (count, M+N, 3) state; any other callable is read once per
+member on a JointState, which is much slower.
+
 Per-block draw order, which fixes every trajectory given the seed:
 the initial states (count, M+N, 3) and the first waiting times
 (count,); then, per round with k members due, k category uniforms, k
@@ -33,7 +37,6 @@ thermostat event, and k waiting times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import sqrt
 from typing import Callable, NamedTuple
 
@@ -226,6 +229,28 @@ class PerturbationInit:
         return states, weights
 
 
+@dataclass(frozen=True, eq=False)
+class BlockObservable:
+    """An observable read on a whole member block in one call.
+
+    fn(vw, *args) maps a read-only (count, M+N, 3) block state to its
+    (count,) values, with the per-member arithmetic of the matching
+    per-state evaluator, so both give the same numbers. fn must be a
+    module-level function for the observable to pickle. Called on one
+    JointState, it reads a block of one, so it serves wherever a
+    Callable[[JointState], float] is expected.
+    """
+
+    fn: Callable[..., np.ndarray]
+    args: tuple = ()
+
+    def block(self, vw: np.ndarray) -> np.ndarray:
+        return self.fn(vw, *self.args)
+
+    def __call__(self, s: JointState) -> float:
+        return float(self.block(np.concatenate([s.v, s.w])[None])[0])
+
+
 def _block_values(
     block: int,
     cfg: SimConfig,
@@ -241,12 +266,30 @@ def _block_values(
     rates = event_rates(p, cfg.system_kind)
     t_next = stream.rng.exponential(1.0 / rates.total, count)
     out = np.empty((count, len(cfg.record_times), len(obs_fns)))
+    # batched observables see the state only through this view
+    view = vw.view()
+    view.flags.writeable = False
+    batched = [o for o, fn in enumerate(obs_fns) if isinstance(fn, BlockObservable)]
+    plain = [o for o, fn in enumerate(obs_fns) if not isinstance(fn, BlockObservable)]
+    plain_fns = [obs_fns[o] for o in plain]
+    per_state = np.empty((count, len(plain)))
     for k, tau in enumerate(cfg.record_times):
         _advance(vw, t_next, tau, p, rates, stream, check)
-        for row in range(count):
-            snap = vw[row].copy()
-            state = JointState(snap[: p.m], snap[p.m :])
-            out[row, k] = [fn(state) for fn in obs_fns]
+        if not np.isfinite(vw).all():
+            raise StateError(f"velocities must be finite (block {block}, t={tau})")
+        for o in batched:
+            vals = obs_fns[o].block(view)
+            if np.shape(vals) != (count,):
+                raise StateError(
+                    f"batched observable returned shape {np.shape(vals)}, want ({count},)"
+                )
+            out[:, k, o] = vals
+        if plain:
+            for row in range(count):
+                snap = vw[row].copy()
+                state = JointState(snap[: p.m], snap[p.m :])
+                per_state[row] = [fn(state) for fn in plain_fns]
+            out[:, k, plain] = per_state
     return out * weights[:, None, None]
 
 
@@ -266,7 +309,8 @@ def run_ensemble(
     workers > 1, blocks go to a pool of at most min(workers, blocks)
     processes and are re-assembled in block order, so results and any
     downstream CSV are identical to a serial run. Observables must then
-    be picklable.
+    be picklable. BlockObservable values are read once per block and
+    record time; other callables once per member.
     """
     if not observables:
         raise ConfigError("need at least one observable")
@@ -302,21 +346,20 @@ def run_ensemble(
     return records
 
 
-def _hermite_value(coeffs: HermiteCoeffs, full_state: bool, s: JointState) -> float:
-    x = s.flatten() if full_state else s.v.ravel()
-    return float(coeffs.evaluate(x[None, :])[0])
+def _hermite_block(vw: np.ndarray, coeffs: HermiteCoeffs, nvars: int) -> np.ndarray:
+    return coeffs.evaluate(vw.reshape(len(vw), -1)[:, :nvars])
 
 
-def hermite_observable(coeffs: HermiteCoeffs, p: ModelParams) -> Callable[[JointState], float]:
-    """Pointwise evaluator of a Hermite polynomial as an observable.
+def hermite_observable(coeffs: HermiteCoeffs, p: ModelParams) -> BlockObservable:
+    """A Hermite polynomial as a batched observable.
 
     Accepts coefficients over the system velocities (3M variables) or
-    the full state (3(M+N) variables). The result pickles, so it can be
-    used with a worker pool.
+    the full state (3(M+N) variables); the first 3M flattened
+    coordinates of a state are the system velocities.
     """
     nv = coeffs.basis.nvars
     if nv not in (3 * p.m, 3 * (p.m + p.n)):
         raise StateError(
             f"observable must live on {3 * p.m} or {3 * (p.m + p.n)} variables, got {nv}"
         )
-    return partial(_hermite_value, coeffs, nv != 3 * p.m)
+    return BlockObservable(_hermite_block, (coeffs, nv))

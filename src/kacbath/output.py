@@ -6,11 +6,16 @@ round-trip a double exactly), JSON with sorted keys and a trailing
 newline, and a plain matrix interchange format (a dimension header
 line, then one row of values per line) for offline inspection of
 assembled operators.
+
+Every writer is atomic: the text goes to a temporary file in the
+target's directory, which is then renamed over the target, so a failed
+or interrupted write never leaves a partial artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,11 +38,25 @@ def format_value(x) -> str:
     raise ConfigError(f"cannot format {type(x).__name__} into CSV")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to a fresh file beside path, then rename it over path."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows under a header with '\\n' line endings, atomically-ish.
+    """Write rows under a header with '\\n' line endings.
 
     Rows are materialized and checked for width before anything is
-    written, so a failure cannot leave a half-file behind.
+    written.
     """
     lines = [",".join(header)]
     width = len(header)
@@ -48,8 +67,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
                 f"CSV row width {len(cells)} does not match header width {width}"
             )
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _jsonable(obj):
@@ -71,8 +89,7 @@ def _jsonable(obj):
 def write_json(path: str, obj) -> None:
     """Sorted-keys, indented JSON with a trailing newline."""
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(path, text + "\n")
 
 
 def read_json(path: str):
@@ -88,8 +105,7 @@ def write_matrix(path: str, mat: np.ndarray) -> None:
     lines = ["%d %d" % arr.shape]
     for row in arr:
         lines.append(" ".join("%.17g" % v for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_matrix(path: str) -> np.ndarray:

@@ -28,7 +28,6 @@ from scipy.integrate import dblquad
 
 from .errors import ConfigError, IntegrationError, StateError, ToleranceError
 from .hermite import HermiteCoeffs, evaluate_basis
-from .kinematics import JointState
 from .randomness import GAMMA_SIGMA, RngStream
 
 # Residual norm below which a candidate completion vector is discarded
@@ -176,12 +175,6 @@ def lemma1_constant(m: int, n: int) -> BoundConstant:
     return BoundConstant(m=m, n=n, c=c)
 
 
-class RotationAverage(NamedTuple):
-    mean: float
-    stderr: float
-    samples: int
-
-
 def _rotated_states(
     frame: MomentumFrame, flat: np.ndarray, count: int, stream: RngStream
 ) -> np.ndarray:
@@ -201,30 +194,6 @@ def _rotated_states(
     rotated[:, frame.g_slots] = y[frame.g_slots]
     rotated[:, comp] = rho * (u / norms)
     return rotated @ frame.p.T
-
-
-def apply_R_mc(
-    h: Callable[[JointState], float],
-    s: JointState,
-    nsamples: int,
-    stream: RngStream,
-) -> RotationAverage:
-    """Monte Carlo estimate of the rotation average R[h] at the state s.
-
-    Averages h over `nsamples` Haar-random momentum-fixing rotations of
-    s and reports the sample standard error (zero when a single sample
-    is requested).
-    """
-    if nsamples < 1:
-        raise ConfigError(f"need at least one sample, got {nsamples}")
-    frame = build_frame(s.m, s.n)
-    rows = _rotated_states(frame, s.flatten(), nsamples, stream)
-    vals = np.array(
-        [h(JointState(r[: 3 * s.m].reshape(s.m, 3), r[3 * s.m :].reshape(s.n, 3))) for r in rows]
-    )
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / sqrt(nsamples)) if nsamples > 1 else 0.0
-    return RotationAverage(mean=mean, stderr=stderr, samples=nsamples)
 
 
 class Lemma1Estimate(NamedTuple):

@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +192,25 @@ def test_exit_codes(tmp_path, capsys):
                 "--out", str(tmp_path / "missing" / "g.json")) == 4
     records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
     assert [r["exit_code"] for r in records] == [4, 2, 4]
+
+
+@pytest.mark.parametrize("sub,name", [("simulate", "m.csv"), ("gap", "g.json"),
+                                      ("spectral", "gen.mat")])
+def test_failed_rename_leaves_no_artifact(tmp_path, capsys, monkeypatch, sub, name):
+    # every writer renames a finished temp file over the target; when the
+    # rename fails, the run exits 4 and neither file is left behind
+    cfg = _write_config(tmp_path, degree=1, t_end=0.5, record_times=[0.5], ensemble=8)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert _run(sub, "--config", cfg, "--out", str(out_dir / name)) == 4
+    assert list(out_dir.iterdir()) == []
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["exit_code"] == 4 and record["message"] == "rename refused"
 
 
 def test_unknown_observable_is_config_error(tmp_path, capsys):

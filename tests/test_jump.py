@@ -8,6 +8,7 @@ from math import pi, sqrt
 from hypothesis import given, settings, strategies as st
 
 from kacbath import (
+    BlockObservable,
     ConfigError,
     EquilibriumInit,
     ModelParams,
@@ -21,9 +22,12 @@ from kacbath import (
     make_basis,
     run_ensemble,
     total_energy,
+    total_momentum,
 )
+from kacbath.cli import observable_registry
 from kacbath.hermite import HermiteCoeffs
 from kacbath.jump import BLOCK, _advance
+from kacbath.kinematics import JointState
 
 
 def _h1_data(eps: float) -> HermiteCoeffs:
@@ -221,3 +225,148 @@ def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(t_end=1.0, record_times=(0.5,), ensemble=10, seed=0,
                   system_kind="bath")
+
+
+# ---------------------------------------------------------------------------
+# batched observables against per-state references
+
+# the registry's observables written per state, as the loop reference
+REFERENCE = {
+    "v1x": lambda s: float(s.v[0, 0]),
+    "system_energy": lambda s: float(np.sum(s.v ** 2)),
+    "total_energy": total_energy,
+    "momentum_x": lambda s: float(total_momentum(s)[0]),
+}
+
+
+def _random_block(m: int, n: int, count: int, seed: int) -> np.ndarray:
+    """A read-only block state, as the engine hands it to observables."""
+    rng = np.random.default_rng(seed)
+    vw = rng.normal(size=(count, m + n, 3)) * rng.exponential(size=(count, m + n, 3))
+    vw.flags.writeable = False
+    return vw
+
+
+def _states(vw: np.ndarray, m: int) -> list[JointState]:
+    return [JointState(r[:m].copy(), r[m:].copy()) for r in vw]
+
+
+def _random_coeffs(nvars: int, degree: int, seed: int) -> HermiteCoeffs:
+    b = make_basis(nvars, degree)
+    return HermiteCoeffs(b, np.random.default_rng(seed).normal(size=b.size))
+
+
+# (4, 64) has sums of 8 or more terms, where numpy's pairwise summation
+# gives a different result from a sequential sum of the same terms
+@pytest.mark.parametrize("m,n", [(2, 3), (4, 64)])
+def test_registry_block_values_equal_per_state_calls(m, n):
+    p = ModelParams(m, n)
+    vw = _random_block(m, n, 40, 1)
+    states = _states(vw, m)
+    for name, obs in observable_registry(p).items():
+        assert isinstance(obs, BlockObservable), name
+        got = obs.block(vw)
+        assert got.shape == (40,)
+        np.testing.assert_array_equal(got, [obs(s) for s in states], err_msg=name)
+        if name in REFERENCE:
+            want = [REFERENCE[name](s) for s in states]
+        else:  # a Hermite mode of the system velocities
+            coeffs = obs.args[0]
+            want = [coeffs.evaluate(s.v.ravel()[None, :])[0] for s in states]
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@pytest.mark.parametrize("full_state", [False, True])
+def test_hermite_block_values_equal_per_state_calls(full_state):
+    m, n = 2, 3
+    p = ModelParams(m, n)
+    coeffs = _random_coeffs(3 * (m + n) if full_state else 3 * m, 3, 2)
+    obs = hermite_observable(coeffs, p)
+    vw = _random_block(m, n, 40, 3)
+    states = _states(vw, m)
+    got = obs.block(vw)
+    np.testing.assert_array_equal(got, [obs(s) for s in states])
+    points = [s.flatten() if full_state else s.v.ravel() for s in states]
+    np.testing.assert_array_equal(
+        got, [coeffs.evaluate(x[None, :])[0] for x in points])
+
+
+# per-state twins of registry entries, module level so that they pickle
+_H2 = HermiteCoeffs(make_basis(3, 2), np.eye(10)[make_basis(3, 2).index[(2, 0, 0)]])
+
+
+def _h2_state(s: JointState) -> float:
+    return float(_H2.evaluate(s.v.ravel()[None, :])[0])
+
+
+def _momentum_x_state(s: JointState) -> float:
+    return float(total_momentum(s)[0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batched_and_per_state_observables_give_identical_records(workers):
+    p = ModelParams(1, 2)
+    cfg = SimConfig(t_end=1.0, record_times=(0.0, 0.5, 1.0), ensemble=BLOCK + 40,
+                    seed=31, system_kind="reservoir")
+    init = PerturbationInit(_h1_data(0.1))
+    registry = observable_registry(p)
+    batched = {"h2": hermite_observable(_H2, p), "e": registry["total_energy"],
+               "px": registry["momentum_x"]}
+    per_state = {"h2": _h2_state, "e": total_energy, "px": _momentum_x_state}
+    a = run_ensemble(cfg, p, init, batched, workers=workers)
+    b = run_ensemble(cfg, p, init, per_state, workers=workers)
+    assert a == b
+
+
+def _ensemble_cfg(ensemble: int = 16) -> SimConfig:
+    return SimConfig(t_end=0.5, record_times=(0.0, 0.5), ensemble=ensemble,
+                     seed=3, system_kind="reservoir")
+
+
+class _NonFiniteInit:
+    def sample(self, p, stream, count):
+        vw, weights = EquilibriumInit().sample(p, stream, count)
+        vw[count // 2, p.m, 1] = np.nan
+        return vw, weights
+
+
+def test_non_finite_state_raises():
+    p = ModelParams(1, 2)
+    obs = {"v1x": observable_registry(p)["v1x"]}
+    with pytest.raises(StateError, match="finite"):
+        run_ensemble(_ensemble_cfg(), p, _NonFiniteInit(), obs)
+
+
+def _zero_block(vw: np.ndarray) -> np.ndarray:
+    vw[:] = 0.0
+    return vw[:, 0, 0]
+
+
+def test_batched_observable_cannot_write_the_state():
+    p = ModelParams(1, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        run_ensemble(_ensemble_cfg(), p, EquilibriumInit(),
+                     {"bad": BlockObservable(_zero_block)})
+    # the state the engine advances is untouched by the failed write
+    vw, _ = EquilibriumInit().sample(p, RngStream(0, 0), 4)
+    view = vw.view()
+    view.flags.writeable = False
+    before = vw.copy()
+    with pytest.raises(ValueError):
+        _zero_block(view)
+    np.testing.assert_array_equal(vw, before)
+
+
+def _first_rows(vw: np.ndarray) -> np.ndarray:
+    return vw[:, :, 0]
+
+
+def _one_value(vw: np.ndarray) -> np.ndarray:
+    return np.zeros(len(vw) + 1)
+
+
+@pytest.mark.parametrize("fn", [_first_rows, _one_value])
+def test_batched_result_of_wrong_shape_raises(fn):
+    p = ModelParams(1, 2)
+    with pytest.raises(StateError, match="shape"):
+        run_ensemble(_ensemble_cfg(), p, EquilibriumInit(), {"bad": BlockObservable(fn)})

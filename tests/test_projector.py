@@ -11,7 +11,6 @@ from kacbath import (
     JointState,
     RngStream,
     StateError,
-    apply_R_mc,
     build_frame,
     estimate_lemma1_ratio,
     lemma1_constant,
@@ -20,6 +19,7 @@ from kacbath import (
     total_momentum,
     verify_gaussian_identity,
 )
+from kacbath.projector import _rotated_states
 
 
 def _mean_one_h1(m: int, eps: float) -> HermiteCoeffs:
@@ -81,21 +81,33 @@ def test_lemma1_constant_values():
         lemma1_constant(0, 4)
 
 
+def _rotated(s: JointState, count: int, stream: RngStream) -> np.ndarray:
+    """`count` Haar-rotated copies of s as a (count, M+N, 3) array."""
+    rows = _rotated_states(build_frame(s.m, s.n), s.flatten(), count, stream)
+    assert rows.shape == (count, 3 * (s.m + s.n))
+    return rows.reshape(count, s.m + s.n, 3)
+
+
+def _energy_and_momentum(rows: np.ndarray):
+    return np.sum(rows * rows, axis=(1, 2)), rows.sum(axis=1)
+
+
 def test_rotation_average_fixes_invariants():
     # h depending only on energy and momentum is pointwise fixed by R
     s = JointState(
         RngStream(4, 0).rng.normal(size=(1, 3)),
         RngStream(4, 1).rng.normal(size=(3, 3)),
     )
-    def invariant(js: JointState) -> float:
-        mom = total_momentum(js)
-        return total_energy(js) + 0.5 * float(mom @ mom)
-
-    want = invariant(s)
-    got = apply_R_mc(invariant, s, 64, RngStream(4, 2))
-    assert got.mean == pytest.approx(want, rel=1e-12)
-    assert got.stderr == pytest.approx(0.0, abs=1e-12)
-    assert got.samples == 64
+    mom = total_momentum(s)
+    want = total_energy(s) + 0.5 * float(mom @ mom)
+    energy, momentum = _energy_and_momentum(_rotated(s, 64, RngStream(4, 2)))
+    np.testing.assert_allclose(energy, total_energy(s), rtol=1e-12)
+    np.testing.assert_allclose(momentum, np.broadcast_to(mom, (64, 3)),
+                               rtol=1e-12, atol=1e-12)
+    vals = energy + 0.5 * np.sum(momentum * momentum, axis=1)
+    np.testing.assert_allclose(vals, want, rtol=1e-12)
+    assert vals.mean() == pytest.approx(want, rel=1e-12)
+    assert vals.std(ddof=1) / sqrt(64) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotated_states_preserve_energy_and_momentum():
@@ -103,12 +115,16 @@ def test_rotated_states_preserve_energy_and_momentum():
         RngStream(6, 0).rng.normal(size=(2, 3)),
         RngStream(6, 1).rng.normal(size=(4, 3)),
     )
-    e = apply_R_mc(total_energy, s, 128, RngStream(6, 2))
-    assert e.stderr < 1e-12
-    assert e.mean == pytest.approx(total_energy(s), rel=1e-12)
-    px = apply_R_mc(lambda js: float(total_momentum(js)[0]), s, 128, RngStream(6, 3))
-    assert px.mean == pytest.approx(float(total_momentum(s)[0]), rel=1e-10)
-    assert px.stderr < 1e-12
+    mom = total_momentum(s)
+    for stream in (RngStream(6, 2), RngStream(6, 3)):
+        rows = _rotated(s, 128, stream)
+        # a rotation moves the state: rows differ from s and from each other
+        assert np.all(np.abs(rows[:, 0] - s.v[0]).max(axis=1) > 1e-6)
+        energy, momentum = _energy_and_momentum(rows)
+        np.testing.assert_allclose(energy, total_energy(s), rtol=1e-12)
+        assert energy.std(ddof=1) / sqrt(128) < 1e-12
+        np.testing.assert_allclose(momentum, np.broadcast_to(mom, (128, 3)), rtol=1e-10)
+        assert momentum[:, 0].std(ddof=1) / sqrt(128) < 1e-12
 
 
 def test_ratio_for_linear_data_matches_momentum_overlap():
