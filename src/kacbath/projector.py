@@ -11,8 +11,13 @@ momentum directions g_1, g_2, g_3, and a (3(M+N)-3)-dimensional
 complement on which the group acts transitively on spheres. Applying a
 Haar-random rotation to a fixed state is therefore the same as
 resampling the complement coordinates uniformly on the sphere of their
-radius, which is what the Monte Carlo estimators below exploit: no
-random matrix is ever materialized in the hot loop.
+radius, so no random matrix is ever materialized. The Monte Carlo
+estimator below only reads the 3M system coordinates, which see just 3M
+of the D = 3(M+N)-3 complement coordinates. The first k coordinates of
+a uniform point on the unit sphere S^(D-1) are distributed as
+w / sqrt(|w|^2 + X), with w ~ N(0, I_k) independent of X ~ chi^2_(D-k)
+(Diaconis and Freedman, 1987), so each rotation is drawn from 3M
+normals and one chi-square variate, at a cost that does not grow with N.
 
 Norms and means are with respect to the background Gaussian weight.
 """
@@ -175,25 +180,27 @@ def lemma1_constant(m: int, n: int) -> BoundConstant:
     return BoundConstant(m=m, n=n, c=c)
 
 
-def _rotated_states(
-    frame: MomentumFrame, flat: np.ndarray, count: int, stream: RngStream
+def _system_rows(
+    frame: MomentumFrame, y: np.ndarray, w: np.ndarray, r2: np.ndarray
 ) -> np.ndarray:
-    """`count` Haar-rotated copies of a state, as rows of shape (count, dim).
+    """First 3M coordinates of Haar-rotated states, shape (b, k, 3M).
 
-    In frame coordinates a Haar rotation fixes the g components and
-    sends the complement components to a uniform point on the sphere of
-    their radius, so each copy costs one normalized Gaussian draw.
+    `y` holds the frame coordinates of b states, shape (b, dim); `w`,
+    shape (b, k, 3M), are standard normals and `r2`, shape (b, k), are
+    chi-square draws with 3N-3 degrees of freedom. Only the first 3M
+    complement slots (the system completion and the l directions) reach
+    the system rows of the frame, and w / sqrt(|w|^2 + r2) are their
+    coordinates on the unit complement sphere.
     """
-    y = frame.coordinates(flat)
+    s = 3 * frame.m
     comp = frame.complement_slots
-    rho = np.linalg.norm(y[comp])
-    u = stream.rng.standard_normal((count, len(comp)))
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0  # probability-zero draw; leaves a zero row
-    rotated = np.empty((count, frame.dim))
-    rotated[:, frame.g_slots] = y[frame.g_slots]
-    rotated[:, comp] = rho * (u / norms)
-    return rotated @ frame.p.T
+    gsl = frame.g_slots
+    rho = np.linalg.norm(y[:, comp], axis=1)
+    norms = np.sqrt(np.sum(w * w, axis=-1) + r2)
+    norms[norms == 0.0] = 1.0  # probability-zero draw; leaves the g part
+    u = (rho[:, None] / norms)[:, :, None] * w
+    fixed = y[:, gsl] @ frame.p[:s, gsl].T
+    return fixed[:, None, :] + u @ frame.p[:s, comp[:s]].T
 
 
 class Lemma1Estimate(NamedTuple):
@@ -215,37 +222,39 @@ def _ratio_core(
 ) -> Lemma1Estimate:
     """Nested estimator for ||R[h] - 1|| / ||h - 1||.
 
-    `evaluate` maps rows of flattened states, shape (k, dim), to h
-    values, shape (k,). Outer states are drawn from the background
-    Gaussian; per state, two independent half-sample rotation averages
-    A and B give the unbiased square E[(A-1)(B-1)] = (R[h](z) - 1)^2,
-    which a plain single-loop average of squares would overestimate.
-    The outer mean of the products is clamped at zero before the square
-    root; the error bar follows by the delta method.
+    `evaluate` maps system rows, shape (k, 3M), to h values, shape (k,).
+    Outer states are drawn from the background Gaussian; per state, two
+    independent half-sample rotation averages A and B give the unbiased
+    square E[(A-1)(B-1)] = (R[h](z) - 1)^2, which a plain single-loop
+    average of squares would overestimate. The outer mean of the
+    products is clamped at zero before the square root; the error bar
+    follows by the delta method.
+
+    Each chunk of b outer states draws, in this order, the states z,
+    shape (b, 3(M+N)); the normals w, shape (b, inner, 3M); and the
+    chi-square draws r2 with 3N-3 degrees of freedom, shape (b, inner).
+    Since the first 3M coordinates of a uniform point on the unit sphere
+    of the D = 3(M+N)-3 complement coordinates are distributed as
+    w / sqrt(|w|^2 + r2), `_system_rows` turns these draws into the
+    system block of the rotated states: a rotation costs 3M + 1 draws
+    whatever N is, and the reservoir coordinates are never formed.
     """
     if outer < 2:
         raise ConfigError(f"need at least two outer states, got {outer}")
     if inner < 2 or inner % 2:
         raise ConfigError(f"inner sample count must be even and >= 2, got {inner}")
-    dim = frame.dim
-    comp = frame.complement_slots
-    gsl = frame.g_slots
+    s = 3 * frame.m
     half = inner // 2
 
     prods = np.empty(outer)
     done = 0
     while done < outer:
         b = min(chunk, outer - done)
-        z = stream.rng.normal(0.0, GAMMA_SIGMA, (b, dim))
-        y = z @ frame.p
-        rho = np.linalg.norm(y[:, comp], axis=1)
-        u = stream.rng.standard_normal((b, inner, len(comp)))
-        norms = np.linalg.norm(u, axis=2, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        yrot = np.empty((b, inner, dim))
-        yrot[:, :, gsl] = y[:, None, gsl]
-        yrot[:, :, comp] = rho[:, None, None] * (u / norms)
-        vals = evaluate(yrot.reshape(b * inner, dim) @ frame.p.T).reshape(b, inner)
+        z = stream.rng.normal(0.0, GAMMA_SIGMA, (b, frame.dim))
+        w = stream.rng.standard_normal((b, inner, s))
+        r2 = stream.rng.chisquare(3 * frame.n - 3, (b, inner))
+        rows = _system_rows(frame, z @ frame.p, w, r2)
+        vals = evaluate(rows.reshape(b * inner, s)).reshape(b, inner)
         a = vals[:, :half].mean(axis=1) - 1.0
         c = vals[:, half:].mean(axis=1) - 1.0
         prods[done : done + b] = a * c
@@ -295,7 +304,7 @@ def estimate_lemma1_ratio(
     frame = build_frame(m, n)
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
-        return evaluate_basis(h.basis, rows[:, : 3 * m]) @ h.vec
+        return evaluate_basis(h.basis, rows) @ h.vec
 
     return _ratio_core(evaluate, denom, frame, samples, inner, stream)
 

@@ -20,8 +20,6 @@ __all__ = [
     "RngStream",
     "sample_gamma_vec3",
     "sample_unit_sphere",
-    "haar_special_orthogonal",
-    "sample_momentum_preserving_rotation",
 ]
 
 # Standard deviation of each velocity coordinate under exp(-pi |x|^2).
@@ -63,35 +61,3 @@ def sample_unit_sphere(stream: RngStream, size: int | None = None) -> np.ndarray
         norm = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
     return np.squeeze(g / norm) if size is None else g / norm
 
-
-def haar_special_orthogonal(k: int, stream: RngStream) -> np.ndarray:
-    """Haar-distributed rotation from SO(k).
-
-    QR of a Gaussian matrix with the R-diagonal sign fix gives Haar on
-    O(k); a reflection with negative determinant is pushed into SO(k) by
-    flipping one fixed column, which preserves Haar measure on the
-    rotation component.
-    """
-    g = stream.rng.standard_normal((k, k))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def sample_momentum_preserving_rotation(frame, stream: RngStream) -> np.ndarray:
-    """Random rotation of the full phase space fixing total momentum.
-
-    `frame` is a MomentumFrame (see projector module). The returned
-    matrix O is in SO(3(M+N)), acts as the identity on the three
-    momentum directions of the frame, and is Haar-uniform on the
-    orthogonal complement. Energy |z|^2 and total momentum are both
-    preserved, so O leaves the background Gaussian invariant.
-    """
-    d = frame.dim
-    comp = frame.complement_slots
-    q = haar_special_orthogonal(len(comp), stream)
-    s = np.eye(d)
-    s[np.ix_(comp, comp)] = q
-    return frame.p @ s @ frame.p.T

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import orth
 
-from .errors import QuadratureError, StateError, ToleranceError
+from .errors import ConfigError, QuadratureError, StateError, ToleranceError
 from .hermite import (
     Basis,
     HermiteCoeffs,
@@ -66,6 +66,10 @@ __all__ = [
 BLOCK_TOL = 1e-12
 # Two quadrature refinement levels must agree entrywise to this.
 REFINE_TOL = 1e-10
+# Largest dense float64 operator on the joint basis, in bytes (8192
+# rows). Assembly and eigensolves hold a few such matrices at once; the
+# largest size in use (d=3, M=1, N=8: 4060 rows) needs 132 MB.
+DENSE_BYTES_MAX = 2**29
 
 
 @dataclass
@@ -329,6 +333,19 @@ def w_slots(p: ModelParams, j: int):
 
 
 def joint_basis(p: ModelParams, d: int) -> Basis:
+    """Hermite basis of degree <= d on all 3(M+N) velocity components.
+
+    The size is checked in closed form before anything is enumerated:
+    one dense operator on it must fit in DENSE_BYTES_MAX.
+    """
+    rows = comb(3 * (p.m + p.n) + d, d)
+    dense = 8 * rows * rows
+    if dense > DENSE_BYTES_MAX:
+        raise ConfigError(
+            f"joint basis at M={p.m}, N={p.n}, degree {d} has {rows} rows; "
+            f"one dense operator needs {dense / 1e6:.3g} MB, over the "
+            f"{DENSE_BYTES_MAX / 1e6:.3g} MB limit"
+        )
     return make_basis(3 * (p.m + p.n), d)
 
 

@@ -19,7 +19,12 @@ from kacbath import (
     total_momentum,
     verify_gaussian_identity,
 )
-from kacbath.projector import _rotated_states
+from kacbath.projector import _ratio_core, _system_rows
+from rotation_oracle import (
+    full_rotation_ratio,
+    rotated_states,
+    sample_momentum_preserving_rotation,
+)
 
 
 def _mean_one_h1(m: int, eps: float) -> HermiteCoeffs:
@@ -83,7 +88,7 @@ def test_lemma1_constant_values():
 
 def _rotated(s: JointState, count: int, stream: RngStream) -> np.ndarray:
     """`count` Haar-rotated copies of s as a (count, M+N, 3) array."""
-    rows = _rotated_states(build_frame(s.m, s.n), s.flatten(), count, stream)
+    rows = rotated_states(build_frame(s.m, s.n), s.flatten(), count, stream)
     assert rows.shape == (count, 3 * (s.m + s.n))
     return rows.reshape(count, s.m + s.n, 3)
 
@@ -125,6 +130,96 @@ def test_rotated_states_preserve_energy_and_momentum():
         assert energy.std(ddof=1) / sqrt(128) < 1e-12
         np.testing.assert_allclose(momentum, np.broadcast_to(mom, (128, 3)), rtol=1e-10)
         assert momentum[:, 0].std(ddof=1) / sqrt(128) < 1e-12
+
+
+def test_system_rows_equal_the_full_rotation_block():
+    # the marginal draw, fed the first 3M entries of one full complement
+    # draw and the squared norm of the rest, gives the oracle's system block
+    for m, n in [(1, 2), (2, 3), (3, 5)]:
+        frame = build_frame(m, n)
+        s, count = 3 * m, 40
+        z = RngStream(50, 10 * m + n).rng.normal(0.0, GAMMA_SIGMA, frame.dim)
+        u = RngStream(51, 10 * m + n).rng.standard_normal(
+            (count, len(frame.complement_slots)))
+        want = rotated_states(frame, z, count, RngStream(51, 10 * m + n))[:, :s]
+        got = _system_rows(frame, frame.coordinates(z)[None], u[None, :, :s],
+                           np.sum(u[None, :, s:] ** 2, axis=2))
+        assert got.shape == (1, count, s)
+        np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-12)
+
+
+def _moment_z(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    """Largest |z| of the sample mean and the sample covariance about the
+    exact mean, entry by entry, against their closed forms."""
+    k = len(rows)
+    x = rows - mean
+    z_mean = x.mean(axis=0) / np.sqrt(np.diag(cov) / k)
+    prods = x[:, :, None] * x[:, None, :]
+    z_cov = (prods.mean(axis=0) - cov) / (prods.std(axis=0, ddof=1) / sqrt(k))
+    return max(np.abs(z_mean).max(), np.abs(z_cov).max())
+
+
+def test_system_rows_have_the_haar_mean_and_covariance():
+    # for a fixed state the system block of a Haar rotation has mean
+    # P_sg y_g and covariance rho^2/D P_sc P_sc^T, D = 3(M+N) - 3
+    m, n = 2, 3
+    frame = build_frame(m, n)
+    s = 3 * m
+    comp, gsl = frame.complement_slots, frame.g_slots
+    z = RngStream(60, 0).rng.normal(0.0, GAMMA_SIGMA, frame.dim)
+    y = frame.coordinates(z)
+    rho2 = float(y[comp] @ y[comp])
+    mean = frame.p[:s, gsl] @ y[gsl]
+    cov = rho2 / len(comp) * frame.p[:s, comp] @ frame.p[:s, comp].T
+
+    rng = RngStream(60, 1).rng
+    w = rng.standard_normal((1, 20_000, s))
+    r2 = rng.chisquare(len(comp) - s, (1, 20_000))
+    marginal = _system_rows(frame, y[None], w, r2)[0]
+    assert _moment_z(marginal, mean, cov) <= 5.0
+
+    stream = RngStream(60, 2)
+    dense = np.array([(sample_momentum_preserving_rotation(frame, stream) @ z)[:s]
+                      for _ in range(4000)])
+    assert _moment_z(dense, mean, cov) <= 5.0
+
+
+def test_estimator_rows_follow_the_background_gaussian():
+    # a rotated background state is again background-distributed, so the
+    # system rows the estimator evaluates have mean 0 and covariance
+    # GAMMA_SIGMA^2 I; averaging within each outer state leaves independent
+    # outer samples for the z-scores
+    m, n, outer, inner = 2, 3, 2000, 16
+    seen = []
+
+    def evaluate(rows: np.ndarray) -> np.ndarray:
+        seen.append(rows.copy())
+        return np.ones(len(rows))
+
+    _ratio_core(evaluate, 1.0, build_frame(m, n), outer, inner, RngStream(80, 0))
+    rows = np.concatenate(seen).reshape(outer, inner, 3 * m)
+    first = rows.mean(axis=1)
+    second = (rows[:, :, :, None] * rows[:, :, None, :]).mean(axis=1)
+    z_first = first.mean(axis=0) / (first.std(axis=0, ddof=1) / sqrt(outer))
+    z_second = ((second.mean(axis=0) - GAMMA_SIGMA**2 * np.eye(3 * m))
+                / (second.std(axis=0, ddof=1) / sqrt(outer)))
+    assert max(np.abs(z_first).max(), np.abs(z_second).max()) <= 5.0
+
+
+def test_system_block_estimator_matches_full_rotation_estimator():
+    # the same nested estimator on whole rotated states (test-side oracle),
+    # on independent streams: the two ratios agree within 4 combined stderr
+    for m, n in [(1, 2), (2, 4), (1, 8)]:
+        b = make_basis(3 * m, 2)
+        vec = np.zeros(b.size)
+        vec[0] = 1.0
+        vec[b.index[tuple(2 if i == 0 else 0 for i in range(3 * m))]] = 0.3
+        vec[b.index[tuple(1 if i < 2 else 0 for i in range(3 * m))]] = 0.3
+        h = HermiteCoeffs(b, vec)
+        est = estimate_lemma1_ratio(h, m, n, 2000, RngStream(70, 10 * m + n))
+        ratio, stderr = full_rotation_ratio(h, m, n, 2000, RngStream(71, 10 * m + n))
+        assert abs(est.ratio - ratio) <= 4.0 * sqrt(est.stderr**2 + stderr**2), (
+            m, n, est, ratio, stderr)
 
 
 def test_ratio_for_linear_data_matches_momentum_overlap():

@@ -5,11 +5,10 @@ import pytest
 
 from kacbath import GAMMA_SIGMA, RngStream
 from kacbath.projector import build_frame
-from kacbath.randomness import (
+from kacbath.randomness import sample_gamma_vec3, sample_unit_sphere
+from rotation_oracle import (
     haar_special_orthogonal,
-    sample_gamma_vec3,
     sample_momentum_preserving_rotation,
-    sample_unit_sphere,
 )
 
 

@@ -6,6 +6,7 @@ import pytest
 from math import pi, sqrt
 
 from kacbath import (
+    ConfigError,
     HermiteCoeffs,
     ModelParams,
     StateError,
@@ -232,3 +233,12 @@ def test_joint_basis_shape():
     b = joint_basis(p, 2)
     assert b.nvars == 9
     assert b.size == 55
+
+
+def test_joint_basis_rejects_a_dense_operator_over_the_limit():
+    # the largest joint basis in use (d=3, M=1, N=8) fits; 129 variables at
+    # degree 2 give 8515 rows, 580 MB dense, just over DENSE_BYTES_MAX.
+    # Without the closed-form check the call would enumerate those rows.
+    assert joint_basis(ModelParams(1, 8), 3).size == 4060
+    with pytest.raises(ConfigError, match="8515 rows; one dense operator needs 580 MB"):
+        joint_basis(ModelParams(1, 42), 2)
