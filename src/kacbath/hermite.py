@@ -53,13 +53,22 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def _compositions(total: int, nvars: int):
-    """All exponent tuples over nvars with sum exactly total, lex ascending."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, nvars - 1):
-            yield (first,) + rest
+    """All exponent tuples over nvars with sum exactly total, lex ascending.
+
+    Each step moves one unit from the last nonzero slot to the slot
+    before it and the rest of that slot to the last slot.
+    """
+    exps = [0] * nvars
+    exps[-1] = total
+    last = nvars - 1 if total else 0  # last nonzero slot
+    yield tuple(exps)
+    while last > 0:
+        rest = exps[last] - 1
+        exps[last] = 0
+        exps[last - 1] += 1
+        exps[-1] = rest
+        last = nvars - 1 if rest else last - 1
+        yield tuple(exps)
 
 
 @dataclass

@@ -286,40 +286,58 @@ def thermostat_block(d: int) -> np.ndarray:
 # embedding small blocks into many-particle bases
 
 
-def _slot_groups(big: Basis, sub: Basis, slots):
-    """Group the big basis by the exponents outside `slots`.
+def _embedding(big: Basis, sub: Basis, slots):
+    """Index arrays (rows, cols, sub_rows, sub_cols) of a block at `slots`.
 
-    Within a group all members differ only in the sub-variables, so an
-    operator acting on those variables maps the group into itself with
-    the sub-basis matrix.
+    Big rows that agree on the exponents outside `slots` form a group:
+    they differ only in the sub-variables, so an operator acting on those
+    variables maps the group into itself with the sub-basis matrix. Every
+    pair (row, col) within a group is listed once, with the sub-basis
+    rows of its slot exponents. Groups ignore the degree, so off-degree
+    entries of a raw block are copied as they are.
     """
     slots = np.asarray(slots, dtype=int)
-    rest_cols = np.setdiff1d(np.arange(big.nvars), slots)
-    sub_part = big.exponents[:, slots]
-    rest_part = big.exponents[:, rest_cols].astype(np.int8)
-    groups: dict = {}
-    for row in range(big.size):
-        sid = sub.index[tuple(sub_part[row])]
-        groups.setdefault(rest_part[row].tobytes(), ([], []))
-        g = groups[rest_part[row].tobytes()]
-        g[0].append(row)
-        g[1].append(sid)
-    return [(np.array(ids), np.array(sids)) for ids, sids in groups.values()]
+    outside = np.ones(big.nvars, dtype=bool)
+    outside[slots] = False
+    # sub row of each big row, through the base-(d+1) code of its slot exponents
+    base = max(big.degree, sub.degree) + 1
+    place = base ** np.arange(len(slots), dtype=np.int64)
+    lookup = np.full(base ** len(slots), -1, dtype=np.intp)
+    lookup[sub.exponents @ place] = np.arange(sub.size)
+    sub_of = lookup[big.exponents[:, slots] @ place]
+    if (sub_of < 0).any():
+        raise StateError(f"sub-basis of degree {sub.degree} misses slot exponents")
+    if outside.any():
+        # one byte string per row (exponents are far below 256): sorting
+        # strings is much faster than np.unique(axis=0) on integer rows
+        rest = np.ascontiguousarray(big.exponents[:, outside], dtype=np.uint8)
+        _, group = np.unique(rest.view(f"S{rest.shape[1]}").ravel(), return_inverse=True)
+    else:
+        group = np.zeros(big.size, dtype=np.intp)
+    # every row pairs with each row of its group, in ascending order
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group)
+    start = np.cumsum(counts) - counts
+    reps = counts[group[order]]
+    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    rows = np.repeat(order, reps)
+    cols = order[np.repeat(start[group[order]], reps) + offset]
+    return rows, cols, sub_of[rows], sub_of[cols]
 
 
 def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
     """Lift an operator on `sub` variables to the big basis, acting as
     the identity on all other variables."""
     out = np.zeros((big.size, big.size))
-    for ids, sids in _slot_groups(big, sub, slots):
-        out[np.ix_(ids, ids)] = block[np.ix_(sids, sids)]
+    a, b, sa, sb = _embedding(big, sub, slots)
+    out[a, b] = block[sa, sb]
     return out
 
 
 def _accumulate_embedded(out: np.ndarray, block: np.ndarray, sub: Basis,
                          big: Basis, slots, coeff: float):
-    for ids, sids in _slot_groups(big, sub, slots):
-        out[np.ix_(ids, ids)] += coeff * block[np.ix_(sids, sids)]
+    a, b, sa, sb = _embedding(big, sub, slots)
+    out[a, b] += coeff * block[sa, sb]
 
 
 def v_slots(i: int):

@@ -1,12 +1,15 @@
 """Orthonormal Hermite basis under the Gaussian weight, quadrature rules,
 and polynomial coefficient plumbing."""
 
+import itertools
+
 import numpy as np
 import pytest
 from math import comb, factorial, pi, sqrt
 
 from kacbath import HermiteCoeffs, StateError, evaluate_basis, make_basis
 from kacbath.hermite import (
+    _compositions,
     gauss_hermite_gamma,
     hermite_coeffs_from_poly,
     hermite_value_table,
@@ -25,6 +28,30 @@ def test_basis_enumeration():
     assert b.degree_of.tolist() == sorted(b.degree_of.tolist())
     assert b.degree_slice(1) == slice(1, 4)
     assert b.index[(0, 2, 0)] == b.exponents.tolist().index([0, 2, 0])
+
+
+def test_compositions_are_lex_ascending():
+    for n in range(1, 7):
+        for m in range(6):
+            oracle = sorted(t for t in itertools.product(range(m + 1), repeat=n)
+                            if sum(t) == m)
+            assert list(_compositions(m, n)) == oracle
+
+
+@pytest.mark.parametrize("nvars,degree", [(27, 2), (51, 2), (21, 3)])
+def test_basis_rows_are_graded_lex_ascending(nvars, degree):
+    # every exponent vector of each degree once, in ascending lex order:
+    # that fixes the row order the joint-basis operators are built on
+    b = make_basis(nvars, degree)
+    assert b.exponents.min() == 0
+    for m in range(degree + 1):
+        block = b.exponents[b.degree_slice(m)]
+        assert (block.sum(axis=1) == m).all()
+        assert len(block) == comb(m + nvars - 1, m)
+        step = np.diff(block, axis=0)
+        moved = step != 0
+        assert moved.any(axis=1).all()
+        assert (step[np.arange(len(step)), moved.argmax(axis=1)] > 0).all()
 
 
 def test_first_hermite_values():

@@ -21,9 +21,19 @@ from kacbath import (
     tensor_T,
     verify_lemma2,
 )
+from kacbath import spectral
 from kacbath.hermite import poly_coord, poly_mul, poly_add, hermite_coeffs_from_poly
 from kacbath.randomness import RngStream
-from kacbath.spectral import sphere_moment_tensor
+from kacbath.spectral import (
+    embed_block,
+    pair_avg_block,
+    sphere_moment_tensor,
+    thermostat_block,
+    v_slots,
+    w_slots,
+)
+
+import embedding_oracle
 
 
 def _unit_h1_tagged(m: int) -> HermiteCoeffs:
@@ -242,3 +252,78 @@ def test_joint_basis_rejects_a_dense_operator_over_the_limit():
     assert joint_basis(ModelParams(1, 8), 3).size == 4060
     with pytest.raises(ConfigError, match="8515 rows; one dense operator needs 580 MB"):
         joint_basis(ModelParams(1, 42), 2)
+
+
+# ---------------------------------------------------------------------------
+# vectorised embedding against the per-row oracle
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_embedded_raw_blocks_equal_the_oracle(d):
+    # the raw mix and reflection blocks carry off-degree roundoff; the
+    # embedding copies it as it is, exactly like the per-row route
+    b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
+    mix = spectral._mix_block_2var(d)
+    refl = spectral._reflection_avg_block(d)
+    off = b2.degree_of[:, None] != b2.degree_of[None, :]
+    assert np.abs(mix[off]).max() > 0.0
+    for pair in ((0, 3), (1, 4), (2, 5)):
+        assert _same_bits(embed_block(mix, b2, b6, pair),
+                          embedding_oracle.embed_block(mix, b2, b6, pair))
+    assert _same_bits(embed_block(refl, b3, b6, (3, 4, 5)),
+                      embedding_oracle.embed_block(refl, b3, b6, (3, 4, 5)))
+    # slots out of ascending order
+    assert _same_bits(embed_block(refl, b3, b6, (5, 1, 3)),
+                      embedding_oracle.embed_block(refl, b3, b6, (5, 1, 3)))
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (1, 5)])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_embedded_pair_block_equals_the_oracle(m, n, d):
+    p = ModelParams(m, n)
+    big = joint_basis(p, d)
+    b6 = make_basis(6, d)
+    pair = pair_avg_block(d)
+    slot_lists = [
+        np.concatenate([w_slots(p, 0), w_slots(p, 1)]),
+        np.concatenate([v_slots(0), w_slots(p, n - 1)]),
+        np.concatenate([w_slots(p, n - 1), v_slots(0)]),
+    ]
+    if m >= 2:
+        slot_lists.append(np.concatenate([v_slots(0), v_slots(1)]))
+    for slots in slot_lists:
+        assert _same_bits(embed_block(pair, b6, big, slots),
+                          embedding_oracle.embed_block(pair, b6, big, slots))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_embedding_over_every_variable_is_the_block(d):
+    # no variable outside the slots: the whole basis is one group
+    b3 = make_basis(3, d)
+    therm = thermostat_block(d)
+    assert _same_bits(embed_block(therm, b3, b3, (0, 1, 2)),
+                      embedding_oracle.embed_block(therm, b3, b3, (0, 1, 2)))
+    assert _same_bits(assemble_T(1, d).mat, therm)
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 8, 2)])
+def test_generators_equal_the_oracle_assembly(m, n, d, monkeypatch):
+    p = ModelParams(m, n)
+    fast = {kind: assemble_generator(kind, p, d).mat for kind in ("reservoir", "thermostat")}
+    # rebuild the pair and thermostat blocks as well, through the oracle
+    monkeypatch.setattr(spectral, "_cache", {})
+    monkeypatch.setattr(spectral, "embed_block", embedding_oracle.embed_block)
+    monkeypatch.setattr(spectral, "_accumulate_embedded",
+                        embedding_oracle.accumulate_embedded)
+    for kind, mat in fast.items():
+        assert _same_bits(mat, assemble_generator(kind, p, d).mat)
+
+
+def test_embedding_rejects_a_sub_basis_of_lower_degree():
+    # slot exponents of degree 2 have no row in a degree-1 sub-basis
+    with pytest.raises(StateError, match="misses slot exponents"):
+        embed_block(np.eye(4), make_basis(3, 1), make_basis(6, 2), (0, 1, 2))
