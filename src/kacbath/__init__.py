@@ -74,6 +74,7 @@ from .randomness import GAMMA_SIGMA, RngStream
 from .spectral import (
     Lemma2Result,
     OperatorMatrix,
+    SpectralContext,
     assemble_T,
     assemble_generator,
     assemble_pair_rotation,
@@ -119,6 +120,7 @@ __all__ = [
     "ScalingRow",
     "ScalingStudy",
     "SimConfig",
+    "SpectralContext",
     "StateError",
     "ToleranceError",
     "UnitVectorError",

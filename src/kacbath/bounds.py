@@ -32,13 +32,7 @@ from .evolution import default_time_grid, distance_curve, long_time_limit
 from .hermite import HermiteCoeffs, make_basis
 from .kinematics import ModelParams
 from .projector import lemma1_constant
-from .spectral import (
-    OperatorMatrix,
-    assemble_T,
-    assemble_generator,
-    invariant_projector,
-    spectral_gap,
-)
+from .spectral import OperatorMatrix, SpectralContext, assemble_T, spectral_gap
 
 # |k - mu/3| below this is treated as degenerate (the two exponentials
 # coincide and b blows up; see make_bound_params).
@@ -242,7 +236,8 @@ def scaling_study(
 
     For each reservoir size: evolve the anisotropic pair perturbation
     under both couplings, read off the long-time limit, estimate the
-    spectral gap, and evaluate the bound's bump peak with it. Fits
+    spectral gap, and evaluate the bound's bump peak with it; the
+    distance curve and the gap share one SpectralContext per size. Fits
     log-log power laws through the limit and bump columns.
     """
     if len(ns) < 2:
@@ -254,12 +249,10 @@ def scaling_study(
 
     rows = []
     for n in ns:
-        p = ModelParams(m, n, lambda_s=lambda_s, lambda_r=lambda_r, mu=mu)
-        curve = distance_curve(p, h0, grid, d=d, cross_check=cross_check)
-        limit = long_time_limit(curve)
-        gen = assemble_generator("reservoir", p, d)
-        _, _, comp = invariant_projector(p, d)
-        k_hat = spectral_gap(gen, comp)
+        ctx = SpectralContext(
+            ModelParams(m, n, lambda_s=lambda_s, lambda_r=lambda_r, mu=mu), d)
+        limit = long_time_limit(distance_curve(ctx, h0, grid, cross_check=cross_check))
+        k_hat = spectral_gap(ctx)
         bp = make_bound_params(
             c=lemma1_constant(m, n).c,
             lambda_s=lambda_s,

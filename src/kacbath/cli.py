@@ -53,9 +53,9 @@ from .output import read_json, write_csv, write_json, write_matrix
 from .projector import estimate_lemma1_ratio, lemma1_constant
 from .randomness import RngStream
 from .spectral import (
+    SpectralContext,
     assemble_T,
     assemble_generator,
-    invariant_projector,
     spectral_gap,
     symmetric_tensor_eigenvalues,
     verify_lemma2,
@@ -157,21 +157,16 @@ def _require_config(cfg: RunConfig | None) -> RunConfig:
     return cfg
 
 
-def _measured_bound_params(cfg: RunConfig, p: ModelParams, h0: HermiteCoeffs):
+def _measured_bound_params(cfg: RunConfig, ctx: SpectralContext, h0: HermiteCoeffs):
     """BoundParams with the gap and the bath-map dispersion measured here."""
-    gen = assemble_generator("reservoir", p, cfg.degree)
-    _, _, comp = invariant_projector(p, cfg.degree)
-    k_hat = spectral_gap(gen, comp)
-    l_hat = estimate_l(assemble_T(1, cfg.degree))
-    bp = make_bound_params(
-        c=lemma1_constant(p.m, p.n).c,
+    return make_bound_params(
+        c=lemma1_constant(ctx.p.m, ctx.p.n).c,
         lambda_s=cfg.lambda_s,
         mu=cfg.mu,
-        k=k_hat,
-        l=l_hat,
+        k=spectral_gap(ctx),
+        l=estimate_l(assemble_T(1, cfg.degree)),
         h0_norm=h0.fluctuation_norm(),
     )
-    return bp, k_hat, l_hat
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +296,12 @@ def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
 
 def cmd_gap(cfg: RunConfig | None, args) -> int:
     cfg = _require_config(cfg)
-    p = _model(cfg)
-    gen = assemble_generator(cfg.system_kind, p, cfg.degree)
-    _, _, comp = invariant_projector(p, cfg.degree)
-    k_hat = spectral_gap(gen, comp)
+    if cfg.system_kind != "reservoir":
+        # the thermostat flow does not conserve total momentum and energy,
+        # so the invariant projector is not its conserved subspace
+        raise ConfigError(
+            f"gap is defined for system_kind 'reservoir' only, got {cfg.system_kind!r}")
+    k_hat = spectral_gap(SpectralContext(_model(cfg), cfg.degree))
     l_hat = estimate_l(assemble_T(1, cfg.degree))
     write_json(args.out, {
         "m": cfg.m, "n": cfg.n, "degree": cfg.degree,
@@ -320,9 +317,9 @@ def cmd_distance(cfg: RunConfig | None, args) -> int:
     p = _model(cfg)
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
-    curve = distance_curve(p, h0, times, d=cfg.degree,
-                           cross_check=cfg.cross_check)
-    bp, _, _ = _measured_bound_params(cfg, p, h0)
+    ctx = SpectralContext(p, cfg.degree)
+    curve = distance_curve(ctx, h0, times, cross_check=cfg.cross_check)
+    bp = _measured_bound_params(cfg, ctx, h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
     write_csv(args.out, ["t", "distance", "bound", "bound_term1", "bound_term2"],
               list(zip(curve.times, curve.distance, bc.total, bc.term1, bc.term2)))
@@ -351,7 +348,7 @@ def cmd_bound(cfg: RunConfig | None, args) -> int:
     p = _model(cfg)
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
-    bp, _, _ = _measured_bound_params(cfg, p, h0)
+    bp = _measured_bound_params(cfg, SpectralContext(p, cfg.degree), h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
     write_csv(args.out, ["t", "bound", "bound_term1", "bound_term2"],
               list(zip(bc.times, bc.total, bc.term1, bc.term2)))

@@ -2,9 +2,11 @@
 
 Both generators preserve total Hermite degree, so the coefficient flow
 c'(t) = G c(t) splits into independent degree blocks; each symmetric
-block is diagonalized once and exponentiated exactly. An adaptive ODE
-integration of the same linear system cross-checks the result, since
-the two routes share no code beyond the matrix itself.
+block is diagonalized once and exponentiated exactly. A block where the
+initial coefficients are all zero stays zero, exp(G_m t) 0 = 0, so it is
+skipped. An adaptive ODE integration of the whole linear system
+cross-checks the result, since the two routes share no code beyond the
+matrix itself.
 
 The central observable is the distance curve: the same initial density
 perturbation is evolved under the finite-reservoir generator and the
@@ -23,7 +25,7 @@ from scipy.integrate import solve_ivp
 from .errors import ConfigError, HorizonError, IntegrationError, StateError
 from .hermite import HermiteCoeffs
 from .kinematics import ModelParams
-from .spectral import OperatorMatrix, assemble_generator, joint_basis
+from .spectral import OperatorMatrix, SpectralContext
 
 # Relative disagreement between the eigendecomposition route and the
 # adaptive integrator that voids a result.
@@ -52,7 +54,8 @@ def evolve(
     """Coefficient vectors exp(G t) c0 at the requested times.
 
     Computed per degree block by symmetric eigendecomposition (exact up
-    to roundoff); with cross_check=True the full linear system is also
+    to roundoff); blocks where c0 is identically zero are left zero
+    without one. With cross_check=True the full linear system is also
     integrated adaptively and any relative disagreement beyond
     CROSS_CHECK_TOL raises.
     """
@@ -67,9 +70,9 @@ def evolve(
     out = np.repeat(c0.vec[None, :], arr.size, axis=0)
     for m in range(basis.degree + 1):
         sl = basis.degree_slice(m)
-        block = g.block(m)
-        if block.size == 0:
+        if not c0.vec[sl].any():
             continue
+        block = g.block(m)
         sym = 0.5 * (block + block.T)
         evals, q = np.linalg.eigh(sym)
         y0 = q.T @ c0.vec[sl]
@@ -121,35 +124,31 @@ class DistanceCurve:
 
 
 def distance_curve(
-    p: ModelParams,
+    ctx: SpectralContext,
     h0: HermiteCoeffs,
     times,
-    d: int | None = None,
     cross_check: bool = True,
 ) -> DistanceCurve:
     """Evolve h0 under both couplings and measure their L2 separation.
 
     h0 is a mean-one polynomial of the 3M system velocity components;
-    it is embedded into the joint basis (reservoir factor constant) so
-    both flows and the norm live in one space. The degree cap defaults
-    to the degree of h0, which makes the truncation exact.
+    it is embedded into the context's joint basis (reservoir factor
+    constant) so both flows and the norm live in one space. The degree
+    cap ctx.d must be at least the degree of h0; equal makes the
+    truncation exact.
     """
     arr = _check_times(times)
+    p, d = ctx.p, ctx.d
     if h0.basis.nvars != 3 * p.m:
         raise StateError(f"h0 must live on {3 * p.m} variables, got {h0.basis.nvars}")
     if abs(h0.mean() - 1.0) > 1e-12:
         raise StateError(f"h0 must have unit mean, got {h0.mean()!r}")
-    if d is None:
-        d = h0.degree()
     if d < h0.degree():
         raise ConfigError(f"degree cap {d} below h0 degree {h0.degree()}")
 
-    big = joint_basis(p, d)
-    c0 = h0.embed(big, np.arange(3 * p.m))
-    g_res = assemble_generator("reservoir", p, d)
-    g_bath = assemble_generator("thermostat", p, d)
-    path_res = evolve(g_res, c0, arr, cross_check=cross_check)
-    path_bath = evolve(g_bath, c0, arr, cross_check=cross_check)
+    c0 = h0.embed(ctx.basis, np.arange(3 * p.m))
+    path_res = evolve(ctx.reservoir, c0, arr, cross_check=cross_check)
+    path_bath = evolve(ctx.thermostat, c0, arr, cross_check=cross_check)
     dist = tuple(
         float(np.linalg.norm(a.vec - b.vec)) for a, b in zip(path_res, path_bath)
     )

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import orth
+from scipy.linalg import eigh, orth
 
 from .errors import ConfigError, QuadratureError, StateError, ToleranceError
 from .hermite import (
@@ -57,6 +58,7 @@ __all__ = [
     "tensor_T",
     "symmetric_tensor_eigenvalues",
     "invariant_projector",
+    "SpectralContext",
     "spectral_gap",
     "verify_lemma2",
 ]
@@ -64,6 +66,11 @@ __all__ = [
 # Off-degree-block entries must vanish to this tolerance before they are
 # hard-zeroed; anything larger signals an assembly bug, not roundoff.
 BLOCK_TOL = 1e-12
+# Largest entry of C_m C_m - C_m that a complement-projector block may show.
+IDEMPOTENCY_TOL = 1e-10
+# Largest entry of G_m P_m (a generator block times the invariant
+# projector's block) that still counts as G annihilating the invariants.
+KERNEL_TOL = 1e-8
 # Two quadrature refinement levels must agree entrywise to this.
 REFINE_TOL = 1e-10
 # Largest dense float64 operator on the joint basis, in bytes (8192
@@ -407,7 +414,8 @@ def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
     return OperatorMatrix.from_raw(f"thermostat[{particle}]", basis, mat)
 
 
-def assemble_generator(kind: str, p: ModelParams, d: int) -> OperatorMatrix:
+def assemble_generator(kind: str, p: ModelParams, d: int,
+                       basis: Basis | None = None) -> OperatorMatrix:
     """Full jump generator on the joint basis of degree <= d.
 
     kind 'reservoir': tagged-tagged + reservoir-reservoir +
@@ -415,11 +423,13 @@ def assemble_generator(kind: str, p: ModelParams, d: int) -> OperatorMatrix:
     where tagged-reservoir collisions are replaced by the thermostat
     average acting on tagged variables only (reservoir-internal
     collisions kept). Returned matrix is sum_e c_e (A_e - I) with every
-    A_e an embedded averaging block.
+    A_e an embedded averaging block. A caller that already holds the
+    joint basis of (p, d) passes it as `basis`, so it is not enumerated
+    again.
     """
     if kind not in ("reservoir", "thermostat"):
         raise StateError(f"unknown generator kind {kind!r}")
-    big = joint_basis(p, d)
+    big = joint_basis(p, d) if basis is None else basis
     pair = pair_avg_block(d)
     b6 = make_basis(6, d)
     g = np.zeros((big.size, big.size))
@@ -550,19 +560,20 @@ def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
 # conserved-quantity subspace and the spectral gap
 
 
-def invariant_projector(p: ModelParams, d: int):
+def invariant_projector(p: ModelParams, d: int, basis: Basis | None = None):
     """Orthogonal projector onto polynomials of the conserved quantities.
 
     Functions invariant under every momentum-preserving rotation of
     phase space are exactly the polynomials in the three total-momentum
     components and the total energy; the span of their monomials with
     weighted degree <= d is orthonormalized into U, and the projector is
-    U U^T on the joint basis.
+    U U^T on the joint basis of (p, d), passed as `basis` if already
+    enumerated.
 
     Returns (U, projector, complement) with the latter two as
     OperatorMatrix.
     """
-    big = joint_basis(p, d)
+    big = joint_basis(p, d) if basis is None else basis
     nvars = big.nvars
     mom = [poly_add(*[poly_coord(3 * t + c) for t in range(p.m + p.n)]) for c in range(3)]
     energy = poly_add(*[poly_mul(poly_coord(i), poly_coord(i)) for i in range(nvars)])
@@ -591,33 +602,82 @@ def invariant_projector(p: ModelParams, d: int):
     return u, proj, comp
 
 
-def spectral_gap(gen: OperatorMatrix, complement: OperatorMatrix) -> float:
-    """Decay rate of the generator off the conserved-quantity subspace.
+@dataclass(frozen=True)
+class SpectralContext:
+    """The operators of one configuration (p, d), each built at most once.
 
-    Restricts the (symmetric, negative semidefinite there) generator to
-    the range of the complement projector and returns minus its largest
-    eigenvalue. Raises if the complement is not a projector, if the
-    generator does not annihilate the invariant subspace, or if the gap
-    is nonpositive.
+    The joint basis, the two generators and the complement of the
+    invariant projector are built on first use and then kept, so the
+    distance curve and the gap of one configuration share them.
     """
-    c = complement.mat
-    idem = float(np.abs(c @ c - c).max())
-    if idem > 1e-10:
-        raise ToleranceError(f"complement not idempotent: defect {idem:.3e}")
-    evals, evecs = np.linalg.eigh(c)
-    keep = evals > 0.5
-    if not keep.any():
-        raise ToleranceError("complement projector has empty range")
-    w = evecs[:, keep]
 
-    inv = evecs[:, ~keep]
-    kernel_defect = float(np.abs(gen.mat @ inv).max()) if inv.size else 0.0
-    if kernel_defect > 1e-8:
-        raise ToleranceError(
-            f"generator does not annihilate invariants: {kernel_defect:.3e}"
-        )
-    restricted = w.T @ gen.mat @ w
-    k_hat = -float(np.linalg.eigvalsh(restricted).max())
+    p: ModelParams
+    d: int
+
+    @cached_property
+    def basis(self) -> Basis:
+        return joint_basis(self.p, self.d)
+
+    @cached_property
+    def reservoir(self) -> OperatorMatrix:
+        return assemble_generator("reservoir", self.p, self.d, basis=self.basis)
+
+    @cached_property
+    def thermostat(self) -> OperatorMatrix:
+        return assemble_generator("thermostat", self.p, self.d, basis=self.basis)
+
+    @cached_property
+    def complement(self) -> OperatorMatrix:
+        return invariant_projector(self.p, self.d, basis=self.basis)[2]
+
+
+def spectral_gap(ctx: SpectralContext) -> float:
+    """Decay rate k of the reservoir generator off the conserved quantities.
+
+    The generator G and the complement projector C are exactly block
+    diagonal by total degree (OperatorMatrix.from_raw zeroes the
+    off-degree entries), so k is the minimum over degree blocks m of
+    minus the top eigenvalue of
+
+        G_m - s P_m,    P_m = I - C_m,  s = 2 ||G||_inf.
+
+    Once G_m is checked to annihilate the range of P_m, this matrix is
+    G_m on the range of C_m and -s on the invariants; every eigenvalue of
+    the symmetric G lies in [-||G||_inf, 0], so the top one belongs to
+    the range of C_m. Only that eigenvalue is computed, and blocks where
+    C_m has empty range (degree 0) are skipped.
+
+    Raises ToleranceError if a complement block is not idempotent to
+    IDEMPOTENCY_TOL, if a generator block does not annihilate its
+    invariants to KERNEL_TOL, or if the gap is nonpositive.
+    """
+    gen, comp = ctx.reservoir, ctx.complement
+    shift = 2.0 * float(np.abs(gen.mat).sum(axis=1).max())
+    gaps = []
+    for m in range(ctx.d + 1):
+        c = comp.block(m)
+        idem = float(np.abs(c @ c - c).max())
+        if idem > IDEMPOTENCY_TOL:
+            raise ToleranceError(
+                f"complement not idempotent in degree {m}: defect {idem:.3e} "
+                f"exceeds {IDEMPOTENCY_TOL:.0e}"
+            )
+        inv = np.eye(len(c)) - c
+        g = gen.block(m)
+        kernel = float(np.abs(g @ inv).max())
+        if kernel > KERNEL_TOL:
+            raise ToleranceError(
+                f"generator does not annihilate invariants in degree {m}: "
+                f"defect {kernel:.3e} exceeds {KERNEL_TOL:.0e}"
+            )
+        if round(float(np.trace(c))) == 0:
+            continue
+        top = eigh(g - shift * inv, eigvals_only=True, driver="evr",
+                   subset_by_index=[len(c) - 1, len(c) - 1])
+        gaps.append(-float(top[0]))
+    if not gaps:
+        raise ToleranceError("complement projector has empty range")
+    k_hat = min(gaps)
     if k_hat <= 0:
         raise ToleranceError(f"nonpositive spectral gap {k_hat:.3e}")
     return k_hat

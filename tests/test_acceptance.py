@@ -19,6 +19,7 @@ from kacbath import (
     PerturbationInit,
     RngStream,
     SimConfig,
+    SpectralContext,
     assemble_T,
     assemble_generator,
     bound_curve,
@@ -28,7 +29,6 @@ from kacbath import (
     estimate_lemma1_ratio,
     evolve,
     hermite_observable,
-    invariant_projector,
     joint_basis,
     lemma1_constant,
     long_time_limit,
@@ -282,13 +282,11 @@ def test_criterion_5_distance_below_bound():
     ]
     worst_slack = np.inf
     for n in (2, 4, 8):
-        p = ModelParams(1, n, lambda_s=1.0, lambda_r=1.0, mu=1.0)
-        gen = assemble_generator("reservoir", p, 2)
-        _, _, comp = invariant_projector(p, 2)
-        k_hat = spectral_gap(gen, comp)
+        ctx = SpectralContext(ModelParams(1, n, lambda_s=1.0, lambda_r=1.0, mu=1.0), 2)
+        k_hat = spectral_gap(ctx)
         c = lemma1_constant(1, n).c
         for name, h0 in families:
-            curve = distance_curve(p, h0, grid, d=2)
+            curve = distance_curve(ctx, h0, grid)
             bp = make_bound_params(c=c, lambda_s=1.0, mu=1.0, k=k_hat,
                                    l=l_hat, h0_norm=h0.fluctuation_norm())
             bc = bound_curve(bp, 1, n, grid)

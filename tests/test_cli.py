@@ -3,10 +3,13 @@ determinism."""
 
 import json
 import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from kacbath import spectral
 from kacbath.cli import main, perturbation_data
 from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
@@ -118,6 +121,54 @@ def test_gap_json(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["k_hat"] == pytest.approx(0.5, abs=1e-9)
     assert doc["l_hat"] == pytest.approx(0.49888765156985887, abs=1e-9)
+
+
+def _count_calls(monkeypatch, name: str, key) -> Counter:
+    """Count calls of spectral.<name> made from any kacbath module, by key(args)."""
+    calls = Counter()
+    real = getattr(spectral, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "kacbath" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_gap_rejects_the_thermostat_before_assembly(tmp_path, capsys, monkeypatch):
+    # the thermostat flow does not conserve total momentum and energy, so
+    # the invariant projector is the wrong subspace for its gap
+    built = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
+    cfg = _write_config(tmp_path, degree=2, system_kind="thermostat")
+    out = tmp_path / "gap.json"
+    assert _run("gap", "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "thermostat" in record["message"]
+    assert not out.exists()
+    assert not built
+
+
+def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
+    # the distance curve and the gap of one configuration share its
+    # joint basis and generators
+    generators = _count_calls(monkeypatch, "assemble_generator",
+                              lambda kind, p, d: (kind, p.n, d))
+    bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
+    study = _write_config(tmp_path, "study.json", degree=2, eps=0.2,
+                          reservoir_sizes=[2, 4], t_end=70.0, grid={"count": 36},
+                          cross_check=False)
+    assert _run("bound", "--config", study, "--out", str(tmp_path / "s.json")) == 0
+    dist = _write_config(tmp_path, "dist.json", n=3, degree=2, t_end=3.0,
+                         grid={"count": 10},
+                         init={"kind": "perturbation", "family": "h2_aniso", "eps": 0.2})
+    assert _run("distance", "--config", dist, "--out", str(tmp_path / "d.csv")) == 0
+    sizes = (2, 4, 3)
+    assert generators == {(kind, n, 2): 1 for kind in ("reservoir", "thermostat")
+                          for n in sizes}
+    assert bases == {(n, 2): 1 for n in sizes}
 
 
 def test_distance_csv_contract(tmp_path):

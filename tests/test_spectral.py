@@ -9,7 +9,10 @@ from kacbath import (
     ConfigError,
     HermiteCoeffs,
     ModelParams,
+    OperatorMatrix,
+    SpectralContext,
     StateError,
+    ToleranceError,
     assemble_T,
     assemble_generator,
     assemble_pair_rotation,
@@ -34,6 +37,7 @@ from kacbath.spectral import (
 )
 
 import embedding_oracle
+import gap_oracle
 
 
 def _unit_h1_tagged(m: int) -> HermiteCoeffs:
@@ -221,21 +225,77 @@ def test_spectral_gap_small_reservoir_values():
     # frozen from the assembled generator at degree 2, unit rates:
     # the gap follows (N+1)/(3N) for a single tagged particle
     for n, want in [(2, 0.5), (4, 5.0 / 12.0), (8, 3.0 / 8.0)]:
-        p = ModelParams(1, n)
-        gen = assemble_generator("reservoir", p, 2)
-        _, _, comp = invariant_projector(p, 2)
-        assert spectral_gap(gen, comp) == pytest.approx(want, abs=1e-10)
+        ctx = SpectralContext(ModelParams(1, n), 2)
+        assert spectral_gap(ctx) == pytest.approx(want, abs=1e-10)
 
 
 def test_spectral_gap_monotone_in_degree():
     p = ModelParams(1, 2)
-    gaps = []
-    for d in (1, 2, 3):
-        gen = assemble_generator("reservoir", p, d)
-        _, _, comp = invariant_projector(p, d)
-        gaps.append(spectral_gap(gen, comp))
+    gaps = [spectral_gap(SpectralContext(p, d)) for d in (1, 2, 3)]
     assert gaps[0] >= gaps[1] >= gaps[2]
     assert gaps[-1] > 0.0
+
+
+def test_gap_is_n_plus_one_over_3n():
+    for n in (2, 4, 8, 16):
+        k = spectral_gap(SpectralContext(ModelParams(1, n), 2))
+        assert abs(k - (n + 1) / (3 * n)) <= 1e-12, (n, k)
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 1), (1, 2, 2), (1, 2, 3), (2, 3, 2),
+                                   (1, 16, 2), (1, 6, 3), (1, 8, 3)])
+def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
+    ctx = SpectralContext(ModelParams(m, n), d)
+    want = gap_oracle.spectral_gap(ctx.reservoir, ctx.complement)
+    assert abs(spectral_gap(ctx) - want) <= 1e-12
+
+
+def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
+    """op with its degree-m block replaced by change(block)."""
+    mat = op.mat.copy()
+    sl = op.basis.degree_slice(m)
+    mat[sl, sl] = change(mat[sl, sl])
+    return OperatorMatrix(op.name, op.basis, mat)
+
+
+def _defect(message: str) -> float:
+    return float(message.split("defect ")[1].split()[0])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gap_rejects_a_complement_not_idempotent_in_one_block(m, monkeypatch):
+    real = spectral.invariant_projector
+
+    def broken(p, d, basis=None):
+        u, proj, comp = real(p, d, basis=basis)
+        return u, proj, _with_block(comp, m, lambda c: (1.0 + 1e-7) * c)
+
+    monkeypatch.setattr(spectral, "invariant_projector", broken)
+    ctx = SpectralContext(ModelParams(1, 2), 2)
+    with pytest.raises(ToleranceError, match=f"idempotent in degree {m}") as err:
+        spectral_gap(ctx)
+    c = ctx.complement.block(m)
+    want = float(np.abs(c @ c - c).max())
+    assert _defect(str(err.value)) == pytest.approx(want, rel=1e-3)
+    assert want > spectral.IDEMPOTENCY_TOL
+
+
+def test_gap_rejects_a_generator_moving_the_degree_2_invariants(monkeypatch):
+    real = spectral.assemble_generator
+    p = ModelParams(1, 2)
+    c2 = SpectralContext(p, 2).complement.block(2)
+    inv = np.eye(len(c2)) - c2
+
+    def broken(kind, p, d, basis=None):
+        return _with_block(real(kind, p, d, basis=basis), 2, lambda g: g + 1e-6 * inv)
+
+    monkeypatch.setattr(spectral, "assemble_generator", broken)
+    ctx = SpectralContext(p, 2)
+    with pytest.raises(ToleranceError, match="annihilate invariants in degree 2") as err:
+        spectral_gap(ctx)
+    want = float(np.abs(ctx.reservoir.block(2) @ inv).max())
+    assert _defect(str(err.value)) == pytest.approx(want, rel=1e-3)
+    assert want > spectral.KERNEL_TOL
 
 
 def test_joint_basis_shape():
