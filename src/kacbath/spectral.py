@@ -66,16 +66,17 @@ __all__ = [
 # Off-degree-block entries must vanish to this tolerance before they are
 # hard-zeroed; anything larger signals an assembly bug, not roundoff.
 BLOCK_TOL = 1e-12
-# Largest entry of C_m C_m - C_m that a complement-projector block may show.
+# Largest distance from 0 or 1 of a singular value of the degree-m rows
+# of the invariant basis (P_m is idempotent exactly when all lie at 0 or 1).
 IDEMPOTENCY_TOL = 1e-10
-# Largest entry of G_m P_m (a generator block times the invariant
-# projector's block) that still counts as G annihilating the invariants.
+# Largest entry of G_m U_m (a generator block times the invariant basis
+# of that block) that still counts as G annihilating the invariants.
 KERNEL_TOL = 1e-8
 # Two quadrature refinement levels must agree entrywise to this.
 REFINE_TOL = 1e-10
 # Largest dense float64 operator on the joint basis, in bytes (8192
-# rows). Assembly and eigensolves hold a few such matrices at once; the
-# largest size in use (d=3, M=1, N=8: 4060 rows) needs 132 MB.
+# rows). A SpectralContext holds two (its generators), eigensolves a few
+# more; the largest size in use (d=3, M=1, N=8: 4060 rows) needs 132 MB.
 DENSE_BYTES_MAX = 2**29
 
 
@@ -110,14 +111,6 @@ class OperatorMatrix:
     def block(self, m: int) -> np.ndarray:
         sl = self.basis.degree_slice(m)
         return self.mat[sl, sl]
-
-    def apply(self, coeffs: HermiteCoeffs) -> HermiteCoeffs:
-        if coeffs.basis is not self.basis and coeffs.basis.index != self.basis.index:
-            raise StateError(f"{self.name}: coefficient basis mismatch")
-        return HermiteCoeffs(self.basis, self.mat @ coeffs.vec)
-
-    def symmetry_defect(self) -> float:
-        return float(np.abs(self.mat - self.mat.T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +454,7 @@ def assemble_generator(kind: str, p: ModelParams, d: int,
             for i in range(p.m):
                 _accumulate_embedded(g, therm, b3, big, v_slots(i), p.mu)
                 total += p.mu
-    g -= total * np.eye(big.size)
+    g[np.diag_indices_from(g)] -= total
     return OperatorMatrix.from_raw(f"generator[{kind}]", big, g)
 
 
@@ -560,18 +553,20 @@ def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
 # conserved-quantity subspace and the spectral gap
 
 
-def invariant_projector(p: ModelParams, d: int, basis: Basis | None = None):
-    """Orthogonal projector onto polynomials of the conserved quantities.
+def invariant_projector(p: ModelParams, d: int,
+                        basis: Basis | None = None) -> list[np.ndarray]:
+    """Orthonormal basis of the conserved-quantity polynomials, per degree.
 
     Functions invariant under every momentum-preserving rotation of
     phase space are exactly the polynomials in the three total-momentum
     components and the total energy; the span of their monomials with
-    weighted degree <= d is orthonormalized into U, and the projector is
-    U U^T on the joint basis of (p, d), passed as `basis` if already
-    enumerated.
+    weighted degree <= d is orthonormalized into U on the joint basis of
+    (p, d), passed as `basis` if already enumerated.
 
-    Returns (U, projector, complement) with the latter two as
-    OperatorMatrix.
+    Returns one U_m per degree block m: the left singular vectors of the
+    degree-m rows of U with singular value above 1/2. Every singular
+    value must lie within IDEMPOTENCY_TOL of 0 or 1, else ToleranceError:
+    that makes P_m = U_m U_m^T idempotent, so U U^T is block diagonal.
     """
     big = joint_basis(p, d) if basis is None else basis
     nvars = big.nvars
@@ -595,20 +590,26 @@ def invariant_projector(p: ModelParams, d: int, basis: Basis | None = None):
             f"conserved-quantity monomials not independent: rank {u.shape[1]} "
             f"of {stack.shape[1]}"
         )
-    proj = OperatorMatrix.from_raw("invariant_projector", big, u @ u.T)
-    comp = OperatorMatrix.from_raw(
-        "invariant_complement", big, np.eye(big.size) - proj.mat
-    )
-    return u, proj, comp
+    blocks = []
+    for m in range(d + 1):
+        left, sv, _ = np.linalg.svd(u[big.degree_slice(m)], full_matrices=False)
+        defect = float(np.minimum(sv, np.abs(1.0 - sv)).max())
+        if defect > IDEMPOTENCY_TOL:
+            raise ToleranceError(
+                f"invariant projector not idempotent in degree {m}: defect "
+                f"{defect:.3e} exceeds {IDEMPOTENCY_TOL:.0e}"
+            )
+        blocks.append(left[:, sv > 0.5])
+    return blocks
 
 
 @dataclass(frozen=True)
 class SpectralContext:
     """The operators of one configuration (p, d), each built at most once.
 
-    The joint basis, the two generators and the complement of the
-    invariant projector are built on first use and then kept, so the
-    distance curve and the gap of one configuration share them.
+    The joint basis, the two generators and the per-degree invariant
+    bases U_m are built on first use and then kept, so the distance
+    curve and the gap of one configuration share them.
     """
 
     p: ModelParams
@@ -627,56 +628,47 @@ class SpectralContext:
         return assemble_generator("thermostat", self.p, self.d, basis=self.basis)
 
     @cached_property
-    def complement(self) -> OperatorMatrix:
-        return invariant_projector(self.p, self.d, basis=self.basis)[2]
+    def invariants(self) -> list[np.ndarray]:
+        return invariant_projector(self.p, self.d, basis=self.basis)
 
 
 def spectral_gap(ctx: SpectralContext) -> float:
     """Decay rate k of the reservoir generator off the conserved quantities.
 
-    The generator G and the complement projector C are exactly block
-    diagonal by total degree (OperatorMatrix.from_raw zeroes the
-    off-degree entries), so k is the minimum over degree blocks m of
-    minus the top eigenvalue of
+    The generator G is exactly block diagonal by total degree
+    (OperatorMatrix.from_raw zeroes the off-degree entries), and so is
+    the invariant projector, held as one orthonormal basis U_m per degree
+    block; k is the minimum over blocks m of minus the top eigenvalue of
 
-        G_m - s P_m,    P_m = I - C_m,  s = 2 ||G||_inf.
+        G_m - s U_m U_m^T,    s = 2 ||G||_inf.
 
-    Once G_m is checked to annihilate the range of P_m, this matrix is
-    G_m on the range of C_m and -s on the invariants; every eigenvalue of
-    the symmetric G lies in [-||G||_inf, 0], so the top one belongs to
-    the range of C_m. Only that eigenvalue is computed, and blocks where
-    C_m has empty range (degree 0) are skipped.
+    Once G_m U_m is checked to vanish, this matrix is G_m off the range
+    of U_m and -s on it; every eigenvalue of the symmetric G lies in
+    [-||G||_inf, 0], so the top one lies off the invariants. Only that
+    eigenvalue is computed, and blocks U_m spans (degree 0) are skipped.
 
-    Raises ToleranceError if a complement block is not idempotent to
+    Raises ToleranceError if a projector block is not idempotent to
     IDEMPOTENCY_TOL, if a generator block does not annihilate its
     invariants to KERNEL_TOL, or if the gap is nonpositive.
     """
-    gen, comp = ctx.reservoir, ctx.complement
+    gen = ctx.reservoir
     shift = 2.0 * float(np.abs(gen.mat).sum(axis=1).max())
     gaps = []
-    for m in range(ctx.d + 1):
-        c = comp.block(m)
-        idem = float(np.abs(c @ c - c).max())
-        if idem > IDEMPOTENCY_TOL:
-            raise ToleranceError(
-                f"complement not idempotent in degree {m}: defect {idem:.3e} "
-                f"exceeds {IDEMPOTENCY_TOL:.0e}"
-            )
-        inv = np.eye(len(c)) - c
+    for m, u in enumerate(ctx.invariants):
         g = gen.block(m)
-        kernel = float(np.abs(g @ inv).max())
+        kernel = float(np.abs(g @ u).max())
         if kernel > KERNEL_TOL:
             raise ToleranceError(
                 f"generator does not annihilate invariants in degree {m}: "
                 f"defect {kernel:.3e} exceeds {KERNEL_TOL:.0e}"
             )
-        if round(float(np.trace(c))) == 0:
+        if u.shape[1] == len(g):
             continue
-        top = eigh(g - shift * inv, eigvals_only=True, driver="evr",
-                   subset_by_index=[len(c) - 1, len(c) - 1])
+        top = eigh(g - shift * (u @ u.T), eigvals_only=True, driver="evr",
+                   subset_by_index=[len(g) - 1, len(g) - 1])
         gaps.append(-float(top[0]))
     if not gaps:
-        raise ToleranceError("complement projector has empty range")
+        raise ToleranceError("invariants span the whole basis: no gap to measure")
     k_hat = min(gaps)
     if k_hat <= 0:
         raise ToleranceError(f"nonpositive spectral gap {k_hat:.3e}")

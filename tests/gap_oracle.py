@@ -2,24 +2,28 @@
 
 The package computes k block by block over total degree, taking one
 eigenvalue of a shifted block (`spectral.spectral_gap`). The route here
-ignores the block structure: it diagonalises the whole complement
-projector, restricts the whole generator to its range, and takes every
-eigenvalue of the restriction. Tests compare the two.
+ignores the block structure: it builds the dense complement projector
+C = I - blockdiag(U_m U_m^T) from the per-degree invariant bases,
+diagonalises all of it, restricts the whole generator to its range, and
+takes every eigenvalue of the restriction. Tests compare the two.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from kacbath.errors import ToleranceError
 from kacbath.spectral import OperatorMatrix
 
 
-def spectral_gap(gen: OperatorMatrix, complement: OperatorMatrix) -> float:
+def spectral_gap(gen: OperatorMatrix, invariants: list[np.ndarray]) -> float:
     """Minus the largest eigenvalue of the generator on the complement's range.
 
-    Raises if the complement is not a projector, if the generator does
-    not annihilate the invariant subspace, or if the gap is nonpositive.
+    `invariants` holds one orthonormal basis U_m per degree block, in
+    degree order. Raises if the complement is not a projector, if the
+    generator does not annihilate the invariant subspace, or if the gap
+    is nonpositive.
     """
-    c = complement.mat
+    c = np.eye(gen.basis.size) - block_diag(*[u @ u.T for u in invariants])
     idem = float(np.abs(c @ c - c).max())
     if idem > 1e-10:
         raise ToleranceError(f"complement not idempotent: defect {idem:.3e}")

@@ -9,6 +9,7 @@ from kacbath import (
     HermiteCoeffs,
     HorizonError,
     ModelParams,
+    OperatorMatrix,
     SpectralContext,
     StateError,
     assemble_generator,
@@ -114,6 +115,24 @@ def test_evolve_data_in_every_block_takes_the_full_route(kind, monkeypatch):
     got = np.array([c.vec for c in evolve(g, c0, times, cross_check=True)])
     assert eigh_rows == [len(g.block(m)) for m in range(4)]
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_evolve_rejects_an_asymmetric_block_filled_or_empty(m):
+    # h2_aniso fills degree 2 and leaves degree 3 zero; an asymmetric
+    # block raises either way, before any block is diagonalised
+    p = ModelParams(1, 2)
+    g = assemble_generator("reservoir", p, 3)
+    c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
+    sl = g.basis.degree_slice(m)
+    mat = g.mat.copy()
+    mat[sl.start, sl.start + 1] += 3e-9
+    broken = OperatorMatrix(g.name, g.basis, mat)
+    with pytest.raises(StateError, match=f"not symmetric in degree {m}") as err:
+        evolve(broken, c0, [0.0, 1.0], cross_check=False)
+    want = float(np.abs(mat - mat.T).max())
+    assert want == pytest.approx(3e-9, rel=1e-6)
+    assert float(str(err.value).split("defect ")[1].rstrip(")")) == pytest.approx(want, rel=1e-3)
 
 
 def test_distance_curve_golden_values():

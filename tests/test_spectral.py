@@ -58,7 +58,7 @@ def _unit_h1_tagged(m: int) -> HermiteCoeffs:
 ])
 def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
     op = assemble_pair_rotation(kind, i, j, p, 3)
-    assert op.symmetry_defect() <= 1e-10
+    assert np.abs(op.mat - op.mat.T).max() <= 1e-10
     assert np.linalg.norm(op.mat, 2) <= 1.0 + 1e-10
     # exact degree-block structure: no leakage between degrees
     basis = op.basis
@@ -96,7 +96,7 @@ def test_generators_are_symmetric_and_negative_semidefinite():
     p = ModelParams(1, 2)
     for kind in ("reservoir", "thermostat"):
         g = assemble_generator(kind, p, 2)
-        assert g.symmetry_defect() <= 1e-10
+        assert np.abs(g.mat - g.mat.T).max() <= 1e-10
         assert np.linalg.eigvalsh(g.mat).max() <= 1e-10
 
 
@@ -207,18 +207,22 @@ def test_lemma2_rejects_wrong_variable_count():
 # invariants and the gap
 
 
-def test_invariant_projector_structure():
-    p = ModelParams(1, 2)
-    kernel, proj, comp = invariant_projector(p, 2)
-    eye = np.eye(proj.mat.shape[0])
-    np.testing.assert_allclose(proj.mat @ proj.mat, proj.mat, atol=1e-12)
-    np.testing.assert_allclose(proj.mat + comp.mat, eye, atol=1e-12)
-    np.testing.assert_allclose(proj.mat @ comp.mat, 0.0 * eye, atol=1e-12)
-    # kernel columns really are invariants of the generator
-    gen = assemble_generator("reservoir", p, 2)
-    assert np.abs(gen.mat @ kernel).max() < 1e-10
-    # 1 constant, 3 momenta, 6 momentum quadratics, 1 energy
-    assert kernel.shape[1] == 11
+@pytest.mark.parametrize("m,n,d", [(1, 2, 2), (2, 3, 2), (1, 6, 2),
+                                   (1, 2, 3), (2, 2, 3)])
+def test_invariant_projector_structure(m, n, d):
+    p = ModelParams(m, n)
+    blocks = invariant_projector(p, d)
+    # per degree: 1 constant; 3 momenta; 6 momentum quadratics and the
+    # energy; 10 momentum cubics and the energy times each momentum
+    assert tuple(u.shape[1] for u in blocks) == (1, 3, 7, 13)[: d + 1]
+    gen = assemble_generator("reservoir", p, d)
+    for k, u in enumerate(blocks):
+        assert u.shape[0] == gen.block(k).shape[0]
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        # the columns really are invariants of the generator
+        assert np.abs(gen.block(k) @ u).max() < 1e-10
+    if d == 2:
+        assert sum(u.shape[1] for u in blocks) == 11
 
 
 def test_spectral_gap_small_reservoir_values():
@@ -246,7 +250,7 @@ def test_gap_is_n_plus_one_over_3n():
                                    (1, 16, 2), (1, 6, 3), (1, 8, 3)])
 def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
     ctx = SpectralContext(ModelParams(m, n), d)
-    want = gap_oracle.spectral_gap(ctx.reservoir, ctx.complement)
+    want = gap_oracle.spectral_gap(ctx.reservoir, ctx.invariants)
     assert abs(spectral_gap(ctx) - want) <= 1e-12
 
 
@@ -264,18 +268,26 @@ def _defect(message: str) -> float:
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_gap_rejects_a_complement_not_idempotent_in_one_block(m, monkeypatch):
-    real = spectral.invariant_projector
+    # scaling the degree-m rows of U moves that block's singular values
+    # from 1 to 1 + 1e-7, so P_m = U_m U_m^T is no longer idempotent
+    p = ModelParams(1, 2)
+    sl = joint_basis(p, 2).degree_slice(m)
+    real = spectral.orth
+    seen = []
 
-    def broken(p, d, basis=None):
-        u, proj, comp = real(p, d, basis=basis)
-        return u, proj, _with_block(comp, m, lambda c: (1.0 + 1e-7) * c)
+    def broken(a):
+        u = real(a)
+        u[sl] *= 1.0 + 1e-7
+        seen.append(u)
+        return u
 
-    monkeypatch.setattr(spectral, "invariant_projector", broken)
-    ctx = SpectralContext(ModelParams(1, 2), 2)
+    monkeypatch.setattr(spectral, "orth", broken)
+    ctx = SpectralContext(p, 2)
     with pytest.raises(ToleranceError, match=f"idempotent in degree {m}") as err:
         spectral_gap(ctx)
-    c = ctx.complement.block(m)
-    want = float(np.abs(c @ c - c).max())
+    sv = np.linalg.svd(seen[0][sl], compute_uv=False)
+    want = float(np.abs(sv[sv > 0.5] - 1.0).max())
+    assert want == pytest.approx(1e-7, rel=1e-6)
     assert _defect(str(err.value)) == pytest.approx(want, rel=1e-3)
     assert want > spectral.IDEMPOTENCY_TOL
 
@@ -283,8 +295,8 @@ def test_gap_rejects_a_complement_not_idempotent_in_one_block(m, monkeypatch):
 def test_gap_rejects_a_generator_moving_the_degree_2_invariants(monkeypatch):
     real = spectral.assemble_generator
     p = ModelParams(1, 2)
-    c2 = SpectralContext(p, 2).complement.block(2)
-    inv = np.eye(len(c2)) - c2
+    u2 = SpectralContext(p, 2).invariants[2]
+    inv = u2 @ u2.T
 
     def broken(kind, p, d, basis=None):
         return _with_block(real(kind, p, d, basis=basis), 2, lambda g: g + 1e-6 * inv)
@@ -293,9 +305,31 @@ def test_gap_rejects_a_generator_moving_the_degree_2_invariants(monkeypatch):
     ctx = SpectralContext(p, 2)
     with pytest.raises(ToleranceError, match="annihilate invariants in degree 2") as err:
         spectral_gap(ctx)
-    want = float(np.abs(ctx.reservoir.block(2) @ inv).max())
+    want = float(np.abs(ctx.reservoir.block(2) @ u2).max())
     assert _defect(str(err.value)) == pytest.approx(want, rel=1e-3)
     assert want > spectral.KERNEL_TOL
+
+
+def test_gap_rejects_a_generator_growing_off_the_invariants(monkeypatch):
+    # adding 2 (I - U_2 U_2^T) to G_2 keeps the invariants in the kernel
+    # but lifts the degree-2 complement spectrum above zero
+    real = spectral.assemble_generator
+    p = ModelParams(1, 2)
+    u2 = SpectralContext(p, 2).invariants[2]
+    comp = np.eye(len(u2)) - u2 @ u2.T
+
+    def broken(kind, p, d, basis=None):
+        return _with_block(real(kind, p, d, basis=basis), 2, lambda g: g + 2.0 * comp)
+
+    monkeypatch.setattr(spectral, "assemble_generator", broken)
+    ctx = SpectralContext(p, 2)
+    with pytest.raises(ToleranceError, match="nonpositive spectral gap") as err:
+        spectral_gap(ctx)
+    w = np.linalg.eigh(comp)[1][:, u2.shape[1]:]
+    want = -float(np.linalg.eigvalsh(w.T @ ctx.reservoir.block(2) @ w).max())
+    assert want < 0.0
+    got = float(str(err.value).split("gap ")[1])
+    assert got == pytest.approx(want, rel=1e-3)
 
 
 def test_joint_basis_shape():
