@@ -64,8 +64,6 @@ from .kinematics import (
 from .projector import (
     BoundConstant,
     Lemma1Estimate,
-    MomentumFrame,
-    build_frame,
     estimate_lemma1_ratio,
     lemma1_constant,
     verify_gaussian_identity,
@@ -109,7 +107,6 @@ __all__ = [
     "Lemma2Result",
     "ModelParams",
     "MomentRecord",
-    "MomentumFrame",
     "NegativeWeightError",
     "OperatorMatrix",
     "PerturbationInit",
@@ -129,7 +126,6 @@ __all__ = [
     "assemble_generator",
     "assemble_pair_rotation",
     "bound_curve",
-    "build_frame",
     "bump_peak",
     "config_from_dict",
     "default_time_grid",

@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from .bounds import (
-    anisotropic_pair_data,
     bound_curve,
     estimate_l,
     make_bound_params,
@@ -87,8 +86,8 @@ def perturbation_data(family: str, eps: float, m: int) -> HermiteCoeffs:
     b_deg = {"h1_v1x": 1, "h2_aniso": 2}
     if family not in b_deg:
         raise ConfigError(f"unknown perturbation family {family!r}")
-    if m == 1 and family == "h2_aniso":
-        return anisotropic_pair_data(eps)
+    if not np.isfinite(eps):
+        raise ConfigError(f"init.eps must be finite, got {eps!r}")
     b = make_basis(3 * m, b_deg[family])
     vec = np.zeros(b.size)
     vec[0] = 1.0

@@ -91,9 +91,6 @@ class Basis:
         start = sum(comb(k + self.nvars - 1, k) for k in range(m))
         return slice(start, start + comb(m + self.nvars - 1, m))
 
-    def degree_slices(self):
-        return [self.degree_slice(m) for m in range(self.degree + 1)]
-
 
 def make_basis(nvars: int, degree: int) -> Basis:
     if nvars < 1 or degree < 0:
@@ -286,15 +283,8 @@ class HermiteCoeffs:
                 f"basis size is {self.basis.size}"
             )
 
-    @classmethod
-    def from_poly(cls, poly: dict, basis: Basis) -> "HermiteCoeffs":
-        return cls(basis, hermite_coeffs_from_poly(poly, basis))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
-
-    def inner(self, other: "HermiteCoeffs") -> float:
-        return float(self.vec @ other.vec)
 
     def mean(self) -> float:
         """Gamma-mean <h, 1>, i.e. the constant coefficient."""

@@ -1,4 +1,4 @@
-"""Momentum-fixing rotation frame and the rotation-average projector.
+"""Rotation-average projector and its contraction constant.
 
 The symmetry group acting on the joint phase space is the subgroup of
 SO(3(M+N)) that fixes the three total-momentum directions; orthogonality
@@ -6,18 +6,32 @@ already preserves the total energy. Averaging a function over that
 group (Haar measure) projects onto its rotation-invariant part, written
 R[h] throughout.
 
-The frame assembled here diagonalizes the group action: three fixed
-momentum directions g_1, g_2, g_3, and a (3(M+N)-3)-dimensional
-complement on which the group acts transitively on spheres. Applying a
-Haar-random rotation to a fixed state is therefore the same as
-resampling the complement coordinates uniformly on the sphere of their
-radius, so no random matrix is ever materialized. The Monte Carlo
-estimator below only reads the 3M system coordinates, which see just 3M
-of the D = 3(M+N)-3 complement coordinates. The first k coordinates of
-a uniform point on the unit sphere S^(D-1) are distributed as
+A state z splits into its momentum part, the mean velocity V repeated
+on every particle, and the rest, which lies in the D = 3(M+N)-3
+dimensional complement and has squared radius
+rho^2 = |z|^2 - (M+N)|V|^2. A Haar rotation keeps V and sends the rest
+to a uniform point on the complement sphere of radius rho. The Monte
+Carlo estimator below reads only the 3M system velocities, which see
+just 3M of the D complement coordinates. The first k coordinates of a
+uniform point on the unit sphere S^(D-1) are distributed as
 w / sqrt(|w|^2 + X), with w ~ N(0, I_k) independent of X ~ chi^2_(D-k)
-(Diaconis and Freedman, 1987), so each rotation is drawn from 3M
-normals and one chi-square variate, at a cost that does not grow with N.
+(Diaconis and Freedman, 1987). Take as those 3M coordinates the
+complement directions that reach the system block, with an orthonormal
+basis Q of the system block whose last three vectors are its mean
+directions: they put Q on the system block, scaled by c = sqrt(N/(M+N))
+along the mean directions, since the complement direction that moves
+the system mean moves the reservoir mean against it. The law of w is
+rotation invariant, so the coordinates may be drawn as Q^T w, and the
+rotated system block is
+
+    V + rho / sqrt(|w|^2 + X) * A w,
+    A = Q diag(1, ..., 1, c, c, c) Q^T
+      = I_3M - (1 - c)/M * kron(1_(MxM), I_3),
+
+whatever completion Q has. Each rotation costs 3M normals and one
+chi-square variate whatever N is, and no frame of the full phase space,
+no basis of the complement and no reservoir coordinate of a rotated
+state is ever formed.
 
 Norms and means are with respect to the background Gaussian weight.
 """
@@ -31,130 +45,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import dblquad
 
-from .errors import ConfigError, IntegrationError, StateError, ToleranceError
+from .errors import ConfigError, IntegrationError, StateError
 from .hermite import HermiteCoeffs, evaluate_basis
 from .randomness import GAMMA_SIGMA, RngStream
-
-# Residual norm below which a candidate completion vector is discarded
-# as dependent, and the orthogonality tolerance of the finished frame.
-DEPENDENCE_TOL = 1e-12
-FRAME_TOL = 1e-12
-
-
-def _mean_direction_rows(k: int) -> np.ndarray:
-    """Rows i=0,1,2: unit vector pointing along component i of every
-    one of k particles, i.e. (1,0,0,1,0,0,...)/sqrt(k) and cyclic."""
-    rows = np.zeros((3, 3 * k))
-    for i in range(3):
-        rows[i, i::3] = 1.0 / sqrt(k)
-    return rows
-
-
-def _complete_basis(rows: np.ndarray) -> np.ndarray:
-    """Extend orthonormal `rows` to a basis of their ambient space.
-
-    Candidates are the canonical coordinate vectors in index order;
-    each is orthogonalized against everything accepted so far (two
-    passes, for reorthogonalization) and kept when its residual norm
-    clears DEPENDENCE_TOL. Deterministic by construction.
-    """
-    dim = rows.shape[1]
-    accepted = [r for r in rows]
-    extra = []
-    for j in range(dim):
-        cand = np.zeros(dim)
-        cand[j] = 1.0
-        for _ in range(2):
-            for b in accepted:
-                cand -= (b @ cand) * b
-        nrm = np.linalg.norm(cand)
-        if nrm > DEPENDENCE_TOL:
-            cand /= nrm
-            accepted.append(cand)
-            extra.append(cand)
-    if len(accepted) != dim:
-        raise ToleranceError(
-            f"basis completion found {len(accepted)} of {dim} vectors"
-        )
-    return np.array(extra) if extra else np.zeros((0, dim))
-
-
-@dataclass(frozen=True)
-class MomentumFrame:
-    """Orthogonal change of basis adapted to the momentum-fixing group.
-
-    Columns of `p`, in order: the 3M-3 completion vectors of the system
-    block, the three momentum directions g_i, the three relative-mean
-    directions l_i, and the 3N-3 completion vectors of the reservoir
-    block. The group acts as the identity on the g columns and as the
-    full rotation group on everything else.
-    """
-
-    m: int
-    n: int
-    p: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 3 * (self.m + self.n)
-
-    @property
-    def g_slots(self) -> np.ndarray:
-        return np.arange(3 * self.m - 3, 3 * self.m)
-
-    @property
-    def l_slots(self) -> np.ndarray:
-        return np.arange(3 * self.m, 3 * self.m + 3)
-
-    @property
-    def complement_slots(self) -> np.ndarray:
-        return np.delete(np.arange(self.dim), self.g_slots)
-
-    @property
-    def g(self) -> np.ndarray:
-        """The three fixed momentum directions, as columns."""
-        return self.p[:, self.g_slots]
-
-    @property
-    def l(self) -> np.ndarray:
-        return self.p[:, self.l_slots]
-
-    def coordinates(self, flat: np.ndarray) -> np.ndarray:
-        """Coordinates of a flattened state in this frame (P^T z)."""
-        return self.p.T @ np.asarray(flat, dtype=float)
-
-
-def build_frame(m: int, n: int) -> MomentumFrame:
-    """Assemble the orthonormal momentum frame for an (M, N) system.
-
-    g_i = (sqrt(M) e_i, sqrt(N) f_i)/sqrt(M+N) and
-    l_i = (sqrt(N) e_i, -sqrt(M) f_i)/sqrt(M+N), where e_i (f_i) is the
-    normalized component-i mean direction of the system (reservoir)
-    block; the blocks are completed by Gram-Schmidt over canonical
-    coordinate vectors in index order.
-    """
-    if m < 1 or n < 2:
-        raise ConfigError(f"frame needs M >= 1, N >= 2, got M={m}, N={n}")
-    dim = 3 * (m + n)
-    e = _mean_direction_rows(m)
-    f = _mean_direction_rows(n)
-    a = _complete_basis(e)
-    b = _complete_basis(f)
-
-    cols = np.zeros((dim, dim))
-    cols[: 3 * m, : 3 * m - 3] = a.T
-    root = sqrt(m + n)
-    for i in range(3):
-        cols[: 3 * m, 3 * m - 3 + i] = sqrt(m) * e[i] / root
-        cols[3 * m :, 3 * m - 3 + i] = sqrt(n) * f[i] / root
-        cols[: 3 * m, 3 * m + i] = sqrt(n) * e[i] / root
-        cols[3 * m :, 3 * m + i] = -sqrt(m) * f[i] / root
-    cols[3 * m :, 3 * m + 3 :] = b.T
-
-    defect = np.max(np.abs(cols.T @ cols - np.eye(dim)))
-    if defect > FRAME_TOL:
-        raise ToleranceError(f"frame orthogonality defect {defect:.3e}")
-    return MomentumFrame(m=m, n=n, p=cols)
 
 
 @dataclass(frozen=True)
@@ -181,26 +74,27 @@ def lemma1_constant(m: int, n: int) -> BoundConstant:
 
 
 def _system_rows(
-    frame: MomentumFrame, y: np.ndarray, w: np.ndarray, r2: np.ndarray
+    z: np.ndarray, w: np.ndarray, r2: np.ndarray, m: int
 ) -> np.ndarray:
-    """First 3M coordinates of Haar-rotated states, shape (b, k, 3M).
+    """System block of Haar-rotated states, shape (b, k, 3M).
 
-    `y` holds the frame coordinates of b states, shape (b, dim); `w`,
-    shape (b, k, 3M), are standard normals and `r2`, shape (b, k), are
-    chi-square draws with 3N-3 degrees of freedom. Only the first 3M
-    complement slots (the system completion and the l directions) reach
-    the system rows of the frame, and w / sqrt(|w|^2 + r2) are their
-    coordinates on the unit complement sphere.
+    `z` holds b states, shape (b, M+N, 3); `w`, shape (b, k, 3M), are
+    standard normals and `r2`, shape (b, k), are chi-square draws with
+    3N-3 degrees of freedom. Row j of state i is
+    V_i + rho_i / sqrt(|w_ij|^2 + r2_ij) * (w_ij @ A), with the mean
+    velocity V, the complement radius rho and the matrix A of the
+    module docstring.
     """
-    s = 3 * frame.m
-    comp = frame.complement_slots
-    gsl = frame.g_slots
-    rho = np.linalg.norm(y[:, comp], axis=1)
+    total = z.shape[1]
+    v = z.mean(axis=1)
+    rho2 = np.sum(z * z, axis=(1, 2)) - total * np.sum(v * v, axis=1)
+    rho = np.sqrt(np.maximum(rho2, 0.0))
     norms = np.sqrt(np.sum(w * w, axis=-1) + r2)
-    norms[norms == 0.0] = 1.0  # probability-zero draw; leaves the g part
-    u = (rho[:, None] / norms)[:, :, None] * w
-    fixed = y[:, gsl] @ frame.p[:s, gsl].T
-    return fixed[:, None, :] + u @ frame.p[:s, comp[:s]].T
+    norms[norms == 0.0] = 1.0  # probability-zero draw; leaves V
+    shrink = (1.0 - sqrt((total - m) / total)) / m
+    a = np.eye(3 * m) - shrink * np.kron(np.ones((m, m)), np.eye(3))
+    u = (rho[:, None] / norms)[:, :, None] * (w @ a)
+    return np.tile(v, m)[:, None, :] + u
 
 
 class Lemma1Estimate(NamedTuple):
@@ -214,7 +108,8 @@ class Lemma1Estimate(NamedTuple):
 def _ratio_core(
     evaluate: Callable[[np.ndarray], np.ndarray],
     fluctuation_norm: float,
-    frame: MomentumFrame,
+    m: int,
+    n: int,
     outer: int,
     inner: int,
     stream: RngStream,
@@ -233,27 +128,25 @@ def _ratio_core(
     Each chunk of b outer states draws, in this order, the states z,
     shape (b, 3(M+N)); the normals w, shape (b, inner, 3M); and the
     chi-square draws r2 with 3N-3 degrees of freedom, shape (b, inner).
-    Since the first 3M coordinates of a uniform point on the unit sphere
-    of the D = 3(M+N)-3 complement coordinates are distributed as
-    w / sqrt(|w|^2 + r2), `_system_rows` turns these draws into the
-    system block of the rotated states: a rotation costs 3M + 1 draws
+    `_system_rows` turns these draws into the system block of the
+    rotated states in closed form: a rotation costs 3M + 1 draws
     whatever N is, and the reservoir coordinates are never formed.
     """
     if outer < 2:
         raise ConfigError(f"need at least two outer states, got {outer}")
     if inner < 2 or inner % 2:
         raise ConfigError(f"inner sample count must be even and >= 2, got {inner}")
-    s = 3 * frame.m
+    s = 3 * m
     half = inner // 2
 
     prods = np.empty(outer)
     done = 0
     while done < outer:
         b = min(chunk, outer - done)
-        z = stream.rng.normal(0.0, GAMMA_SIGMA, (b, frame.dim))
+        z = stream.rng.normal(0.0, GAMMA_SIGMA, (b, 3 * (m + n)))
         w = stream.rng.standard_normal((b, inner, s))
-        r2 = stream.rng.chisquare(3 * frame.n - 3, (b, inner))
-        rows = _system_rows(frame, z @ frame.p, w, r2)
+        r2 = stream.rng.chisquare(3 * n - 3, (b, inner))
+        rows = _system_rows(z.reshape(b, m + n, 3), w, r2, m)
         vals = evaluate(rows.reshape(b * inner, s)).reshape(b, inner)
         a = vals[:, :half].mean(axis=1) - 1.0
         c = vals[:, half:].mean(axis=1) - 1.0
@@ -292,6 +185,8 @@ def estimate_lemma1_ratio(
     of lemma1_constant must dominate. `samples` counts outer Gaussian
     states; each costs `inner` rotation draws.
     """
+    if m < 1 or n < 2:
+        raise ConfigError(f"Lemma-1 estimate needs M >= 1, N >= 2, got M={m}, N={n}")
     if h.basis.nvars != 3 * m:
         raise StateError(
             f"h must live on {3 * m} variables, got {h.basis.nvars}"
@@ -301,12 +196,11 @@ def estimate_lemma1_ratio(
     denom = h.fluctuation_norm()
     if denom == 0.0:
         raise StateError("h is constant; the ratio is undefined")
-    frame = build_frame(m, n)
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
         return evaluate_basis(h.basis, rows) @ h.vec
 
-    return _ratio_core(evaluate, denom, frame, samples, inner, stream)
+    return _ratio_core(evaluate, denom, m, n, samples, inner, stream)
 
 
 def verify_gaussian_identity(m: int, n: int) -> tuple[float, float]:

@@ -1,20 +1,151 @@
 """Full-dimensional rotation samplers, kept as oracles for the projector.
 
 The package draws only the system block of each momentum-preserving
-rotation (`projector._system_rows`). The routes here build the whole
-rotated state: `rotated_states` resamples every complement coordinate
-of the momentum frame, and `sample_momentum_preserving_rotation`
-materializes a dense Haar rotation of the full phase space. Tests
-compare the package against them.
+rotation, in closed form (`projector._system_rows`). The routes here
+build the whole rotated state in an explicit orthonormal frame of the
+phase space: `rotated_states` resamples every complement coordinate of
+the frame, and `sample_momentum_preserving_rotation` materializes a
+dense Haar rotation of the full phase space. Tests compare the package
+against them.
 """
 
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
+from kacbath.errors import ConfigError, ToleranceError
 from kacbath.hermite import evaluate_basis
-from kacbath.projector import MomentumFrame, build_frame
 from kacbath.randomness import GAMMA_SIGMA, RngStream
+
+# Residual norm below which a candidate completion vector is discarded
+# as dependent, and the orthogonality tolerance of the finished frame.
+DEPENDENCE_TOL = 1e-12
+FRAME_TOL = 1e-12
+
+
+def _mean_direction_rows(k: int) -> np.ndarray:
+    """Rows i=0,1,2: unit vector pointing along component i of every
+    one of k particles, i.e. (1,0,0,1,0,0,...)/sqrt(k) and cyclic."""
+    rows = np.zeros((3, 3 * k))
+    for i in range(3):
+        rows[i, i::3] = 1.0 / sqrt(k)
+    return rows
+
+
+def _complete_basis(rows: np.ndarray) -> np.ndarray:
+    """Extend orthonormal `rows` to a basis of their ambient space.
+
+    Candidates are the canonical coordinate vectors in index order;
+    each is orthogonalized against everything accepted so far (two
+    passes, for reorthogonalization) and kept when its residual norm
+    clears DEPENDENCE_TOL. Deterministic by construction.
+    """
+    dim = rows.shape[1]
+    accepted = [r for r in rows]
+    extra = []
+    for j in range(dim):
+        cand = np.zeros(dim)
+        cand[j] = 1.0
+        for _ in range(2):
+            for b in accepted:
+                cand -= (b @ cand) * b
+        nrm = np.linalg.norm(cand)
+        if nrm > DEPENDENCE_TOL:
+            cand /= nrm
+            accepted.append(cand)
+            extra.append(cand)
+    if len(accepted) != dim:
+        raise ToleranceError(
+            f"basis completion found {len(accepted)} of {dim} vectors"
+        )
+    return np.array(extra) if extra else np.zeros((0, dim))
+
+
+@dataclass(frozen=True)
+class MomentumFrame:
+    """Orthogonal change of basis adapted to the momentum-fixing group.
+
+    Columns of `p`, in order: the 3M-3 completion vectors a of the
+    system block, the three momentum directions g_i, the three
+    relative-mean directions l_i, and the 3N-3 completion vectors of the
+    reservoir block. The group acts as the identity on the g columns and
+    as the full rotation group on everything else.
+    """
+
+    m: int
+    n: int
+    p: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return 3 * (self.m + self.n)
+
+    @property
+    def g_slots(self) -> np.ndarray:
+        return np.arange(3 * self.m - 3, 3 * self.m)
+
+    @property
+    def l_slots(self) -> np.ndarray:
+        return np.arange(3 * self.m, 3 * self.m + 3)
+
+    @property
+    def complement_slots(self) -> np.ndarray:
+        return np.delete(np.arange(self.dim), self.g_slots)
+
+    @property
+    def g(self) -> np.ndarray:
+        """The three fixed momentum directions, as columns."""
+        return self.p[:, self.g_slots]
+
+    @property
+    def l(self) -> np.ndarray:
+        return self.p[:, self.l_slots]
+
+    @property
+    def system_basis(self) -> np.ndarray:
+        """Q = [a^T | e^T], shape (3M, 3M): the system completion vectors,
+        then the three system mean directions e_i, as columns."""
+        s = 3 * self.m
+        e = self.l[:s] * sqrt((self.m + self.n) / self.n)
+        return np.hstack([self.p[:s, : s - 3], e])
+
+    def coordinates(self, flat: np.ndarray) -> np.ndarray:
+        """Coordinates of a flattened state in this frame (P^T z)."""
+        return self.p.T @ np.asarray(flat, dtype=float)
+
+
+def build_frame(m: int, n: int) -> MomentumFrame:
+    """Assemble the orthonormal momentum frame for an (M, N) system.
+
+    g_i = (sqrt(M) e_i, sqrt(N) f_i)/sqrt(M+N) and
+    l_i = (sqrt(N) e_i, -sqrt(M) f_i)/sqrt(M+N), where e_i (f_i) is the
+    normalized component-i mean direction of the system (reservoir)
+    block; the blocks are completed by Gram-Schmidt over canonical
+    coordinate vectors in index order.
+    """
+    if m < 1 or n < 2:
+        raise ConfigError(f"frame needs M >= 1, N >= 2, got M={m}, N={n}")
+    dim = 3 * (m + n)
+    e = _mean_direction_rows(m)
+    f = _mean_direction_rows(n)
+    a = _complete_basis(e)
+    b = _complete_basis(f)
+
+    cols = np.zeros((dim, dim))
+    cols[: 3 * m, : 3 * m - 3] = a.T
+    root = sqrt(m + n)
+    for i in range(3):
+        cols[: 3 * m, 3 * m - 3 + i] = sqrt(m) * e[i] / root
+        cols[3 * m :, 3 * m - 3 + i] = sqrt(n) * f[i] / root
+        cols[: 3 * m, 3 * m + i] = sqrt(n) * e[i] / root
+        cols[3 * m :, 3 * m + i] = -sqrt(m) * f[i] / root
+    cols[3 * m :, 3 * m + 3 :] = b.T
+
+    defect = np.max(np.abs(cols.T @ cols - np.eye(dim)))
+    if defect > FRAME_TOL:
+        raise ToleranceError(f"frame orthogonality defect {defect:.3e}")
+    return MomentumFrame(m=m, n=n, p=cols)
 
 
 def haar_special_orthogonal(k: int, stream: RngStream) -> np.ndarray:

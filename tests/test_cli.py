@@ -72,6 +72,25 @@ def test_command_line_overrides_pass_the_schema(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub,m,family,eps", [
+    ("verify-lemma1", 1, "h1_v1x", float("nan")),
+    ("distance", 2, "h2_aniso", float("inf")),
+])
+def test_non_finite_eps_is_a_config_error(tmp_path, capsys, sub, m, family, eps):
+    # json reads NaN and Infinity and the schema's "number" admits them;
+    # the initial data refuses them in every family and at every M
+    cfg = _write_config(
+        tmp_path, m=m, samples=400, inner=16, degree=2, t_end=3.0,
+        grid={"count": 10},
+        init={"kind": "perturbation", "family": family, "eps": eps})
+    out = tmp_path / "out.csv"
+    assert _run(sub, "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert "eps must be finite" in record["message"]
+    assert not out.exists()
+
+
 def test_spectral_exports_symmetric_operator(tmp_path):
     cfg = _write_config(tmp_path, degree=2)
     out = tmp_path / "gen.mat"

@@ -11,7 +11,6 @@ from kacbath import (
     JointState,
     RngStream,
     StateError,
-    build_frame,
     estimate_lemma1_ratio,
     lemma1_constant,
     make_basis,
@@ -21,6 +20,7 @@ from kacbath import (
 )
 from kacbath.projector import _ratio_core, _system_rows
 from rotation_oracle import (
+    build_frame,
     full_rotation_ratio,
     rotated_states,
     sample_momentum_preserving_rotation,
@@ -133,8 +133,9 @@ def test_rotated_states_preserve_energy_and_momentum():
 
 
 def test_system_rows_equal_the_full_rotation_block():
-    # the marginal draw, fed the first 3M entries of one full complement
-    # draw and the squared norm of the rest, gives the oracle's system block
+    # the closed form, fed Q w for the first 3M entries w of one full
+    # complement draw (Q = [a^T | e^T], the oracle frame's system basis)
+    # and the squared norm of the rest, gives the oracle's system block
     for m, n in [(1, 2), (2, 3), (3, 5)]:
         frame = build_frame(m, n)
         s, count = 3 * m, 40
@@ -142,8 +143,9 @@ def test_system_rows_equal_the_full_rotation_block():
         u = RngStream(51, 10 * m + n).rng.standard_normal(
             (count, len(frame.complement_slots)))
         want = rotated_states(frame, z, count, RngStream(51, 10 * m + n))[:, :s]
-        got = _system_rows(frame, frame.coordinates(z)[None], u[None, :, :s],
-                           np.sum(u[None, :, s:] ** 2, axis=2))
+        w = u[:, :s] @ frame.system_basis.T
+        got = _system_rows(z.reshape(1, m + n, 3), w[None],
+                           np.sum(u[None, :, s:] ** 2, axis=2), m)
         assert got.shape == (1, count, s)
         np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-12)
 
@@ -175,7 +177,7 @@ def test_system_rows_have_the_haar_mean_and_covariance():
     rng = RngStream(60, 1).rng
     w = rng.standard_normal((1, 20_000, s))
     r2 = rng.chisquare(len(comp) - s, (1, 20_000))
-    marginal = _system_rows(frame, y[None], w, r2)[0]
+    marginal = _system_rows(z.reshape(1, m + n, 3), w, r2, m)[0]
     assert _moment_z(marginal, mean, cov) <= 5.0
 
     stream = RngStream(60, 2)
@@ -196,7 +198,7 @@ def test_estimator_rows_follow_the_background_gaussian():
         seen.append(rows.copy())
         return np.ones(len(rows))
 
-    _ratio_core(evaluate, 1.0, build_frame(m, n), outer, inner, RngStream(80, 0))
+    _ratio_core(evaluate, 1.0, m, n, outer, inner, RngStream(80, 0))
     rows = np.concatenate(seen).reshape(outer, inner, 3 * m)
     first = rows.mean(axis=1)
     second = (rows[:, :, :, None] * rows[:, :, None, :]).mean(axis=1)
@@ -256,6 +258,15 @@ def test_estimator_input_checks():
         estimate_lemma1_ratio(HermiteCoeffs(b, vec2), 1, 2, 100, RngStream(0, 0))
     with pytest.raises(ConfigError):
         estimate_lemma1_ratio(h, 1, 2, 100, RngStream(0, 0), inner=7)  # odd
+
+
+def test_estimator_rejects_sizes_out_of_range():
+    # the estimator covers M >= 1, N >= 2; sizes outside are configuration
+    # errors, raised before h is looked at
+    h = _mean_one_h1(1, 0.3)
+    for m, n in [(0, 4), (1, 1)]:
+        with pytest.raises(ConfigError, match="M >= 1, N >= 2"):
+            estimate_lemma1_ratio(h, m, n, 100, RngStream(0, 0))
 
 
 def test_gaussian_identity_small_sizes():

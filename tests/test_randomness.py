@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kacbath import GAMMA_SIGMA, RngStream
-from kacbath.projector import build_frame
 from kacbath.randomness import sample_gamma_vec3, sample_unit_sphere
 from rotation_oracle import (
+    build_frame,
     haar_special_orthogonal,
     sample_momentum_preserving_rotation,
 )
