@@ -66,7 +66,6 @@ from .projector import (
     Lemma1Estimate,
     estimate_lemma1_ratio,
     lemma1_constant,
-    verify_gaussian_identity,
 )
 from .randomness import GAMMA_SIGMA, RngStream
 from .spectral import (
@@ -152,6 +151,5 @@ __all__ = [
     "tensor_T",
     "total_energy",
     "total_momentum",
-    "verify_gaussian_identity",
     "verify_lemma2",
 ]

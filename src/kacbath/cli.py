@@ -9,7 +9,8 @@ record on stderr.
 
 Verification subcommands write their artifact first and raise after,
 so a tolerance failure still leaves the numbers on disk for a
-post-mortem.
+post-mortem. They judge it with the same check function that `report`
+applies to the artifact, so both read one threshold per claim.
 """
 
 from __future__ import annotations
@@ -169,6 +170,62 @@ def _measured_bound_params(cfg: RunConfig, ctx: SpectralContext, h0: HermiteCoef
 
 
 # ---------------------------------------------------------------------------
+# checks: each claim has one threshold, read by its subcommand right after
+# the artifact is written and by `report` from the artifact on disk
+
+def _check_distance_rows(rows) -> tuple[bool, str]:
+    slack = min(float(r["bound"]) - float(r["distance"]) for r in rows)
+    split = max(abs(float(r["bound"]) - float(r["bound_term1"])
+                    - float(r["bound_term2"])) for r in rows)
+    ok = slack >= -1e-9 and split <= 1e-12
+    return ok, f"min slack {slack:.3e}, max term-split defect {split:.3e}"
+
+
+def _check_lemma1_rows(rows) -> tuple[bool, str]:
+    worst = max(float(r["ratio"]) - (float(r["C"]) + 3.0 * float(r["stderr"]))
+                for r in rows)
+    return worst <= 0.0, f"worst ratio excess over C + 3 stderr: {worst:.3e}"
+
+
+def _check_moment_rows(rows) -> tuple[bool, str]:
+    ok = all(float(r["std_error"]) >= 0.0 and int(r["n_samples"]) >= 1
+             for r in rows)
+    return ok, f"{len(rows)} records structurally sound" if ok else "bad record"
+
+
+def _check_lemma2_json(doc) -> tuple[bool, str]:
+    ok = doc["identity_defect"] <= 1e-9 and doc["bound_violation"] <= 1e-12
+    return ok, (f"identity defect {doc['identity_defect']:.3e}, "
+                f"bound violation {doc['bound_violation']:.3e}")
+
+
+def _check_lemma3_json(doc) -> tuple[bool, str]:
+    top, first = doc["top_eigenvalue"], doc["degree1_eigenvalue"]
+    ok = (top <= LEMMA3_SUP + 1e-10
+          and abs(first - LEMMA3_SUP) <= 1e-12
+          and doc["route_disagreement"] <= 1e-9)
+    return ok, (f"top eigenvalue {top!r}, degree-1 eigenvalue {first!r}, "
+                f"route disagreement {doc['route_disagreement']:.3e}")
+
+
+def _check_scaling_json(doc) -> tuple[bool, str]:
+    ok = 0.8 <= doc["p"] <= 1.2 and 0.3 <= doc["q"] <= 0.7
+    return ok, f"p = {doc['p']:.3f}, q = {doc['q']:.3f}"
+
+
+def _check_gap_json(doc) -> tuple[bool, str]:
+    ok = doc["k_hat"] > 0.0 and doc["l_hat"] >= 0.0
+    return ok, f"k_hat = {doc['k_hat']:.6g}, l_hat = {doc['l_hat']:.6g}"
+
+
+def _raise_if_failed(kind: str, result: tuple[bool, str]) -> None:
+    """Raise ToleranceError with the check's detail unless it passed."""
+    passed, detail = result
+    if not passed:
+        raise ToleranceError(f"{kind}: {detail}")
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_simulate(cfg: RunConfig | None, args) -> int:
@@ -210,20 +267,17 @@ def cmd_verify_lemma1(cfg: RunConfig | None, args) -> int:
     cfg = _require_config(cfg)
     ms = cfg.system_sizes if cfg.system_sizes is not None else (cfg.m,)
     ns = cfg.reservoir_sizes if cfg.reservoir_sizes is not None else (cfg.n,)
+    header = ["M", "N", "C", "ratio", "stderr", "samples"]
     rows = []
-    failures = []
     for row_id, (m, n) in enumerate((m, n) for m in ms for n in ns):
         h = perturbation_data(cfg.init["family"], cfg.init["eps"], m)
         est = estimate_lemma1_ratio(h, m, n, cfg.samples,
                                     RngStream(cfg.seed, row_id), inner=cfg.inner)
-        c = lemma1_constant(m, n).c
-        rows.append((m, n, c, est.ratio, est.stderr, cfg.samples * cfg.inner))
-        if est.ratio > c + 3.0 * est.stderr:
-            failures.append(f"M={m} N={n}: ratio {est.ratio:.6g} > "
-                            f"C + 3 stderr = {c + 3 * est.stderr:.6g}")
-    write_csv(args.out, ["M", "N", "C", "ratio", "stderr", "samples"], rows)
-    if failures:
-        raise ToleranceError("projector contraction violated: " + "; ".join(failures))
+        rows.append((m, n, lemma1_constant(m, n).c, est.ratio, est.stderr,
+                     cfg.samples * cfg.inner))
+    write_csv(args.out, header, rows)
+    _raise_if_failed("projector-contraction",
+                     _check_lemma1_rows([dict(zip(header, r)) for r in rows]))
     return 0
 
 
@@ -237,21 +291,15 @@ def cmd_verify_lemma2(cfg: RunConfig | None, args) -> int:
         res = verify_lemma2(HermiteCoeffs(basis, vec), p, d=cfg.degree)
         trials.append({"lhs": res.lhs, "rhs": res.rhs,
                        "variance_bound": res.variance_bound})
-    identity_defect = max(abs(t["lhs"] - t["rhs"]) for t in trials)
-    bound_violation = max(t["lhs"] - t["variance_bound"] for t in trials)
-    write_json(args.out, {
+    payload = {
         "m": cfg.m, "n": cfg.n, "degree": cfg.degree,
         "random_polynomials": cfg.random_polynomials,
-        "identity_defect": identity_defect,
-        "bound_violation": bound_violation,
+        "identity_defect": max(abs(t["lhs"] - t["rhs"]) for t in trials),
+        "bound_violation": max(t["lhs"] - t["variance_bound"] for t in trials),
         "trials": trials,
-    })
-    if identity_defect > 1e-9:
-        raise ToleranceError(
-            f"averaged-rotation identity defect {identity_defect:.3e} > 1e-9")
-    if bound_violation > 1e-12:
-        raise ToleranceError(
-            f"variance bound violated by {bound_violation:.3e}")
+    }
+    write_json(args.out, payload)
+    _raise_if_failed("rotation-average-identity", _check_lemma2_json(payload))
     return 0
 
 
@@ -268,28 +316,21 @@ def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
         tensor_route[str(deg)] = float(np.max(symmetric_tensor_eigenvalues(deg)))
         matrix_route[str(deg)] = float(
             np.linalg.eigvalsh(t.block(deg)).max())
-    route_gap = max(abs(tensor_route[k] - matrix_route[k]) for k in tensor_route)
-    top = max(matrix_route.values())
     payload = {
         "max_degree": max_degree,
         "supremum": LEMMA3_SUP,
         "tensor_route": tensor_route,
         "matrix_route": matrix_route,
-        "route_disagreement": route_gap,
-        "top_eigenvalue": top,
+        "route_disagreement": max(abs(tensor_route[k] - matrix_route[k])
+                                  for k in tensor_route),
+        "top_eigenvalue": max(matrix_route.values()),
         "degree1_eigenvalue": matrix_route["1"],
     }
     if args.out:
         write_json(args.out, payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    if route_gap > 1e-9:
-        raise ToleranceError(f"eigenvalue routes disagree by {route_gap:.3e}")
-    if top > LEMMA3_SUP + 1e-10:
-        raise ToleranceError(f"bath-map eigenvalue {top!r} exceeds 2/3")
-    if abs(matrix_route["1"] - LEMMA3_SUP) > 1e-12:
-        raise ToleranceError(
-            f"degree-1 eigenvalue {matrix_route['1']!r} is not 2/3")
+    _raise_if_failed("bath-map-spectrum", _check_lemma3_json(payload))
     return 0
 
 
@@ -320,18 +361,17 @@ def cmd_distance(cfg: RunConfig | None, args) -> int:
     curve = distance_curve(ctx, h0, times, cross_check=cfg.cross_check)
     bp = _measured_bound_params(cfg, ctx, h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
-    write_csv(args.out, ["t", "distance", "bound", "bound_term1", "bound_term2"],
-              list(zip(curve.times, curve.distance, bc.total, bc.term1, bc.term2)))
-    slack = min(b - d for b, d in zip(bc.total, curve.distance))
-    if slack < -1e-9:
-        raise ToleranceError(
-            f"distance exceeds the bound by {-slack:.3e} somewhere on the grid")
+    header = ["t", "distance", "bound", "bound_term1", "bound_term2"]
+    rows = list(zip(curve.times, curve.distance, bc.total, bc.term1, bc.term2))
+    write_csv(args.out, header, rows)
+    _raise_if_failed("distance-vs-bound",
+                     _check_distance_rows([dict(zip(header, r)) for r in rows]))
     return 0
 
 
 def cmd_bound(cfg: RunConfig | None, args) -> int:
     cfg = _require_config(cfg)
-    if cfg.reservoir_sizes is not None and len(cfg.reservoir_sizes) >= 2:
+    if cfg.reservoir_sizes is not None:
         study = scaling_study(
             cfg.m, ns=cfg.reservoir_sizes, eps=cfg.eps,
             lambda_s=cfg.lambda_s, lambda_r=cfg.lambda_r, mu=cfg.mu,
@@ -356,50 +396,6 @@ def cmd_bound(cfg: RunConfig | None, args) -> int:
 
 # ---------------------------------------------------------------------------
 # report: recognize result files by shape and re-check their claims
-
-def _check_distance_rows(rows) -> tuple[bool, str]:
-    slack = min(float(r["bound"]) - float(r["distance"]) for r in rows)
-    split = max(abs(float(r["bound"]) - float(r["bound_term1"])
-                    - float(r["bound_term2"])) for r in rows)
-    ok = slack >= -1e-9 and split <= 1e-12
-    return ok, f"min slack {slack:.3e}, max term-split defect {split:.3e}"
-
-
-def _check_lemma1_rows(rows) -> tuple[bool, str]:
-    worst = max(float(r["ratio"]) - (float(r["C"]) + 3.0 * float(r["stderr"]))
-                for r in rows)
-    return worst <= 0.0, f"worst ratio excess over C + 3 stderr: {worst:.3e}"
-
-
-def _check_moment_rows(rows) -> tuple[bool, str]:
-    ok = all(float(r["std_error"]) >= 0.0 and int(r["n_samples"]) >= 1
-             for r in rows)
-    return ok, f"{len(rows)} records structurally sound" if ok else "bad record"
-
-
-def _check_lemma2_json(doc) -> tuple[bool, str]:
-    ok = doc["identity_defect"] <= 1e-9 and doc["bound_violation"] <= 1e-12
-    return ok, (f"identity defect {doc['identity_defect']:.3e}, "
-                f"bound violation {doc['bound_violation']:.3e}")
-
-
-def _check_lemma3_json(doc) -> tuple[bool, str]:
-    top = doc["top_eigenvalue"]
-    ok = (top <= LEMMA3_SUP + 1e-10
-          and abs(doc["degree1_eigenvalue"] - LEMMA3_SUP) <= 1e-12
-          and doc["route_disagreement"] <= 1e-9)
-    return ok, f"top eigenvalue {top!r}"
-
-
-def _check_scaling_json(doc) -> tuple[bool, str]:
-    ok = 0.8 <= doc["p"] <= 1.2 and 0.3 <= doc["q"] <= 0.7
-    return ok, f"p = {doc['p']:.3f}, q = {doc['q']:.3f}"
-
-
-def _check_gap_json(doc) -> tuple[bool, str]:
-    ok = doc["k_hat"] > 0.0 and doc["l_hat"] >= 0.0
-    return ok, f"k_hat = {doc['k_hat']:.6g}, l_hat = {doc['l_hat']:.6g}"
-
 
 _CSV_CHECKS = {
     ("t", "distance", "bound", "bound_term1", "bound_term2"):

@@ -129,17 +129,27 @@ def hermite_value_table(x: np.ndarray, dmax: int) -> np.ndarray:
 def evaluate_basis(basis: Basis, points: np.ndarray) -> np.ndarray:
     """Evaluate all basis functions at points of shape (n, nvars).
 
-    Returns (n, size). Cost is one 1D table per coordinate plus one
-    product per active exponent, so sparse multi-indices stay cheap.
+    Returns (n, size). A row has at most k = min(degree, nvars) variables
+    with a nonzero exponent, so its value is a product of k tabulated
+    factors: those variables in ascending order, then h_0 = 1 of
+    zero-exponent variables. One vectorized product per factor slot.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != basis.nvars:
         raise StateError(f"points have {points.shape[1]} coords, basis has {basis.nvars}")
-    table = hermite_value_table(points, basis.degree)  # (n, nvars, degree+1)
-    out = np.ones((points.shape[0], basis.size))
-    for j in range(basis.size):
-        for var in np.nonzero(basis.exponents[j])[0]:
-            out[:, j] *= table[:, var, basis.exponents[j, var]]
+    # column var * (degree+1) + e holds h_e at coordinate var
+    table = hermite_value_table(points, basis.degree).reshape(len(points), -1)
+    exps = basis.exponents
+    # per row: its variables with a nonzero exponent first, ascending
+    slots = max(1, min(basis.degree, basis.nvars))
+    var = np.argsort(exps == 0, axis=1, kind="stable")[:, :slots]
+    cols = var * (basis.degree + 1) + np.take_along_axis(exps, var, axis=1)
+    # np.take returns row-major (n, size), as the old per-row loop did, so
+    # matrix products taken with it stay on one BLAS path; every column is
+    # in range, and mode="clip" skips numpy's slower bounds-raising path
+    out = np.take(table, cols[:, 0], axis=1, mode="clip")
+    for col in cols[:, 1:].T:
+        out *= np.take(table, col, axis=1, mode="clip")
     return out
 
 

@@ -15,8 +15,13 @@ its restriction to functions of the first particle alone. A direct
 six-variable product-quadrature route and a closed-form tensor-moment
 route cross-validate the assembly.
 
-All quadrature rules are chosen by polynomial-degree exactness counts
-and then re-checked at a strictly finer rule; disagreement raises.
+Every block comes from one quadrature kernel. A product Gauss-Hermite
+grid carries the Gaussian weight; the basis is evaluated at the images of
+the grid under the block's maps (one orthogonal map, or one reflected or
+collided point set per sphere node) and averaged over the maps first,
+then one weighted Gram product with the basis on the grid gives the
+block. Rules are chosen by polynomial-degree exactness counts, and every
+block is re-integrated at a strictly finer rule; disagreement raises.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .kinematics import ModelParams
 
 __all__ = [
     "OperatorMatrix",
-    "compose_orthogonal_block",
     "pair_avg_block",
     "thermostat_block",
     "embed_block",
@@ -119,53 +123,43 @@ class OperatorMatrix:
 _cache: dict = {}
 
 
-def _gram(points_in, points_out, weights, basis) -> np.ndarray:
-    """sum_q w_q h_a(p_in[q]) h_b(p_out[q]) for all (a, b)."""
-    h_in = evaluate_basis(basis, points_in)
-    h_out = evaluate_basis(basis, points_out)
-    return (h_in * weights[:, None]).T @ h_out
+def _gauss_grid(nvars: int, npoints: int):
+    """Product Gauss-Hermite rule on nvars variables: points (npoints**nvars,
+    nvars), first variable slowest, and their weights."""
+    nodes, wts = gauss_hermite_gamma(npoints)
+    idx = np.array(list(itertools.product(range(npoints), repeat=nvars)))
+    return nodes[idx], np.prod(wts[idx], axis=1)
 
 
-def compose_orthogonal_block(v: np.ndarray, d: int, extra: int = 0) -> np.ndarray:
-    """Matrix of h -> h(V x) on the nvars-variable basis, V orthogonal.
+def _averaged_gram(basis: Basis, pts: np.ndarray, w: np.ndarray, maps) -> np.ndarray:
+    """Matrix of h -> sum_(c, y) c h(y) on `basis`, by the rule (pts, w).
 
-    Exact by Gauss-Hermite degree counting; intended for small nvars.
+    Each (c, y) in `maps` is a weight and the images y of all points under
+    one map. The images are averaged pointwise first, then one weighted
+    Gram product sum_q w_q h_a(x_q) avg_b(x_q) is formed. Columns of
+    `pts` past the basis variables are integrated out.
     """
-    v = np.asarray(v, dtype=float)
-    nvars = v.shape[0]
-    if not np.allclose(v @ v.T, np.eye(nvars), atol=1e-13):
-        raise StateError("composition map must be orthogonal")
-    basis = make_basis(nvars, d)
-    nodes, wts = gauss_hermite_gamma(d + 1 + extra)
-    grids = np.meshgrid(*([nodes] * nvars), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([wts] * nvars), indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return _gram(pts, pts @ v.T, w, basis)
-
-
-def _reflection_avg_block(d: int, extra: int = 0) -> np.ndarray:
-    """Average over omega of h -> h(r - 2 (r . omega) omega), 3 variables."""
-    basis = make_basis(3, d)
-    nodes, wts = gauss_hermite_gamma(d + 1 + extra)
-    gx, gy, gz = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    wx, wy, wz = np.meshgrid(wts, wts, wts, indexing="ij")
-    w = (wx * wy * wz).ravel()
-    omegas, ow = sphere_rule(2 * d, extra=extra)
-    h_in_w = (evaluate_basis(basis, pts) * w[:, None]).T
-    out = np.zeros((basis.size, basis.size))
-    for om, sw in zip(omegas, ow):
-        refl = pts - 2.0 * (pts @ om)[:, None] * om[None, :]
-        out += sw * (h_in_w @ evaluate_basis(basis, refl))
-    return out
+    avg = np.zeros((len(pts), basis.size))
+    for c, y in maps:
+        avg += c * evaluate_basis(basis, y)
+    return (evaluate_basis(basis, pts[:, :basis.nvars]) * w[:, None]).T @ avg
 
 
 def _mix_block_2var(d: int, extra: int = 0) -> np.ndarray:
     """Matrix of h -> h((x+y)/sqrt2, (x-y)/sqrt2), the per-coordinate
     center-of-mass rotation (a symmetric involution)."""
     u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return compose_orthogonal_block(u, d, extra=extra)
+    pts, w = _gauss_grid(2, d + 1 + extra)
+    return _averaged_gram(make_basis(2, d), pts, w, [(1.0, pts @ u.T)])
+
+
+def _reflection_avg_block(d: int, extra: int = 0) -> np.ndarray:
+    """Average over omega of h -> h(r - 2 (r . omega) omega), 3 variables."""
+    pts, w = _gauss_grid(3, d + 1 + extra)
+    omegas, ow = sphere_rule(2 * d, extra=extra)
+    maps = ((sw, pts - 2.0 * (pts @ om)[:, None] * om[None, :])
+            for om, sw in zip(omegas, ow))
+    return _averaged_gram(make_basis(3, d), pts, w, maps)
 
 
 def _check_refinement(name: str, a: np.ndarray, b: np.ndarray):
@@ -182,21 +176,16 @@ def _pair_block_direct(d: int, extra: int = 0) -> np.ndarray:
     Used to cross-validate the factorized assembly for small d; cost
     grows as (d+1)^6 so it is not the production route.
     """
-    basis = make_basis(6, d)
-    nodes, wts = gauss_hermite_gamma(d + 1 + extra)
-    grids = np.meshgrid(*([nodes] * 6), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([wts] * 6), indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    omegas, ow = sphere_rule(2 * d, extra=extra)
-    h_in_w = (evaluate_basis(basis, pts) * w[:, None]).T
-    out = np.zeros((basis.size, basis.size))
+    pts, w = _gauss_grid(6, d + 1 + extra)
     a, b = pts[:, :3], pts[:, 3:]
-    for om, sw in zip(omegas, ow):
+
+    def collided(om):
         rel = ((a - b) @ om)[:, None] * om[None, :]
-        pts_out = np.concatenate([a - rel, b + rel], axis=1)
-        out += sw * (h_in_w @ evaluate_basis(basis, pts_out))
-    return out
+        return np.concatenate([a - rel, b + rel], axis=1)
+
+    omegas, ow = sphere_rule(2 * d, extra=extra)
+    maps = ((sw, collided(om)) for om, sw in zip(omegas, ow))
+    return _averaged_gram(make_basis(6, d), pts, w, maps)
 
 
 def pair_avg_block(d: int) -> np.ndarray:
@@ -243,20 +232,12 @@ def _thermostat_block_quadrature(d: int, extra: int = 0) -> np.ndarray:
     The background particle enters only through its component along
     omega, a scalar Gaussian s, giving v* = v + (s - v.omega) omega.
     """
-    basis = make_basis(3, d)
-    nodes, wts = gauss_hermite_gamma(d + 1 + extra)
-    gx, gy, gz, gs = np.meshgrid(nodes, nodes, nodes, nodes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    s = gs.ravel()
-    wx, wy, wz, ws = np.meshgrid(wts, wts, wts, wts, indexing="ij")
-    w = (wx * wy * wz * ws).ravel()
+    pts, w = _gauss_grid(4, d + 1 + extra)
+    v, s = pts[:, :3], pts[:, 3]
     omegas, ow = sphere_rule(2 * d, extra=extra)
-    h_in_w = (evaluate_basis(basis, pts) * w[:, None]).T
-    out = np.zeros((basis.size, basis.size))
-    for om, sw in zip(omegas, ow):
-        v_out = pts + (s - pts @ om)[:, None] * om[None, :]
-        out += sw * (h_in_w @ evaluate_basis(basis, v_out))
-    return out
+    maps = ((sw, v + (s - v @ om)[:, None] * om[None, :])
+            for om, sw in zip(omegas, ow))
+    return _averaged_gram(make_basis(3, d), pts, w, maps)
 
 
 def thermostat_block(d: int) -> np.ndarray:

@@ -39,11 +39,11 @@ from kacbath import (
     scaling_study,
     spectral_gap,
     symmetric_tensor_eigenvalues,
-    verify_gaussian_identity,
     verify_lemma2,
 )
 from kacbath.cli import main
 from kacbath.randomness import GAMMA_SIGMA
+from conditioning_kernel import verify_gaussian_identity
 
 
 def _mean_one(m: int, entries, deg: int) -> HermiteCoeffs:

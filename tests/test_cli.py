@@ -1,6 +1,7 @@
 """End-to-end CLI runs in temporary directories: artifacts, exit codes,
 determinism."""
 
+import dataclasses
 import json
 import os
 import sys
@@ -9,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kacbath import spectral
+from kacbath import cli, spectral
 from kacbath.cli import main, perturbation_data
 from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
@@ -220,6 +221,73 @@ def test_bound_scaling_mode(tmp_path):
     doc = json.loads(out.read_text())
     assert [r["n"] for r in doc["rows"]] == [2, 4]
     assert doc["p"] > 0.0 and doc["q"] > 0.0
+
+
+def test_bound_with_one_reservoir_size_is_a_config_error(tmp_path, capsys):
+    # one size gives no exponent to fit; it must not fall back to the
+    # single curve at N
+    cfg = _write_config(tmp_path, t_end=3.0, grid={"count": 8}, degree=2,
+                        reservoir_sizes=[16])
+    out = tmp_path / "b.json"
+    assert _run("bound", "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert "at least two reservoir sizes" in record["message"]
+    assert not out.exists()
+
+
+def _wrap_result(monkeypatch, name, change):
+    """Rebind cli.<name> so that its result passes through `change`."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: change(real(*a, **k)))
+
+
+_FAILING_RUNS = {
+    "verify-lemma1": (
+        "l1.csv", dict(samples=400, inner=16,
+                       init={"kind": "perturbation", "eps": 0.4}),
+        lambda mp: _wrap_result(mp, "estimate_lemma1_ratio",
+                                lambda est: est._replace(ratio=10.0))),
+    "verify-lemma2": (
+        "l2.json", dict(degree=2, random_polynomials=2),
+        lambda mp: _wrap_result(mp, "verify_lemma2",
+                                lambda res: res._replace(lhs=res.lhs + 1e-6))),
+    "verify-lemma3": (
+        "l3.json", None,
+        lambda mp: _wrap_result(mp, "symmetric_tensor_eigenvalues",
+                                lambda ev: ev + 1e-6)),
+    "distance": (
+        "curve.csv", dict(t_end=3.0, grid={"count": 10}, degree=2,
+                          init={"kind": "perturbation", "family": "h2_aniso",
+                                "eps": 0.2}),
+        lambda mp: _wrap_result(mp, "distance_curve", lambda c: dataclasses.replace(
+            c, distance=tuple(d + 1.0 for d in c.distance)))),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_FAILING_RUNS))
+def test_failed_verification_keeps_the_artifact_and_report_agrees(
+        tmp_path, capsys, monkeypatch, sub):
+    # the subcommand and report judge the artifact with one check: the
+    # subcommand exits 3 with the very detail report finds on disk
+    name, fields, break_one_value = _FAILING_RUNS[sub]
+    break_one_value(monkeypatch)
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    out = rundir / name
+    argv = [sub, "--out", str(out)]
+    if fields is None:
+        argv += ["--max-degree", "2"]
+    else:
+        argv += ["--config", _write_config(tmp_path, **fields)]
+    assert _run(*argv) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ToleranceError" and record["exit_code"] == 3
+    assert out.exists()
+    assert _run("report", "--dir", str(rundir)) == 3
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["file"] == name and check["passed"] is False
+    assert record["message"] == f"{check['kind']}: {check['detail']}"
 
 
 def test_report_aggregates_and_flags_failures(tmp_path, capsys):

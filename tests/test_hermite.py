@@ -83,6 +83,21 @@ def test_multivariate_orthonormality():
     np.testing.assert_allclose(gram, np.eye(b.size), atol=1e-12)
 
 
+@pytest.mark.parametrize("nvars,degree", [(1, 0), (1, 5), (3, 6), (6, 1), (6, 3), (27, 2)])
+def test_evaluate_basis_equals_the_per_row_product(nvars, degree):
+    # every row is the product of its active factors in ascending variable
+    # order, bit for bit, and comes back row-major
+    b = make_basis(nvars, degree)
+    pts = np.random.default_rng(nvars + degree).normal(0.0, 0.4, (50, nvars))
+    table = hermite_value_table(pts, degree)
+    want = np.ones((len(pts), b.size))
+    for j, exps in enumerate(b.exponents):
+        for var in np.nonzero(exps)[0]:
+            want[:, j] *= table[:, var, exps[var]]
+    got = evaluate_basis(b, pts)
+    assert got.flags["C_CONTIGUOUS"] and got.tobytes() == want.tobytes()
+
+
 def test_sphere_rule_moments():
     nodes, weights = sphere_rule(6)
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)

@@ -16,9 +16,9 @@ from kacbath import (
     make_basis,
     total_energy,
     total_momentum,
-    verify_gaussian_identity,
 )
 from kacbath.projector import _ratio_core, _system_rows
+from conditioning_kernel import verify_gaussian_identity
 from rotation_oracle import (
     build_frame,
     full_rotation_ratio,

@@ -1,6 +1,8 @@
 """Operator assembly on truncated Hermite spaces: contraction, block
 structure, bath-map spectra, rotation-average identity, spectral gaps."""
 
+import re
+
 import numpy as np
 import pytest
 from math import pi, sqrt
@@ -10,6 +12,7 @@ from kacbath import (
     HermiteCoeffs,
     ModelParams,
     OperatorMatrix,
+    QuadratureError,
     SpectralContext,
     StateError,
     ToleranceError,
@@ -422,3 +425,29 @@ def test_embedding_rejects_a_sub_basis_of_lower_degree():
     # slot exponents of degree 2 have no row in a degree-1 sub-basis
     with pytest.raises(StateError, match="misses slot exponents"):
         embed_block(np.eye(4), make_basis(3, 1), make_basis(6, 2), (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# every quadrature route is checked
+
+
+@pytest.mark.parametrize("route,levels,check", [
+    ("_mix_block_2var", "refined", "pair mix block:"),
+    ("_reflection_avg_block", "refined", "pair reflection block:"),
+    ("_pair_block_direct", "both", "pair block (direct route):"),
+    ("_thermostat_block_quadrature", "refined", "thermostat block:"),
+    # both thermostat levels agree with each other, not with the pair route
+    ("_thermostat_block_quadrature", "both", "thermostat block (pair route):"),
+])
+def test_each_quadrature_check_catches_a_perturbed_route(route, levels, check,
+                                                         monkeypatch):
+    real = getattr(spectral, route)
+
+    def nudged(d, extra=0):
+        out = real(d, extra=extra)
+        return out + 1e-8 if extra or levels == "both" else out
+
+    monkeypatch.setattr(spectral, "_cache", {})
+    monkeypatch.setattr(spectral, route, nudged)
+    with pytest.raises(QuadratureError, match=re.escape(check)):
+        thermostat_block(2)
