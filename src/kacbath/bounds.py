@@ -242,6 +242,8 @@ def scaling_study(
     """
     if len(ns) < 2:
         raise ConfigError("need at least two reservoir sizes to fit exponents")
+    if len(set(ns)) != len(ns):
+        raise ConfigError(f"reservoir sizes must be distinct to fit exponents, got {list(ns)}")
     h0 = anisotropic_pair_data(eps)
     tbath = assemble_T(1, d)
     l_hat = estimate_l(tbath)

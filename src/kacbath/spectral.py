@@ -33,7 +33,9 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, orth
+from scipy import sparse
+from scipy.linalg import orth
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, QuadratureError, StateError, ToleranceError
 from .hermite import (
@@ -76,11 +78,16 @@ IDEMPOTENCY_TOL = 1e-10
 # Largest entry of G_m U_m (a generator block times the invariant basis
 # of that block) that still counts as G annihilating the invariants.
 KERNEL_TOL = 1e-8
+# Largest Lanczos residual ||A x - theta x|| of the gap's Ritz pair, and
+# largest overlap ||U_m^T x|| of its Ritz vector with the invariants.
+RITZ_TOL = 1e-10
 # Two quadrature refinement levels must agree entrywise to this.
 REFINE_TOL = 1e-10
 # Largest dense float64 operator on the joint basis, in bytes (8192
-# rows). A SpectralContext holds two (its generators), eigensolves a few
-# more; the largest size in use (d=3, M=1, N=8: 4060 rows) needs 132 MB.
+# rows). A SpectralContext holds two (its generators); the gap and the
+# DOP853 cross-check work on sparse copies, and `evolve` diagonalises
+# one degree block at a time. The largest size in use (d=3, M=1, N=8:
+# 4060 rows) needs 132 MB per generator.
 DENSE_BYTES_MAX = 2**29
 
 
@@ -492,17 +499,33 @@ def tensor_T(m: int) -> np.ndarray:
             subscripts = ",".join(subs) + "->" + li + lj
             big += (-1) ** r * np.einsum(subscripts, *operands)
     out = big.reshape(3 ** m, 3 ** m)
-
-    nodes, wts = sphere_rule(2 * m)
-    quad = np.zeros_like(out)
-    for om, sw in zip(nodes, wts):
-        a = np.eye(3) - np.outer(om, om)
-        block = np.array(1.0)
-        for _ in range(m):
-            block = np.kron(block, a)
-        quad += sw * block
-    _check_refinement(f"tensor_T({m})", out, quad)
+    _check_refinement(f"tensor_T({m})", out, _tensor_T_quadrature(m))
     return out
+
+
+def _tensor_T_quadrature(m: int) -> np.ndarray:
+    """sum_k w_k A_k^(x)m over the nodes of sphere_rule(2m), A = I - omega omega^T.
+
+    With a = ceil(m/2) and b = floor(m/2), the Kronecker powers X_k =
+    A_k^(x)a and Y_k = A_k^(x)b are built for all nodes at once; entry
+    ((i, j), (p, q)) of the sum is sum_k w_k X_k[i, p] Y_k[j, q], one
+    weighted product X^T diag(w) Y with the rows and columns regrouped.
+    """
+    nodes, wts = sphere_rule(2 * m)
+    a_nodes = np.eye(3) - nodes[:, :, None] * nodes[:, None, :]
+
+    def power(r):
+        """A_k^(x)r for every node k, each flattened to one row."""
+        out = np.ones((len(nodes), 1, 1))
+        for _ in range(r):
+            size = 3 * out.shape[1]
+            out = np.einsum("kip,kjq->kijpq", out, a_nodes).reshape(-1, size, size)
+        return out.reshape(len(nodes), -1)
+
+    a, b = (m + 1) // 2, m // 2
+    quad = (power(a).T * wts) @ power(b)
+    quad = quad.reshape(3 ** a, 3 ** a, 3 ** b, 3 ** b).transpose(0, 2, 1, 3)
+    return quad.reshape(3 ** m, 3 ** m)
 
 
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
@@ -623,31 +646,58 @@ def spectral_gap(ctx: SpectralContext) -> float:
 
         G_m - s U_m U_m^T,    s = 2 ||G||_inf.
 
-    Once G_m U_m is checked to vanish, this matrix is G_m off the range
+    Once G_m U_m is checked to vanish, this operator is G_m off the range
     of U_m and -s on it; every eigenvalue of the symmetric G lies in
     [-||G||_inf, 0], so the top one lies off the invariants. Only that
-    eigenvalue is computed, and blocks U_m spans (degree 0) are skipped.
+    eigenvalue is computed, by Lanczos on the sparse block with the shift
+    applied as U_m (U_m^T x), so no block-sized dense matrix is formed.
+    The start vector is a fixed-seed normal vector with its U_m part
+    removed, so k is reproducible bit for bit. Blocks U_m spans (degree
+    0) are skipped.
 
     Raises ToleranceError if a projector block is not idempotent to
     IDEMPOTENCY_TOL, if a generator block does not annihilate its
-    invariants to KERNEL_TOL, or if the gap is nonpositive.
+    invariants to KERNEL_TOL, if Lanczos does not converge, if its Ritz
+    vector overlaps the invariants or its residual exceeds RITZ_TOL, or
+    if the gap is nonpositive.
     """
     gen = ctx.reservoir
-    shift = 2.0 * float(np.abs(gen.mat).sum(axis=1).max())
+    csr = sparse.csr_matrix(gen.mat)
+    shift = 2.0 * float(abs(csr).sum(axis=1).max())
     gaps = []
     for m, u in enumerate(ctx.invariants):
-        g = gen.block(m)
+        sl = gen.basis.degree_slice(m)
+        g = csr[sl, sl]
         kernel = float(np.abs(g @ u).max())
         if kernel > KERNEL_TOL:
             raise ToleranceError(
                 f"generator does not annihilate invariants in degree {m}: "
                 f"defect {kernel:.3e} exceeds {KERNEL_TOL:.0e}"
             )
-        if u.shape[1] == len(g):
+        n = g.shape[0]
+        if u.shape[1] == n:
             continue
-        top = eigh(g - shift * (u @ u.T), eigvals_only=True, driver="evr",
-                   subset_by_index=[len(g) - 1, len(g) - 1])
-        gaps.append(-float(top[0]))
+        op = LinearOperator((n, n), dtype=float,
+                            matvec=lambda x, g=g, u=u: g @ x - shift * (u @ (u.T @ x)))
+        start = np.random.default_rng(0).standard_normal(n)
+        start -= u @ (u.T @ start)
+        try:
+            theta, x = eigsh(op, k=1, which="LA", tol=0, v0=start)
+        except ArpackNoConvergence as exc:
+            raise ToleranceError(f"Lanczos did not converge in degree {m}: {exc}") from exc
+        theta, x = float(theta[0]), x[:, 0]
+        overlap = float(np.linalg.norm(u.T @ x))
+        if overlap > RITZ_TOL:
+            raise ToleranceError(
+                f"Ritz vector overlaps the invariants in degree {m}: "
+                f"{overlap:.3e} exceeds {RITZ_TOL:.0e}"
+            )
+        residual = float(np.linalg.norm(op @ x - theta * x))
+        if residual > RITZ_TOL:
+            raise ToleranceError(
+                f"Lanczos residual in degree {m}: {residual:.3e} exceeds {RITZ_TOL:.0e}"
+            )
+        gaps.append(-theta)
     if not gaps:
         raise ToleranceError("invariants span the whole basis: no gap to measure")
     k_hat = min(gaps)

@@ -143,3 +143,12 @@ def test_scaling_study_two_sizes_smoke():
     assert study.p > 0.0 and study.q > 0.0
     with pytest.raises(ConfigError):
         scaling_study(1, ns=(4,))
+
+
+def test_scaling_study_rejects_duplicate_sizes():
+    # two equal sizes leave one point to fit a line through; the fit
+    # would be rank deficient, so it must fail before any work is done
+    with pytest.raises(ConfigError, match="distinct"):
+        scaling_study(1, ns=(4, 4))
+    with pytest.raises(ConfigError, match="distinct"):
+        scaling_study(1, ns=(2, 4, 2))

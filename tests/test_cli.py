@@ -236,6 +236,17 @@ def test_bound_with_one_reservoir_size_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bound_with_duplicate_reservoir_sizes_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, t_end=3.0, grid={"count": 8}, degree=2,
+                        reservoir_sizes=[4, 4])
+    out = tmp_path / "b.json"
+    assert _run("bound", "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert "reservoir sizes must be distinct" in record["message"]
+    assert not out.exists()
+
+
 def _wrap_result(monkeypatch, name, change):
     """Rebind cli.<name> so that its result passes through `change`."""
     real = getattr(cli, name)

@@ -8,6 +8,7 @@ from kacbath import (
     ConfigError,
     HermiteCoeffs,
     HorizonError,
+    IntegrationError,
     ModelParams,
     OperatorMatrix,
     SpectralContext,
@@ -133,6 +134,25 @@ def test_evolve_rejects_an_asymmetric_block_filled_or_empty(m):
     want = float(np.abs(mat - mat.T).max())
     assert want == pytest.approx(3e-9, rel=1e-6)
     assert float(str(err.value).split("defect ")[1].rstrip(")")) == pytest.approx(want, rel=1e-3)
+
+
+def test_cross_check_catches_an_eigen_route_off_by_1e_6(monkeypatch):
+    # every eigenvalue shifted by 1e-6 scales the eigen route by
+    # exp(1e-6 t); at t = 2 that is a relative 2e-6, far over the tolerance
+    p = ModelParams(1, 2)
+    g = assemble_generator("reservoir", p, 2)
+    c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
+    real = np.linalg.eigh
+
+    def shifted(a, *args, **kwargs):
+        evals, q = real(a, *args, **kwargs)
+        return evals + 1e-6, q
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(IntegrationError, match="evolution routes disagree") as err:
+        evolve(g, c0, [0.0, 1.0, 2.0])
+    got = float(str(err.value).split("relative ")[1])
+    assert got == pytest.approx(2e-6, rel=1e-3)
 
 
 def test_distance_curve_golden_values():

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from math import pi, sqrt
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from kacbath import (
     ConfigError,
@@ -41,6 +42,7 @@ from kacbath.spectral import (
 
 import embedding_oracle
 import gap_oracle
+import tensor_oracle
 
 
 def _unit_h1_tagged(m: int) -> HermiteCoeffs:
@@ -159,6 +161,20 @@ def test_sphere_moment_tensors():
     np.testing.assert_allclose(m4, sym, atol=1e-14)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tensor_quadrature_equals_the_per_node_loop(m):
+    got = spectral._tensor_T_quadrature(m)
+    want = tensor_oracle.tensor_T_quadrature(m)
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_tensor_T_check_catches_a_perturbed_quadrature(monkeypatch):
+    real = spectral._tensor_T_quadrature
+    monkeypatch.setattr(spectral, "_tensor_T_quadrature", lambda m: real(m) + 1e-8)
+    with pytest.raises(QuadratureError, match=re.escape("tensor_T(3):")):
+        tensor_T(3)
+
+
 def test_tensor_T_is_symmetric_psd_contraction():
     for deg in (1, 2, 3):
         mat = tensor_T(deg)
@@ -256,6 +272,77 @@ def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
     ctx = SpectralContext(ModelParams(m, n), d)
     want = gap_oracle.spectral_gap(ctx.reservoir, ctx.invariants)
     assert abs(spectral_gap(ctx) - want) <= 1e-12
+
+
+def _spy_eigsh(monkeypatch, change=None) -> list:
+    """Record each Lanczos call of spectral_gap as (operator, start vector);
+    `change(theta, x, n)` may rewrite the Ritz pair of an n-row block."""
+    real = spectral.eigsh
+    calls = []
+
+    def spy(op, **kwargs):
+        calls.append((op, kwargs["v0"]))
+        theta, x = real(op, **kwargs)
+        return (theta, x) if change is None else change(theta, x, op.shape[0])
+
+    monkeypatch.setattr(spectral, "eigsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 16, 2)])
+def test_lanczos_starts_off_the_invariants(m, n, d, monkeypatch):
+    # a start vector inside span U_m (the all-ones vector nearly is, at
+    # degrees 1 and 2) has nothing for Lanczos to grow off the invariants
+    ctx = SpectralContext(ModelParams(m, n), d)
+    calls = _spy_eigsh(monkeypatch)
+    spectral_gap(ctx)
+    blocks = ctx.invariants[1:]
+    assert len(calls) == len(blocks) == d
+    for (op, v0), u in zip(calls, blocks):
+        assert op.shape == (len(u), len(u))
+        off = v0 - u @ (u.T @ v0)
+        assert np.linalg.norm(off) >= 0.5 * np.linalg.norm(v0)
+
+
+def test_gap_is_reproducible_bit_for_bit():
+    p = ModelParams(1, 4)
+    first, second = (spectral_gap(SpectralContext(p, 3)) for _ in range(2))
+    assert first.hex() == second.hex()
+
+
+def test_gap_names_the_degree_where_lanczos_does_not_converge(monkeypatch):
+    ctx = SpectralContext(ModelParams(1, 2), 3)
+    rows = len(ctx.invariants[2])
+
+    def change(theta, x, n):
+        if n == rows:
+            raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.empty(0), np.empty((n, 0)))
+        return theta, x
+
+    _spy_eigsh(monkeypatch, change)
+    with pytest.raises(ToleranceError, match="did not converge in degree 2"):
+        spectral_gap(ctx)
+
+
+@pytest.mark.parametrize("nudge,check", [
+    (lambda theta, x, u: (theta + 1e-6, x), "Lanczos residual in degree 2"),
+    (lambda theta, x, u: (theta, x + 1e-6 * u[:, :1]),
+     "Ritz vector overlaps the invariants in degree 2"),
+])
+def test_gap_rejects_a_perturbed_ritz_pair(nudge, check, monkeypatch):
+    ctx = SpectralContext(ModelParams(1, 2), 2)
+    u2 = ctx.invariants[2]
+
+    def change(theta, x, n):
+        return nudge(theta, x, u2) if n == len(u2) else (theta, x)
+
+    _spy_eigsh(monkeypatch, change)
+    with pytest.raises(ToleranceError, match=check) as err:
+        spectral_gap(ctx)
+    got = float(str(err.value).split(": ")[1].split()[0])
+    assert got == pytest.approx(1e-6, rel=1e-3)
+    assert got > spectral.RITZ_TOL
 
 
 def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
