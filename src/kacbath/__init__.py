@@ -79,7 +79,6 @@ from .spectral import (
     joint_basis,
     spectral_gap,
     symmetric_tensor_eigenvalues,
-    tensor_T,
     verify_lemma2,
 )
 
@@ -148,7 +147,6 @@ __all__ = [
     "scaling_study",
     "spectral_gap",
     "symmetric_tensor_eigenvalues",
-    "tensor_T",
     "total_energy",
     "total_momentum",
     "verify_lemma2",

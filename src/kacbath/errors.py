@@ -26,7 +26,7 @@ class ToleranceError(KacbathError):
 
 
 class QuadratureError(ToleranceError):
-    """Quadrature refinement levels disagree beyond tolerance."""
+    """A block and its quadrature cross-check disagree beyond tolerance."""
 
 
 class IntegrationError(ToleranceError):

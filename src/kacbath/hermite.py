@@ -166,16 +166,16 @@ def gauss_hermite_gamma(npoints: int):
     return y / np.sqrt(np.pi), w / np.sqrt(np.pi)
 
 
-def sphere_rule(max_degree: int, extra: int = 0):
+def sphere_rule(max_degree: int):
     """Product rule on the unit sphere, normalized measure.
 
     Gauss-Legendre in cos(theta) times a uniform azimuthal grid; exact
     for all polynomials in (omega_1, omega_2, omega_3) of total degree
-    <= max_degree. `extra` raises both orders for refinement checks.
+    <= max_degree.
 
     Returns (nodes (Q, 3), weights (Q,)) with weights summing to 1.
     """
-    nl = max_degree // 2 + 1 + extra
+    nl = max_degree // 2 + 1
     nk = 2 * nl
     u, wu = leggauss(nl)
     phi = 2.0 * np.pi * np.arange(nk) / nk

@@ -8,20 +8,19 @@ matrices built here are not discretizations but true restrictions.
 Averaging over a collision direction factorizes through center-of-mass
 coordinates: with s = (a + b)/sqrt(2), r = (a - b)/sqrt(2) a collision
 is the identity on s and the reflection r -> r - 2 (r . omega) omega on
-r. The six-variable pair average is therefore assembled from small
-exactly-integrated pieces (a two-variable mixing rotation per coordinate
-and a three-variable reflection average), and the thermostat operator is
-its restriction to functions of the first particle alone. A direct
-six-variable product-quadrature route and a closed-form tensor-moment
-route cross-validate the assembly.
+r. The six-variable pair average is therefore mix o refl o mix, from a
+two-variable mixing rotation per coordinate and a three-variable
+reflection average; the thermostat operator averages the co-isometry
+(v, s) -> v + (s - v . omega) omega, whose background component s
+integrates out.
 
-Every block comes from one quadrature kernel. A product Gauss-Hermite
-grid carries the Gaussian weight; the basis is evaluated at the images of
-the grid under the block's maps (one orthogonal map, or one reflected or
-collided point set per sphere node) and averaged over the maps first,
-then one weighted Gram product with the basis on the grid gives the
-block. Rules are chosen by polynomial-degree exactness counts, and every
-block is re-integrated at a strictly finer rule; disagreement raises.
+Every block comes from one symmetric-power kernel. A co-isometry
+x -> A x acts on the degree-m Hermite block exactly as (A^T)^(x)m acts
+on symmetric rank-m coefficient tensors, so a block needs only the
+average over omega, which a sphere rule of degree 2m integrates exactly;
+no Gauss-Hermite grid in x is needed. Each block is cross-checked
+against its product Gauss-Hermite x sphere quadrature at the base rule,
+and the closed-form tensor-moment route checks the thermostat spectrum.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ __all__ = [
     "assemble_pair_rotation",
     "assemble_T",
     "assemble_generator",
-    "sphere_moment_tensor",
-    "tensor_T",
     "symmetric_tensor_eigenvalues",
     "invariant_projector",
     "SpectralContext",
@@ -81,7 +78,7 @@ KERNEL_TOL = 1e-8
 # Largest Lanczos residual ||A x - theta x|| of the gap's Ritz pair, and
 # largest overlap ||U_m^T x|| of its Ritz vector with the invariants.
 RITZ_TOL = 1e-10
-# Two quadrature refinement levels must agree entrywise to this.
+# A block and its quadrature cross-check must agree entrywise to this.
 REFINE_TOL = 1e-10
 # Largest dense float64 operator on the joint basis, in bytes (8192
 # rows). A SpectralContext holds two (its generators); the gap and the
@@ -125,9 +122,83 @@ class OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# quadrature-built blocks (cached per degree)
+# collision-average blocks (cached per degree)
 
 _cache: dict = {}
+
+# the per-coordinate center-of-mass rotation (a symmetric involution)
+_MIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _kron_power_sum(maps: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """sum_k w_k (A_k^T)^(x)m for a batch (K, n, n) of maps, as n^m x n^m.
+
+    Rows and columns are index tuples in np.kron order, first index
+    slowest. With a = ceil(m/2) and b = floor(m/2), the Kronecker powers
+    X_k = (A_k^T)^(x)a and Y_k = (A_k^T)^(x)b are built for all maps at
+    once; entry ((i, j), (p, q)) of the sum is sum_k w_k X_k[i, p] Y_k[j, q],
+    one weighted product X^T diag(w) Y with the rows and columns regrouped.
+    """
+    at = np.asarray(maps, dtype=float).transpose(0, 2, 1)
+    k, n = at.shape[:2]
+
+    def power(r):
+        """(A_k^T)^(x)r for every map k, each flattened to one row."""
+        out = np.ones((k, 1, 1))
+        for _ in range(r):
+            size = n * out.shape[1]
+            out = np.einsum("kip,kjq->kijpq", out, at).reshape(k, size, size)
+        return out.reshape(k, -1)
+
+    a, b = (m + 1) // 2, m // 2
+    quad = (power(a).T * w) @ power(b)
+    quad = quad.reshape(n ** a, n ** a, n ** b, n ** b).transpose(0, 2, 1, 3)
+    return quad.reshape(n ** m, n ** m)
+
+
+def _symmetrizer(n: int, m: int) -> np.ndarray:
+    """b_m: orthonormal basis of the symmetric rank-m tensors on R^n.
+
+    Column alpha, in make_basis(n, m).degree_slice(m) order, is the
+    indicator of the index tuples with exponent alpha (np.kron order)
+    over the square root of their number.
+    """
+    basis = make_basis(n, m)
+    sl = basis.degree_slice(m)
+    cols = [basis.index[tuple(t.count(i) for i in range(n))] - sl.start
+            for t in itertools.product(range(n), repeat=m)]
+    out = np.zeros((n ** m, sl.stop - sl.start))
+    out[np.arange(n ** m), cols] = 1.0
+    return out / np.sqrt(out.sum(axis=0))
+
+
+def _sphere_maps(m: int, c: float):
+    """I - c omega omega^T at the nodes of sphere_rule(2m), and the weights:
+    every entry of its m-th Kronecker power has degree 2m in omega."""
+    nodes, w = sphere_rule(2 * m)
+    return np.eye(3) - c * nodes[:, :, None] * nodes[:, None, :], w
+
+
+# Each block averages h -> h(A x) over maps A: (variables, maps_of), with
+# maps_of(m) the maps (K, n, n) and weights of a rule exact at degree m.
+_KERNEL_MAPS = {
+    "mix": (2, lambda m: (_MIX[None], np.ones(1))),
+    "reflection": (3, lambda m: _sphere_maps(m, 2.0)),
+    "thermostat": (3, lambda m: _sphere_maps(m, 1.0)),
+}
+
+
+def _kernel_block(kind: str, d: int) -> np.ndarray:
+    """Matrix of h -> sum_k w_k h(A_k x) on the basis of degree <= d: block
+    m is b_m^T (sum_k w_k (A_k^T)^(x)m) b_m, off-degree entries exactly 0."""
+    n, maps_of = _KERNEL_MAPS[kind]
+    basis = make_basis(n, d)
+    out = np.zeros((basis.size, basis.size))
+    for m in range(d + 1):
+        b = _symmetrizer(n, m)
+        sl = basis.degree_slice(m)
+        out[sl, sl] = b.T @ _kron_power_sum(*maps_of(m), m) @ b
+    return out
 
 
 def _gauss_grid(nvars: int, npoints: int):
@@ -152,47 +223,40 @@ def _averaged_gram(basis: Basis, pts: np.ndarray, w: np.ndarray, maps) -> np.nda
     return (evaluate_basis(basis, pts[:, :basis.nvars]) * w[:, None]).T @ avg
 
 
-def _mix_block_2var(d: int, extra: int = 0) -> np.ndarray:
-    """Matrix of h -> h((x+y)/sqrt2, (x-y)/sqrt2), the per-coordinate
-    center-of-mass rotation (a symmetric involution)."""
-    u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    pts, w = _gauss_grid(2, d + 1 + extra)
-    return _averaged_gram(make_basis(2, d), pts, w, [(1.0, pts @ u.T)])
+def _mix_block_2var(d: int) -> np.ndarray:
+    """Quadrature of h -> h((x+y)/sqrt2, (x-y)/sqrt2) on 2 variables."""
+    pts, w = _gauss_grid(2, d + 1)
+    return _averaged_gram(make_basis(2, d), pts, w, [(1.0, pts @ _MIX.T)])
 
 
-def _reflection_avg_block(d: int, extra: int = 0) -> np.ndarray:
-    """Average over omega of h -> h(r - 2 (r . omega) omega), 3 variables."""
-    pts, w = _gauss_grid(3, d + 1 + extra)
-    omegas, ow = sphere_rule(2 * d, extra=extra)
+def _reflection_avg_block(d: int) -> np.ndarray:
+    """Quadrature of the average over omega of h -> h(r - 2 (r . omega) omega)."""
+    pts, w = _gauss_grid(3, d + 1)
+    omegas, ow = sphere_rule(2 * d)
     maps = ((sw, pts - 2.0 * (pts @ om)[:, None] * om[None, :])
             for om, sw in zip(omegas, ow))
     return _averaged_gram(make_basis(3, d), pts, w, maps)
 
 
-def _check_refinement(name: str, a: np.ndarray, b: np.ndarray):
-    diff = float(np.abs(a - b).max())
+def _thermostat_block_quadrature(d: int) -> np.ndarray:
+    """Quadrature in (v, s) of the thermostat collision v -> v + (s - v.omega)
+    omega, s the background particle's Gaussian component along omega."""
+    pts, w = _gauss_grid(4, d + 1)
+    v, s = pts[:, :3], pts[:, 3]
+    omegas, ow = sphere_rule(2 * d)
+    maps = ((sw, v + (s - v @ om)[:, None] * om[None, :])
+            for om, sw in zip(omegas, ow))
+    return _averaged_gram(make_basis(3, d), pts, w, maps)
+
+
+def _cross_check(name: str, block: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """Return `block` if it agrees entrywise with its quadrature to REFINE_TOL."""
+    diff = float(np.abs(block - quad).max())
     if diff > REFINE_TOL:
         raise QuadratureError(
-            f"{name}: refinement levels disagree by {diff:.3e} (tol {REFINE_TOL:.0e})"
+            f"{name}: block and quadrature disagree by {diff:.3e} (tol {REFINE_TOL:.0e})"
         )
-
-
-def _pair_block_direct(d: int, extra: int = 0) -> np.ndarray:
-    """Six-variable collision average by direct product quadrature.
-
-    Used to cross-validate the factorized assembly for small d; cost
-    grows as (d+1)^6 so it is not the production route.
-    """
-    pts, w = _gauss_grid(6, d + 1 + extra)
-    a, b = pts[:, :3], pts[:, 3:]
-
-    def collided(om):
-        rel = ((a - b) @ om)[:, None] * om[None, :]
-        return np.concatenate([a - rel, b + rel], axis=1)
-
-    omegas, ow = sphere_rule(2 * d, extra=extra)
-    maps = ((sw, collided(om)) for om, sw in zip(omegas, ow))
-    return _averaged_gram(make_basis(6, d), pts, w, maps)
+    return block
 
 
 def pair_avg_block(d: int) -> np.ndarray:
@@ -200,31 +264,24 @@ def pair_avg_block(d: int) -> np.ndarray:
 
         h(a, b) -> int h(a - ((a-b).omega) omega, b + ((a-b).omega) omega) dsigma
 
-    on the six-variable basis of degree <= d. Assembled through
-    center-of-mass factorization; every piece is re-integrated at a
-    strictly finer rule, and for d <= 3 the direct six-variable
-    quadrature must agree as well.
+    on the six-variable basis of degree <= d, assembled as mix o refl o
+    mix from the kernel's mix and reflection blocks, each checked against
+    its base-rule quadrature.
     """
     key = ("pair", d)
     if key in _cache:
         return _cache[key]
-    b6 = make_basis(6, d)
+    mix = _cross_check("pair mix block", _kernel_block("mix", d), _mix_block_2var(d))
+    refl = _cross_check("pair reflection block", _kernel_block("reflection", d),
+                        _reflection_avg_block(d))
 
-    mix = _mix_block_2var(d)
-    _check_refinement("pair mix block", mix, _mix_block_2var(d, extra=d + 1))
-    refl = _reflection_avg_block(d)
-    _check_refinement("pair reflection block", refl, _reflection_avg_block(d, extra=d + 1))
-
-    b2 = make_basis(2, d)
-    b3 = make_basis(3, d)
+    b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
     mix_full = np.eye(b6.size)
     for pair in ((0, 3), (1, 4), (2, 5)):
         mix_full = mix_full @ embed_block(mix, b2, b6, pair)
     refl_full = embed_block(refl, b3, b6, (3, 4, 5))
     out = mix_full @ refl_full @ mix_full
 
-    if d <= 3:
-        _check_refinement("pair block (direct route)", out, _pair_block_direct(d))
     asym = float(np.abs(out - out.T).max())
     if asym > REFINE_TOL:
         raise ToleranceError(f"pair block asymmetry {asym:.3e}")
@@ -233,40 +290,16 @@ def pair_avg_block(d: int) -> np.ndarray:
     return _cache[key]
 
 
-def _thermostat_block_quadrature(d: int, extra: int = 0) -> np.ndarray:
-    """Thermostat average by (velocity x scalar) Gauss-Hermite x sphere.
-
-    The background particle enters only through its component along
-    omega, a scalar Gaussian s, giving v* = v + (s - v.omega) omega.
-    """
-    pts, w = _gauss_grid(4, d + 1 + extra)
-    v, s = pts[:, :3], pts[:, 3]
-    omegas, ow = sphere_rule(2 * d, extra=extra)
-    maps = ((sw, v + (s - v @ om)[:, None] * om[None, :])
-            for om, sw in zip(omegas, ow))
-    return _averaged_gram(make_basis(3, d), pts, w, maps)
-
-
 def thermostat_block(d: int) -> np.ndarray:
-    """Matrix of the single-particle thermostat average on 3 variables.
-
-    Restriction of the pair average to functions of the first particle
-    (background velocity integrated out), cross-validated against the
-    direct quadrature route at two refinement levels.
-    """
+    """Matrix of the single-particle thermostat average on 3 variables: the
+    collision is the co-isometry [I - omega omega^T, omega] of (v, s), so s
+    integrates out and the kernel averages I - omega omega^T alone."""
     key = ("thermostat", d)
     if key in _cache:
         return _cache[key]
-    b6 = make_basis(6, d)
-    b3 = make_basis(3, d)
-    pair = pair_avg_block(d)
-    keep = [b6.index[tuple(list(e) + [0, 0, 0])] for e in b3.exponents]
-    via_pair = pair[np.ix_(keep, keep)]
-
-    direct = _thermostat_block_quadrature(d)
-    _check_refinement("thermostat block", direct, _thermostat_block_quadrature(d, extra=2))
-    _check_refinement("thermostat block (pair route)", via_pair, direct)
-    _cache[key] = OperatorMatrix.from_raw("thermostat_avg", b3, via_pair).mat
+    block = _cross_check("thermostat block", _kernel_block("thermostat", d),
+                         _thermostat_block_quadrature(d))
+    _cache[key] = OperatorMatrix.from_raw("thermostat_avg", make_basis(3, d), block).mat
     return _cache[key]
 
 
@@ -476,7 +509,7 @@ def tensor_T(m: int) -> np.ndarray:
 
     Closed form from E[(I - omega omega^T)^(x)m] expanded over subsets,
     with sphere moments summing pair matchings; cross-validated against
-    sphere quadrature. m = 0 returns the identity on scalars.
+    the kernel's sphere quadrature. m = 0 returns the identity on scalars.
     """
     if m < 0 or m > 6:
         raise StateError("tensor order must be in 0..6 (3^m blow-up beyond)")
@@ -486,8 +519,8 @@ def tensor_T(m: int) -> np.ndarray:
     li, lj = letters[:m], letters[m:2 * m]
     big = np.zeros((3,) * (2 * m))
     for r in range(m + 1):
+        mom = sphere_moment_tensor(2 * r)
         for subset in itertools.combinations(range(m), r):
-            mom = sphere_moment_tensor(2 * r)
             operands, subs = [], []
             if r:
                 operands.append(mom)
@@ -499,33 +532,7 @@ def tensor_T(m: int) -> np.ndarray:
             subscripts = ",".join(subs) + "->" + li + lj
             big += (-1) ** r * np.einsum(subscripts, *operands)
     out = big.reshape(3 ** m, 3 ** m)
-    _check_refinement(f"tensor_T({m})", out, _tensor_T_quadrature(m))
-    return out
-
-
-def _tensor_T_quadrature(m: int) -> np.ndarray:
-    """sum_k w_k A_k^(x)m over the nodes of sphere_rule(2m), A = I - omega omega^T.
-
-    With a = ceil(m/2) and b = floor(m/2), the Kronecker powers X_k =
-    A_k^(x)a and Y_k = A_k^(x)b are built for all nodes at once; entry
-    ((i, j), (p, q)) of the sum is sum_k w_k X_k[i, p] Y_k[j, q], one
-    weighted product X^T diag(w) Y with the rows and columns regrouped.
-    """
-    nodes, wts = sphere_rule(2 * m)
-    a_nodes = np.eye(3) - nodes[:, :, None] * nodes[:, None, :]
-
-    def power(r):
-        """A_k^(x)r for every node k, each flattened to one row."""
-        out = np.ones((len(nodes), 1, 1))
-        for _ in range(r):
-            size = 3 * out.shape[1]
-            out = np.einsum("kip,kjq->kijpq", out, a_nodes).reshape(-1, size, size)
-        return out.reshape(len(nodes), -1)
-
-    a, b = (m + 1) // 2, m // 2
-    quad = (power(a).T * wts) @ power(b)
-    quad = quad.reshape(3 ** a, 3 ** a, 3 ** b, 3 ** b).transpose(0, 2, 1, 3)
-    return quad.reshape(3 ** m, 3 ** m)
+    return _cross_check(f"tensor_T({m})", out, _kron_power_sum(*_sphere_maps(m, 1.0), m))
 
 
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
@@ -536,21 +543,8 @@ def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
     degree-m Hermite expansion is symmetric, and the thermostat average
     acts on it exactly by tensor_T(m).
     """
-    t = tensor_T(m)
-    if m == 0:
-        return np.array([1.0])
-    cols = []
-    for combo in itertools.combinations_with_replacement(range(3), m):
-        vec = np.zeros(3 ** m)
-        perms = set(itertools.permutations(combo))
-        for p in perms:
-            idx = 0
-            for c in p:
-                idx = idx * 3 + c
-            vec[idx] = 1.0
-        cols.append(vec / np.sqrt(len(perms)))
-    b = np.stack(cols, axis=1)
-    return np.linalg.eigvalsh(b.T @ t @ b)
+    b = _symmetrizer(3, m)
+    return np.linalg.eigvalsh(b.T @ tensor_T(m) @ b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Sphere quadrature of the tensor thermostat map, one node at a time.
 
 The package forms sum_k w_k (I - omega_k omega_k^T)^(x)m as one weighted
-product over all sphere nodes (`spectral._tensor_T_quadrature`). The
+product over all sphere nodes (`spectral._kron_power_sum`). The
 route here builds the m-fold Kronecker power of each node's matrix in a
 loop and adds them up. Tests compare the two.
 """

@@ -134,6 +134,27 @@ def test_verify_lemma3_needs_no_config(tmp_path, capsys):
     assert streamed["degree1_eigenvalue"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_verify_lemma3_catches_a_shifted_eigenvalue_below_the_top(
+        tmp_path, monkeypatch, capsys):
+    # 7/15 of degree 2 moves by 1e-6; the top eigenvalues still agree
+    real = cli.symmetric_tensor_eigenvalues
+
+    def shifted(deg):
+        ev = np.sort(real(deg))
+        if deg == 2:
+            ev[0] += 1e-6
+        return ev
+
+    monkeypatch.setattr(cli, "symmetric_tensor_eigenvalues", shifted)
+    out = tmp_path / "l3.json"
+    assert _run("verify-lemma3", "--max-degree", "3", "--out", str(out)) == 3
+    doc = json.loads(out.read_text())
+    for deg in ("1", "2", "3"):
+        assert abs(doc["tensor_route"][deg] - doc["matrix_route"][deg]) <= 1e-14
+    assert doc["route_disagreement"] == pytest.approx(1e-6, rel=1e-6)
+    assert "route disagreement 1.000e-06" in capsys.readouterr().err
+
+
 def test_gap_json(tmp_path):
     cfg = _write_config(tmp_path, degree=2)
     out = tmp_path / "gap.json"

@@ -25,7 +25,6 @@ from kacbath import (
     make_basis,
     spectral_gap,
     symmetric_tensor_eigenvalues,
-    tensor_T,
     verify_lemma2,
 )
 from kacbath import spectral
@@ -35,6 +34,7 @@ from kacbath.spectral import (
     embed_block,
     pair_avg_block,
     sphere_moment_tensor,
+    tensor_T,
     thermostat_block,
     v_slots,
     w_slots,
@@ -42,6 +42,7 @@ from kacbath.spectral import (
 
 import embedding_oracle
 import gap_oracle
+import quadrature_oracle
 import tensor_oracle
 
 
@@ -124,15 +125,16 @@ def test_thermostat_generator_kills_reservoir_momentum_only():
 
 
 def test_bath_map_degree_blocks():
+    # the 2l+1 multiplicities of the O(3) harmonic pieces of each degree,
+    # by the matrix route and the tensor route
     t = assemble_T(1, 4)
-    for d, expected in [
-        (1, {2.0 / 3.0}),
-        (2, {7.0 / 15.0, 2.0 / 3.0}),
-        (3, {12.0 / 35.0, 8.0 / 15.0}),
+    for deg, pinned in [
+        (1, [2 / 3] * 3),
+        (2, [7 / 15] * 5 + [2 / 3]),
+        (3, [12 / 35] * 7 + [8 / 15] * 3),
     ]:
-        eigs = np.linalg.eigvalsh(t.block(d))
-        got = set(np.round(eigs, 10))
-        assert got == {round(e, 10) for e in expected}
+        for eigs in (np.linalg.eigvalsh(t.block(deg)), symmetric_tensor_eigenvalues(deg)):
+            np.testing.assert_allclose(np.sort(eigs), pinned, rtol=0, atol=1e-14)
     # degree-1 block is exactly (2/3) I
     np.testing.assert_allclose(t.block(1), (2.0 / 3.0) * np.eye(3), atol=1e-12)
 
@@ -142,9 +144,9 @@ def test_tensor_route_matches_matrix_route():
     for deg in range(1, 6):
         a = np.sort(symmetric_tensor_eigenvalues(deg))
         b = np.sort(np.linalg.eigvalsh(t.block(deg)))
-        # same top eigenvalue; the tensor route may enumerate with
-        # different multiplicities, so compare the extremes and bound
-        assert abs(a.max() - b.max()) < 1e-9
+        # both routes give the whole spectrum of the degree block
+        assert a.shape == b.shape == ((deg + 1) * (deg + 2) // 2,)
+        assert np.abs(a - b).max() < 1e-9
         assert b.max() <= 2.0 / 3.0 + 1e-10
         assert a.max() <= 2.0 / 3.0 + 1e-10
 
@@ -163,14 +165,14 @@ def test_sphere_moment_tensors():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_tensor_quadrature_equals_the_per_node_loop(m):
-    got = spectral._tensor_T_quadrature(m)
+    got = spectral._kron_power_sum(*spectral._sphere_maps(m, 1.0), m)
     want = tensor_oracle.tensor_T_quadrature(m)
     assert np.abs(got - want).max() <= 1e-14
 
 
 def test_tensor_T_check_catches_a_perturbed_quadrature(monkeypatch):
-    real = spectral._tensor_T_quadrature
-    monkeypatch.setattr(spectral, "_tensor_T_quadrature", lambda m: real(m) + 1e-8)
+    real = spectral._kron_power_sum
+    monkeypatch.setattr(spectral, "_kron_power_sum", lambda *a: real(*a) + 1e-8)
     with pytest.raises(QuadratureError, match=re.escape("tensor_T(3):")):
         tensor_T(3)
 
@@ -515,26 +517,65 @@ def test_embedding_rejects_a_sub_basis_of_lower_degree():
 
 
 # ---------------------------------------------------------------------------
-# every quadrature route is checked
+# the symmetric-power kernel and its quadrature cross-checks
 
 
-@pytest.mark.parametrize("route,levels,check", [
-    ("_mix_block_2var", "refined", "pair mix block:"),
-    ("_reflection_avg_block", "refined", "pair reflection block:"),
-    ("_pair_block_direct", "both", "pair block (direct route):"),
-    ("_thermostat_block_quadrature", "refined", "thermostat block:"),
-    # both thermostat levels agree with each other, not with the pair route
-    ("_thermostat_block_quadrature", "both", "thermostat block (pair route):"),
+@pytest.mark.parametrize("route,build,check", [
+    pytest.param("_mix_block_2var", pair_avg_block, "pair mix block:",
+                 id="_mix_block_2var"),
+    pytest.param("_reflection_avg_block", pair_avg_block, "pair reflection block:",
+                 id="_reflection_avg_block"),
+    pytest.param("_thermostat_block_quadrature", thermostat_block, "thermostat block:",
+                 id="_thermostat_block_quadrature"),
 ])
-def test_each_quadrature_check_catches_a_perturbed_route(route, levels, check,
+def test_each_quadrature_check_catches_a_perturbed_route(route, build, check,
                                                          monkeypatch):
     real = getattr(spectral, route)
-
-    def nudged(d, extra=0):
-        out = real(d, extra=extra)
-        return out + 1e-8 if extra or levels == "both" else out
-
     monkeypatch.setattr(spectral, "_cache", {})
-    monkeypatch.setattr(spectral, route, nudged)
+    monkeypatch.setattr(spectral, route, lambda d: real(d) + 1e-8)
     with pytest.raises(QuadratureError, match=re.escape(check)):
-        thermostat_block(2)
+        build(2)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_thermostat_block_is_the_first_particle_restriction_of_the_pair_block(d):
+    b3, b6 = make_basis(3, d), make_basis(6, d)
+    keep = [b6.index[tuple(e) + (0, 0, 0)] for e in b3.exponents]
+    restricted = pair_avg_block(d)[np.ix_(keep, keep)]
+    assert np.abs(thermostat_block(d) - restricted).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat"])
+def test_kernel_blocks_have_exactly_zero_off_degree_entries(kind):
+    d = 4
+    basis = make_basis(spectral._KERNEL_MAPS[kind][0], d)
+    off = basis.degree_of[:, None] != basis.degree_of[None, :]
+    assert (spectral._kernel_block(kind, d)[off] == 0.0).all()
+
+
+def test_kernel_acts_as_a_non_symmetric_map_does():
+    # every map the package averages is symmetric; a random rotation tells
+    # (A^T)^(x)m from A^(x)m and checks the symmetrizer's column order
+    d = 4
+    a = np.linalg.qr(RngStream(5, 0).rng.standard_normal((3, 3)))[0]
+    basis = make_basis(3, d)
+    pts, w = spectral._gauss_grid(3, d + 1)
+    quad = spectral._averaged_gram(basis, pts, w, [(1.0, pts @ a.T)])
+    for m in range(d + 1):
+        b = spectral._symmetrizer(3, m)
+        sl = basis.degree_slice(m)
+        block = b.T @ spectral._kron_power_sum(a[None], np.ones(1), m) @ b
+        assert np.abs(block - quad[sl, sl]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", range(7))
+@pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat"])
+def test_kernel_blocks_match_the_refined_quadrature(kind, d):
+    refined = getattr(quadrature_oracle, f"{kind}_block")(d)
+    assert np.abs(spectral._kernel_block(kind, d) - refined).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_pair_block_matches_the_direct_six_variable_route(d):
+    direct = quadrature_oracle.pair_block_direct(d)
+    assert np.abs(pair_avg_block(d) - direct).max() <= 1e-13
