@@ -17,6 +17,15 @@ k and l are certified here only as truncated-space, per-configuration
 estimates supplied by the spectral module; nothing assumes they are
 independent of (M, N) even though the displayed formula treats them as
 constants.
+
+Finding (the strict xfail in tests/test_bounds.py): the bump's initial
+slope is at most l/((1 + sqrt 3) sqrt M) times the permanent term's,
+about 0.18 at M = 1 with l = 0.499, since C sqrt(N) >= (1 + sqrt 3)
+sqrt(M) and lambda >= mu; at M = 1, N = 64, unit rates and k in
+[0.34, 50] the bump never crosses. Later times are not capped: max_t
+term2/term1 reached 0.28 for k > mu/3 (M <= 2, N <= 256) and, for
+k << mu/3, where b < 0 and the bump decays at rate k, 0.54 at M = 1
+and 1.06-1.09 at M = 4 (N = 64..4096), where it does cross.
 """
 
 from __future__ import annotations

@@ -285,10 +285,11 @@ def cmd_verify_lemma2(cfg: RunConfig | None, args) -> int:
     cfg = _require_config(cfg)
     p = _model(cfg)
     basis = make_basis(3 * cfg.m, cfg.degree)
+    ctx = SpectralContext(p, cfg.degree)
     trials = []
     for trial in range(cfg.random_polynomials):
         vec = RngStream(cfg.seed, trial).rng.standard_normal(basis.size)
-        res = verify_lemma2(HermiteCoeffs(basis, vec), p, d=cfg.degree)
+        res = verify_lemma2(HermiteCoeffs(basis, vec), ctx)
         trials.append({"lhs": res.lhs, "rhs": res.rhs,
                        "variance_bound": res.variance_bound})
     payload = {

@@ -26,7 +26,8 @@ class ToleranceError(KacbathError):
 
 
 class QuadratureError(ToleranceError):
-    """A block and its quadrature cross-check disagree beyond tolerance."""
+    """A collision-average block built by sphere quadrature (the kernel)
+    and its exact sphere-moment cross-check disagree beyond tolerance."""
 
 
 class IntegrationError(ToleranceError):

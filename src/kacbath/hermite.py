@@ -12,9 +12,9 @@ operator in this package is degree-preserving in this basis, which is
 what makes the truncated matrices exact restrictions rather than
 approximations.
 
-Also hosts the quadrature rules (Gauss-Hermite for the Gaussian weight,
-product Gauss-Legendre x uniform for the unit sphere) and exact
-conversion between sparse monomial polynomials and Hermite coefficients.
+Also hosts the sphere rule (product Gauss-Legendre x uniform), the one
+integration input of the collision-average kernel, and exact conversion
+between sparse monomial polynomials and Hermite coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_triangular
 
@@ -35,7 +34,6 @@ __all__ = [
     "make_basis",
     "hermite_value_table",
     "evaluate_basis",
-    "gauss_hermite_gamma",
     "sphere_rule",
     "monomial_to_hermite_1d",
     "HermiteCoeffs",
@@ -154,16 +152,7 @@ def evaluate_basis(basis: Basis, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-def gauss_hermite_gamma(npoints: int):
-    """Nodes/weights for int f(x) exp(-pi x^2) dx; weights sum to 1.
-
-    Exact for polynomials of degree <= 2*npoints - 1.
-    """
-    y, w = hermgauss(npoints)
-    return y / np.sqrt(np.pi), w / np.sqrt(np.pi)
+# sphere rule
 
 
 def sphere_rule(max_degree: int):

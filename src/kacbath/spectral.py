@@ -19,16 +19,21 @@ x -> A x acts on the degree-m Hermite block exactly as (A^T)^(x)m acts
 on symmetric rank-m coefficient tensors, so a block needs only the
 average over omega, which a sphere rule of degree 2m integrates exactly;
 no Gauss-Hermite grid in x is needed. Each block is cross-checked
-against its product Gauss-Hermite x sphere quadrature at the base rule,
-and the closed-form tensor-moment route checks the thermostat spectrum.
+against an exact route that shares no code with the kernel: the map's
+rows r_c(x, omega) are expanded as polynomials, and every omega^gamma is
+replaced by its closed-form sphere moment
+E[omega^gamma] = prod_i (gamma_i - 1)!! / (|gamma| + 1)!! (even gamma;
+0 otherwise) in exact rational arithmetic. The thermostat spectrum of
+`verify-lemma3`'s second route is taken from the same exact blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
+from fractions import Fraction
+from functools import cache, cached_property
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +45,6 @@ from .errors import ConfigError, QuadratureError, StateError, ToleranceError
 from .hermite import (
     Basis,
     HermiteCoeffs,
-    evaluate_basis,
-    gauss_hermite_gamma,
     hermite_coeffs_from_poly,
     make_basis,
     poly_add,
@@ -78,10 +81,10 @@ KERNEL_TOL = 1e-8
 # Largest Lanczos residual ||A x - theta x|| of the gap's Ritz pair, and
 # largest overlap ||U_m^T x|| of its Ritz vector with the invariants.
 RITZ_TOL = 1e-10
-# A block and its quadrature cross-check must agree entrywise to this.
+# A kernel block and its exact cross-check must agree entrywise to this.
 REFINE_TOL = 1e-10
-# Largest dense float64 operator on the joint basis, in bytes (8192
-# rows). A SpectralContext holds two (its generators); the gap and the
+# Largest dense float64 operator on a joint or tagged basis, in bytes
+# (8192 rows). A SpectralContext holds two (its generators); the gap and the
 # DOP853 cross-check work on sparse copies, and `evolve` diagonalises
 # one degree block at a time. The largest size in use (d=3, M=1, N=8:
 # 4060 rows) needs 132 MB per generator.
@@ -188,70 +191,117 @@ _KERNEL_MAPS = {
 }
 
 
-def _kernel_block(kind: str, d: int) -> np.ndarray:
-    """Matrix of h -> sum_k w_k h(A_k x) on the basis of degree <= d: block
-    m is b_m^T (sum_k w_k (A_k^T)^(x)m) b_m, off-degree entries exactly 0."""
-    n, maps_of = _KERNEL_MAPS[kind]
+def _by_degree(n: int, d: int, block) -> np.ndarray:
+    """The matrix on make_basis(n, d) whose degree-m block is block(m);
+    off-degree entries are exactly 0."""
     basis = make_basis(n, d)
     out = np.zeros((basis.size, basis.size))
     for m in range(d + 1):
-        b = _symmetrizer(n, m)
         sl = basis.degree_slice(m)
-        out[sl, sl] = b.T @ _kron_power_sum(*maps_of(m), m) @ b
+        out[sl, sl] = block(m)
     return out
 
 
-def _gauss_grid(nvars: int, npoints: int):
-    """Product Gauss-Hermite rule on nvars variables: points (npoints**nvars,
-    nvars), first variable slowest, and their weights."""
-    nodes, wts = gauss_hermite_gamma(npoints)
-    idx = np.array(list(itertools.product(range(npoints), repeat=nvars)))
-    return nodes[idx], np.prod(wts[idx], axis=1)
+def _kernel_block(kind: str, d: int) -> np.ndarray:
+    """Matrix of h -> sum_k w_k h(A_k x) on the basis of degree <= d: block
+    m is b_m^T (sum_k w_k (A_k^T)^(x)m) b_m."""
+    n, maps_of = _KERNEL_MAPS[kind]
+
+    def block(m):
+        b = _symmetrizer(n, m)
+        return b.T @ _kron_power_sum(*maps_of(m), m) @ b
+
+    return _by_degree(n, d, block)
 
 
-def _averaged_gram(basis: Basis, pts: np.ndarray, w: np.ndarray, maps) -> np.ndarray:
-    """Matrix of h -> sum_(c, y) c h(y) on `basis`, by the rule (pts, w).
+# ---------------------------------------------------------------------------
+# the exact route: closed-form sphere moments in rational arithmetic
 
-    Each (c, y) in `maps` is a weight and the images y of all points under
-    one map. The images are averaged pointwise first, then one weighted
-    Gram product sum_q w_q h_a(x_q) avg_b(x_q) is formed. Columns of
-    `pts` past the basis variables are integrated out.
+
+@cache
+def _sphere_moment(gamma: tuple) -> Fraction:
+    """E[omega^gamma] under the normalized measure on the unit sphere S^2:
+    prod_i (gamma_i - 1)!! / (|gamma| + 1)!! if every gamma_i is even, else 0."""
+    if any(g % 2 for g in gamma):
+        return Fraction(0)
+    return Fraction(prod(prod(range(g - 1, 0, -2)) for g in gamma),
+                    prod(range(sum(gamma) + 1, 0, -2)))
+
+
+def _sphere_entry(alpha: tuple, beta: tuple, c: int) -> Fraction:
+    """Coefficient of x^alpha in E_omega prod_i (x_i - c omega_i (omega.x))^beta_i.
+
+    Taking j_i factors -c omega_i (omega.x) from the i-th power leaves
+    x^(beta - j); the multinomial expansion of (omega.x)^|j| must then
+    supply x^delta with delta = alpha - beta + j, and omega^delta with it.
     """
-    avg = np.zeros((len(pts), basis.size))
-    for c, y in maps:
-        avg += c * evaluate_basis(basis, y)
-    return (evaluate_basis(basis, pts[:, :basis.nvars]) * w[:, None]).T @ avg
+    total = Fraction(0)
+    choices = (range(max(0, b - a), b + 1) for a, b in zip(alpha, beta))
+    for j in itertools.product(*choices):
+        delta = [a - b + k for a, b, k in zip(alpha, beta, j)]
+        r = sum(j)
+        count = (prod(comb(b, k) for b, k in zip(beta, j)) * factorial(r)
+                 // prod(factorial(k) for k in delta))
+        total += (-c) ** r * count * _sphere_moment(tuple(k + e for k, e in zip(j, delta)))
+    return total
 
 
-def _mix_block_2var(d: int) -> np.ndarray:
-    """Quadrature of h -> h((x+y)/sqrt2, (x-y)/sqrt2) on 2 variables."""
-    pts, w = _gauss_grid(2, d + 1)
-    return _averaged_gram(make_basis(2, d), pts, w, [(1.0, pts @ _MIX.T)])
+def _mix_entry(alpha: tuple, beta: tuple) -> int:
+    """Coefficient of x^alpha in (x_0 + x_1)^beta_0 (x_0 - x_1)^beta_1."""
+    return sum(comb(beta[0], i) * comb(beta[1], alpha[1] - i) * (-1) ** (alpha[1] - i)
+               for i in range(max(0, alpha[1] - beta[1]), min(beta[0], alpha[1]) + 1))
 
 
-def _reflection_avg_block(d: int) -> np.ndarray:
-    """Quadrature of the average over omega of h -> h(r - 2 (r . omega) omega)."""
-    pts, w = _gauss_grid(3, d + 1)
-    omegas, ow = sphere_rule(2 * d)
-    maps = ((sw, pts - 2.0 * (pts @ om)[:, None] * om[None, :])
-            for om, sw in zip(omegas, ow))
-    return _averaged_gram(make_basis(3, d), pts, w, maps)
+# (variables, entry) per kind; the rows whose powers are averaged are
+# x_0 +- x_1 (mix, before its factor 2^(-m/2)), x_c - 2 omega_c (omega.x)
+# and x_c - omega_c (omega.x)
+_MOMENT_ENTRIES = {
+    "mix": (2, _mix_entry),
+    "reflection": (3, lambda a, b: _sphere_entry(a, b, 2)),
+    "thermostat": (3, lambda a, b: _sphere_entry(a, b, 1)),
+}
 
 
-def _thermostat_block_quadrature(d: int) -> np.ndarray:
-    """Quadrature in (v, s) of the thermostat collision v -> v + (s - v.omega)
-    omega, s the background particle's Gaussian component along omega."""
-    pts, w = _gauss_grid(4, d + 1)
-    v, s = pts[:, :3], pts[:, 3]
-    omegas, ow = sphere_rule(2 * d)
-    maps = ((sw, v + (s - v @ om)[:, None] * om[None, :])
-            for om, sw in zip(omegas, ow))
-    return _averaged_gram(make_basis(3, d), pts, w, maps)
+def _degree_exponents(n: int, m: int) -> list[tuple]:
+    """Exponents of degree m on n variables, in make_basis order."""
+    basis = make_basis(n, m)
+    return [tuple(map(int, e)) for e in basis.exponents[basis.degree_slice(m)]]
 
 
-def _cross_check(name: str, block: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Return `block` if it agrees entrywise with its quadrature to REFINE_TOL."""
-    diff = float(np.abs(block - quad).max())
+def _moment_matrix(kind: str, m: int) -> list[list]:
+    """A_m[alpha][beta]: the coefficient of x^alpha in E_omega prod_c
+    r_c(x, omega)^beta_c, over the degree-m exponents, exactly."""
+    n, entry = _MOMENT_ENTRIES[kind]
+    exps = _degree_exponents(n, m)
+    return [[entry(a, b) for b in exps] for a in exps]
+
+
+@cache
+def _exact_block(kind: str, m: int) -> np.ndarray:
+    """Degree-m Hermite block of `kind` from its exact moment matrix.
+
+    h_alpha has leading monomial coefficient (2 pi)^(m/2) / sqrt(alpha!),
+    and a degree-preserving operator is fixed by its action on leading
+    monomials, so the Hermite block is sqrt(alpha!/beta!) A_m[alpha, beta].
+    Cached per (kind, m) by functools.cache (`_cache` holds the assembled
+    pair and thermostat blocks only) and read-only, since callers share it.
+    """
+    exps = _degree_exponents(_MOMENT_ENTRIES[kind][0], m)
+    root = np.sqrt([float(prod(factorial(e) for e in a)) for a in exps])
+    a = np.array([[float(x) for x in row] for row in _moment_matrix(kind, m)])
+    block = root[:, None] * a / root[None, :]
+    if kind == "mix":
+        block *= 2.0 ** (-m / 2)
+    block.flags.writeable = False
+    return block
+
+
+def _checked_kernel(name: str, kind: str, d: int) -> np.ndarray:
+    """The kernel block of `kind`, once it agrees entrywise with the exact
+    route to REFINE_TOL at every degree <= d."""
+    block = _kernel_block(kind, d)
+    exact = _by_degree(_MOMENT_ENTRIES[kind][0], d, lambda m: _exact_block(kind, m))
+    diff = float(np.abs(block - exact).max())
     if diff > REFINE_TOL:
         raise QuadratureError(
             f"{name}: block and quadrature disagree by {diff:.3e} (tol {REFINE_TOL:.0e})"
@@ -266,14 +316,13 @@ def pair_avg_block(d: int) -> np.ndarray:
 
     on the six-variable basis of degree <= d, assembled as mix o refl o
     mix from the kernel's mix and reflection blocks, each checked against
-    its base-rule quadrature.
+    its exact route.
     """
     key = ("pair", d)
     if key in _cache:
         return _cache[key]
-    mix = _cross_check("pair mix block", _kernel_block("mix", d), _mix_block_2var(d))
-    refl = _cross_check("pair reflection block", _kernel_block("reflection", d),
-                        _reflection_avg_block(d))
+    mix = _checked_kernel("pair mix block", "mix", d)
+    refl = _checked_kernel("pair reflection block", "reflection", d)
 
     b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
     mix_full = np.eye(b6.size)
@@ -297,8 +346,7 @@ def thermostat_block(d: int) -> np.ndarray:
     key = ("thermostat", d)
     if key in _cache:
         return _cache[key]
-    block = _cross_check("thermostat block", _kernel_block("thermostat", d),
-                         _thermostat_block_quadrature(d))
+    block = _checked_kernel("thermostat block", "thermostat", d)
     _cache[key] = OperatorMatrix.from_raw("thermostat_avg", make_basis(3, d), block).mat
     return _cache[key]
 
@@ -371,21 +419,23 @@ def w_slots(p: ModelParams, j: int):
     return np.arange(3 * (p.m + j), 3 * (p.m + j) + 3)
 
 
-def joint_basis(p: ModelParams, d: int) -> Basis:
-    """Hermite basis of degree <= d on all 3(M+N) velocity components.
-
-    The size is checked in closed form before anything is enumerated:
-    one dense operator on it must fit in DENSE_BYTES_MAX.
-    """
-    rows = comb(3 * (p.m + p.n) + d, d)
+def _dense_basis(nvars: int, d: int, what: str) -> Basis:
+    """make_basis(nvars, d), after a closed-form check that one dense
+    operator on it fits in DENSE_BYTES_MAX; nothing is enumerated before."""
+    rows = comb(nvars + d, d)
     dense = 8 * rows * rows
     if dense > DENSE_BYTES_MAX:
         raise ConfigError(
-            f"joint basis at M={p.m}, N={p.n}, degree {d} has {rows} rows; "
-            f"one dense operator needs {dense / 1e6:.3g} MB, over the "
-            f"{DENSE_BYTES_MAX / 1e6:.3g} MB limit"
+            f"{what} has {rows} rows; one dense operator needs {dense / 1e6:.3g} "
+            f"MB, over the {DENSE_BYTES_MAX / 1e6:.3g} MB limit"
         )
-    return make_basis(3 * (p.m + p.n), d)
+    return make_basis(nvars, d)
+
+
+def joint_basis(p: ModelParams, d: int) -> Basis:
+    """Hermite basis of degree <= d on all 3(M+N) velocity components,
+    size-checked by _dense_basis."""
+    return _dense_basis(3 * (p.m + p.n), d, f"joint basis at M={p.m}, N={p.n}, degree {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +443,13 @@ def joint_basis(p: ModelParams, d: int) -> Basis:
 
 
 def assemble_pair_rotation(kind: str, i: int, j: int, p: ModelParams,
-                           d: int) -> OperatorMatrix:
+                           d: int, basis: Basis | None = None) -> OperatorMatrix:
     """Collision average for one labeled pair on the joint basis.
 
     kind: 'system' (tagged i with tagged j), 'reservoir' (reservoir i
     with reservoir j), or 'interaction' (tagged i with reservoir j).
-    Indices are zero-based within their populations.
+    Indices are zero-based within their populations. A caller that
+    already holds the joint basis of (p, d) passes it as `basis`.
     """
     if kind == "system":
         if not (0 <= i < j < p.m):
@@ -414,16 +465,17 @@ def assemble_pair_rotation(kind: str, i: int, j: int, p: ModelParams,
         slots = np.concatenate([v_slots(i), w_slots(p, j)])
     else:
         raise StateError(f"unknown pair kind {kind!r}")
-    big = joint_basis(p, d)
+    big = joint_basis(p, d) if basis is None else basis
     mat = embed_block(pair_avg_block(d), make_basis(6, d), big, slots)
     return OperatorMatrix.from_raw(f"pair[{kind},{i},{j}]", big, mat)
 
 
 def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
-    """Thermostat average for one tagged particle on the 3m-variable basis."""
+    """Thermostat average for one tagged particle on the 3m-variable basis,
+    size-checked by _dense_basis."""
     if not 0 <= particle < m:
         raise StateError(f"particle {particle} out of range for m={m}")
-    basis = make_basis(3 * m, d)
+    basis = _dense_basis(3 * m, d, f"tagged basis at M={m}, degree {d}")
     mat = embed_block(thermostat_block(d), make_basis(3, d), basis, v_slots(particle))
     return OperatorMatrix.from_raw(f"thermostat[{particle}]", basis, mat)
 
@@ -479,72 +531,17 @@ def assemble_generator(kind: str, p: ModelParams, d: int,
     return OperatorMatrix.from_raw(f"generator[{kind}]", big, g)
 
 
-# ---------------------------------------------------------------------------
-# tensor-moment route for the thermostat average
-
-
-def sphere_moment_tensor(order: int) -> np.ndarray:
-    """E[omega_{i1} ... omega_{i_order}] as a dense (3,)*order tensor.
-
-    Odd orders vanish; even orders follow the recursion
-    M_k = (1/(k+1)) sum_j delta_{i1 ij} (x) M_{k-2}, equivalent to the
-    sum over pair matchings divided by 3 * 5 * ... * (k+1).
-    """
-    if order < 0:
-        raise StateError("order must be >= 0")
-    if order == 0:
-        return np.array(1.0)
-    if order % 2 == 1:
-        return np.zeros((3,) * order)
-    prev = sphere_moment_tensor(order - 2)
-    out = np.zeros((3,) * order)
-    for k in range(1, order):
-        term = np.tensordot(np.eye(3), prev, axes=0)
-        out += np.moveaxis(term, 1, k)
-    return out / (order + 1)
-
-
-def tensor_T(m: int) -> np.ndarray:
-    """Thermostat action on rank-m coefficient tensors, as a 3^m x 3^m map.
-
-    Closed form from E[(I - omega omega^T)^(x)m] expanded over subsets,
-    with sphere moments summing pair matchings; cross-validated against
-    the kernel's sphere quadrature. m = 0 returns the identity on scalars.
-    """
-    if m < 0 or m > 6:
-        raise StateError("tensor order must be in 0..6 (3^m blow-up beyond)")
-    if m == 0:
-        return np.ones((1, 1))
-    letters = "abcdefghijkl"
-    li, lj = letters[:m], letters[m:2 * m]
-    big = np.zeros((3,) * (2 * m))
-    for r in range(m + 1):
-        mom = sphere_moment_tensor(2 * r)
-        for subset in itertools.combinations(range(m), r):
-            operands, subs = [], []
-            if r:
-                operands.append(mom)
-                subs.append("".join(li[k] + lj[k] for k in subset))
-            for k in range(m):
-                if k not in subset:
-                    operands.append(np.eye(3))
-                    subs.append(li[k] + lj[k])
-            subscripts = ",".join(subs) + "->" + li + lj
-            big += (-1) ** r * np.einsum(subscripts, *operands)
-    out = big.reshape(3 ** m, 3 ** m)
-    return _cross_check(f"tensor_T({m})", out, _kron_power_sum(*_sphere_maps(m, 1.0), m))
-
-
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
-    """Eigenvalues of tensor_T(m) restricted to symmetric tensors.
+    """Eigenvalues of the exact degree-m thermostat block.
 
-    These must coincide with the eigenvalues of the degree-m Hermite
-    block of the thermostat operator: the coefficient tensor of a
-    degree-m Hermite expansion is symmetric, and the thermostat average
-    acts on it exactly by tensor_T(m).
+    The coefficient tensor of a degree-m Hermite expansion is symmetric,
+    and the thermostat average acts on it as E[(I - omega omega^T)^(x)m];
+    this route expands that average with the closed-form sphere moments
+    instead of the kernel's sphere rule. The block is cached, so after
+    `thermostat_block(d)` has checked the kernel, degrees m <= d cost
+    one eigvalsh each.
     """
-    b = _symmetrizer(3, m)
-    return np.linalg.eigvalsh(b.T @ tensor_T(m) @ b)
+    return np.linalg.eigvalsh(_exact_block("thermostat", m))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +707,7 @@ class Lemma2Result(NamedTuple):
     variance_bound: float  # (1/N)(<u, T u> - <T u, T u>) >= lhs
 
 
-def verify_lemma2(u: HermiteCoeffs, p: ModelParams, d: int | None = None) -> Lemma2Result:
+def verify_lemma2(u: HermiteCoeffs, ctx: SpectralContext) -> Lemma2Result:
     """Distance between the empirical collision average and its thermostat
     limit, against its exact closed form and its variance upper bound.
 
@@ -725,21 +722,21 @@ def verify_lemma2(u: HermiteCoeffs, p: ModelParams, d: int | None = None) -> Lem
     (so R^2 <= R) and <u, R_1j u> = <u, T_1 u> for u depending only on
     the tagged particle; it is the form the convergence bound consumes
     and is strict unless u sits in an eigenspace with eigenvalue 0 or 1.
-    All three numbers come from assembled matrices.
+    All three numbers come from assembled matrices, on the joint basis of
+    `ctx` at its degree.
     """
-    if d is None:
-        d = u.basis.degree
+    p, d = ctx.p, ctx.d
     if u.basis.nvars != 3 * p.m:
         raise StateError(f"u must live on {3 * p.m} variables, got {u.basis.nvars}")
     if u.basis.degree > d:
         raise StateError("u degree exceeds requested truncation")
-    big = joint_basis(p, d)
+    big = ctx.basis
     u_joint = u.embed(big, np.arange(3 * p.m))
 
     acc = np.zeros(big.size)
     second_moment = 0.0
     for j in range(p.n):
-        op = assemble_pair_rotation("interaction", 0, j, p, d)
+        op = assemble_pair_rotation("interaction", 0, j, p, d, basis=big)
         ru = op.mat @ u_joint.vec
         acc += ru
         second_moment += float(ru @ ru) / p.n

@@ -101,6 +101,23 @@ def test_spectral_exports_symmetric_operator(tmp_path):
     assert np.abs(mat - mat.T).max() < 1e-10
 
 
+def test_spectral_bath_map_over_the_dense_limit_exits_before_enumeration(
+        tmp_path, capsys, monkeypatch):
+    # 120 tagged variables at degree 3 give 302621 rows, 733 GB dense;
+    # the size is refused in closed form, before any basis is enumerated
+    def refuse(nvars, degree):
+        raise AssertionError(f"make_basis({nvars}, {degree}) was called")
+
+    monkeypatch.setattr(spectral, "make_basis", refuse)
+    cfg = _write_config(tmp_path, m=40, degree=3, operator="bath_map")
+    out = tmp_path / "bath.mat"
+    assert _run("spectral", "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert "tagged basis at M=40, degree 3 has 302621 rows" in record["message"]
+    assert not out.exists()
+
+
 def test_verify_lemma1_csv(tmp_path):
     cfg = _write_config(
         tmp_path, samples=400, inner=16, system_sizes=[1],
@@ -210,6 +227,14 @@ def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
     assert generators == {(kind, n, 2): 1 for kind in ("reservoir", "thermostat")
                           for n in sizes}
     assert bases == {(n, 2): 1 for n in sizes}
+
+
+def test_verify_lemma2_enumerates_the_joint_basis_once(tmp_path, monkeypatch):
+    # every trial and every interaction pair share one spectral context
+    bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
+    cfg = _write_config(tmp_path, n=3, degree=2, random_polynomials=4)
+    assert _run("verify-lemma2", "--config", cfg, "--out", str(tmp_path / "l2.json")) == 0
+    assert bases == {(3, 2): 1}
 
 
 def test_distance_csv_contract(tmp_path):

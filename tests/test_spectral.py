@@ -1,11 +1,13 @@
 """Operator assembly on truncated Hermite spaces: contraction, block
 structure, bath-map spectra, rotation-average identity, spectral gaps."""
 
+import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from math import pi, sqrt
+from math import factorial, pi, prod, sqrt
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from kacbath import (
@@ -28,13 +30,17 @@ from kacbath import (
     verify_lemma2,
 )
 from kacbath import spectral
-from kacbath.hermite import poly_coord, poly_mul, poly_add, hermite_coeffs_from_poly
+from kacbath.hermite import (
+    hermite_coeffs_from_poly,
+    poly_add,
+    poly_coord,
+    poly_mul,
+    sphere_rule,
+)
 from kacbath.randomness import RngStream
 from kacbath.spectral import (
     embed_block,
     pair_avg_block,
-    sphere_moment_tensor,
-    tensor_T,
     thermostat_block,
     v_slots,
     w_slots,
@@ -152,8 +158,9 @@ def test_tensor_route_matches_matrix_route():
 
 
 def test_sphere_moment_tensors():
-    np.testing.assert_allclose(sphere_moment_tensor(2), np.eye(3) / 3.0, atol=1e-14)
-    m4 = sphere_moment_tensor(4)
+    np.testing.assert_allclose(tensor_oracle.sphere_moment_tensor(2), np.eye(3) / 3.0,
+                               atol=1e-14)
+    m4 = tensor_oracle.sphere_moment_tensor(4)
     eye = np.eye(3)
     sym = (
         np.einsum("ij,kl->ijkl", eye, eye)
@@ -170,16 +177,17 @@ def test_tensor_quadrature_equals_the_per_node_loop(m):
     assert np.abs(got - want).max() <= 1e-14
 
 
-def test_tensor_T_check_catches_a_perturbed_quadrature(monkeypatch):
+def test_block_check_catches_a_perturbed_kernel_quadrature(monkeypatch):
     real = spectral._kron_power_sum
+    monkeypatch.setattr(spectral, "_cache", {})
     monkeypatch.setattr(spectral, "_kron_power_sum", lambda *a: real(*a) + 1e-8)
-    with pytest.raises(QuadratureError, match=re.escape("tensor_T(3):")):
-        tensor_T(3)
+    with pytest.raises(QuadratureError, match=re.escape("thermostat block:")):
+        thermostat_block(3)
 
 
 def test_tensor_T_is_symmetric_psd_contraction():
     for deg in (1, 2, 3):
-        mat = tensor_T(deg)
+        mat = tensor_oracle.tensor_T(deg)
         np.testing.assert_allclose(mat, mat.T, atol=1e-12)
         eigs = symmetric_tensor_eigenvalues(deg)
         assert eigs.min() >= -1e-12
@@ -191,11 +199,11 @@ def test_tensor_T_is_symmetric_psd_contraction():
 
 def test_lemma2_identity_random_polynomials():
     for n in (2, 3):
-        p = ModelParams(1, n)
+        ctx = SpectralContext(ModelParams(1, n), 3)
         basis = make_basis(3, 3)
         for trial in range(6):
             vec = RngStream(10 + n, trial).rng.standard_normal(basis.size)
-            res = verify_lemma2(HermiteCoeffs(basis, vec), p, d=3)
+            res = verify_lemma2(HermiteCoeffs(basis, vec), ctx)
             assert abs(res.lhs - res.rhs) < 1e-12
             assert res.lhs <= res.variance_bound + 1e-12
 
@@ -205,7 +213,7 @@ def test_lemma2_unit_mode_values():
     # variance bound (2/9)/N, since the pair average has <Ru,Ru> = 5/9
     # while <u,Tu> = 2/3 and <Tu,Tu> = 4/9
     for n, want in [(2, 1.0 / 18.0), (3, 1.0 / 27.0)]:
-        res = verify_lemma2(_unit_h1_tagged(1), ModelParams(1, n), d=1)
+        res = verify_lemma2(_unit_h1_tagged(1), SpectralContext(ModelParams(1, n), 1))
         assert res.lhs == pytest.approx(want, abs=1e-14)
         assert res.variance_bound == pytest.approx(2.0 * want, abs=1e-14)
 
@@ -215,14 +223,14 @@ def test_lemma2_coordinate_function_closed_form():
     b = make_basis(3, 1)
     vec = np.zeros(b.size)
     vec[b.index[(1, 0, 0)]] = 1.0 / sqrt(2.0 * pi)
-    res = verify_lemma2(HermiteCoeffs(b, vec), ModelParams(1, 2), d=1)
+    res = verify_lemma2(HermiteCoeffs(b, vec), SpectralContext(ModelParams(1, 2), 1))
     assert res.lhs == pytest.approx(1.0 / (36.0 * pi), abs=1e-14)
     assert res.variance_bound == pytest.approx(1.0 / (18.0 * pi), abs=1e-14)
 
 
 def test_lemma2_rejects_wrong_variable_count():
     with pytest.raises(StateError):
-        verify_lemma2(_unit_h1_tagged(2), ModelParams(1, 2), d=1)
+        verify_lemma2(_unit_h1_tagged(2), SpectralContext(ModelParams(1, 2), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +462,8 @@ def test_embedded_raw_blocks_equal_the_oracle(d):
     # the raw mix and reflection blocks carry off-degree roundoff; the
     # embedding copies it as it is, exactly like the per-row route
     b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
-    mix = spectral._mix_block_2var(d)
-    refl = spectral._reflection_avg_block(d)
+    mix = quadrature_oracle.mix_block(d, extra=0)
+    refl = quadrature_oracle.reflection_block(d, extra=0)
     off = b2.degree_of[:, None] != b2.degree_of[None, :]
     assert np.abs(mix[off]).max() > 0.0
     for pair in ((0, 3), (1, 4), (2, 5)):
@@ -517,24 +525,22 @@ def test_embedding_rejects_a_sub_basis_of_lower_degree():
 
 
 # ---------------------------------------------------------------------------
-# the symmetric-power kernel and its quadrature cross-checks
+# the symmetric-power kernel and its exact and quadrature cross-checks
 
 
-@pytest.mark.parametrize("route,build,check", [
-    pytest.param("_mix_block_2var", pair_avg_block, "pair mix block:",
-                 id="_mix_block_2var"),
-    pytest.param("_reflection_avg_block", pair_avg_block, "pair reflection block:",
-                 id="_reflection_avg_block"),
-    pytest.param("_thermostat_block_quadrature", thermostat_block, "thermostat block:",
-                 id="_thermostat_block_quadrature"),
+@pytest.mark.parametrize("kind,build,check", [
+    pytest.param("mix", pair_avg_block, "pair mix block:", id="mix"),
+    pytest.param("reflection", pair_avg_block, "pair reflection block:", id="reflection"),
+    pytest.param("thermostat", thermostat_block, "thermostat block:", id="thermostat"),
 ])
-def test_each_quadrature_check_catches_a_perturbed_route(route, build, check,
-                                                         monkeypatch):
-    real = getattr(spectral, route)
+def test_each_exact_check_catches_a_perturbed_block(kind, build, check, monkeypatch):
+    real = spectral._exact_block
     monkeypatch.setattr(spectral, "_cache", {})
-    monkeypatch.setattr(spectral, route, lambda d: real(d) + 1e-8)
-    with pytest.raises(QuadratureError, match=re.escape(check)):
+    monkeypatch.setattr(spectral, "_exact_block",
+                        lambda k, m: real(k, m) + (1e-8 if k == kind else 0.0))
+    with pytest.raises(QuadratureError, match=re.escape(check)) as err:
         build(2)
+    assert "disagree by 1.000e-08" in str(err.value)
 
 
 @pytest.mark.parametrize("d", range(7))
@@ -559,8 +565,8 @@ def test_kernel_acts_as_a_non_symmetric_map_does():
     d = 4
     a = np.linalg.qr(RngStream(5, 0).rng.standard_normal((3, 3)))[0]
     basis = make_basis(3, d)
-    pts, w = spectral._gauss_grid(3, d + 1)
-    quad = spectral._averaged_gram(basis, pts, w, [(1.0, pts @ a.T)])
+    pts, w = quadrature_oracle.gauss_grid(3, d + 1)
+    quad = quadrature_oracle.averaged_gram(basis, pts, w, [(1.0, pts @ a.T)])
     for m in range(d + 1):
         b = spectral._symmetrizer(3, m)
         sl = basis.degree_slice(m)
@@ -579,3 +585,94 @@ def test_kernel_blocks_match_the_refined_quadrature(kind, d):
 def test_pair_block_matches_the_direct_six_variable_route(d):
     direct = quadrature_oracle.pair_block_direct(d)
     assert np.abs(pair_avg_block(d) - direct).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the exact route: closed-form sphere moments
+
+
+def test_sphere_moments_are_the_pinned_fractions():
+    assert spectral._sphere_moment((2, 0, 0)) == Fraction(1, 3)
+    assert spectral._sphere_moment((4, 0, 0)) == Fraction(1, 5)
+    assert spectral._sphere_moment((2, 2, 0)) == Fraction(1, 15)
+    assert spectral._sphere_moment((0, 0, 0)) == 1
+    assert spectral._sphere_moment((1, 1, 0)) == 0
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_sphere_rule_integrates_every_monomial_to_its_exact_moment(m):
+    # sphere_rule(2m) is the kernel's only integration input at degree m
+    nodes, w = sphere_rule(2 * m)
+    worst = 0.0
+    for total in range(2 * m + 1):
+        for gamma in itertools.product(range(total + 1), repeat=3):
+            if sum(gamma) != total:
+                continue
+            got = float(w @ np.prod(nodes ** np.array(gamma), axis=1))
+            want = spectral._sphere_moment(gamma)
+            if any(g % 2 for g in gamma):
+                assert want == 0
+            worst = max(worst, abs(got - float(want)))
+    assert worst <= 1e-15
+
+
+def _rank(rows: list) -> int:
+    """Rank of a Fraction matrix by exact Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("m,pinned", [
+    (1, {Fraction(2, 3): 3}),
+    (2, {Fraction(7, 15): 5, Fraction(2, 3): 1}),
+    (3, {Fraction(12, 35): 7, Fraction(8, 15): 3}),
+])
+def test_bath_map_eigenvalues_are_exact_roots(m, pinned):
+    # the nullity of A_m - lambda I, by exact rank, is the multiplicity;
+    # the multiplicities fill the block, so no other eigenvalue exists
+    a = spectral._moment_matrix("thermostat", m)
+    size = len(a)
+    assert sum(pinned.values()) == size == (m + 1) * (m + 2) // 2
+    for lam, mult in pinned.items():
+        shifted = [[x - lam * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
+        assert size - _rank(shifted) == mult
+
+
+@pytest.mark.parametrize("kind", ["reflection", "thermostat"])
+def test_exact_blocks_satisfy_detailed_balance(kind):
+    # alpha! A[alpha, beta] = beta! A[beta, alpha]: the operator is
+    # self-adjoint in L^2(Gamma), exactly, in rational arithmetic
+    for m in range(7):
+        a = spectral._moment_matrix(kind, m)
+        fact = [prod(factorial(e) for e in alpha)
+                for alpha in spectral._degree_exponents(3, m)]
+        for i, j in itertools.combinations(range(len(a)), 2):
+            assert fact[i] * a[i][j] == fact[j] * a[j][i]
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_tensor_route_agrees_with_the_exact_route(m):
+    b = spectral._symmetrizer(3, m)
+    tensor = b.T @ tensor_oracle.tensor_T(m) @ b
+    assert np.abs(tensor - spectral._exact_block("thermostat", m)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat"])
+def test_exact_blocks_match_the_kernel_to_roundoff(kind):
+    for d in range(7):
+        n = spectral._KERNEL_MAPS[kind][0]
+        sl = make_basis(n, d).degree_slice(d)
+        kernel = spectral._kernel_block(kind, d)[sl, sl]
+        assert np.abs(kernel - spectral._exact_block(kind, d)).max() <= 1e-15
