@@ -286,12 +286,10 @@ def cmd_verify_lemma2(cfg: RunConfig | None, args) -> int:
     p = _model(cfg)
     basis = make_basis(3 * cfg.m, cfg.degree)
     ctx = SpectralContext(p, cfg.degree)
-    trials = []
-    for trial in range(cfg.random_polynomials):
-        vec = RngStream(cfg.seed, trial).rng.standard_normal(basis.size)
-        res = verify_lemma2(HermiteCoeffs(basis, vec), ctx)
-        trials.append({"lhs": res.lhs, "rhs": res.rhs,
-                       "variance_bound": res.variance_bound})
+    us = [HermiteCoeffs(basis, RngStream(cfg.seed, trial).rng.standard_normal(basis.size))
+          for trial in range(cfg.random_polynomials)]
+    trials = [{"lhs": res.lhs, "rhs": res.rhs, "variance_bound": res.variance_bound}
+              for res in verify_lemma2(us, ctx)]
     payload = {
         "m": cfg.m, "n": cfg.n, "degree": cfg.degree,
         "random_polynomials": cfg.random_polynomials,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -195,10 +196,17 @@ def _hermite_monomial_matrix(dmax: int) -> np.ndarray:
     return a
 
 
+@cache
 def monomial_to_hermite_1d(dmax: int) -> np.ndarray:
-    """B[n, k] = coefficient of h_n in the expansion of x^k."""
+    """B[n, k] = coefficient of h_n in the expansion of x^k.
+
+    Cached per dmax by functools.cache and read-only, since callers
+    share it.
+    """
     a = _hermite_monomial_matrix(dmax)
-    return solve_triangular(a, np.eye(dmax + 1), lower=False)
+    b = solve_triangular(a, np.eye(dmax + 1), lower=False)
+    b.flags.writeable = False
+    return b
 
 
 # Sparse polynomials: {((var, exp), ...): coeff} with vars sorted, exps > 0.

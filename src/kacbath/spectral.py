@@ -30,6 +30,7 @@ E[omega^gamma] = prod_i (gamma_i - 1)!! / (|gamma| + 1)!! (even gamma;
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -84,10 +85,10 @@ RITZ_TOL = 1e-10
 # A kernel block and its exact cross-check must agree entrywise to this.
 REFINE_TOL = 1e-10
 # Largest dense float64 operator on a joint or tagged basis, in bytes
-# (8192 rows). A SpectralContext holds two (its generators); the gap and the
-# DOP853 cross-check work on sparse copies, and `evolve` diagonalises
-# one degree block at a time. The largest size in use (d=3, M=1, N=8:
-# 4060 rows) needs 132 MB per generator.
+# (8192 rows). A SpectralContext holds two (its generators); the gap,
+# `evolve` and its DOP853 cross-check all work on the one cached CSR
+# copy. The largest size in use (d=3, M=1, N=8: 4060 rows) needs 132 MB
+# per generator.
 DENSE_BYTES_MAX = 2**29
 
 
@@ -97,7 +98,8 @@ class OperatorMatrix:
 
     Degree-block structure is verified at construction and off-block
     roundoff is zeroed, so `mat` is exactly block diagonal by total
-    degree.
+    degree. `csr` is a sparse copy of `mat`, made on first use and then
+    shared by every caller; `mat` must not be changed in place after it.
     """
 
     name: str
@@ -122,6 +124,10 @@ class OperatorMatrix:
     def block(self, m: int) -> np.ndarray:
         sl = self.basis.degree_slice(m)
         return self.mat[sl, sl]
+
+    @cached_property
+    def csr(self) -> sparse.csr_matrix:
+        return sparse.csr_matrix(self.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +659,7 @@ def spectral_gap(ctx: SpectralContext) -> float:
     if the gap is nonpositive.
     """
     gen = ctx.reservoir
-    csr = sparse.csr_matrix(gen.mat)
+    csr = gen.csr
     shift = 2.0 * float(abs(csr).sum(axis=1).max())
     gaps = []
     for m, u in enumerate(ctx.invariants):
@@ -707,9 +713,11 @@ class Lemma2Result(NamedTuple):
     variance_bound: float  # (1/N)(<u, T u> - <T u, T u>) >= lhs
 
 
-def verify_lemma2(u: HermiteCoeffs, ctx: SpectralContext) -> Lemma2Result:
+def verify_lemma2(us: Sequence[HermiteCoeffs],
+                  ctx: SpectralContext) -> list[Lemma2Result]:
     """Distance between the empirical collision average and its thermostat
-    limit, against its exact closed form and its variance upper bound.
+    limit, against its exact closed form and its variance upper bound,
+    for each function u of `us`.
 
     For a function u of the tagged velocities, expanding the square and
     using that distinct reservoir particles are independent given v:
@@ -723,28 +731,41 @@ def verify_lemma2(u: HermiteCoeffs, ctx: SpectralContext) -> Lemma2Result:
     the tagged particle; it is the form the convergence bound consumes
     and is strict unless u sits in an eigenspace with eigenvalue 0 or 1.
     All three numbers come from assembled matrices, on the joint basis of
-    `ctx` at its degree.
+    `ctx` at its degree. The functions share one tagged basis; each R_1j
+    is embedded once and applied to all of them as one matrix product.
+    Returns one result per function, in order.
     """
     p, d = ctx.p, ctx.d
-    if u.basis.nvars != 3 * p.m:
-        raise StateError(f"u must live on {3 * p.m} variables, got {u.basis.nvars}")
-    if u.basis.degree > d:
+    if not us:
+        raise StateError("no functions to check")
+    basis = us[0].basis
+    if any(u.basis.index != basis.index for u in us):
+        raise StateError("functions live on different bases")
+    if basis.nvars != 3 * p.m:
+        raise StateError(f"u must live on {3 * p.m} variables, got {basis.nvars}")
+    if basis.degree > d:
         raise StateError("u degree exceeds requested truncation")
     big = ctx.basis
-    u_joint = u.embed(big, np.arange(3 * p.m))
+    tagged = np.arange(3 * p.m)
 
-    acc = np.zeros(big.size)
-    second_moment = 0.0
+    def joint(cols: np.ndarray) -> np.ndarray:
+        return np.stack([HermiteCoeffs(basis, c).embed(big, tagged).vec
+                         for c in cols.T], axis=1)
+
+    u = np.stack([c.vec for c in us], axis=1)
+    u_joint = joint(u)
+    acc = np.zeros_like(u_joint)
+    second_moment = np.zeros(len(us))
     for j in range(p.n):
         op = assemble_pair_rotation("interaction", 0, j, p, d, basis=big)
-        ru = op.mat @ u_joint.vec
+        ru = op.mat @ u_joint
         acc += ru
-        second_moment += float(ru @ ru) / p.n
-    t1 = assemble_T(p.m, d, particle=0)
-    tu = t1.mat @ u.vec
-    t1u_joint = HermiteCoeffs(u.basis, tu).embed(big, np.arange(3 * p.m))
-    lhs = float(np.sum((acc / p.n - t1u_joint.vec) ** 2))
+        second_moment += np.einsum("ik,ik->k", ru, ru) / p.n
+    tu = assemble_T(p.m, d, particle=0).mat @ u
+    lhs = np.sum((acc / p.n - joint(tu)) ** 2, axis=0)
 
-    rhs = (second_moment - float(tu @ tu)) / p.n
-    variance_bound = float((u.vec @ tu - tu @ tu) / p.n)
-    return Lemma2Result(lhs, rhs, variance_bound)
+    tt = np.einsum("ik,ik->k", tu, tu)
+    rhs = (second_moment - tt) / p.n
+    variance_bound = (np.einsum("ik,ik->k", u, tu) - tt) / p.n
+    return [Lemma2Result(float(a), float(b), float(c))
+            for a, b, c in zip(lhs, rhs, variance_bound)]

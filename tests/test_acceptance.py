@@ -139,7 +139,7 @@ def test_criterion_2_averaged_rotation_identity():
         basis = make_basis(3, 3)
         for trial in range(20):
             vec = RngStream(500 + n, trial).rng.standard_normal(basis.size)
-            res = verify_lemma2(HermiteCoeffs(basis, vec), ctx)
+            [res] = verify_lemma2([HermiteCoeffs(basis, vec)], ctx)
             worst = max(worst, abs(res.lhs - res.rhs))
             assert res.lhs <= res.variance_bound + 1e-12
     assert worst <= 1e-9
@@ -178,7 +178,7 @@ def test_criterion_2_averaged_rotation_identity():
     b1 = make_basis(3, 1)
     coord = np.zeros(b1.size)
     coord[b1.index[(1, 0, 0)]] = 1.0 / sqrt(2.0 * pi)  # v_x in unit modes
-    res = verify_lemma2(HermiteCoeffs(b1, coord), SpectralContext(ModelParams(1, 2), 1))
+    [res] = verify_lemma2([HermiteCoeffs(b1, coord)], SpectralContext(ModelParams(1, 2), 1))
 
     assert oracle_bound == pytest.approx(1.0 / (18.0 * pi), abs=1e-10)
     assert res.variance_bound == pytest.approx(oracle_bound, abs=1e-10)

@@ -307,8 +307,8 @@ _FAILING_RUNS = {
                                 lambda est: est._replace(ratio=10.0))),
     "verify-lemma2": (
         "l2.json", dict(degree=2, random_polynomials=2),
-        lambda mp: _wrap_result(mp, "verify_lemma2",
-                                lambda res: res._replace(lhs=res.lhs + 1e-6))),
+        lambda mp: _wrap_result(mp, "verify_lemma2", lambda results: [
+            res._replace(lhs=res.lhs + 1e-6) for res in results])),
     "verify-lemma3": (
         "l3.json", None,
         lambda mp: _wrap_result(mp, "symmetric_tensor_eigenvalues",

@@ -13,6 +13,7 @@ from kacbath import (
     OperatorMatrix,
     SpectralContext,
     StateError,
+    ToleranceError,
     assemble_generator,
     default_time_grid,
     distance_curve,
@@ -21,6 +22,7 @@ from kacbath import (
     long_time_limit,
     make_basis,
 )
+from kacbath import evolution
 from kacbath.bounds import anisotropic_pair_data
 from kacbath.randomness import RngStream
 
@@ -60,27 +62,98 @@ def test_evolution_contracts_fluctuations():
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
-def _every_block_path(g, c0, times) -> np.ndarray:
-    """exp(G t) c0 with every degree block eigendecomposed, none skipped."""
+def _eigen_blocks(g) -> list:
+    """Dense eigendecomposition of every degree block, none skipped."""
+    return [np.linalg.eigh(0.5 * (b + b.T))
+            for b in map(g.block, range(g.basis.degree + 1))]
+
+
+def _every_block_path(g, c0, times, eig=None) -> np.ndarray:
+    """exp(G t) c0 from the dense eigendecomposition of every degree block:
+    the oracle the Krylov route is compared against."""
+    eig = _eigen_blocks(g) if eig is None else eig
     out = np.repeat(c0.vec[None, :], len(times), axis=0)
-    for m in range(g.basis.degree + 1):
+    for m, (evals, q) in enumerate(eig):
         sl = g.basis.degree_slice(m)
-        block = g.block(m)
-        evals, q = np.linalg.eigh(0.5 * (block + block.T))
         out[:, sl] = (np.exp(np.outer(times, evals)) * (q.T @ c0.vec[sl])) @ q.T
     return out
 
 
-def _count_eigh(monkeypatch) -> list:
+def _random_data(basis, seed=5) -> HermiteCoeffs:
+    vec = 0.01 * RngStream(seed, 0).rng.standard_normal(basis.size)
+    vec[0] = 1.0
+    return HermiteCoeffs(basis, vec)
+
+
+def _path(g, c0, times, cross_check=False) -> np.ndarray:
+    return np.array([c.vec for c in evolve(g, c0, times, cross_check=cross_check)])
+
+
+def _count_krylov(monkeypatch) -> list:
+    """Record (degree, Krylov dimension) of every Krylov helper call."""
     calls = []
-    real = np.linalg.eigh
+    real = evolution._krylov_path
 
-    def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return real(a, *args, **kwargs)
+    def counted(g, b, times, degree, *args, **kwargs):
+        out = real(g, b, times, degree, *args, **kwargs)
+        calls.append((degree, out.dim))
+        return out
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(evolution, "_krylov_path", counted)
     return calls
+
+
+def _block_args(g, m):
+    """A degree block of g's CSR copy and the generator norm, as evolve passes them."""
+    sl = g.basis.degree_slice(m)
+    return g.csr[sl, sl], float(abs(g.csr).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 16, 2), (1, 8, 3)])
+@pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
+def test_krylov_route_matches_the_eigh_oracle(kind, m, n, d):
+    g = assemble_generator(kind, ModelParams(m, n), d)
+    eig = _eigen_blocks(g)
+    times = np.array([0.0, 0.3, 1.7, 9.0, 80.0])
+    for c0 in (anisotropic_pair_data(0.2).embed(g.basis, np.arange(3)),
+               _random_data(g.basis)):
+        err = np.abs(_path(g, c0, times) - _every_block_path(g, c0, times, eig)).max()
+        assert err <= 1e-13 * np.linalg.norm(c0.vec)
+
+
+@pytest.mark.parametrize("m,n,d,deg", [(1, 2, 3, 3), (1, 16, 2, 2)])
+@pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
+def test_krylov_stopping_bound_covers_the_true_error(kind, m, n, d, deg):
+    # a loose tolerance stops Lanczos early, where the error is far above
+    # roundoff; the a-posteriori bound must still cover it at every time
+    # (at tol 1e-3 the error is already at roundoff: the bound is loose)
+    g = assemble_generator(kind, ModelParams(m, n), d)
+    c0 = _random_data(g.basis)
+    times = np.array([0.0, 0.3, 1.7, 9.0])
+    want = _every_block_path(g, c0, times)[:, g.basis.degree_slice(deg)]
+    b = c0.vec[g.basis.degree_slice(deg)]
+    block, g_norm = _block_args(g, deg)
+    tight = evolution._krylov_path(block, b, times, deg, g_norm)
+    loose = evolution._krylov_path(block, b, times, deg, g_norm, tol=0.1)
+    err = float(np.linalg.norm(loose.values - want, axis=1).max())
+    assert loose.dim < tight.dim
+    assert 1e-10 * np.linalg.norm(b) < err <= loose.bound <= 0.1 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 2), (1, 4, 2), (1, 8, 2), (1, 16, 2), (1, 6, 3)])
+def test_krylov_dimensions_of_criterion_6_data(m, n, d, monkeypatch):
+    # h2_aniso on criterion 6's grid: the degree-2 part reaches an invariant
+    # subspace of dimension 4 under the reservoir flow, whatever the block
+    # size, and is an eigenvector of the bath flow
+    ctx = SpectralContext(ModelParams(m, n), d)
+    c0 = anisotropic_pair_data(0.2).embed(ctx.basis, np.arange(3))
+    grid = default_time_grid(80.0, count=56)
+    dims = _count_krylov(monkeypatch)
+    evolve(ctx.reservoir, c0, grid, cross_check=False)
+    assert dims == [(0, 1), (2, 4)]
+    dims.clear()
+    evolve(ctx.thermostat, c0, grid, cross_check=False)
+    assert dims == [(0, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("n", [2, 6])
@@ -92,13 +165,13 @@ def test_evolve_skips_the_empty_degree_blocks(kind, n, monkeypatch):
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
     times = np.array([0.0, 0.3, 1.7, 9.0])
     want = _every_block_path(g, c0, times)
-    eigh_rows = _count_eigh(monkeypatch)
-    got = np.array([c.vec for c in evolve(g, c0, times, cross_check=False)])
-    assert eigh_rows == [len(g.block(0)), len(g.block(2))]
+    calls = _count_krylov(monkeypatch)
+    got = _path(g, c0, times)
+    assert [deg for deg, _ in calls] == [0, 2]
     for m in range(4):
         sl = g.basis.degree_slice(m)
         if m in (0, 2):
-            assert got[:, sl].tobytes() == want[:, sl].tobytes()
+            assert np.abs(got[:, sl] - want[:, sl]).max() <= 1e-13 * np.linalg.norm(c0.vec)
         else:
             assert np.all(got[:, sl] == 0.0)
 
@@ -107,21 +180,19 @@ def test_evolve_skips_the_empty_degree_blocks(kind, n, monkeypatch):
 def test_evolve_data_in_every_block_takes_the_full_route(kind, monkeypatch):
     p = ModelParams(1, 2)
     g = assemble_generator(kind, p, 3)
-    vec = 0.01 * RngStream(5, 0).rng.standard_normal(g.basis.size)
-    vec[0] = 1.0
-    c0 = HermiteCoeffs(g.basis, vec)
+    c0 = _random_data(g.basis)
     times = np.array([0.0, 0.3, 1.7, 9.0])
     want = _every_block_path(g, c0, times)
-    eigh_rows = _count_eigh(monkeypatch)
-    got = np.array([c.vec for c in evolve(g, c0, times, cross_check=True)])
-    assert eigh_rows == [len(g.block(m)) for m in range(4)]
-    assert got.tobytes() == want.tobytes()
+    calls = _count_krylov(monkeypatch)
+    got = _path(g, c0, times, cross_check=True)
+    assert [deg for deg, _ in calls] == [0, 1, 2, 3]
+    assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(c0.vec)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_evolve_rejects_an_asymmetric_block_filled_or_empty(m):
     # h2_aniso fills degree 2 and leaves degree 3 zero; an asymmetric
-    # block raises either way, before any block is diagonalised
+    # block raises either way, before any block is evolved
     p = ModelParams(1, 2)
     g = assemble_generator("reservoir", p, 3)
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
@@ -136,19 +207,59 @@ def test_evolve_rejects_an_asymmetric_block_filled_or_empty(m):
     assert float(str(err.value).split("defect ")[1].rstrip(")")) == pytest.approx(want, rel=1e-3)
 
 
-def test_cross_check_catches_an_eigen_route_off_by_1e_6(monkeypatch):
-    # every eigenvalue shifted by 1e-6 scales the eigen route by
-    # exp(1e-6 t); at t = 2 that is a relative 2e-6, far over the tolerance
+def test_krylov_route_rejects_a_basis_that_lost_orthogonality(monkeypatch):
+    # a 1e-6 component along v_0 left in the first Lanczos step of degree 2
+    # gives v_0 . v_1 = 1e-6 / beta_1, far over the orthogonality tolerance
     p = ModelParams(1, 2)
     g = assemble_generator("reservoir", p, 2)
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
-    real = np.linalg.eigh
+    real = evolution._gram_schmidt
 
-    def shifted(a, *args, **kwargs):
-        evals, q = real(a, *args, **kwargs)
-        return evals + 1e-6, q
+    def leaky(w, v):
+        out = real(w, v)
+        return out + 1e-6 * v[0] if len(v) == 1 and w.size > 1 else out
 
-    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    monkeypatch.setattr(evolution, "_gram_schmidt", leaky)
+    with pytest.raises(ToleranceError, match="not orthonormal in degree 2") as err:
+        evolve(g, c0, [0.0, 1.0], cross_check=False)
+    block, _ = _block_args(g, 2)
+    v0 = c0.vec[g.basis.degree_slice(2)]
+    v0 = v0 / np.linalg.norm(v0)
+    w = block @ v0
+    beta1 = float(np.linalg.norm(w - (v0 @ w) * v0))
+    got = float(str(err.value).split("defect ")[1].split()[0])
+    assert got == pytest.approx(1e-6 / beta1, rel=1e-3)
+
+
+def test_krylov_route_rejects_a_positive_ritz_value():
+    # a rate of +1e-9 on the constant mode: the premise ||exp(sG)|| <= 1
+    # of the stopping bound fails, and the degree-0 Ritz value shows it
+    p = ModelParams(1, 2)
+    g = assemble_generator("reservoir", p, 2)
+    c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
+    mat = g.mat.copy()
+    mat[0, 0] += 1e-9
+    broken = OperatorMatrix(g.name, g.basis, mat)
+    with pytest.raises(ToleranceError, match="above zero in degree 0") as err:
+        evolve(broken, c0, [0.0, 1.0], cross_check=False)
+    got = float(str(err.value).split("Ritz value ")[1].split()[0])
+    assert got == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_cross_check_catches_an_eigen_route_off_by_1e_6(monkeypatch):
+    # every Ritz value shifted down by 1e-6 scales the Krylov route by
+    # exp(-1e-6 t); at t = 2 that is a relative 2e-6, far over the
+    # tolerance (an upward shift would trip the Ritz-value check first)
+    p = ModelParams(1, 2)
+    g = assemble_generator("reservoir", p, 2)
+    c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
+    real = evolution.eigh_tridiagonal
+
+    def shifted(*args, **kwargs):
+        evals, q = real(*args, **kwargs)
+        return evals - 1e-6, q
+
+    monkeypatch.setattr(evolution, "eigh_tridiagonal", shifted)
     with pytest.raises(IntegrationError, match="evolution routes disagree") as err:
         evolve(g, c0, [0.0, 1.0, 2.0])
     got = float(str(err.value).split("relative ")[1])

@@ -8,10 +8,14 @@ import pytest
 from math import comb, factorial, pi, sqrt
 
 from kacbath import HermiteCoeffs, StateError, evaluate_basis, make_basis
+from scipy.linalg import solve_triangular
+
 from kacbath.hermite import (
     _compositions,
+    _hermite_monomial_matrix,
     hermite_coeffs_from_poly,
     hermite_value_table,
+    monomial_to_hermite_1d,
     poly_add,
     poly_coord,
     poly_mul,
@@ -122,6 +126,16 @@ def test_poly_to_hermite_roundtrip():
     pts = RngStream(0, 0).rng.normal(size=(50, 2))
     direct = pts[:, 0] ** 2 * pts[:, 1]
     np.testing.assert_allclose(h.evaluate(pts), direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("dmax", [0, 3, 8])
+def test_monomial_to_hermite_matrix_is_cached_and_read_only(dmax):
+    got = monomial_to_hermite_1d(dmax)
+    want = solve_triangular(_hermite_monomial_matrix(dmax), np.eye(dmax + 1), lower=False)
+    assert np.array_equal(got, want)
+    assert monomial_to_hermite_1d(dmax) is got
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] = 2.0
 
 
 def test_poly_arithmetic():

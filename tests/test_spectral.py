@@ -203,7 +203,7 @@ def test_lemma2_identity_random_polynomials():
         basis = make_basis(3, 3)
         for trial in range(6):
             vec = RngStream(10 + n, trial).rng.standard_normal(basis.size)
-            res = verify_lemma2(HermiteCoeffs(basis, vec), ctx)
+            [res] = verify_lemma2([HermiteCoeffs(basis, vec)], ctx)
             assert abs(res.lhs - res.rhs) < 1e-12
             assert res.lhs <= res.variance_bound + 1e-12
 
@@ -213,7 +213,7 @@ def test_lemma2_unit_mode_values():
     # variance bound (2/9)/N, since the pair average has <Ru,Ru> = 5/9
     # while <u,Tu> = 2/3 and <Tu,Tu> = 4/9
     for n, want in [(2, 1.0 / 18.0), (3, 1.0 / 27.0)]:
-        res = verify_lemma2(_unit_h1_tagged(1), SpectralContext(ModelParams(1, n), 1))
+        [res] = verify_lemma2([_unit_h1_tagged(1)], SpectralContext(ModelParams(1, n), 1))
         assert res.lhs == pytest.approx(want, abs=1e-14)
         assert res.variance_bound == pytest.approx(2.0 * want, abs=1e-14)
 
@@ -223,14 +223,45 @@ def test_lemma2_coordinate_function_closed_form():
     b = make_basis(3, 1)
     vec = np.zeros(b.size)
     vec[b.index[(1, 0, 0)]] = 1.0 / sqrt(2.0 * pi)
-    res = verify_lemma2(HermiteCoeffs(b, vec), SpectralContext(ModelParams(1, 2), 1))
+    [res] = verify_lemma2([HermiteCoeffs(b, vec)], SpectralContext(ModelParams(1, 2), 1))
     assert res.lhs == pytest.approx(1.0 / (36.0 * pi), abs=1e-14)
     assert res.variance_bound == pytest.approx(1.0 / (18.0 * pi), abs=1e-14)
 
 
 def test_lemma2_rejects_wrong_variable_count():
     with pytest.raises(StateError):
-        verify_lemma2(_unit_h1_tagged(2), SpectralContext(ModelParams(1, 2), 1))
+        verify_lemma2([_unit_h1_tagged(2)], SpectralContext(ModelParams(1, 2), 1))
+
+
+def test_lemma2_batch_equals_one_call_per_function(monkeypatch):
+    # one call embeds each interaction rotation once for all functions and
+    # returns what one call per function returns
+    ctx = SpectralContext(ModelParams(1, 3), 2)
+    basis = make_basis(3, 2)
+    us = [HermiteCoeffs(basis, RngStream(7, t).rng.standard_normal(basis.size))
+          for t in range(4)]
+    alone = [verify_lemma2([u], ctx)[0] for u in us]
+    embedded = []
+    real = spectral.assemble_pair_rotation
+
+    def counted(kind, i, j, *args, **kwargs):
+        embedded.append((kind, i, j))
+        return real(kind, i, j, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "assemble_pair_rotation", counted)
+    batch = verify_lemma2(us, ctx)
+    assert embedded == [("interaction", 0, j) for j in range(3)]
+    for got, want in zip(batch, alone, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_lemma2_rejects_an_empty_or_mixed_batch():
+    ctx = SpectralContext(ModelParams(1, 2), 2)
+    with pytest.raises(StateError, match="no functions"):
+        verify_lemma2([], ctx)
+    with pytest.raises(StateError, match="different bases"):
+        verify_lemma2([_unit_h1_tagged(1), HermiteCoeffs(make_basis(3, 2), np.ones(10))],
+                      ctx)
 
 
 # ---------------------------------------------------------------------------
