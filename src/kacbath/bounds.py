@@ -70,7 +70,7 @@ def estimate_l(t: OperatorMatrix, d: int | None = None) -> float:
         raise ConfigError(f"degree cap {d} outside [0, {t.basis.degree}]")
     top = 0.0
     for m in range(d + 1):
-        block = t.block(m)
+        block = t.block(m).toarray()
         gap = block - block @ block
         evals = np.linalg.eigvalsh(0.5 * (gap + gap.T))
         if evals[0] < -_PSD_TOL:

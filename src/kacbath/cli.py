@@ -259,7 +259,7 @@ def cmd_spectral(cfg: RunConfig | None, args) -> int:
         op = assemble_T(p.m, cfg.degree)
     else:
         op = assemble_generator(cfg.operator, p, cfg.degree)
-    write_matrix(args.out, op.mat)
+    write_matrix(args.out, op.mat.toarray())
     return 0
 
 
@@ -311,7 +311,7 @@ def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
     t = assemble_T(1, max_degree)
     # both routes give all C(deg + 2, 2) eigenvalues of each degree block
     spectra = {str(deg): (np.sort(symmetric_tensor_eigenvalues(deg)),
-                          np.sort(np.linalg.eigvalsh(t.block(deg))))
+                          np.sort(np.linalg.eigvalsh(t.block(deg).toarray())))
                for deg in range(1, max_degree + 1)}
     matrix_route = {k: float(mat[-1]) for k, (_, mat) in spectra.items()}
     payload = {

@@ -15,8 +15,8 @@ coefficients are all zero stays zero, exp(G_m t) 0 = 0, so it is
 skipped. An adaptive ODE integration (DOP853) of the whole linear system
 cross-checks the result, since the two routes share no code beyond the
 matrix itself. Both routes, and the spectral gap, multiply by the
-generator's one cached CSR copy (`OperatorMatrix.csr`): the generator
-has about a hundred nonzeros per row.
+generator's CSR matrix (`OperatorMatrix.mat`, held only in CSR): the
+generator has about a hundred nonzeros per row.
 
 The central observable is the distance curve: the same initial density
 perturbation is evolved under the finite-reservoir generator and the
@@ -151,12 +151,12 @@ def evolve(
     """Coefficient vectors exp(G t) c0 at the requested times.
 
     Computed per degree block by Lanczos from the block's part of c0,
-    on the cached CSR copy of G, until the a-posteriori error bound
+    on the CSR blocks of G, until the a-posteriori error bound
     (see _krylov_path) is at most KRYLOV_TOL times that part's norm at
     every requested time; blocks where c0 is identically zero are left
-    zero. Every block is checked for symmetry (from_raw zeroed the rest
+    zero. Every block is checked for symmetry (from_raw dropped the rest
     of G). With cross_check=True the full linear system is also
-    integrated adaptively on the same CSR copy and any relative
+    integrated adaptively on the same CSR matrix and any relative
     disagreement beyond CROSS_CHECK_TOL raises IntegrationError.
     """
     arr = _check_times(times)
@@ -164,12 +164,11 @@ def evolve(
         raise StateError("initial coefficients live on a different basis")
 
     basis = g.basis
-    csr = g.csr
-    g_norm = float(abs(csr).sum(axis=1).max())
+    g_norm = float(abs(g.mat).sum(axis=1).max())
     out = np.repeat(c0.vec[None, :], arr.size, axis=0)
     for m in range(basis.degree + 1):
         sl = basis.degree_slice(m)
-        block = csr[sl, sl]
+        block = g.block(m)
         skew = block - block.T
         defect = float(abs(skew).max())
         if defect > _SYMMETRY_TOL:
@@ -180,7 +179,7 @@ def evolve(
 
     if cross_check:
         sol = solve_ivp(
-            lambda _, y: csr @ y,
+            lambda _, y: g.mat @ y,
             (0.0, float(arr[-1])) if arr[-1] > 0.0 else (0.0, 1.0),
             c0.vec,
             method="DOP853",

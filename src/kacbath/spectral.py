@@ -85,49 +85,46 @@ RITZ_TOL = 1e-10
 # A kernel block and its exact cross-check must agree entrywise to this.
 REFINE_TOL = 1e-10
 # Largest dense float64 operator on a joint or tagged basis, in bytes
-# (8192 rows). A SpectralContext holds two (its generators); the gap,
-# `evolve` and its DOP853 cross-check all work on the one cached CSR
-# copy. The largest size in use (d=3, M=1, N=8: 4060 rows) needs 132 MB
-# per generator.
+# (8192 rows). Generators are held only in CSR; this bounds the dense
+# matrix the `spectral` export writes, and it sets the reach of every
+# joint-basis computation. The largest size in use (d=3, M=1, N=8:
+# 4060 rows) exports 132 MB.
 DENSE_BYTES_MAX = 2**29
 
 
 @dataclass
 class OperatorMatrix:
-    """Dense matrix of an operator on a truncated Hermite basis.
+    """Sparse (CSR) matrix of an operator on a truncated Hermite basis.
 
     Degree-block structure is verified at construction and off-block
-    roundoff is zeroed, so `mat` is exactly block diagonal by total
-    degree. `csr` is a sparse copy of `mat`, made on first use and then
-    shared by every caller; `mat` must not be changed in place after it.
+    roundoff is dropped, so `mat` is exactly block diagonal by total
+    degree and stores no off-degree entry and no zero.
     """
 
     name: str
     basis: Basis
-    mat: np.ndarray
+    mat: sparse.csr_matrix
 
     @classmethod
-    def from_raw(cls, name: str, basis: Basis, mat: np.ndarray) -> "OperatorMatrix":
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (basis.size, basis.size):
-            raise StateError(f"{name}: matrix shape {mat.shape} vs basis {basis.size}")
-        off = basis.degree_of[:, None] != basis.degree_of[None, :]
-        worst = float(np.abs(mat[off]).max()) if off.any() else 0.0
+    def from_raw(cls, name: str, basis: Basis, mat) -> "OperatorMatrix":
+        """Check and store a dense or sparse matrix on `basis`."""
+        coo = sparse.coo_matrix(mat, dtype=float)
+        if coo.shape != (basis.size, basis.size):
+            raise StateError(f"{name}: matrix shape {coo.shape} vs basis {basis.size}")
+        off = basis.degree_of[coo.row] != basis.degree_of[coo.col]
+        worst = float(np.abs(coo.data[off]).max()) if off.any() else 0.0
         if worst > BLOCK_TOL:
             raise ToleranceError(
                 f"{name}: off-degree-block magnitude {worst:.3e} exceeds {BLOCK_TOL:.0e}"
             )
-        mat = mat.copy()
-        mat[off] = 0.0
-        return cls(name, basis, mat)
+        keep = ~off & (coo.data != 0.0)
+        csr = sparse.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                                shape=coo.shape)
+        return cls(name, basis, csr)
 
-    def block(self, m: int) -> np.ndarray:
+    def block(self, m: int) -> sparse.csr_matrix:
         sl = self.basis.degree_slice(m)
         return self.mat[sl, sl]
-
-    @cached_property
-    def csr(self) -> sparse.csr_matrix:
-        return sparse.csr_matrix(self.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +338,7 @@ def pair_avg_block(d: int) -> np.ndarray:
     if asym > REFINE_TOL:
         raise ToleranceError(f"pair block asymmetry {asym:.3e}")
     out = 0.5 * (out + out.T)
-    _cache[key] = OperatorMatrix.from_raw("pair_avg", b6, out).mat
+    _cache[key] = OperatorMatrix.from_raw("pair_avg", b6, out).mat.toarray()
     return _cache[key]
 
 
@@ -353,7 +350,7 @@ def thermostat_block(d: int) -> np.ndarray:
     if key in _cache:
         return _cache[key]
     block = _checked_kernel("thermostat block", "thermostat", d)
-    _cache[key] = OperatorMatrix.from_raw("thermostat_avg", make_basis(3, d), block).mat
+    _cache[key] = OperatorMatrix.from_raw("thermostat_avg", make_basis(3, d), block).mat.toarray()
     return _cache[key]
 
 
@@ -409,10 +406,29 @@ def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
     return out
 
 
-def _accumulate_embedded(out: np.ndarray, block: np.ndarray, sub: Basis,
-                         big: Basis, slots, coeff: float):
-    a, b, sa, sb = _embedding(big, sub, slots)
-    out[a, b] += coeff * block[sa, sb]
+def _summed_embeddings(name: str, big: Basis, terms, diagonal: float = 0.0) -> OperatorMatrix:
+    """sum of coeff * block lifted to `big` at `slots`, over the terms
+    (block, sub, slots, coeff), plus `diagonal` times the identity.
+
+    The (row, col, value) entries are listed term by term, the diagonal
+    last, and np.bincount sums each (row, col) in that order, so the
+    CSR data are the bits of a dense `+=` over the terms; coo.tocsr()
+    sums duplicates in another order and moves entries at roundoff.
+    No n x n array is formed.
+    """
+    n = big.size
+    keys, vals = [], []
+    for block, sub, slots, coeff in terms:
+        a, b, sa, sb = _embedding(big, sub, slots)
+        keys.append(a * n + b)
+        vals.append(coeff * block[sa, sb])
+    keys.append(np.arange(n) * (n + 1))
+    vals.append(np.full(n, diagonal))
+    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.bincount(inverse, weights=np.concatenate(vals), minlength=key.size)
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    csr = sparse.csr_matrix((data, key % n, indptr), shape=(n, n))
+    return OperatorMatrix.from_raw(name, big, csr)
 
 
 def v_slots(i: int):
@@ -472,8 +488,8 @@ def assemble_pair_rotation(kind: str, i: int, j: int, p: ModelParams,
     else:
         raise StateError(f"unknown pair kind {kind!r}")
     big = joint_basis(p, d) if basis is None else basis
-    mat = embed_block(pair_avg_block(d), make_basis(6, d), big, slots)
-    return OperatorMatrix.from_raw(f"pair[{kind},{i},{j}]", big, mat)
+    return _summed_embeddings(f"pair[{kind},{i},{j}]", big,
+                              [(pair_avg_block(d), make_basis(6, d), slots, 1.0)])
 
 
 def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
@@ -482,8 +498,8 @@ def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
     if not 0 <= particle < m:
         raise StateError(f"particle {particle} out of range for m={m}")
     basis = _dense_basis(3 * m, d, f"tagged basis at M={m}, degree {d}")
-    mat = embed_block(thermostat_block(d), make_basis(3, d), basis, v_slots(particle))
-    return OperatorMatrix.from_raw(f"thermostat[{particle}]", basis, mat)
+    return _summed_embeddings(f"thermostat[{particle}]", basis,
+                              [(thermostat_block(d), make_basis(3, d), v_slots(particle), 1.0)])
 
 
 def assemble_generator(kind: str, p: ModelParams, d: int,
@@ -504,37 +520,30 @@ def assemble_generator(kind: str, p: ModelParams, d: int,
     big = joint_basis(p, d) if basis is None else basis
     pair = pair_avg_block(d)
     b6 = make_basis(6, d)
-    g = np.zeros((big.size, big.size))
-    total = 0.0
+    terms = []
 
     if p.m >= 2 and p.lambda_s > 0:
         c = p.lambda_s / (p.m - 1)
         for i, j in itertools.combinations(range(p.m), 2):
-            slots = np.concatenate([v_slots(i), v_slots(j)])
-            _accumulate_embedded(g, pair, b6, big, slots, c)
-            total += c
+            terms.append((pair, b6, np.concatenate([v_slots(i), v_slots(j)]), c))
     if p.lambda_r > 0:
         c = p.lambda_r / (p.n - 1)
         for i, j in itertools.combinations(range(p.n), 2):
-            slots = np.concatenate([w_slots(p, i), w_slots(p, j)])
-            _accumulate_embedded(g, pair, b6, big, slots, c)
-            total += c
+            terms.append((pair, b6, np.concatenate([w_slots(p, i), w_slots(p, j)]), c))
     if p.mu > 0:
         if kind == "reservoir":
             c = p.mu / p.n
             for i in range(p.m):
                 for j in range(p.n):
-                    slots = np.concatenate([v_slots(i), w_slots(p, j)])
-                    _accumulate_embedded(g, pair, b6, big, slots, c)
-                    total += c
+                    terms.append((pair, b6, np.concatenate([v_slots(i), w_slots(p, j)]), c))
         else:
             therm = thermostat_block(d)
             b3 = make_basis(3, d)
-            for i in range(p.m):
-                _accumulate_embedded(g, therm, b3, big, v_slots(i), p.mu)
-                total += p.mu
-    g[np.diag_indices_from(g)] -= total
-    return OperatorMatrix.from_raw(f"generator[{kind}]", big, g)
+            terms.extend((therm, b3, v_slots(i), p.mu) for i in range(p.m))
+    total = 0.0
+    for *_, c in terms:
+        total += c
+    return _summed_embeddings(f"generator[{kind}]", big, terms, -total)
 
 
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
@@ -636,10 +645,10 @@ class SpectralContext:
 def spectral_gap(ctx: SpectralContext) -> float:
     """Decay rate k of the reservoir generator off the conserved quantities.
 
-    The generator G is exactly block diagonal by total degree
-    (OperatorMatrix.from_raw zeroes the off-degree entries), and so is
-    the invariant projector, held as one orthonormal basis U_m per degree
-    block; k is the minimum over blocks m of minus the top eigenvalue of
+    The generator G, held in CSR, is exactly block diagonal by total
+    degree (OperatorMatrix.from_raw drops the off-degree entries), and
+    so is the invariant projector, held as one orthonormal basis U_m per
+    degree block; k is the minimum over blocks m of minus the top eigenvalue of
 
         G_m - s U_m U_m^T,    s = 2 ||G||_inf.
 
@@ -659,12 +668,10 @@ def spectral_gap(ctx: SpectralContext) -> float:
     if the gap is nonpositive.
     """
     gen = ctx.reservoir
-    csr = gen.csr
-    shift = 2.0 * float(abs(csr).sum(axis=1).max())
+    shift = 2.0 * float(abs(gen.mat).sum(axis=1).max())
     gaps = []
     for m, u in enumerate(ctx.invariants):
-        sl = gen.basis.degree_slice(m)
-        g = csr[sl, sl]
+        g = gen.block(m)
         kernel = float(np.abs(g @ u).max())
         if kernel > KERNEL_TOL:
             raise ToleranceError(

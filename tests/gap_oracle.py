@@ -33,13 +33,14 @@ def spectral_gap(gen: OperatorMatrix, invariants: list[np.ndarray]) -> float:
         raise ToleranceError("complement projector has empty range")
     w = evecs[:, keep]
 
+    g = gen.mat.toarray()
     inv = evecs[:, ~keep]
-    kernel_defect = float(np.abs(gen.mat @ inv).max()) if inv.size else 0.0
+    kernel_defect = float(np.abs(g @ inv).max()) if inv.size else 0.0
     if kernel_defect > 1e-8:
         raise ToleranceError(
             f"generator does not annihilate invariants: {kernel_defect:.3e}"
         )
-    restricted = w.T @ gen.mat @ w
+    restricted = w.T @ g @ w
     k_hat = -float(np.linalg.eigvalsh(restricted).max())
     if k_hat <= 0:
         raise ToleranceError(f"nonpositive spectral gap {k_hat:.3e}")

@@ -202,7 +202,7 @@ def test_criterion_3_bath_map_spectrum():
     t = assemble_T(1, 6)
     worst_route_gap = 0.0
     for deg in range(1, 7):
-        mat_eigs = np.linalg.eigvalsh(t.block(deg))
+        mat_eigs = np.linalg.eigvalsh(t.block(deg).toarray())
         ten_eigs = symmetric_tensor_eigenvalues(deg)
         assert mat_eigs.max() <= sup + 1e-10
         assert ten_eigs.max() <= sup + 1e-10

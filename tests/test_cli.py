@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kacbath import cli, spectral
+from kacbath import ModelParams, assemble_T, assemble_generator, cli, spectral
 from kacbath.cli import main, perturbation_data
 from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
@@ -99,6 +99,17 @@ def test_spectral_exports_symmetric_operator(tmp_path):
     mat = read_matrix(str(out))
     assert mat.shape == (55, 55)
     assert np.abs(mat - mat.T).max() < 1e-10
+    # the export prints 17 significant digits, so it reads back exactly
+    want = assemble_generator("reservoir", ModelParams(1, 2), 2).mat.toarray()
+    assert mat.tobytes() == want.tobytes()
+
+
+def test_spectral_exports_the_bath_map_exactly(tmp_path):
+    cfg = _write_config(tmp_path, m=2, degree=3, operator="bath_map")
+    out = tmp_path / "bath.mat"
+    assert _run("spectral", "--config", cfg, "--out", str(out)) == 0
+    want = assemble_T(2, 3).mat.toarray()
+    assert read_matrix(str(out)).tobytes() == want.tobytes()
 
 
 def test_spectral_bath_map_over_the_dense_limit_exits_before_enumeration(

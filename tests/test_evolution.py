@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from math import exp, sqrt
+from scipy import sparse
 
 from kacbath import (
     ConfigError,
@@ -64,8 +65,8 @@ def test_evolution_contracts_fluctuations():
 
 def _eigen_blocks(g) -> list:
     """Dense eigendecomposition of every degree block, none skipped."""
-    return [np.linalg.eigh(0.5 * (b + b.T))
-            for b in map(g.block, range(g.basis.degree + 1))]
+    blocks = (g.block(m).toarray() for m in range(g.basis.degree + 1))
+    return [np.linalg.eigh(0.5 * (b + b.T)) for b in blocks]
 
 
 def _every_block_path(g, c0, times, eig=None) -> np.ndarray:
@@ -104,9 +105,8 @@ def _count_krylov(monkeypatch) -> list:
 
 
 def _block_args(g, m):
-    """A degree block of g's CSR copy and the generator norm, as evolve passes them."""
-    sl = g.basis.degree_slice(m)
-    return g.csr[sl, sl], float(abs(g.csr).sum(axis=1).max())
+    """A degree block of g and the generator norm, as evolve passes them."""
+    return g.block(m), float(abs(g.mat).sum(axis=1).max())
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 16, 2), (1, 8, 3)])
@@ -197,9 +197,9 @@ def test_evolve_rejects_an_asymmetric_block_filled_or_empty(m):
     g = assemble_generator("reservoir", p, 3)
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
     sl = g.basis.degree_slice(m)
-    mat = g.mat.copy()
+    mat = g.mat.toarray()
     mat[sl.start, sl.start + 1] += 3e-9
-    broken = OperatorMatrix(g.name, g.basis, mat)
+    broken = OperatorMatrix(g.name, g.basis, sparse.csr_matrix(mat))
     with pytest.raises(StateError, match=f"not symmetric in degree {m}") as err:
         evolve(broken, c0, [0.0, 1.0], cross_check=False)
     want = float(np.abs(mat - mat.T).max())
@@ -237,9 +237,9 @@ def test_krylov_route_rejects_a_positive_ritz_value():
     p = ModelParams(1, 2)
     g = assemble_generator("reservoir", p, 2)
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
-    mat = g.mat.copy()
+    mat = g.mat.toarray()
     mat[0, 0] += 1e-9
-    broken = OperatorMatrix(g.name, g.basis, mat)
+    broken = OperatorMatrix(g.name, g.basis, sparse.csr_matrix(mat))
     with pytest.raises(ToleranceError, match="above zero in degree 0") as err:
         evolve(broken, c0, [0.0, 1.0], cross_check=False)
     got = float(str(err.value).split("Ritz value ")[1].split()[0])

@@ -3,11 +3,14 @@ structure, bath-map spectra, rotation-average identity, spectral gaps."""
 
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from math import factorial, pi, prod, sqrt
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from kacbath import (
@@ -70,25 +73,26 @@ def _unit_h1_tagged(m: int) -> HermiteCoeffs:
 ])
 def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
     op = assemble_pair_rotation(kind, i, j, p, 3)
-    assert np.abs(op.mat - op.mat.T).max() <= 1e-10
-    assert np.linalg.norm(op.mat, 2) <= 1.0 + 1e-10
+    mat = op.mat.toarray()
+    assert np.abs(mat - mat.T).max() <= 1e-10
+    assert np.linalg.norm(mat, 2) <= 1.0 + 1e-10
     # exact degree-block structure: no leakage between degrees
     basis = op.basis
     for a in range(basis.degree + 1):
         for b in range(basis.degree + 1):
             if a != b:
                 sl_a, sl_b = basis.degree_slice(a), basis.degree_slice(b)
-                assert np.abs(op.mat[sl_a, sl_b]).max() == 0.0
+                assert np.abs(mat[sl_a, sl_b]).max() == 0.0
 
 
 def test_pair_average_spectrum_in_unit_interval():
     # an averaging operator: spectrum within [0, 1], so A - A^2 is PSD
     p = ModelParams(1, 3)
-    op = assemble_pair_rotation("interaction", 0, 1, p, 4)
-    eigs = np.linalg.eigvalsh(op.mat)
+    mat = assemble_pair_rotation("interaction", 0, 1, p, 4).mat.toarray()
+    eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() >= -1e-12
     assert eigs.max() <= 1.0 + 1e-12
-    gap = op.mat - op.mat @ op.mat
+    gap = mat - mat @ mat
     assert np.linalg.eigvalsh((gap + gap.T) / 2).min() >= -1e-12
 
 
@@ -108,9 +112,9 @@ def test_pair_rotation_fixes_pair_invariants():
 def test_generators_are_symmetric_and_negative_semidefinite():
     p = ModelParams(1, 2)
     for kind in ("reservoir", "thermostat"):
-        g = assemble_generator(kind, p, 2)
-        assert np.abs(g.mat - g.mat.T).max() <= 1e-10
-        assert np.linalg.eigvalsh(g.mat).max() <= 1e-10
+        mat = assemble_generator(kind, p, 2).mat.toarray()
+        assert np.abs(mat - mat.T).max() <= 1e-10
+        assert np.linalg.eigvalsh(mat).max() <= 1e-10
 
 
 def test_thermostat_generator_kills_reservoir_momentum_only():
@@ -139,17 +143,18 @@ def test_bath_map_degree_blocks():
         (2, [7 / 15] * 5 + [2 / 3]),
         (3, [12 / 35] * 7 + [8 / 15] * 3),
     ]:
-        for eigs in (np.linalg.eigvalsh(t.block(deg)), symmetric_tensor_eigenvalues(deg)):
+        for eigs in (np.linalg.eigvalsh(t.block(deg).toarray()),
+                     symmetric_tensor_eigenvalues(deg)):
             np.testing.assert_allclose(np.sort(eigs), pinned, rtol=0, atol=1e-14)
     # degree-1 block is exactly (2/3) I
-    np.testing.assert_allclose(t.block(1), (2.0 / 3.0) * np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(t.block(1).toarray(), (2.0 / 3.0) * np.eye(3), atol=1e-12)
 
 
 def test_tensor_route_matches_matrix_route():
     t = assemble_T(1, 5)
     for deg in range(1, 6):
         a = np.sort(symmetric_tensor_eigenvalues(deg))
-        b = np.sort(np.linalg.eigvalsh(t.block(deg)))
+        b = np.sort(np.linalg.eigvalsh(t.block(deg).toarray()))
         # both routes give the whole spectrum of the degree block
         assert a.shape == b.shape == ((deg + 1) * (deg + 2) // 2,)
         assert np.abs(a - b).max() < 1e-9
@@ -387,11 +392,11 @@ def test_gap_rejects_a_perturbed_ritz_pair(nudge, check, monkeypatch):
 
 
 def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
-    """op with its degree-m block replaced by change(block)."""
-    mat = op.mat.copy()
+    """op with its degree-m block replaced by change(block), stored as CSR."""
+    mat = op.mat.toarray()
     sl = op.basis.degree_slice(m)
     mat[sl, sl] = change(mat[sl, sl])
-    return OperatorMatrix(op.name, op.basis, mat)
+    return OperatorMatrix(op.name, op.basis, sparse.csr_matrix(mat))
 
 
 def _defect(message: str) -> float:
@@ -458,7 +463,7 @@ def test_gap_rejects_a_generator_growing_off_the_invariants(monkeypatch):
     with pytest.raises(ToleranceError, match="nonpositive spectral gap") as err:
         spectral_gap(ctx)
     w = np.linalg.eigh(comp)[1][:, u2.shape[1]:]
-    want = -float(np.linalg.eigvalsh(w.T @ ctx.reservoir.block(2) @ w).max())
+    want = -float(np.linalg.eigvalsh(w.T @ ctx.reservoir.block(2).toarray() @ w).max())
     assert want < 0.0
     got = float(str(err.value).split("gap ")[1])
     assert got == pytest.approx(want, rel=1e-3)
@@ -533,20 +538,84 @@ def test_embedding_over_every_variable_is_the_block(d):
     therm = thermostat_block(d)
     assert _same_bits(embed_block(therm, b3, b3, (0, 1, 2)),
                       embedding_oracle.embed_block(therm, b3, b3, (0, 1, 2)))
-    assert _same_bits(assemble_T(1, d).mat, therm)
+    assert _same_bits(assemble_T(1, d).mat.toarray(), therm)
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 8, 2)])
 def test_generators_equal_the_oracle_assembly(m, n, d, monkeypatch):
     p = ModelParams(m, n)
-    fast = {kind: assemble_generator(kind, p, d).mat for kind in ("reservoir", "thermostat")}
+    fast = {kind: assemble_generator(kind, p, d).mat.toarray()
+            for kind in ("reservoir", "thermostat")}
     # rebuild the pair and thermostat blocks as well, through the oracle
     monkeypatch.setattr(spectral, "_cache", {})
     monkeypatch.setattr(spectral, "embed_block", embedding_oracle.embed_block)
-    monkeypatch.setattr(spectral, "_accumulate_embedded",
-                        embedding_oracle.accumulate_embedded)
     for kind, mat in fast.items():
-        assert _same_bits(mat, assemble_generator(kind, p, d).mat)
+        assert _same_bits(mat, embedding_oracle.generator(kind, p, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_rotations_and_bath_map_equal_the_oracle_embedding(d):
+    p = ModelParams(2, 3)
+    big = joint_basis(p, d)
+    b6 = make_basis(6, d)
+    pair = pair_avg_block(d)
+    for kind, i, j, slots in [
+        ("system", 0, 1, np.concatenate([v_slots(0), v_slots(1)])),
+        ("reservoir", 0, 2, np.concatenate([w_slots(p, 0), w_slots(p, 2)])),
+        ("interaction", 1, 1, np.concatenate([v_slots(1), w_slots(p, 1)])),
+    ]:
+        got = assemble_pair_rotation(kind, i, j, p, d, basis=big).mat.toarray()
+        assert _same_bits(got, embedding_oracle.embed_block(pair, b6, big, slots))
+    b3, tagged = make_basis(3, d), make_basis(6, d)
+    assert _same_bits(assemble_T(2, d, particle=1).mat.toarray(),
+                      embedding_oracle.embed_block(thermostat_block(d), b3, tagged, (3, 4, 5)))
+
+
+def test_generator_assembly_allocates_less_than_one_dense_generator():
+    # with the pair block warm, assembling the 4060-row reservoir
+    # generator at d=3, M=1, N=8 peaks below the 8 n^2 bytes of a dense copy
+    pair_avg_block(3)
+    tracemalloc.start()
+    try:
+        g = assemble_generator("reservoir", ModelParams(1, 8), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.basis.size == 4060
+    assert peak < 8 * g.basis.size ** 2
+
+
+def _same_csr(a, b) -> bool:
+    return all(_same_bits(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       noise=st.one_of(st.just(spectral.BLOCK_TOL), st.floats(1e-16, 1e-8)))
+def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
+    # a block-diagonal matrix with zeros inside its blocks, plus noise of
+    # largest magnitude `noise` at some off-degree positions
+    basis = make_basis(3, 2)
+    rng = np.random.default_rng(seed)
+    off = basis.degree_of[:, None] != basis.degree_of[None, :]
+    clean = np.where(~off & (rng.random(off.shape) < 0.7),
+                     rng.standard_normal(off.shape), 0.0)
+    spots = np.flatnonzero(off & (rng.random(off.shape) < 0.3))
+    spots = np.append(spots, rng.choice(np.flatnonzero(off)))
+    raw = clean.copy()
+    raw.flat[spots] = rng.uniform(-noise, noise, spots.size)
+    raw.flat[spots[-1]] = noise if rng.random() < 0.5 else -noise
+    if noise > spectral.BLOCK_TOL:
+        for mat in (raw, sparse.csr_matrix(raw)):
+            with pytest.raises(ToleranceError, match=f"magnitude {noise:.3e} exceeds"):
+                OperatorMatrix.from_raw("noisy", basis, mat)
+        return
+    got = OperatorMatrix.from_raw("noisy", basis, raw).mat
+    assert _same_csr(got, OperatorMatrix.from_raw("noisy", basis, sparse.csr_matrix(raw)).mat)
+    rows = np.repeat(np.arange(basis.size), np.diff(got.indptr))
+    assert not off[rows, got.indices].any()
+    assert (got.data != 0.0).all()
+    assert _same_bits(got.toarray(), clean)
 
 
 def test_embedding_rejects_a_sub_basis_of_lower_degree():
