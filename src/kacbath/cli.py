@@ -304,8 +304,6 @@ def cmd_verify_lemma2(cfg: RunConfig | None, args) -> int:
 
 def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
     max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = cfg.max_degree if cfg is not None else 6
     if not 1 <= max_degree <= 6:
         raise ConfigError(f"max degree must be in 1..6, got {max_degree}")
     t = assemble_T(1, max_degree)
@@ -356,7 +354,7 @@ def cmd_distance(cfg: RunConfig | None, args) -> int:
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
     ctx = SpectralContext(p, cfg.degree)
-    curve = distance_curve(ctx, h0, times, cross_check=cfg.cross_check)
+    curve = distance_curve(ctx, h0, times)
     bp = _measured_bound_params(cfg, ctx, h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
     header = ["t", "distance", "bound", "bound_term1", "bound_term2"]
@@ -373,8 +371,7 @@ def cmd_bound(cfg: RunConfig | None, args) -> int:
         study = scaling_study(
             cfg.m, ns=cfg.reservoir_sizes, eps=cfg.eps,
             lambda_s=cfg.lambda_s, lambda_r=cfg.lambda_r, mu=cfg.mu,
-            t_end=cfg.t_end, grid_count=cfg.grid["count"], d=cfg.degree,
-            cross_check=cfg.cross_check)
+            t_end=cfg.t_end, grid_count=cfg.grid["count"], d=cfg.degree)
         write_json(args.out, {
             "m": study.m, "degree": study.degree, "eps": study.eps,
             "rows": [{"n": r.n, "limit": r.limit, "gap": r.gap,
@@ -502,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--seed", type=int, help="override the config seed")
         s.add_argument("--threads", type=int, help="override the config threads")
         if name == "verify-lemma3":
-            s.add_argument("--max-degree", type=int, dest="max_degree",
-                           help="highest polynomial degree to check (1..6)")
+            s.add_argument("--max-degree", type=int, dest="max_degree", default=6,
+                           help="highest polynomial degree to check (1..6, default 6)")
         if name == "report":
             s.add_argument("--dir", default=".",
                            help="run directory to summarize")

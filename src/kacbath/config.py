@@ -10,7 +10,7 @@ field, and the dataclass constructors re-check the semantic invariants
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import jsonschema
 
@@ -89,9 +89,6 @@ CONFIG_SCHEMA = {
             "minItems": 1, "description": "N values for sweeps and scaling",
         },
         "random_polynomials": {"type": "integer", "minimum": 1, "default": 20},
-        "max_degree": {"type": "integer", "minimum": 1, "maximum": 6,
-                       "default": 6},
-        "cross_check": {"type": "boolean", "default": True},
     },
 }
 
@@ -108,33 +105,34 @@ def _defaults_of(schema: dict) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration document with defaults applied."""
+    """Validated configuration document with defaults applied.
+
+    Built by config_from_dict, so every default comes from CONFIG_SCHEMA;
+    only the fields the schema leaves without a default default to None.
+    """
 
     m: int
     n: int
-    lambda_s: float = 1.0
-    lambda_r: float = 1.0
-    mu: float = 1.0
-    seed: int = 0
-    threads: int = 1
-    t_end: float = 5.0
+    lambda_s: float
+    lambda_r: float
+    mu: float
+    seed: int
+    threads: int
+    t_end: float
+    grid: dict
+    ensemble: int
+    degree: int
+    system_kind: str
+    operator: str
+    init: dict
+    observables: tuple[str, ...]
+    eps: float
+    samples: int
+    inner: int
+    random_polynomials: int
     record_times: tuple[float, ...] | None = None
-    grid: dict = field(default_factory=lambda: {"count": 48, "t_min": 0.01})
-    ensemble: int = 1000
-    degree: int = 2
-    system_kind: str = "reservoir"
-    operator: str = "reservoir"
-    init: dict = field(default_factory=lambda: {
-        "kind": "equilibrium", "family": "h1_v1x", "eps": 0.1})
-    observables: tuple[str, ...] = ("system_energy",)
-    eps: float = 0.1
-    samples: int = 4096
-    inner: int = 64
     system_sizes: tuple[int, ...] | None = None
     reservoir_sizes: tuple[int, ...] | None = None
-    random_polynomials: int = 20
-    max_degree: int = 6
-    cross_check: bool = True
 
 
 def validate_config(doc: dict) -> dict:

@@ -12,9 +12,11 @@ below KRYLOV_TOL times the block's norm. Smooth data needs only a few
 steps (4 for anisotropic degree-2 data, whatever the block size), and
 no block-sized dense matrix is formed. A block where the initial
 coefficients are all zero stays zero, exp(G_m t) 0 = 0, so it is
-skipped. An adaptive ODE integration (DOP853) of the whole linear system
-cross-checks the result, since the two routes share no code beyond the
-matrix itself. Both routes, and the spectral gap, multiply by the
+skipped by both routes. An adaptive ODE integration (DOP853) of every
+block that c0 fills always cross-checks the result, since the two routes
+share no code beyond the matrix itself; the blocks c0 leaves empty are
+exactly zero in that matrix's flow too, because from_raw makes it exactly
+block diagonal. Both routes, and the spectral gap, multiply by the
 generator's CSR matrix (`OperatorMatrix.mat`, held only in CSR): the
 generator has about a hundred nonzeros per row.
 
@@ -142,12 +144,7 @@ def _krylov_path(g, b: np.ndarray, times: np.ndarray, degree: int,
     return _KrylovPath(values, bound, k)
 
 
-def evolve(
-    g: OperatorMatrix,
-    c0: HermiteCoeffs,
-    times,
-    cross_check: bool = True,
-) -> list[HermiteCoeffs]:
+def evolve(g: OperatorMatrix, c0: HermiteCoeffs, times) -> list[HermiteCoeffs]:
     """Coefficient vectors exp(G t) c0 at the requested times.
 
     Computed per degree block by Lanczos from the block's part of c0,
@@ -155,9 +152,11 @@ def evolve(
     (see _krylov_path) is at most KRYLOV_TOL times that part's norm at
     every requested time; blocks where c0 is identically zero are left
     zero. Every block is checked for symmetry (from_raw dropped the rest
-    of G). With cross_check=True the full linear system is also
-    integrated adaptively on the same CSR matrix and any relative
-    disagreement beyond CROSS_CHECK_TOL raises IntegrationError.
+    of G). Each block that c0 fills is also integrated adaptively
+    (DOP853) from the same part of c0 on the same CSR block; when every
+    time is 0 nothing is integrated and the result is compared with c0.
+    A relative disagreement beyond CROSS_CHECK_TOL at any time raises
+    IntegrationError.
     """
     arr = _check_times(times)
     if c0.basis.index != g.basis.index:
@@ -166,6 +165,7 @@ def evolve(
     basis = g.basis
     g_norm = float(abs(g.mat).sum(axis=1).max())
     out = np.repeat(c0.vec[None, :], arr.size, axis=0)
+    ref = out.copy()
     for m in range(basis.degree + 1):
         sl = basis.degree_slice(m)
         block = g.block(m)
@@ -176,28 +176,17 @@ def evolve(
         if not c0.vec[sl].any():
             continue
         out[:, sl] = _krylov_path(block - 0.5 * skew, c0.vec[sl], arr, m, g_norm).values
-
-    if cross_check:
-        sol = solve_ivp(
-            lambda _, y: g.mat @ y,
-            (0.0, float(arr[-1])) if arr[-1] > 0.0 else (0.0, 1.0),
-            c0.vec,
-            method="DOP853",
-            t_eval=arr if arr[-1] > 0.0 else None,
-            rtol=1e-11,
-            atol=1e-14,
-        )
-        if not sol.success:
-            raise IntegrationError(f"adaptive integrator failed: {sol.message}")
         if arr[-1] > 0.0:
-            ref = sol.y.T
-            scale = np.maximum(1.0, np.linalg.norm(out, axis=1))
-            rel = np.linalg.norm(out - ref, axis=1) / scale
-            worst = float(rel.max())
-            if worst > CROSS_CHECK_TOL:
-                raise IntegrationError(
-                    f"evolution routes disagree: relative {worst:.3e}"
-                )
+            sol = solve_ivp(lambda _, y: block @ y, (0.0, float(arr[-1])), c0.vec[sl],
+                            method="DOP853", t_eval=arr, rtol=1e-11, atol=1e-14)
+            if not sol.success:
+                raise IntegrationError(f"adaptive integrator failed: {sol.message}")
+            ref[:, sl] = sol.y.T
+
+    scale = np.maximum(1.0, np.linalg.norm(out, axis=1))
+    worst = float((np.linalg.norm(out - ref, axis=1) / scale).max())
+    if worst > CROSS_CHECK_TOL:
+        raise IntegrationError(f"evolution routes disagree: relative {worst:.3e}")
     return [HermiteCoeffs(basis, row.copy()) for row in out]
 
 
@@ -222,19 +211,15 @@ class DistanceCurve:
             raise StateError("distances cannot be negative")
 
 
-def distance_curve(
-    ctx: SpectralContext,
-    h0: HermiteCoeffs,
-    times,
-    cross_check: bool = True,
-) -> DistanceCurve:
+def distance_curve(ctx: SpectralContext, h0: HermiteCoeffs, times) -> DistanceCurve:
     """Evolve h0 under both couplings and measure their L2 separation.
 
     h0 is a mean-one polynomial of the 3M system velocity components;
     it is embedded into the context's joint basis (reservoir factor
     constant) so both flows and the norm live in one space. The degree
     cap ctx.d must be at least the degree of h0; equal makes the
-    truncation exact.
+    truncation exact. Both flows are cross-checked block by block
+    (see evolve).
     """
     arr = _check_times(times)
     p, d = ctx.p, ctx.d
@@ -246,8 +231,8 @@ def distance_curve(
         raise ConfigError(f"degree cap {d} below h0 degree {h0.degree()}")
 
     c0 = h0.embed(ctx.basis, np.arange(3 * p.m))
-    path_res = evolve(ctx.reservoir, c0, arr, cross_check=cross_check)
-    path_bath = evolve(ctx.thermostat, c0, arr, cross_check=cross_check)
+    path_res = evolve(ctx.reservoir, c0, arr)
+    path_bath = evolve(ctx.thermostat, c0, arr)
     dist = tuple(
         float(np.linalg.norm(a.vec - b.vec)) for a, b in zip(path_res, path_bath)
     )

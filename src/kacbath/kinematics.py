@@ -77,21 +77,6 @@ class JointState:
         if not (np.isfinite(self.v).all() and np.isfinite(self.w).all()):
             raise StateError("velocities must be finite")
 
-    @property
-    def m(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-    def copy(self) -> "JointState":
-        return JointState(self.v.copy(), self.w.copy())
-
-    def flatten(self) -> np.ndarray:
-        """Concatenate into a single vector of length 3(M+N), v first."""
-        return np.concatenate([self.v.ravel(), self.w.ravel()])
-
 
 def _check_unit(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)

@@ -14,35 +14,33 @@ from math import pi, sqrt
 
 from kacbath import (
     EquilibriumInit,
-    HermiteCoeffs,
     ModelParams,
-    PerturbationInit,
-    RngStream,
     SimConfig,
     SpectralContext,
     assemble_T,
-    assemble_generator,
     bound_curve,
     default_time_grid,
     distance_curve,
     estimate_l,
-    estimate_lemma1_ratio,
-    evolve,
-    hermite_observable,
-    joint_basis,
     lemma1_constant,
-    long_time_limit,
-    make_basis,
     make_bound_params,
-    pair_collide,
     run_ensemble,
-    scaling_study,
     spectral_gap,
+)
+from kacbath.bounds import scaling_study
+from kacbath.cli import main
+from kacbath.evolution import evolve, long_time_limit
+from kacbath.hermite import HermiteCoeffs, make_basis
+from kacbath.jump import PerturbationInit, hermite_observable
+from kacbath.kinematics import pair_collide
+from kacbath.projector import estimate_lemma1_ratio
+from kacbath.randomness import GAMMA_SIGMA, RngStream
+from kacbath.spectral import (
+    assemble_generator,
+    joint_basis,
     symmetric_tensor_eigenvalues,
     verify_lemma2,
 )
-from kacbath.cli import main
-from kacbath.randomness import GAMMA_SIGMA
 from conditioning_kernel import verify_gaussian_identity
 
 

@@ -4,20 +4,9 @@ import numpy as np
 import pytest
 from math import exp, sqrt
 
-from kacbath import (
-    ConfigError,
-    DegenerateBoundError,
-    ModelParams,
-    ToleranceError,
-    assemble_T,
-    bound_curve,
-    bump_peak,
-    estimate_l,
-    lambda_rate,
-    make_bound_params,
-    scaling_study,
-)
-from kacbath.bounds import anisotropic_pair_data
+from kacbath import ModelParams, assemble_T, bound_curve, estimate_l, make_bound_params
+from kacbath.bounds import anisotropic_pair_data, bump_peak, lambda_rate, scaling_study
+from kacbath.errors import ConfigError, DegenerateBoundError, ToleranceError
 
 
 def _params(k: float = 0.5, l: float = 0.4714, c: float = 3.27,
@@ -33,14 +22,15 @@ def test_lambda_rate_values():
 
 
 def test_estimate_l_values():
-    t = assemble_T(1, 4)
     # degree-1 block: 2/3 - (2/3)^2 = 2/9
-    assert estimate_l(t, d=1) == pytest.approx(sqrt(2.0 / 9.0), abs=1e-12)
+    assert estimate_l(assemble_T(1, 1)) == pytest.approx(sqrt(2.0 / 9.0), abs=1e-12)
     # frozen full-truncation values; the sup is attained at degree 2
-    assert estimate_l(t, d=2) == pytest.approx(0.49888765156985887, abs=1e-12)
-    assert estimate_l(t, d=4) >= estimate_l(t, d=2) - 1e-15
+    l2 = estimate_l(assemble_T(1, 2))
+    assert l2 == pytest.approx(0.49888765156985887, abs=1e-12)
+    l4 = estimate_l(assemble_T(1, 4))
+    assert l4 >= l2 - 1e-15
     # the variational sup never exceeds 1/2 for a PSD contraction
-    assert estimate_l(t) <= 0.5 + 1e-12
+    assert l4 <= 0.5 + 1e-12
 
 
 def test_bound_params_validation():
@@ -124,7 +114,8 @@ def test_anisotropic_data_properties():
 
 
 def test_estimate_l_rejects_broken_operator():
-    from kacbath import OperatorMatrix, make_basis
+    from kacbath.hermite import make_basis
+    from kacbath.spectral import OperatorMatrix
 
     b = make_basis(1, 1)
     bad = OperatorMatrix.from_raw("bad", b, np.diag([1.0, 2.0]))  # not a contraction
@@ -135,8 +126,7 @@ def test_estimate_l_rejects_broken_operator():
 def test_scaling_study_two_sizes_smoke():
     # a cheap two-point run: exponents are defined and the gap column
     # carries the measured per-size values
-    study = scaling_study(1, ns=(2, 4), eps=0.2, t_end=70.0, grid_count=36,
-                          cross_check=False)
+    study = scaling_study(1, ns=(2, 4), eps=0.2, t_end=70.0, grid_count=36)
     assert study.rows[0].gap == pytest.approx(0.5, abs=1e-9)
     assert study.rows[1].gap == pytest.approx(5.0 / 12.0, abs=1e-9)
     # the limit column follows ||h0-1||/(M+N)

@@ -10,10 +10,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kacbath import ModelParams, assemble_T, assemble_generator, cli, spectral
+from kacbath import ModelParams, assemble_T, cli, spectral
 from kacbath.cli import main, perturbation_data
 from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
+from kacbath.spectral import assemble_generator
 
 
 def _write_config(tmp_path, name="c.json", **fields):
@@ -227,8 +228,7 @@ def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
                               lambda kind, p, d: (kind, p.n, d))
     bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
     study = _write_config(tmp_path, "study.json", degree=2, eps=0.2,
-                          reservoir_sizes=[2, 4], t_end=70.0, grid={"count": 36},
-                          cross_check=False)
+                          reservoir_sizes=[2, 4], t_end=70.0, grid={"count": 36})
     assert _run("bound", "--config", study, "--out", str(tmp_path / "s.json")) == 0
     dist = _write_config(tmp_path, "dist.json", n=3, degree=2, t_end=3.0,
                          grid={"count": 10},
@@ -272,12 +272,23 @@ def test_bound_single_curve(tmp_path):
 def test_bound_scaling_mode(tmp_path):
     cfg = _write_config(
         tmp_path, t_end=70.0, grid={"count": 30}, degree=2, eps=0.2,
-        reservoir_sizes=[2, 4], cross_check=False)
+        reservoir_sizes=[2, 4])
     out = tmp_path / "scal.json"
     assert _run("bound", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert [r["n"] for r in doc["rows"]] == [2, 4]
     assert doc["p"] > 0.0 and doc["q"] > 0.0
+
+
+@pytest.mark.parametrize("key,value", [("cross_check", False), ("max_degree", 3)])
+def test_retired_config_keys_are_rejected_by_name(tmp_path, capsys, key, value):
+    # the evolution cross-check cannot be switched off, and --max-degree
+    # is the one way to set verify-lemma3's degree
+    cfg = _write_config(tmp_path, **{key: value})
+    assert _run("verify-lemma3", "--config", cfg, "--out", str(tmp_path / "l3.json")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and repr(key) in record["message"]
+    assert not (tmp_path / "l3.json").exists()
 
 
 def test_bound_with_one_reservoir_size_is_a_config_error(tmp_path, capsys):

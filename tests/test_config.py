@@ -1,11 +1,19 @@
 """Configuration schema and loader."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kacbath import CONFIG_SCHEMA, ConfigError, load_config
-from kacbath.config import config_from_dict, validate_config
+from kacbath.config import (
+    CONFIG_SCHEMA,
+    _defaults_of,
+    config_from_dict,
+    load_config,
+    validate_config,
+)
+from kacbath.errors import ConfigError
 
 
 def test_minimal_document_gets_defaults():
@@ -72,3 +80,42 @@ def test_load_config_bad_json(tmp_path):
 def test_schema_is_published_and_strict():
     assert CONFIG_SCHEMA["additionalProperties"] is False
     assert set(CONFIG_SCHEMA["required"]) == {"m", "n"}
+
+
+def _strategy(sub: dict):
+    """Documents valid under one node of CONFIG_SCHEMA (the subset it uses)."""
+    if "enum" in sub:
+        return st.sampled_from(sub["enum"])
+    kind = sub["type"]
+    if kind == "integer":
+        return st.integers(sub.get("minimum", -10**6), sub.get("maximum", 10**6))
+    if kind == "number":
+        low = sub.get("minimum", sub.get("exclusiveMinimum"))
+        return st.floats(min_value=low, max_value=1e6, allow_nan=False,
+                         exclude_min="exclusiveMinimum" in sub)
+    if kind == "array":
+        return st.lists(_strategy(sub["items"]), min_size=sub.get("minItems", 0),
+                        max_size=4)
+    props = {k: _strategy(v) for k, v in sub["properties"].items()}
+    required = set(sub.get("required", ()))
+    return st.fixed_dictionaries(
+        {k: s for k, s in props.items() if k in required},
+        optional={k: s for k, s in props.items() if k not in required})
+
+
+_SEQUENCES = ("record_times", "observables", "system_sizes", "reservoir_sizes")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strategy(CONFIG_SCHEMA))
+def test_config_is_the_document_merged_over_the_schema_defaults(doc):
+    # every default comes from the schema: RunConfig holds exactly the
+    # document over _defaults_of(CONFIG_SCHEMA), sequences as tuples
+    want = {key: None for key in ("record_times", "system_sizes", "reservoir_sizes")}
+    want.update(_defaults_of(CONFIG_SCHEMA))
+    for key, val in doc.items():
+        want[key] = {**want[key], **val} if isinstance(val, dict) else val
+    for key in _SEQUENCES:
+        if want[key] is not None:
+            want[key] = tuple(want[key])
+    assert dataclasses.asdict(config_from_dict(doc)) == want

@@ -6,26 +6,24 @@ from math import exp, sqrt
 from scipy import sparse
 
 from kacbath import (
-    ConfigError,
-    HermiteCoeffs,
-    HorizonError,
-    IntegrationError,
     ModelParams,
-    OperatorMatrix,
     SpectralContext,
-    StateError,
-    ToleranceError,
-    assemble_generator,
     default_time_grid,
     distance_curve,
-    evolve,
-    joint_basis,
-    long_time_limit,
-    make_basis,
+    evolution,
 )
-from kacbath import evolution
 from kacbath.bounds import anisotropic_pair_data
+from kacbath.errors import (
+    ConfigError,
+    HorizonError,
+    IntegrationError,
+    StateError,
+    ToleranceError,
+)
+from kacbath.evolution import evolve, long_time_limit
+from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.randomness import RngStream
+from kacbath.spectral import OperatorMatrix, assemble_generator, joint_basis
 
 
 def _h1_data(eps: float) -> HermiteCoeffs:
@@ -86,8 +84,8 @@ def _random_data(basis, seed=5) -> HermiteCoeffs:
     return HermiteCoeffs(basis, vec)
 
 
-def _path(g, c0, times, cross_check=False) -> np.ndarray:
-    return np.array([c.vec for c in evolve(g, c0, times, cross_check=cross_check)])
+def _path(g, c0, times) -> np.ndarray:
+    return np.array([c.vec for c in evolve(g, c0, times)])
 
 
 def _count_krylov(monkeypatch) -> list:
@@ -101,6 +99,24 @@ def _count_krylov(monkeypatch) -> list:
         return out
 
     monkeypatch.setattr(evolution, "_krylov_path", counted)
+    return calls
+
+
+def _count_dop853(monkeypatch, basis) -> list:
+    """Record the degree of the block each DOP853 call integrates."""
+    calls = []
+    real = evolution.solve_ivp
+    degree_of = {}
+    for m in range(basis.degree + 1):
+        sl = basis.degree_slice(m)
+        degree_of[sl.stop - sl.start] = m
+    assert len(degree_of) == basis.degree + 1  # block sizes tell degrees apart
+
+    def counted(fun, t_span, y0, **kwargs):
+        calls.append(degree_of[len(y0)])
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_ivp", counted)
     return calls
 
 
@@ -149,10 +165,10 @@ def test_krylov_dimensions_of_criterion_6_data(m, n, d, monkeypatch):
     c0 = anisotropic_pair_data(0.2).embed(ctx.basis, np.arange(3))
     grid = default_time_grid(80.0, count=56)
     dims = _count_krylov(monkeypatch)
-    evolve(ctx.reservoir, c0, grid, cross_check=False)
+    evolve(ctx.reservoir, c0, grid)
     assert dims == [(0, 1), (2, 4)]
     dims.clear()
-    evolve(ctx.thermostat, c0, grid, cross_check=False)
+    evolve(ctx.thermostat, c0, grid)
     assert dims == [(0, 1), (2, 1)]
 
 
@@ -166,8 +182,10 @@ def test_evolve_skips_the_empty_degree_blocks(kind, n, monkeypatch):
     times = np.array([0.0, 0.3, 1.7, 9.0])
     want = _every_block_path(g, c0, times)
     calls = _count_krylov(monkeypatch)
+    integrated = _count_dop853(monkeypatch, g.basis)
     got = _path(g, c0, times)
     assert [deg for deg, _ in calls] == [0, 2]
+    assert integrated == [0, 2]
     for m in range(4):
         sl = g.basis.degree_slice(m)
         if m in (0, 2):
@@ -184,9 +202,22 @@ def test_evolve_data_in_every_block_takes_the_full_route(kind, monkeypatch):
     times = np.array([0.0, 0.3, 1.7, 9.0])
     want = _every_block_path(g, c0, times)
     calls = _count_krylov(monkeypatch)
-    got = _path(g, c0, times, cross_check=True)
+    integrated = _count_dop853(monkeypatch, g.basis)
+    got = _path(g, c0, times)
     assert [deg for deg, _ in calls] == [0, 1, 2, 3]
+    assert integrated == [0, 1, 2, 3]
     assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(c0.vec)
+
+
+def test_evolve_at_time_zero_integrates_nothing(monkeypatch):
+    # exp(G 0) c0 = c0: the Krylov route still runs on the filled blocks,
+    # and its result is compared with c0 itself
+    g = assemble_generator("reservoir", ModelParams(1, 2), 3)
+    c0 = _random_data(g.basis)
+    integrated = _count_dop853(monkeypatch, g.basis)
+    got = _path(g, c0, [0.0, 0.0])
+    assert integrated == []
+    assert np.abs(got - c0.vec).max() <= 1e-13 * np.linalg.norm(c0.vec)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -201,7 +232,7 @@ def test_evolve_rejects_an_asymmetric_block_filled_or_empty(m):
     mat[sl.start, sl.start + 1] += 3e-9
     broken = OperatorMatrix(g.name, g.basis, sparse.csr_matrix(mat))
     with pytest.raises(StateError, match=f"not symmetric in degree {m}") as err:
-        evolve(broken, c0, [0.0, 1.0], cross_check=False)
+        evolve(broken, c0, [0.0, 1.0])
     want = float(np.abs(mat - mat.T).max())
     assert want == pytest.approx(3e-9, rel=1e-6)
     assert float(str(err.value).split("defect ")[1].rstrip(")")) == pytest.approx(want, rel=1e-3)
@@ -221,7 +252,7 @@ def test_krylov_route_rejects_a_basis_that_lost_orthogonality(monkeypatch):
 
     monkeypatch.setattr(evolution, "_gram_schmidt", leaky)
     with pytest.raises(ToleranceError, match="not orthonormal in degree 2") as err:
-        evolve(g, c0, [0.0, 1.0], cross_check=False)
+        evolve(g, c0, [0.0, 1.0])
     block, _ = _block_args(g, 2)
     v0 = c0.vec[g.basis.degree_slice(2)]
     v0 = v0 / np.linalg.norm(v0)
@@ -241,7 +272,7 @@ def test_krylov_route_rejects_a_positive_ritz_value():
     mat[0, 0] += 1e-9
     broken = OperatorMatrix(g.name, g.basis, sparse.csr_matrix(mat))
     with pytest.raises(ToleranceError, match="above zero in degree 0") as err:
-        evolve(broken, c0, [0.0, 1.0], cross_check=False)
+        evolve(broken, c0, [0.0, 1.0])
     got = float(str(err.value).split("Ritz value ")[1].split()[0])
     assert got == pytest.approx(1e-9, rel=1e-6)
 
@@ -328,9 +359,8 @@ def test_default_time_grid_shape():
 
 
 def test_cross_check_route_agreement():
-    # the integrator route is compared against the eigendecomposition
-    # internally; run once with the check on to exercise it
+    # both flows of a distance curve pass the DOP853 check of every block
+    # the embedded data fills
     ctx = SpectralContext(ModelParams(1, 2), 2)
-    curve = distance_curve(ctx, anisotropic_pair_data(0.2), [0.0, 0.7, 1.9],
-                           cross_check=True)
+    curve = distance_curve(ctx, anisotropic_pair_data(0.2), [0.0, 0.7, 1.9])
     assert curve.distance[1] > 0.0

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from math import comb, factorial, pi, sqrt
 
-from kacbath import HermiteCoeffs, StateError, evaluate_basis, make_basis
 from scipy.linalg import solve_triangular
 
+from kacbath.errors import StateError
 from kacbath.hermite import (
+    HermiteCoeffs,
     _compositions,
     _hermite_monomial_matrix,
+    evaluate_basis,
     hermite_coeffs_from_poly,
+    make_basis,
     hermite_value_table,
     monomial_to_hermite_1d,
     poly_add,
@@ -182,7 +185,7 @@ def test_gamma_expectation_is_coefficient_zero():
     vec[0] = 2.5
     vec[b.index[(1, 1)]] = 1.0
     h = HermiteCoeffs(b, vec)
-    from kacbath import GAMMA_SIGMA
+    from kacbath.randomness import GAMMA_SIGMA
 
     pts = RngStream(8, 0).rng.normal(0.0, GAMMA_SIGMA, (400_000, 2))
     assert h.evaluate(pts).mean() == pytest.approx(2.5, abs=5e-3)

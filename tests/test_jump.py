@@ -9,25 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from kacbath import (
     BlockObservable,
-    ConfigError,
     EquilibriumInit,
     ModelParams,
-    NegativeWeightError,
-    PerturbationInit,
-    RngStream,
     SimConfig,
-    StateError,
-    event_rates,
-    hermite_observable,
-    make_basis,
     run_ensemble,
-    total_energy,
-    total_momentum,
 )
 from kacbath.cli import observable_registry
-from kacbath.hermite import HermiteCoeffs
-from kacbath.jump import BLOCK, _advance
-from kacbath.kinematics import JointState
+from kacbath.errors import ConfigError, NegativeWeightError, StateError
+from kacbath.hermite import HermiteCoeffs, make_basis
+from kacbath.jump import BLOCK, PerturbationInit, _advance, event_rates, hermite_observable
+from kacbath.kinematics import JointState, total_energy, total_momentum
+from kacbath.randomness import RngStream
 
 
 def _h1_data(eps: float) -> HermiteCoeffs:
@@ -286,7 +278,8 @@ def test_hermite_block_values_equal_per_state_calls(full_state):
     states = _states(vw, m)
     got = obs.block(vw)
     np.testing.assert_array_equal(got, [obs(s) for s in states])
-    points = [s.flatten() if full_state else s.v.ravel() for s in states]
+    points = [np.concatenate([s.v.ravel(), s.w.ravel()]) if full_state else s.v.ravel()
+              for s in states]
     np.testing.assert_array_equal(
         got, [coeffs.evaluate(x[None, :])[0] for x in points])
 

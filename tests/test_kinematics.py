@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from kacbath import (
-    JointState,
-    ModelParams,
-    StateError,
-    UnitVectorError,
-    pair_collide,
-    total_energy,
-    total_momentum,
-)
+from kacbath import ModelParams
+from kacbath.errors import StateError, UnitVectorError
+from kacbath.kinematics import JointState, pair_collide, total_energy, total_momentum
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -77,12 +71,9 @@ def test_joint_state_shape_checks():
         JointState(np.zeros((2, 2)), np.zeros((3, 3)))
     with pytest.raises(StateError):
         JointState(np.zeros((0, 3)), np.zeros((3, 3)))
-    s = JointState(np.ones((2, 3)), np.zeros((3, 3)))
-    assert s.m == 2 and s.n == 3
-    assert s.flatten().shape == (15,)
-    c = s.copy()
-    c.v[0, 0] = -1.0
-    assert s.v[0, 0] == 1.0
+    s = JointState(np.ones((2, 3)), np.zeros((3, 3), dtype=int))
+    assert s.v.shape == (2, 3) and s.w.shape == (3, 3)
+    assert s.w.dtype == float
 
 
 def test_totals():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kacbath import ConfigError
+from kacbath.errors import ConfigError
 from kacbath.output import (
     format_value,
     read_json,

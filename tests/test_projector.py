@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 from math import sqrt
 
-from kacbath import (
-    ConfigError,
-    GAMMA_SIGMA,
-    HermiteCoeffs,
-    JointState,
-    RngStream,
-    StateError,
-    estimate_lemma1_ratio,
-    lemma1_constant,
-    make_basis,
-    total_energy,
-    total_momentum,
-)
-from kacbath.projector import _ratio_core, _system_rows
+from kacbath import lemma1_constant
+from kacbath.errors import ConfigError, StateError
+from kacbath.hermite import HermiteCoeffs, make_basis
+from kacbath.kinematics import JointState, total_energy, total_momentum
+from kacbath.projector import _ratio_core, _system_rows, estimate_lemma1_ratio
+from kacbath.randomness import GAMMA_SIGMA, RngStream
 from conditioning_kernel import verify_gaussian_identity
 from rotation_oracle import (
     build_frame,
@@ -60,6 +52,11 @@ def test_frame_g_and_l_closed_forms():
         np.testing.assert_allclose(frame.l[:, i], l, atol=1e-12)
 
 
+def _flat(s: JointState) -> np.ndarray:
+    """The 3(M+N) velocity components of s, v first."""
+    return np.concatenate([s.v.ravel(), s.w.ravel()])
+
+
 def test_frame_g_coordinates_encode_total_momentum():
     m, n = 1, 3
     frame = build_frame(m, n)
@@ -67,7 +64,7 @@ def test_frame_g_coordinates_encode_total_momentum():
         RngStream(2, 0).rng.normal(size=(m, 3)),
         RngStream(2, 1).rng.normal(size=(n, 3)),
     )
-    y = frame.coordinates(s.flatten())
+    y = frame.coordinates(_flat(s))
     mean_velocity = total_momentum(s) / (m + n)
     np.testing.assert_allclose(
         y[frame.g_slots], sqrt(m + n) * mean_velocity, atol=1e-12
@@ -88,9 +85,10 @@ def test_lemma1_constant_values():
 
 def _rotated(s: JointState, count: int, stream: RngStream) -> np.ndarray:
     """`count` Haar-rotated copies of s as a (count, M+N, 3) array."""
-    rows = rotated_states(build_frame(s.m, s.n), s.flatten(), count, stream)
-    assert rows.shape == (count, 3 * (s.m + s.n))
-    return rows.reshape(count, s.m + s.n, 3)
+    m, n = len(s.v), len(s.w)
+    rows = rotated_states(build_frame(m, n), _flat(s), count, stream)
+    assert rows.shape == (count, 3 * (m + n))
+    return rows.reshape(count, m + n, 3)
 
 
 def _energy_and_momentum(rows: np.ndarray):

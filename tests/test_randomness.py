@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from kacbath import GAMMA_SIGMA, RngStream
-from kacbath.randomness import sample_gamma_vec3, sample_unit_sphere
+from kacbath.randomness import GAMMA_SIGMA, RngStream, sample_gamma_vec3, sample_unit_sphere
 from rotation_oracle import (
     build_frame,
     haar_special_orthogonal,

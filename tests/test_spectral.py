@@ -13,28 +13,12 @@ from math import factorial, pi, prod, sqrt
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from kacbath import (
-    ConfigError,
-    HermiteCoeffs,
-    ModelParams,
-    OperatorMatrix,
-    QuadratureError,
-    SpectralContext,
-    StateError,
-    ToleranceError,
-    assemble_T,
-    assemble_generator,
-    assemble_pair_rotation,
-    invariant_projector,
-    joint_basis,
-    make_basis,
-    spectral_gap,
-    symmetric_tensor_eigenvalues,
-    verify_lemma2,
-)
-from kacbath import spectral
+from kacbath import ModelParams, SpectralContext, assemble_T, spectral, spectral_gap
+from kacbath.errors import ConfigError, QuadratureError, StateError, ToleranceError
 from kacbath.hermite import (
+    HermiteCoeffs,
     hermite_coeffs_from_poly,
+    make_basis,
     poly_add,
     poly_coord,
     poly_mul,
@@ -42,10 +26,17 @@ from kacbath.hermite import (
 )
 from kacbath.randomness import RngStream
 from kacbath.spectral import (
+    OperatorMatrix,
+    assemble_generator,
+    assemble_pair_rotation,
     embed_block,
+    invariant_projector,
+    joint_basis,
     pair_avg_block,
+    symmetric_tensor_eigenvalues,
     thermostat_block,
     v_slots,
+    verify_lemma2,
     w_slots,
 )
 
