@@ -523,6 +523,9 @@ def main(argv=None) -> int:
     try:
         cfg = None
         if args.config is not None:
+            if args.command == "verify-lemma3":
+                raise ConfigError("verify-lemma3 reads no config file; "
+                                  "set the degree with --max-degree")
             overrides = {key: getattr(args, key) for key in ("seed", "threads")
                          if getattr(args, key) is not None}
             cfg = load_config(args.config, overrides)

@@ -54,6 +54,7 @@ from .hermite import (
     sphere_rule,
 )
 from .kinematics import ModelParams
+from .sector import SectorBasis, make_sector, sector_sizes
 
 __all__ = [
     "OperatorMatrix",
@@ -63,6 +64,8 @@ __all__ = [
     "assemble_pair_rotation",
     "assemble_T",
     "assemble_generator",
+    "sector_basis",
+    "assemble_sector_generator",
     "symmetric_tensor_eigenvalues",
     "invariant_projector",
     "SpectralContext",
@@ -84,11 +87,13 @@ KERNEL_TOL = 1e-8
 RITZ_TOL = 1e-10
 # A kernel block and its exact cross-check must agree entrywise to this.
 REFINE_TOL = 1e-10
-# Largest dense float64 operator on a joint or tagged basis, in bytes
-# (8192 rows). Generators are held only in CSR; this bounds the dense
-# matrix the `spectral` export writes, and it sets the reach of every
-# joint-basis computation. The largest size in use (d=3, M=1, N=8:
-# 4060 rows) exports 132 MB.
+# Largest entry of |G - G^T| of an assembled generator.
+SYMMETRY_TOL = 1e-10
+# Largest dense float64 operator on a joint, tagged or sector basis, in
+# bytes (8192 rows). Generators are held only in CSR; this bounds the
+# dense matrix the `spectral` export writes, and it sets the reach of
+# every joint-basis computation and of the sector. The largest joint
+# size in use (d=3, M=1, N=8: 4060 rows) exports 132 MB.
 DENSE_BYTES_MAX = 2**29
 
 
@@ -441,16 +446,21 @@ def w_slots(p: ModelParams, j: int):
     return np.arange(3 * (p.m + j), 3 * (p.m + j) + 3)
 
 
-def _dense_basis(nvars: int, d: int, what: str) -> Basis:
-    """make_basis(nvars, d), after a closed-form check that one dense
-    operator on it fits in DENSE_BYTES_MAX; nothing is enumerated before."""
-    rows = comb(nvars + d, d)
+def _check_dense(rows: int, what: str) -> None:
+    """Raise ConfigError unless one dense operator on `rows` rows fits in
+    DENSE_BYTES_MAX; callers count the rows in closed form, so nothing is
+    enumerated before."""
     dense = 8 * rows * rows
     if dense > DENSE_BYTES_MAX:
         raise ConfigError(
             f"{what} has {rows} rows; one dense operator needs {dense / 1e6:.3g} "
             f"MB, over the {DENSE_BYTES_MAX / 1e6:.3g} MB limit"
         )
+
+
+def _dense_basis(nvars: int, d: int, what: str) -> Basis:
+    """make_basis(nvars, d), size-checked by _check_dense."""
+    _check_dense(comb(nvars + d, d), what)
     return make_basis(nvars, d)
 
 
@@ -458,6 +468,14 @@ def joint_basis(p: ModelParams, d: int) -> Basis:
     """Hermite basis of degree <= d on all 3(M+N) velocity components,
     size-checked by _dense_basis."""
     return _dense_basis(3 * (p.m + p.n), d, f"joint basis at M={p.m}, N={p.n}, degree {d}")
+
+
+def sector_basis(p: ModelParams, d: int) -> SectorBasis:
+    """The reservoir-symmetric sector of degree <= d (see kacbath.sector),
+    size-checked by _check_dense."""
+    _check_dense(sum(sector_sizes(p, d)),
+                 f"reservoir-symmetric sector at M={p.m}, N={p.n}, degree {d}")
+    return make_sector(p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +561,110 @@ def assemble_generator(kind: str, p: ModelParams, d: int,
     total = 0.0
     for *_, c in terms:
         total += c
-    return _summed_embeddings(f"generator[{kind}]", big, terms, -total)
+    return _check_symmetric(_summed_embeddings(f"generator[{kind}]", big, terms, -total))
+
+
+def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
+    """op, once no entry of |G - G^T| exceeds SYMMETRY_TOL: the Krylov route
+    of evolve and the gap's Lanczos assume a symmetric generator, and this
+    is checked once per operator, when it is built."""
+    skew = abs(op.mat - op.mat.T).tocoo()
+    at = int(skew.data.argmax()) if skew.nnz else None
+    if at is not None and skew.data[at] > SYMMETRY_TOL:
+        raise StateError(
+            f"{op.name}: not symmetric in degree {op.basis.degree_of[skew.row[at]]} "
+            f"(defect {skew.data[at]:.3e})"
+        )
+    return op
+
+
+def _partner_weight(slot: int, support: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """How often a reservoir particle of the representative layout stands
+    for the collision partners it represents: slots below the support size
+    r are the support itself, slot r stands for each of the N - r fresh
+    particles, and later slots for none."""
+    return np.where(slot < support, 1.0, np.where(slot == support, fresh, 0.0))
+
+
+def _sector_images(local: np.ndarray, block: np.ndarray, sub: Basis, slots, weight):
+    """The image of every representative column under weight * (A - I),
+    with A = `block` acting on the `slots` columns of `local`.
+
+    Returns (exponents, columns, values) of its entries, the identity part
+    last; columns with zero weight or a constant on `slots`, where A - I
+    vanishes, are skipped. One vectorised pass serves every column.
+    """
+    base = sub.degree + 1
+    place = base ** np.arange(len(slots), dtype=np.int64)
+    lookup = np.full(base ** len(slots), -1, dtype=np.intp)
+    lookup[sub.exponents @ place] = np.arange(sub.size)
+    sub_of = lookup[local[:, slots] @ place]
+    cols = np.flatnonzero((weight != 0.0) & (sub_of > 0))
+    vals = block[:, sub_of[cols]] * weight[cols]
+    row, j = np.nonzero(vals)
+    exps = local[cols[j]]
+    exps[:, slots] = sub.exponents[row]
+    return (np.concatenate([exps, local[cols]]), np.concatenate([cols[j], cols]),
+            np.concatenate([vals[row, j], -weight[cols]]))
+
+
+def assemble_sector_generator(kind: str, p: ModelParams, d: int,
+                              basis: SectorBasis | None = None) -> OperatorMatrix:
+    """The generator of `kind` (see assemble_generator) on the
+    reservoir-symmetric sector of degree <= d.
+
+    Entry (a, b) is <e_a, G e_b> = sqrt(|O_b| / |O_a|) sum_{x in O_a} G[x, y_b]
+    for one representative y_b of orbit b: tagged exponent first, then the
+    support on reservoir particles 0..r-1, zero on the rest. G y_b sums
+    c_e (A_e - I) phi_y over the collisions e that move it: tagged pairs,
+    reservoir pairs inside the support, each support particle with a fresh
+    partner (particle r standing for all N - r of them), each tagged
+    particle with a support particle and with a fresh partner (again N - r
+    times), or the thermostat on each tagged particle; collisions between
+    fresh particles fix phi_y. The blocks are the cached pair_avg_block(d)
+    and thermostat_block(d) of the joint assembly. A caller that already
+    holds the sector basis of (p, d) passes it as `basis`.
+    """
+    if kind not in ("reservoir", "thermostat"):
+        raise StateError(f"unknown generator kind {kind!r}")
+    sec = sector_basis(p, d) if basis is None else basis
+    r = np.count_nonzero(sec.support, axis=1)
+    fresh = (p.n - r).astype(float)
+    # the representatives on M tagged and d + 1 reservoir particles
+    local = np.zeros((sec.size, 3 * (p.m + d + 1)), dtype=np.int64)
+    local[:, :3 * p.m] = sec.tagged
+    local[:, 3 * p.m:3 * (p.m + d)] = sec.single.exponents[sec.support].reshape(sec.size, -1)
+    pair, b6 = pair_avg_block(d), make_basis(6, d)
+    ones = np.ones(sec.size)
+    terms = []
+    if p.m >= 2 and p.lambda_s > 0:
+        c = p.lambda_s / (p.m - 1)
+        for i, j in itertools.combinations(range(p.m), 2):
+            terms.append((pair, b6, np.concatenate([v_slots(i), v_slots(j)]), c * ones))
+    if p.lambda_r > 0:
+        c = p.lambda_r / (p.n - 1)
+        for i, j in itertools.combinations(range(d + 1), 2):
+            terms.append((pair, b6, np.concatenate([w_slots(p, i), w_slots(p, j)]),
+                          c * _partner_weight(j, r, fresh)))
+    if p.mu > 0:
+        if kind == "reservoir":
+            c = p.mu / p.n
+            for i in range(p.m):
+                for j in range(d + 1):
+                    terms.append((pair, b6, np.concatenate([v_slots(i), w_slots(p, j)]),
+                                  c * _partner_weight(j, r, fresh)))
+        else:
+            therm, b3 = thermostat_block(d), make_basis(3, d)
+            terms.extend((therm, b3, v_slots(i), p.mu * ones) for i in range(p.m))
+
+    parts = [(local[:0], np.zeros(0, dtype=np.intp), np.zeros(0))]
+    parts += [_sector_images(local, *term) for term in terms]
+    exps, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    rows = sec.rows_of(exps[:, :3 * p.m], exps[:, 3 * p.m:])
+    root = np.sqrt(sec.orbit_size)
+    mat = sparse.csr_matrix((vals * root[cols] / root[rows], (rows, cols)),
+                            shape=(sec.size, sec.size))
+    return _check_symmetric(OperatorMatrix.from_raw(f"sector generator[{kind}]", sec, mat))
 
 
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
@@ -617,9 +738,10 @@ def invariant_projector(p: ModelParams, d: int,
 class SpectralContext:
     """The operators of one configuration (p, d), each built at most once.
 
-    The joint basis, the two generators and the per-degree invariant
-    bases U_m are built on first use and then kept, so the distance
-    curve and the gap of one configuration share them.
+    On the joint basis: the reservoir generator and the per-degree
+    invariant bases U_m, which the gap reads. On the reservoir-symmetric
+    sector: both generators, which the distance curve evolves. Each is
+    built on first use and then kept.
     """
 
     p: ModelParams
@@ -634,8 +756,16 @@ class SpectralContext:
         return assemble_generator("reservoir", self.p, self.d, basis=self.basis)
 
     @cached_property
-    def thermostat(self) -> OperatorMatrix:
-        return assemble_generator("thermostat", self.p, self.d, basis=self.basis)
+    def sector(self) -> SectorBasis:
+        return sector_basis(self.p, self.d)
+
+    @cached_property
+    def sector_reservoir(self) -> OperatorMatrix:
+        return assemble_sector_generator("reservoir", self.p, self.d, basis=self.sector)
+
+    @cached_property
+    def sector_thermostat(self) -> OperatorMatrix:
+        return assemble_sector_generator("thermostat", self.p, self.d, basis=self.sector)
 
     @cached_property
     def invariants(self) -> list[np.ndarray]:

@@ -222,10 +222,12 @@ def test_gap_rejects_the_thermostat_before_assembly(tmp_path, capsys, monkeypatc
 
 
 def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
-    # the distance curve and the gap of one configuration share its
-    # joint basis and generators
+    # the gap reads the joint reservoir generator and the distance curve
+    # both sector generators; no joint thermostat generator is built
     generators = _count_calls(monkeypatch, "assemble_generator",
                               lambda kind, p, d: (kind, p.n, d))
+    sector = _count_calls(monkeypatch, "assemble_sector_generator",
+                          lambda kind, p, d: (kind, p.n, d))
     bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
     study = _write_config(tmp_path, "study.json", degree=2, eps=0.2,
                           reservoir_sizes=[2, 4], t_end=70.0, grid={"count": 36})
@@ -235,8 +237,9 @@ def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
                          init={"kind": "perturbation", "family": "h2_aniso", "eps": 0.2})
     assert _run("distance", "--config", dist, "--out", str(tmp_path / "d.csv")) == 0
     sizes = (2, 4, 3)
-    assert generators == {(kind, n, 2): 1 for kind in ("reservoir", "thermostat")
-                          for n in sizes}
+    assert generators == {("reservoir", n, 2): 1 for n in sizes}
+    assert sector == {(kind, n, 2): 1 for kind in ("reservoir", "thermostat")
+                      for n in sizes}
     assert bases == {(n, 2): 1 for n in sizes}
 
 
@@ -284,11 +287,26 @@ def test_bound_scaling_mode(tmp_path):
 def test_retired_config_keys_are_rejected_by_name(tmp_path, capsys, key, value):
     # the evolution cross-check cannot be switched off, and --max-degree
     # is the one way to set verify-lemma3's degree
-    cfg = _write_config(tmp_path, **{key: value})
-    assert _run("verify-lemma3", "--config", cfg, "--out", str(tmp_path / "l3.json")) == 2
+    cfg = _write_config(tmp_path, degree=2, **{key: value})
+    assert _run("gap", "--config", cfg, "--out", str(tmp_path / "gap.json")) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError" and repr(key) in record["message"]
-    assert not (tmp_path / "l3.json").exists()
+    assert not (tmp_path / "gap.json").exists()
+
+
+def test_verify_lemma3_rejects_a_config_file(tmp_path, capsys, monkeypatch):
+    # verify-lemma3 reads no config field, so the flag is refused before
+    # the file is read
+    loaded = []
+    monkeypatch.setattr(cli, "load_config", lambda *args: loaded.append(args))
+    cfg = _write_config(tmp_path, degree=2)
+    out = tmp_path / "l3.json"
+    assert _run("verify-lemma3", "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "ConfigError", "exit_code": 2,
+                      "message": "verify-lemma3 reads no config file; "
+                                 "set the degree with --max-degree"}
+    assert not out.exists() and not loaded
 
 
 def test_bound_with_one_reservoir_size_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Exact evolution on the truncated space and the two-flow distance curve."""
 
+import time
+
 import numpy as np
 import pytest
 from math import exp, sqrt
@@ -13,6 +15,7 @@ from kacbath import (
     evolution,
 )
 from kacbath.bounds import anisotropic_pair_data
+from kacbath.cli import perturbation_data
 from kacbath.errors import (
     ConfigError,
     HorizonError,
@@ -23,7 +26,17 @@ from kacbath.errors import (
 from kacbath.evolution import evolve, long_time_limit
 from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.randomness import RngStream
-from kacbath.spectral import OperatorMatrix, assemble_generator, joint_basis
+from kacbath import spectral
+from kacbath.spectral import (
+    OperatorMatrix,
+    assemble_generator,
+    assemble_sector_generator,
+    joint_basis,
+    pair_avg_block,
+    thermostat_block,
+)
+
+import joint_flow_oracle
 
 
 def _h1_data(eps: float) -> HermiteCoeffs:
@@ -164,11 +177,12 @@ def test_krylov_dimensions_of_criterion_6_data(m, n, d, monkeypatch):
     ctx = SpectralContext(ModelParams(m, n), d)
     c0 = anisotropic_pair_data(0.2).embed(ctx.basis, np.arange(3))
     grid = default_time_grid(80.0, count=56)
+    thermostat = assemble_generator("thermostat", ctx.p, d, basis=ctx.basis)
     dims = _count_krylov(monkeypatch)
     evolve(ctx.reservoir, c0, grid)
     assert dims == [(0, 1), (2, 4)]
     dims.clear()
-    evolve(ctx.thermostat, c0, grid)
+    evolve(thermostat, c0, grid)
     assert dims == [(0, 1), (2, 1)]
 
 
@@ -221,20 +235,24 @@ def test_evolve_at_time_zero_integrates_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_evolve_rejects_an_asymmetric_block_filled_or_empty(m):
-    # h2_aniso fills degree 2 and leaves degree 3 zero; an asymmetric
-    # block raises either way, before any block is evolved
+@pytest.mark.parametrize("build", [assemble_generator, assemble_sector_generator],
+                         ids=["joint", "sector"])
+def test_an_asymmetric_generator_is_refused_when_built(build, m, monkeypatch):
+    # one entry of the top-degree pair block moved by 3e-9: the joint and
+    # the sector generator are refused once, when built, so evolve never
+    # sees them (h2_aniso data would fill degree 2 and leave degree 3 empty)
+    sl = make_basis(6, m).degree_slice(m)
+    bad = pair_avg_block(m).copy()
+    bad[sl.start, sl.start + 1] += 3e-9
+    monkeypatch.setattr(spectral, "pair_avg_block", lambda d: bad)
     p = ModelParams(1, 2)
-    g = assemble_generator("reservoir", p, 3)
-    c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
-    sl = g.basis.degree_slice(m)
-    mat = g.mat.toarray()
-    mat[sl.start, sl.start + 1] += 3e-9
-    broken = OperatorMatrix(g.name, g.basis, sparse.csr_matrix(mat))
+    monkeypatch.setattr(spectral, "SYMMETRY_TOL", np.inf)
+    mat = build("reservoir", p, m).mat
+    want = float(abs(mat - mat.T).max())
+    monkeypatch.setattr(spectral, "SYMMETRY_TOL", 1e-10)
     with pytest.raises(StateError, match=f"not symmetric in degree {m}") as err:
-        evolve(broken, c0, [0.0, 1.0])
-    want = float(np.abs(mat - mat.T).max())
-    assert want == pytest.approx(3e-9, rel=1e-6)
+        build("reservoir", p, m)
+    assert want > 1e-10
     assert float(str(err.value).split("defect ")[1].rstrip(")")) == pytest.approx(want, rel=1e-3)
 
 
@@ -364,3 +382,54 @@ def test_cross_check_route_agreement():
     ctx = SpectralContext(ModelParams(1, 2), 2)
     curve = distance_curve(ctx, anisotropic_pair_data(0.2), [0.0, 0.7, 1.9])
     assert curve.distance[1] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the reservoir-symmetric sector against the joint-basis flow
+
+SECTOR_SHAPES = [(1, 2, 2), (1, 4, 2), (1, 8, 2), (1, 16, 2), (1, 2, 3), (1, 6, 3), (2, 3, 2)]
+
+
+def _random_tagged(m: int, d: int, seed: int = 11) -> HermiteCoeffs:
+    """A mean-one polynomial of degree d in the 3m tagged velocities with
+    every coefficient filled."""
+    b = make_basis(3 * m, d)
+    vec = 0.05 * RngStream(seed, m * 10 + d).rng.standard_normal(b.size)
+    vec[0] = 1.0
+    return HermiteCoeffs(b, vec)
+
+
+@pytest.mark.parametrize("m,n,d", SECTOR_SHAPES)
+def test_sector_curve_equals_the_joint_flow(m, n, d):
+    # both joint generators evolved, then the norm of the difference
+    p = ModelParams(m, n)
+    times = np.array([0.0, 0.3, 1.7, 9.0, 40.0])
+    h0s = [perturbation_data("h1_v1x", 0.1, m), perturbation_data("h2_aniso", 0.2, m),
+           _random_tagged(m, d)]
+    ctx = SpectralContext(p, d)
+    for h0, want in zip(h0s, joint_flow_oracle.distance_curves(p, d, h0s, times)):
+        got = np.array(distance_curve(ctx, h0, times).distance)
+        assert want[-1] > 1e-3
+        assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 16, 1024])
+def test_h2_aniso_limit_is_the_conserved_projection(n):
+    # h2_aniso is orthogonal to momentum and energy; its long-time distance
+    # is its projection on the conserved polynomials, eps sqrt(2) / (1 + N)
+    eps = 0.2
+    grid = default_time_grid(80.0, count=56)
+    curve = distance_curve(SpectralContext(ModelParams(1, n), 2), anisotropic_pair_data(eps), grid)
+    assert long_time_limit(curve) == pytest.approx(eps * sqrt(2.0) / (1 + n), rel=1e-12)
+
+
+def test_distance_curve_at_n_1024_takes_under_a_second():
+    # the sector has 34 rows at d=2 whatever N is; the collision blocks
+    # are cached beforehand, so the clock sees the sector work alone
+    pair_avg_block(2), thermostat_block(2)
+    grid = default_time_grid(80.0, count=56)
+    start = time.perf_counter()
+    ctx = SpectralContext(ModelParams(1, 1024), 2)
+    distance_curve(ctx, anisotropic_pair_data(0.2), grid)
+    assert time.perf_counter() - start < 1.0
+    assert ctx.sector.size == 34

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from math import comb, factorial, pi, sqrt
 
 from scipy.linalg import solve_triangular
@@ -176,6 +177,52 @@ def test_embed_into_joint_basis():
         emb.evaluate(pts), h.evaluate(pts[:, 3:6]), atol=1e-12
     )
     assert emb.norm() == pytest.approx(h.norm(), rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 4), degree=st.integers(0, 3),
+       extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_embed_round_trip(data, nvars, degree, extra, seed):
+    # embedding into a larger variable set and reading the slot exponents
+    # back gives the same coefficients; the other variables stay at zero
+    small, big = make_basis(nvars, degree), make_basis(nvars + extra, degree)
+    slots = np.array(data.draw(st.permutations(range(nvars + extra)))[:nvars])
+    rng = np.random.default_rng(seed)
+    vec = np.where(rng.random(small.size) < 0.6, rng.standard_normal(small.size), 0.0)
+    h = HermiteCoeffs(small, vec)
+    emb = h.embed(big, slots)
+    nz = np.flatnonzero(emb.vec)
+    assert nz.size == np.count_nonzero(vec)
+    rest = np.ones(big.nvars, dtype=bool)
+    rest[slots] = False
+    assert not big.exponents[np.ix_(nz, rest)].any()
+    back = np.zeros(small.size)
+    back[[small.index[tuple(e)] for e in big.exponents[np.ix_(nz, slots)]]] = emb.vec[nz]
+    assert np.array_equal(back, vec)
+    pts = rng.standard_normal((5, big.nvars))
+    np.testing.assert_allclose(emb.evaluate(pts), h.evaluate(pts[:, slots]),
+                               rtol=1e-12, atol=1e-12 * max(1.0, np.abs(vec).sum()))
+
+
+_MONOMIAL = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+# away from the subnormal range, where the tolerance 1e-12 * scale underflows
+_COEFF = st.just(0.0) | st.floats(1e-6, 2.0) | st.floats(-2.0, -1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(_MONOMIAL, _COEFF), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_hermite_coeffs_from_poly_evaluates_to_the_polynomial(terms, seed):
+    # the exact Hermite coefficients of a sparse polynomial in 3 variables,
+    # evaluated pointwise, give the polynomial's own values
+    poly = poly_add(*[{tuple((v, e) for v, e in enumerate(exps) if e): c}
+                      for exps, c in terms])
+    degree = max(sum(exps) for exps, _ in terms)
+    h = HermiteCoeffs(make_basis(3, degree), hermite_coeffs_from_poly(poly, make_basis(3, degree)))
+    pts = np.random.default_rng(seed).standard_normal((20, 3))
+    direct = sum(c * np.prod(pts ** np.array(exps), axis=1) for exps, c in terms)
+    scale = sum(abs(c) for _, c in terms) * max(1.0, float(np.abs(pts).max())) ** degree
+    np.testing.assert_allclose(h.evaluate(pts), direct, rtol=0, atol=1e-12 * scale)
 
 
 def test_gamma_expectation_is_coefficient_zero():
