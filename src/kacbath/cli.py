@@ -27,7 +27,7 @@ from .bounds import (
     make_bound_params,
     scaling_study,
 )
-from .config import RunConfig, load_config
+from .config import CONFIG_SCHEMA, RunConfig, load_config
 from .errors import (
     ConfigError,
     DegenerateBoundError,
@@ -62,6 +62,9 @@ from .spectral import (
 )
 
 LEMMA3_SUP = 2.0 / 3.0
+# the configured degree's range also bounds verify-lemma3's --max-degree
+DEGREE_RANGE = (CONFIG_SCHEMA["properties"]["degree"]["minimum"],
+                CONFIG_SCHEMA["properties"]["degree"]["maximum"])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,9 @@ def cmd_verify_lemma2(cfg: RunConfig | None, args) -> int:
 
 def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
     max_degree = args.max_degree
-    if not 1 <= max_degree <= 6:
-        raise ConfigError(f"max degree must be in 1..6, got {max_degree}")
+    lo, hi = DEGREE_RANGE
+    if not lo <= max_degree <= hi:
+        raise ConfigError(f"max degree must be in {lo}..{hi}, got {max_degree}")
     t = assemble_T(1, max_degree)
     # both routes give all C(deg + 2, 2) eigenvalues of each degree block
     spectra = {str(deg): (np.sort(symmetric_tensor_eigenvalues(deg)),
@@ -481,6 +485,10 @@ _HANDLERS = {
     "report": cmd_report,
 }
 
+# subcommands that read no configuration, and what sets their input instead
+_NO_CONFIG = {"verify-lemma3": "set the degree with --max-degree",
+              "report": "it checks the run directory --dir"}
+
 _NEEDS_OUT = {"simulate", "spectral", "verify-lemma1", "verify-lemma2",
               "gap", "distance", "bound"}
 
@@ -500,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--threads", type=int, help="override the config threads")
         if name == "verify-lemma3":
             s.add_argument("--max-degree", type=int, dest="max_degree", default=6,
-                           help="highest polynomial degree to check (1..6, default 6)")
+                           help="highest polynomial degree to check "
+                                f"({DEGREE_RANGE[0]}..{DEGREE_RANGE[1]}, default 6)")
         if name == "report":
             s.add_argument("--dir", default=".",
                            help="run directory to summarize")
@@ -522,10 +531,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = None
-        if args.config is not None:
-            if args.command == "verify-lemma3":
-                raise ConfigError("verify-lemma3 reads no config file; "
-                                  "set the degree with --max-degree")
+        if args.command in _NO_CONFIG:
+            for flag, what in (("config", "config file"), ("seed", "--seed"),
+                               ("threads", "--threads")):
+                if getattr(args, flag) is not None:
+                    raise ConfigError(f"{args.command} reads no {what}; "
+                                      f"{_NO_CONFIG[args.command]}")
+        elif args.config is not None:
             overrides = {key: getattr(args, key) for key in ("seed", "threads")
                          if getattr(args, key) is not None}
             cfg = load_config(args.config, overrides)

@@ -15,10 +15,13 @@ reflection average; the thermostat operator averages the co-isometry
 integrates out.
 
 Every block comes from one symmetric-power kernel. A co-isometry
-x -> A x acts on the degree-m Hermite block exactly as (A^T)^(x)m acts
-on symmetric rank-m coefficient tensors, so a block needs only the
-average over omega, which a sphere rule of degree 2m integrates exactly;
-no Gauss-Hermite grid in x is needed. Each block is cross-checked
+x -> A x maps the leading monomial x^beta of a degree-m Hermite function
+to (A x)^beta, and a degree-preserving operator is fixed by its action on
+leading monomials, so the degree-m block is the average over omega of
+the coefficients of (A x)^beta on the C(m + n - 1, m) degree-m monomials,
+rescaled. Those coefficients are polynomials of degree 2m in omega, so
+one sphere rule of degree 2d integrates every block of degree <= d
+exactly; no Gauss-Hermite grid in x is needed. Each block is cross-checked
 against an exact route that shares no code with the kernel: the map's
 rows r_c(x, omega) are expanded as polynomials, and every omega^gamma is
 replaced by its closed-form sphere moment
@@ -141,64 +144,6 @@ _cache: dict = {}
 _MIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def _kron_power_sum(maps: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
-    """sum_k w_k (A_k^T)^(x)m for a batch (K, n, n) of maps, as n^m x n^m.
-
-    Rows and columns are index tuples in np.kron order, first index
-    slowest. With a = ceil(m/2) and b = floor(m/2), the Kronecker powers
-    X_k = (A_k^T)^(x)a and Y_k = (A_k^T)^(x)b are built for all maps at
-    once; entry ((i, j), (p, q)) of the sum is sum_k w_k X_k[i, p] Y_k[j, q],
-    one weighted product X^T diag(w) Y with the rows and columns regrouped.
-    """
-    at = np.asarray(maps, dtype=float).transpose(0, 2, 1)
-    k, n = at.shape[:2]
-
-    def power(r):
-        """(A_k^T)^(x)r for every map k, each flattened to one row."""
-        out = np.ones((k, 1, 1))
-        for _ in range(r):
-            size = n * out.shape[1]
-            out = np.einsum("kip,kjq->kijpq", out, at).reshape(k, size, size)
-        return out.reshape(k, -1)
-
-    a, b = (m + 1) // 2, m // 2
-    quad = (power(a).T * w) @ power(b)
-    quad = quad.reshape(n ** a, n ** a, n ** b, n ** b).transpose(0, 2, 1, 3)
-    return quad.reshape(n ** m, n ** m)
-
-
-def _symmetrizer(n: int, m: int) -> np.ndarray:
-    """b_m: orthonormal basis of the symmetric rank-m tensors on R^n.
-
-    Column alpha, in make_basis(n, m).degree_slice(m) order, is the
-    indicator of the index tuples with exponent alpha (np.kron order)
-    over the square root of their number.
-    """
-    basis = make_basis(n, m)
-    sl = basis.degree_slice(m)
-    cols = [basis.index[tuple(t.count(i) for i in range(n))] - sl.start
-            for t in itertools.product(range(n), repeat=m)]
-    out = np.zeros((n ** m, sl.stop - sl.start))
-    out[np.arange(n ** m), cols] = 1.0
-    return out / np.sqrt(out.sum(axis=0))
-
-
-def _sphere_maps(m: int, c: float):
-    """I - c omega omega^T at the nodes of sphere_rule(2m), and the weights:
-    every entry of its m-th Kronecker power has degree 2m in omega."""
-    nodes, w = sphere_rule(2 * m)
-    return np.eye(3) - c * nodes[:, :, None] * nodes[:, None, :], w
-
-
-# Each block averages h -> h(A x) over maps A: (variables, maps_of), with
-# maps_of(m) the maps (K, n, n) and weights of a rule exact at degree m.
-_KERNEL_MAPS = {
-    "mix": (2, lambda m: (_MIX[None], np.ones(1))),
-    "reflection": (3, lambda m: _sphere_maps(m, 2.0)),
-    "thermostat": (3, lambda m: _sphere_maps(m, 1.0)),
-}
-
-
 def _by_degree(n: int, d: int, block) -> np.ndarray:
     """The matrix on make_basis(n, d) whose degree-m block is block(m);
     off-degree entries are exactly 0."""
@@ -210,16 +155,47 @@ def _by_degree(n: int, d: int, block) -> np.ndarray:
     return out
 
 
+def _power_sums(maps: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
+    """Matrix of h -> sum_k w_k h(A_k x) on make_basis(n, d), for a batch
+    (K, n, n) of maps.
+
+    P[k, alpha, beta], the coefficient of x^alpha in (A_k x)^beta, follows
+    from degree m - 1 through (A x)^beta = (A x)^(beta - e_c) (A x)_c, c the
+    first nonzero exponent of beta:
+
+        P[k, alpha, beta] = sum_j A_k[c, j] P[k, alpha - e_j, beta - e_c],
+
+    for all maps and all columns of a degree at once; a row alpha - e_j
+    with a negative entry reads a zero row. As in _exact_block, the Hermite
+    block is then sqrt(alpha!/beta!) sum_k w_k P[k, alpha, beta].
+    """
+    k, n = maps.shape[:2]
+    basis = make_basis(n, d)
+    coef, blocks = np.ones((k, 1, 1)), [np.array([[w.sum()]])]
+    for m in range(1, d + 1):
+        low = basis.degree_slice(m - 1)
+        exps = basis.exponents[basis.degree_slice(m)]
+        first = np.argmax(exps > 0, axis=1)
+        down = np.array([[basis.index.get(tuple(e), low.stop) - low.start
+                          for e in alpha - np.eye(n, dtype=int)] for alpha in exps])
+        padded = np.concatenate([coef, np.zeros((k, 1, coef.shape[2]))], axis=1)
+        cols = padded[:, :, down[np.arange(len(exps)), first]]
+        coef = sum(cols[:, down[:, j]] * maps[:, first, j][:, None, :] for j in range(n))
+        root = np.sqrt([prod(map(factorial, e)) for e in exps.tolist()])
+        blocks.append(root[:, None] * np.tensordot(w, coef, axes=1) / root)
+    return _by_degree(n, d, blocks.__getitem__)
+
+
 def _kernel_block(kind: str, d: int) -> np.ndarray:
-    """Matrix of h -> sum_k w_k h(A_k x) on the basis of degree <= d: block
-    m is b_m^T (sum_k w_k (A_k^T)^(x)m) b_m."""
-    n, maps_of = _KERNEL_MAPS[kind]
-
-    def block(m):
-        b = _symmetrizer(n, m)
-        return b.T @ _kron_power_sum(*maps_of(m), m) @ b
-
-    return _by_degree(n, d, block)
+    """Matrix of `kind` on the basis of degree <= d: the mix rotation, or the
+    average of I - c omega omega^T (c = 2 reflection, 1 thermostat) over the
+    nodes of sphere_rule(2d), exact for every block since a degree-m block
+    has degree 2m in omega."""
+    if kind == "mix":
+        return _power_sums(_MIX[None], np.ones(1), d)
+    nodes, w = sphere_rule(2 * d)
+    c = {"reflection": 2.0, "thermostat": 1.0}[kind]
+    return _power_sums(np.eye(3) - c * nodes[:, :, None] * nodes[:, None, :], w, d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,34 @@ Two routes, neither used by the package:
 - `tensor_T_quadrature`: the sphere rule, one node's m-fold Kronecker
   power at a time.
 
-The package forms the same quadrature as one weighted product over all
-nodes (`spectral._kron_power_sum`) and checks the thermostat blocks
-against exact scalar sphere moments. Tests compare all of them.
+`symmetrizer(n, m)` restricts either to the symmetric tensors, in the
+Hermite basis order of degree m. The package builds the thermostat blocks
+on the degree-m monomials directly and checks them against exact scalar
+sphere moments. Tests compare all of them.
 """
 
 import itertools
 
 import numpy as np
 
-from kacbath.hermite import sphere_rule
+from kacbath.hermite import make_basis, sphere_rule
+
+
+def symmetrizer(n: int, m: int) -> np.ndarray:
+    """b_m: orthonormal basis of the symmetric rank-m tensors on R^n.
+
+    Column alpha, in make_basis(n, m).degree_slice(m) order, is the
+    indicator of the index tuples with exponent alpha (np.kron order)
+    over the square root of their number, so b_m^T X b_m is the
+    degree-m Hermite block of a map X on rank-m tensors.
+    """
+    basis = make_basis(n, m)
+    sl = basis.degree_slice(m)
+    cols = [basis.index[tuple(t.count(i) for i in range(n))] - sl.start
+            for t in itertools.product(range(n), repeat=m)]
+    out = np.zeros((n ** m, sl.stop - sl.start))
+    out[np.arange(n ** m), cols] = 1.0
+    return out / np.sqrt(out.sum(axis=0))
 
 
 def sphere_moment_tensor(order: int) -> np.ndarray:

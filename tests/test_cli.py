@@ -295,18 +295,47 @@ def test_retired_config_keys_are_rejected_by_name(tmp_path, capsys, key, value):
 
 
 def test_verify_lemma3_rejects_a_config_file(tmp_path, capsys, monkeypatch):
-    # verify-lemma3 reads no config field, so the flag is refused before
-    # the file is read
+    # verify-lemma3 and report read no config field, so --config, --seed
+    # and --threads are refused before any file is read, even a missing one
     loaded = []
     monkeypatch.setattr(cli, "load_config", lambda *args: loaded.append(args))
     cfg = _write_config(tmp_path, degree=2)
     out = tmp_path / "l3.json"
-    assert _run("verify-lemma3", "--config", cfg, "--out", str(out)) == 2
+    hint = {"verify-lemma3": "set the degree with --max-degree",
+            "report": "it checks the run directory --dir"}
+    for sub, flags, what in [
+        ("verify-lemma3", ["--config", cfg], "config file"),
+        ("verify-lemma3", ["--seed", "3"], "--seed"),
+        ("verify-lemma3", ["--threads", "2"], "--threads"),
+        ("report", ["--config", cfg], "config file"),
+        ("report", ["--config", str(tmp_path / "missing.json")], "config file"),
+        ("report", ["--seed", "3"], "--seed"),
+        ("report", ["--threads", "2"], "--threads"),
+    ]:
+        extra = ["--dir", str(tmp_path)] if sub == "report" else []
+        assert _run(sub, *flags, *extra, "--out", str(out)) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigError", "exit_code": 2,
+                          "message": f"{sub} reads no {what}; {hint[sub]}"}
+        assert not out.exists() and not loaded
+
+
+def test_verify_lemma3_reaches_the_schema_degree(tmp_path, capsys):
+    # --max-degree has the range of the config's degree, 1..8
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    out = rundir / "l3.json"
+    assert _run("verify-lemma3", "--max-degree", "8", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc["matrix_route"]) == {str(deg) for deg in range(1, 9)}
+    assert doc["top_eigenvalue"] <= 2.0 / 3.0 + 1e-10
+    assert _run("report", "--dir", str(rundir)) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["file"] == "l3.json" and check["passed"] is True
+    assert _run("verify-lemma3", "--max-degree", "9", "--out", str(tmp_path / "l9.json")) == 2
     record = json.loads(capsys.readouterr().err.strip())
-    assert record == {"error": "ConfigError", "exit_code": 2,
-                      "message": "verify-lemma3 reads no config file; "
-                                 "set the degree with --max-degree"}
-    assert not out.exists() and not loaded
+    assert record["message"] == "max degree must be in 1..8, got 9"
+    assert not (tmp_path / "l9.json").exists()
 
 
 def test_bound_with_one_reservoir_size_is_a_config_error(tmp_path, capsys):

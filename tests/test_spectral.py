@@ -168,15 +168,18 @@ def test_sphere_moment_tensors():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_tensor_quadrature_equals_the_per_node_loop(m):
-    got = spectral._kron_power_sum(*spectral._sphere_maps(m, 1.0), m)
-    want = tensor_oracle.tensor_T_quadrature(m)
+    # both integrate with sphere_rule(2m)
+    sl = make_basis(3, m).degree_slice(m)
+    got = spectral._kernel_block("thermostat", m)[sl, sl]
+    b = tensor_oracle.symmetrizer(3, m)
+    want = b.T @ tensor_oracle.tensor_T_quadrature(m) @ b
     assert np.abs(got - want).max() <= 1e-14
 
 
 def test_block_check_catches_a_perturbed_kernel_quadrature(monkeypatch):
-    real = spectral._kron_power_sum
+    real = spectral._power_sums
     monkeypatch.setattr(spectral, "_cache", {})
-    monkeypatch.setattr(spectral, "_kron_power_sum", lambda *a: real(*a) + 1e-8)
+    monkeypatch.setattr(spectral, "_power_sums", lambda *a: real(*a) + 1e-8)
     with pytest.raises(QuadratureError, match=re.escape("thermostat block:")):
         thermostat_block(3)
 
@@ -645,24 +648,39 @@ def test_thermostat_block_is_the_first_particle_restriction_of_the_pair_block(d)
 @pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat"])
 def test_kernel_blocks_have_exactly_zero_off_degree_entries(kind):
     d = 4
-    basis = make_basis(spectral._KERNEL_MAPS[kind][0], d)
+    basis = make_basis(spectral._MOMENT_ENTRIES[kind][0], d)
     off = basis.degree_of[:, None] != basis.degree_of[None, :]
     assert (spectral._kernel_block(kind, d)[off] == 0.0).all()
 
 
-def test_kernel_acts_as_a_non_symmetric_map_does():
-    # every map the package averages is symmetric; a random rotation tells
-    # (A^T)^(x)m from A^(x)m and checks the symmetrizer's column order
-    d = 4
-    a = np.linalg.qr(RngStream(5, 0).rng.standard_normal((3, 3)))[0]
-    basis = make_basis(3, d)
-    pts, w = quadrature_oracle.gauss_grid(3, d + 1)
-    quad = quadrature_oracle.averaged_gram(basis, pts, w, [(1.0, pts @ a.T)])
-    for m in range(d + 1):
-        b = spectral._symmetrizer(3, m)
-        sl = basis.degree_slice(m)
-        block = b.T @ spectral._kron_power_sum(a[None], np.ones(1), m) @ b
-        assert np.abs(block - quad[sl, sl]).max() <= 1e-13
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), d=st.integers(0, 4),
+       count=st.integers(1, 3))
+def test_kernel_acts_as_a_non_symmetric_map_does(seed, n, d, count):
+    # every map the package averages is symmetric; weighted random
+    # orthogonal maps tell h(A x) from h(A^T x) and check the monomial
+    # recursion against a Gauss-Hermite grid, exact at degree 2d + 1
+    rng = np.random.default_rng(seed)
+    maps = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    w = rng.uniform(0.1, 1.0, count)
+    basis = make_basis(n, d)
+    pts, gw = quadrature_oracle.gauss_grid(n, d + 1)
+    quad = quadrature_oracle.averaged_gram(basis, pts, gw,
+                                           [(c, pts @ a.T) for c, a in zip(w, maps)])
+    assert np.abs(spectral._power_sums(maps, w, d) - quad).max() <= 1e-13
+
+
+def test_cold_top_degree_thermostat_block_stays_small(monkeypatch):
+    # the degree-8 block has 45 rows; nothing of size 3^8 may be formed
+    monkeypatch.setattr(spectral, "_cache", {})
+    tracemalloc.start()
+    try:
+        block = thermostat_block(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (165, 165)
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("d", range(7))
@@ -692,7 +710,8 @@ def test_sphere_moments_are_the_pinned_fractions():
 
 @pytest.mark.parametrize("m", range(9))
 def test_sphere_rule_integrates_every_monomial_to_its_exact_moment(m):
-    # sphere_rule(2m) is the kernel's only integration input at degree m
+    # sphere_rule(2d) is the kernel's only integration input for every
+    # block of degree <= d
     nodes, w = sphere_rule(2 * m)
     worst = 0.0
     for total in range(2 * m + 1):
@@ -755,15 +774,15 @@ def test_exact_blocks_satisfy_detailed_balance(kind):
 
 @pytest.mark.parametrize("m", range(7))
 def test_tensor_route_agrees_with_the_exact_route(m):
-    b = spectral._symmetrizer(3, m)
+    b = tensor_oracle.symmetrizer(3, m)
     tensor = b.T @ tensor_oracle.tensor_T(m) @ b
     assert np.abs(tensor - spectral._exact_block("thermostat", m)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat"])
 def test_exact_blocks_match_the_kernel_to_roundoff(kind):
-    for d in range(7):
-        n = spectral._KERNEL_MAPS[kind][0]
+    for d in range(9):
+        n = spectral._MOMENT_ENTRIES[kind][0]
         sl = make_basis(n, d).degree_slice(d)
         kernel = spectral._kernel_block(kind, d)[sl, sl]
         assert np.abs(kernel - spectral._exact_block(kind, d)).max() <= 1e-15
