@@ -33,6 +33,7 @@ from .errors import StateError
 __all__ = [
     "Basis",
     "make_basis",
+    "basis_rows",
     "hermite_value_table",
     "evaluate_basis",
     "sphere_rule",
@@ -102,6 +103,26 @@ def make_basis(nvars: int, degree: int) -> Basis:
     basis = Basis(nvars, degree, exps, index, exps.sum(axis=1))
     assert basis.size == comb(nvars + degree, degree)
     return basis
+
+
+def basis_rows(nvars: int, pos: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """Row of each exponent in make_basis(nvars, d), any d at least its
+    degree, in closed form; exponent i is val[i] at the variables pos[i]
+    (ascending; pos broadcasts against val), and entries of value 0 pad.
+
+    Rows of degree below m number C(m - 1 + nvars, nvars). Within degree m
+    the exponent e follows, for each variable v with e_v > 0, the
+    compositions that agree with e before v and put less than e_v on v:
+    C(s_v + k, k) - C(s_v - e_v + k, k) of them, with s_v the sum of e from
+    v on and k = nvars - 1 - v.
+    """
+    top = int(val.sum(axis=1).max(initial=0))
+    binom = np.array([comb(s + k, k) for s in range(top + 1) for k in range(nvars)])
+    rank = rest = np.zeros(len(val), dtype=np.int64)
+    for k, v in zip(np.broadcast_to(nvars - 1 - pos, val.shape).T[::-1], val.T[::-1]):
+        rank = rank + binom[(rest + v) * nvars + k] - binom[rest * nvars + k]
+        rest = rest + v
+    return np.array([comb(m - 1 + nvars, nvars) for m in range(top + 1)])[rest] + rank
 
 
 # ---------------------------------------------------------------------------

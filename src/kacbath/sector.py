@@ -25,7 +25,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import StateError
-from .hermite import Basis, HermiteCoeffs, make_basis
+from .hermite import Basis, HermiteCoeffs, basis_rows, make_basis
 from .kinematics import ModelParams
 
 __all__ = ["SectorBasis", "sector_sizes", "make_sector"]
@@ -87,18 +87,18 @@ class SectorBasis:
     def rows_of(self, tagged: np.ndarray, reservoir: np.ndarray) -> np.ndarray:
         """Row of the orbit of each joint exponent, given as its tagged part
         (k, 3m) and the 3-exponents of any L reservoir particles (k, 3L);
-        the particles not listed carry exponent zero."""
+        the particles not listed carry exponent zero. StateError if one lies
+        outside the sector."""
         k = len(tagged)
         d = self.degree
-        base = d + 1
-        lookup = np.zeros(base ** 3, dtype=np.intp)
-        lookup[self.single.exponents @ base ** np.arange(3)] = np.arange(self.single.size)
-        codes = lookup[reservoir.reshape(k, reservoir.shape[1] // 3, 3) @ base ** np.arange(3)]
+        codes = basis_rows(3, np.arange(3), reservoir.reshape(-1, 3))
+        codes = codes.reshape(k, reservoir.shape[1] // 3)
         support = np.zeros((k, max(d, codes.shape[1])), dtype=np.intp)
         support[:, :codes.shape[1]] = -np.sort(-codes, axis=1)
         key = _row_keys(tagged, support[:, :d])
         at = np.minimum(np.searchsorted(self._keys, key), self.size - 1)
-        if support[:, d:].any() or (self._keys[at] != key).any():
+        if (support[:, d:].any() or (support[:, :1] >= self.single.size).any()
+                or (self._keys[at] != key).any()):
             raise StateError(f"exponent outside the sector of degree {d} at N={self.n}")
         return self._order[at]
 

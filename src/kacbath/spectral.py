@@ -28,6 +28,15 @@ replaced by its closed-form sphere moment
 E[omega^gamma] = prod_i (gamma_i - 1)!! / (|gamma| + 1)!! (even gamma;
 0 otherwise) in exact rational arithmetic. The thermostat spectrum of
 `verify-lemma3`'s second route is taken from the same exact blocks.
+
+Every operator on a many-particle basis is one lift of those blocks.
+`_collision_terms` lists the collision classes of both generators once,
+over all N reservoir particles on the joint basis and over d + 1
+representatives weighted by `_partner_weight` on the reservoir-symmetric
+sector. One vectorised pass per class lists every column's images; a
+per-class table (joint and tagged bases) or `SectorBasis.rows_of` gives
+their rows, and `_lift` sums the entries in listing order, the diagonal
+last, so the joint generators are bitwise the dense sum of the blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import comb, factorial, prod
 from typing import NamedTuple
 
@@ -49,6 +58,7 @@ from .errors import ConfigError, QuadratureError, StateError, ToleranceError
 from .hermite import (
     Basis,
     HermiteCoeffs,
+    basis_rows,
     hermite_coeffs_from_poly,
     make_basis,
     poly_add,
@@ -336,80 +346,80 @@ def thermostat_block(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# embedding small blocks into many-particle bases
+# one lift for every operator
 
 
-def _embedding(big: Basis, sub: Basis, slots):
-    """Index arrays (rows, cols, sub_rows, sub_cols) of a block at `slots`.
+def _images(local: np.ndarray, terms, image_rows):
+    """Entries (rows, cols, values) of weight * A for each term (block, sub,
+    slots, weight), with A = `block` on the `slots` variables of the column
+    exponents `local` and the weight one number or one per column. Each
+    column of nonzero weight lists the nonzero entries k of its block
+    column; image_rows(slots, sub, sub_of, k, cols) gives their rows, and
+    images with row -1 lie outside the basis and are dropped."""
+    for block, sub, slots, weight in terms:
+        slots = np.asarray(slots)
+        exps = local[:, slots]
+        if (exps.sum(axis=1) > sub.degree).any():
+            raise StateError(f"sub-basis of degree {sub.degree} misses slot exponents")
+        sub_of = basis_rows(sub.nvars, np.arange(sub.nvars), exps)
+        weight = np.broadcast_to(weight, sub_of.shape)
+        live = np.flatnonzero(weight)
+        by_col, by_row = np.nonzero(block.T)  # its nonzero entries, column by column
+        start = np.searchsorted(by_col, np.arange(sub.size + 1))
+        first, count = start[sub_of[live]], np.diff(start)[sub_of[live]]
+        cols = np.repeat(live, count)
+        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(cols.size)
+        k = by_row[at]
+        vals = block[k, sub_of[cols]] * weight[cols]
+        rows = image_rows(slots, sub, sub_of, k, cols)
+        keep = rows >= 0
+        yield rows[keep], cols[keep], vals[keep]
 
-    Big rows that agree on the exponents outside `slots` form a group:
-    they differ only in the sub-variables, so an operator acting on those
-    variables maps the group into itself with the sub-basis matrix. Every
-    pair (row, col) within a group is listed once, with the sub-basis
-    rows of its slot exponents. Groups ignore the degree, so off-degree
-    entries of a raw block are copied as they are.
-    """
-    slots = np.asarray(slots, dtype=int)
-    outside = np.ones(big.nvars, dtype=bool)
-    outside[slots] = False
-    # sub row of each big row, through the base-(d+1) code of its slot exponents
-    base = max(big.degree, sub.degree) + 1
-    place = base ** np.arange(len(slots), dtype=np.int64)
-    lookup = np.full(base ** len(slots), -1, dtype=np.intp)
-    lookup[sub.exponents @ place] = np.arange(sub.size)
-    sub_of = lookup[big.exponents[:, slots] @ place]
-    if (sub_of < 0).any():
-        raise StateError(f"sub-basis of degree {sub.degree} misses slot exponents")
-    if outside.any():
-        # one byte string per row (exponents are far below 256): sorting
-        # strings is much faster than np.unique(axis=0) on integer rows
-        rest = np.ascontiguousarray(big.exponents[:, outside], dtype=np.uint8)
-        _, group = np.unique(rest.view(f"S{rest.shape[1]}").ravel(), return_inverse=True)
-    else:
-        group = np.zeros(big.size, dtype=np.intp)
-    # every row pairs with each row of its group, in ascending order
-    order = np.argsort(group, kind="stable")
-    counts = np.bincount(group)
-    start = np.cumsum(counts) - counts
-    reps = counts[group[order]]
-    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    rows = np.repeat(order, reps)
-    cols = order[np.repeat(start[group[order]], reps) + offset]
-    return rows, cols, sub_of[rows], sub_of[cols]
+
+def _joint_rows(big: Basis):
+    """image_rows on a make_basis basis. Columns that agree outside the
+    slots share the row of their exponents with the slots zeroed, found in
+    closed form from each row's nonzero entries; per term a table indexed by
+    (that row, sub row) holds every column, and -1 an image above the degree."""
+    pos = np.argsort(big.exponents == 0, axis=1, kind="stable")[:, :big.degree]
+    val = np.take_along_axis(big.exponents, pos, axis=1)
+
+    def rows(slots, sub, sub_of, k, cols):
+        zeroed = basis_rows(big.nvars, pos, np.where(np.isin(pos, slots), 0, val))
+        table = np.full((big.size, sub.size), -1, dtype=np.intp)
+        table[zeroed, sub_of] = np.arange(big.size)
+        return table[zeroed[cols], k]
+
+    return rows
+
+
+def _lift(name: str, basis, local: np.ndarray, terms, image_rows, root: np.ndarray,
+          diagonal) -> OperatorMatrix:
+    """sum of weight * A over the terms (see _images), plus `diagonal` (one
+    number or one per column), scaled by root[col] / root[row]. np.bincount
+    sums each (row, col) in listing order, the diagonal last: the bits of a
+    dense `+=` over the terms, where coo.tocsr() would sum in another order
+    and move entries at roundoff. No n x n array is formed."""
+    n = basis.size
+    diag = np.arange(n)
+    entries = itertools.chain(_images(local, terms, image_rows),
+                              [(diag, diag, np.broadcast_to(diagonal, n))])
+    keys, vals = zip(*((rows * n + cols, v) for rows, cols, v in entries))
+    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.bincount(inverse, weights=np.concatenate(vals), minlength=key.size)
+    row, col = np.divmod(key, n)
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    csr = sparse.csr_matrix((data * root[col] / root[row], col, indptr), shape=(n, n))
+    return OperatorMatrix.from_raw(name, basis, csr)
 
 
 def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
     """Lift an operator on `sub` variables to the big basis, acting as
     the identity on all other variables."""
     out = np.zeros((big.size, big.size))
-    a, b, sa, sb = _embedding(big, sub, slots)
-    out[a, b] = block[sa, sb]
+    (rows, cols, vals), = _images(big.exponents, [(block, sub, slots, 1.0)], _joint_rows(big))
+    out[rows, cols] = vals
     return out
-
-
-def _summed_embeddings(name: str, big: Basis, terms, diagonal: float = 0.0) -> OperatorMatrix:
-    """sum of coeff * block lifted to `big` at `slots`, over the terms
-    (block, sub, slots, coeff), plus `diagonal` times the identity.
-
-    The (row, col, value) entries are listed term by term, the diagonal
-    last, and np.bincount sums each (row, col) in that order, so the
-    CSR data are the bits of a dense `+=` over the terms; coo.tocsr()
-    sums duplicates in another order and moves entries at roundoff.
-    No n x n array is formed.
-    """
-    n = big.size
-    keys, vals = [], []
-    for block, sub, slots, coeff in terms:
-        a, b, sa, sb = _embedding(big, sub, slots)
-        keys.append(a * n + b)
-        vals.append(coeff * block[sa, sb])
-    keys.append(np.arange(n) * (n + 1))
-    vals.append(np.full(n, diagonal))
-    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    data = np.bincount(inverse, weights=np.concatenate(vals), minlength=key.size)
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    csr = sparse.csr_matrix((data, key % n, indptr), shape=(n, n))
-    return OperatorMatrix.from_raw(name, big, csr)
 
 
 def v_slots(i: int):
@@ -482,8 +492,9 @@ def assemble_pair_rotation(kind: str, i: int, j: int, p: ModelParams,
     else:
         raise StateError(f"unknown pair kind {kind!r}")
     big = joint_basis(p, d) if basis is None else basis
-    return _summed_embeddings(f"pair[{kind},{i},{j}]", big,
-                              [(pair_avg_block(d), make_basis(6, d), slots, 1.0)])
+    return _lift(f"pair[{kind},{i},{j}]", big, big.exponents,
+                 [(pair_avg_block(d), make_basis(6, d), slots, 1.0)], _joint_rows(big),
+                 np.ones(big.size), 0.0)
 
 
 def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
@@ -492,8 +503,38 @@ def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
     if not 0 <= particle < m:
         raise StateError(f"particle {particle} out of range for m={m}")
     basis = _dense_basis(3 * m, d, f"tagged basis at M={m}, degree {d}")
-    return _summed_embeddings(f"thermostat[{particle}]", basis,
-                              [(thermostat_block(d), make_basis(3, d), v_slots(particle), 1.0)])
+    return _lift(f"thermostat[{particle}]", basis, basis.exponents,
+                 [(thermostat_block(d), make_basis(3, d), v_slots(particle), 1.0)],
+                 _joint_rows(basis), np.ones(basis.size), 0.0)
+
+
+def _collision_terms(kind: str, p: ModelParams, d: int, partner: Sequence) -> tuple:
+    """The collision classes of the generator of `kind` as lift terms
+    (block, sub, slots, weight), and the sum of the weights in term order:
+    tagged pairs at rate lambda_s / (M - 1), reservoir pairs at lambda_r /
+    (N - 1), and each tagged particle with each reservoir particle at mu / N
+    ('reservoir') or with the thermostat at mu ('thermostat'). Collisions
+    with reservoir particle j < len(partner) are weighted by partner[j] too."""
+    if kind not in ("reservoir", "thermostat"):
+        raise StateError(f"unknown generator kind {kind!r}")
+    pair, b6 = pair_avg_block(d), make_basis(6, d)
+    terms = []
+    if p.m >= 2 and p.lambda_s > 0:
+        c = p.lambda_s / (p.m - 1)
+        terms += [(pair, b6, np.concatenate([v_slots(i), v_slots(j)]), c)
+                  for i, j in itertools.combinations(range(p.m), 2)]
+    if p.lambda_r > 0:
+        c = p.lambda_r / (p.n - 1)
+        terms += [(pair, b6, np.concatenate([w_slots(p, i), w_slots(p, j)]), c * partner[j])
+                  for i, j in itertools.combinations(range(len(partner)), 2)]
+    if p.mu > 0 and kind == "reservoir":
+        c = p.mu / p.n
+        terms += [(pair, b6, np.concatenate([v_slots(i), w_slots(p, j)]), c * partner[j])
+                  for i in range(p.m) for j in range(len(partner))]
+    elif p.mu > 0:
+        terms += [(thermostat_block(d), make_basis(3, d), v_slots(i), p.mu)
+                  for i in range(p.m)]
+    return terms, reduce(np.add, [weight for *_, weight in terms], 0.0)
 
 
 def assemble_generator(kind: str, p: ModelParams, d: int,
@@ -509,35 +550,10 @@ def assemble_generator(kind: str, p: ModelParams, d: int,
     joint basis of (p, d) passes it as `basis`, so it is not enumerated
     again.
     """
-    if kind not in ("reservoir", "thermostat"):
-        raise StateError(f"unknown generator kind {kind!r}")
     big = joint_basis(p, d) if basis is None else basis
-    pair = pair_avg_block(d)
-    b6 = make_basis(6, d)
-    terms = []
-
-    if p.m >= 2 and p.lambda_s > 0:
-        c = p.lambda_s / (p.m - 1)
-        for i, j in itertools.combinations(range(p.m), 2):
-            terms.append((pair, b6, np.concatenate([v_slots(i), v_slots(j)]), c))
-    if p.lambda_r > 0:
-        c = p.lambda_r / (p.n - 1)
-        for i, j in itertools.combinations(range(p.n), 2):
-            terms.append((pair, b6, np.concatenate([w_slots(p, i), w_slots(p, j)]), c))
-    if p.mu > 0:
-        if kind == "reservoir":
-            c = p.mu / p.n
-            for i in range(p.m):
-                for j in range(p.n):
-                    terms.append((pair, b6, np.concatenate([v_slots(i), w_slots(p, j)]), c))
-        else:
-            therm = thermostat_block(d)
-            b3 = make_basis(3, d)
-            terms.extend((therm, b3, v_slots(i), p.mu) for i in range(p.m))
-    total = 0.0
-    for *_, c in terms:
-        total += c
-    return _check_symmetric(_summed_embeddings(f"generator[{kind}]", big, terms, -total))
+    terms, total = _collision_terms(kind, p, d, [1.0] * p.n)
+    return _check_symmetric(_lift(f"generator[{kind}]", big, big.exponents, terms,
+                                  _joint_rows(big), np.ones(big.size), -total))
 
 
 def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
@@ -562,28 +578,6 @@ def _partner_weight(slot: int, support: np.ndarray, fresh: np.ndarray) -> np.nda
     return np.where(slot < support, 1.0, np.where(slot == support, fresh, 0.0))
 
 
-def _sector_images(local: np.ndarray, block: np.ndarray, sub: Basis, slots, weight):
-    """The image of every representative column under weight * (A - I),
-    with A = `block` acting on the `slots` columns of `local`.
-
-    Returns (exponents, columns, values) of its entries, the identity part
-    last; columns with zero weight or a constant on `slots`, where A - I
-    vanishes, are skipped. One vectorised pass serves every column.
-    """
-    base = sub.degree + 1
-    place = base ** np.arange(len(slots), dtype=np.int64)
-    lookup = np.full(base ** len(slots), -1, dtype=np.intp)
-    lookup[sub.exponents @ place] = np.arange(sub.size)
-    sub_of = lookup[local[:, slots] @ place]
-    cols = np.flatnonzero((weight != 0.0) & (sub_of > 0))
-    vals = block[:, sub_of[cols]] * weight[cols]
-    row, j = np.nonzero(vals)
-    exps = local[cols[j]]
-    exps[:, slots] = sub.exponents[row]
-    return (np.concatenate([exps, local[cols]]), np.concatenate([cols[j], cols]),
-            np.concatenate([vals[row, j], -weight[cols]]))
-
-
 def assemble_sector_generator(kind: str, p: ModelParams, d: int,
                               basis: SectorBasis | None = None) -> OperatorMatrix:
     """The generator of `kind` (see assemble_generator) on the
@@ -597,12 +591,10 @@ def assemble_sector_generator(kind: str, p: ModelParams, d: int,
     partner (particle r standing for all N - r of them), each tagged
     particle with a support particle and with a fresh partner (again N - r
     times), or the thermostat on each tagged particle; collisions between
-    fresh particles fix phi_y. The blocks are the cached pair_avg_block(d)
-    and thermostat_block(d) of the joint assembly. A caller that already
-    holds the sector basis of (p, d) passes it as `basis`.
+    fresh particles fix phi_y: the joint collision list on d + 1 reservoir
+    particles. A caller that already holds the sector basis of (p, d)
+    passes it as `basis`.
     """
-    if kind not in ("reservoir", "thermostat"):
-        raise StateError(f"unknown generator kind {kind!r}")
     sec = sector_basis(p, d) if basis is None else basis
     r = np.count_nonzero(sec.support, axis=1)
     fresh = (p.n - r).astype(float)
@@ -610,37 +602,16 @@ def assemble_sector_generator(kind: str, p: ModelParams, d: int,
     local = np.zeros((sec.size, 3 * (p.m + d + 1)), dtype=np.int64)
     local[:, :3 * p.m] = sec.tagged
     local[:, 3 * p.m:3 * (p.m + d)] = sec.single.exponents[sec.support].reshape(sec.size, -1)
-    pair, b6 = pair_avg_block(d), make_basis(6, d)
-    ones = np.ones(sec.size)
-    terms = []
-    if p.m >= 2 and p.lambda_s > 0:
-        c = p.lambda_s / (p.m - 1)
-        for i, j in itertools.combinations(range(p.m), 2):
-            terms.append((pair, b6, np.concatenate([v_slots(i), v_slots(j)]), c * ones))
-    if p.lambda_r > 0:
-        c = p.lambda_r / (p.n - 1)
-        for i, j in itertools.combinations(range(d + 1), 2):
-            terms.append((pair, b6, np.concatenate([w_slots(p, i), w_slots(p, j)]),
-                          c * _partner_weight(j, r, fresh)))
-    if p.mu > 0:
-        if kind == "reservoir":
-            c = p.mu / p.n
-            for i in range(p.m):
-                for j in range(d + 1):
-                    terms.append((pair, b6, np.concatenate([v_slots(i), w_slots(p, j)]),
-                                  c * _partner_weight(j, r, fresh)))
-        else:
-            therm, b3 = thermostat_block(d), make_basis(3, d)
-            terms.extend((therm, b3, v_slots(i), p.mu * ones) for i in range(p.m))
+    partner = [_partner_weight(j, r, fresh) for j in range(d + 1)]
 
-    parts = [(local[:0], np.zeros(0, dtype=np.intp), np.zeros(0))]
-    parts += [_sector_images(local, *term) for term in terms]
-    exps, cols, vals = (np.concatenate(part) for part in zip(*parts))
-    rows = sec.rows_of(exps[:, :3 * p.m], exps[:, 3 * p.m:])
-    root = np.sqrt(sec.orbit_size)
-    mat = sparse.csr_matrix((vals * root[cols] / root[rows], (rows, cols)),
-                            shape=(sec.size, sec.size))
-    return _check_symmetric(OperatorMatrix.from_raw(f"sector generator[{kind}]", sec, mat))
+    def image_rows(slots, sub, sub_of, k, cols):
+        exps = local[cols]
+        exps[:, slots] = sub.exponents[k]
+        return sec.rows_of(exps[:, :3 * p.m], exps[:, 3 * p.m:])
+
+    terms, total = _collision_terms(kind, p, d, partner)
+    return _check_symmetric(_lift(f"sector generator[{kind}]", sec, local, terms, image_rows,
+                                  np.sqrt(sec.orbit_size), -total))
 
 
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Per-row embedding of small blocks, kept as an oracle for the assembly.
 
 The package lifts an operator on a few variables to a many-variable
-basis through index arrays built in numpy (`spectral._embedding`). The
-route here walks the big basis row by row, groups rows by their
-exponents outside the slots in a dict, and scatters the block into each
-group with one `np.ix_`; `generator` sums such lifts into a dense
-matrix. Tests compare the package against it bitwise.
+basis with one vectorised image pass per collision (`spectral._images`),
+finding the row of every image in closed form. The route here walks the
+big basis row by row, groups rows by their exponents outside the slots
+in a dict, and scatters the block into each group with one `np.ix_`;
+`generator` sums such lifts into a dense matrix. Tests compare the
+package against it bitwise.
 """
 
 import itertools

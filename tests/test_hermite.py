@@ -15,6 +15,7 @@ from kacbath.hermite import (
     HermiteCoeffs,
     _compositions,
     _hermite_monomial_matrix,
+    basis_rows,
     evaluate_basis,
     hermite_coeffs_from_poly,
     make_basis,
@@ -61,6 +62,12 @@ def test_basis_rows_are_graded_lex_ascending(nvars, degree):
         moved = step != 0
         assert moved.any(axis=1).all()
         assert (step[np.arange(len(step)), moved.argmax(axis=1)] > 0).all()
+    # basis_rows inverts the enumeration, from the dense exponents and from
+    # each row's nonzero entries alone
+    assert (basis_rows(nvars, np.arange(nvars), b.exponents) == np.arange(b.size)).all()
+    pos = np.argsort(b.exponents == 0, axis=1, kind="stable")[:, :degree]
+    val = np.take_along_axis(b.exponents, pos, axis=1)
+    assert (basis_rows(nvars, pos, val) == np.arange(b.size)).all()
 
 
 def test_first_hermite_values():

@@ -1,6 +1,8 @@
 """The reservoir-symmetric sector: its basis, its size in closed form, and
 both generators on it against the joint generators restricted to it."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -57,12 +59,19 @@ def test_orbits_partition_the_joint_basis(m, n, d):
     assert (sec.degree_of[rows] == big.degree_of).all()
 
 
-@pytest.mark.parametrize("m,n,d", [(1, 2, 2), (1, 8, 2), (1, 2, 3), (1, 5, 3), (2, 3, 2)])
+@pytest.mark.parametrize("m,n,d,rates", [
+    # rates that tell every collision class apart
+    pytest.param(m, n, d, (0.7, 1.3, 0.9), id=f"{m}-{n}-{d}")
+    for m, n, d in [(1, 2, 2), (1, 8, 2), (1, 2, 3), (1, 5, 3), (2, 3, 2)]] + [
+    # each class switched off and on: (lambda_s, lambda_r, mu) in
+    # {0, 0.7} x {0, 1.3} x {0, 0.9}
+    pytest.param(m, n, d, rates, id="-".join(map(str, (m, n, d, *rates))))
+    for m, n, d in [(1, 2, 2), (2, 3, 2), (1, 5, 1), (2, 2, 2), (1, 3, 3)]
+    for rates in itertools.product((0.0, 0.7), (0.0, 1.3), (0.0, 0.9))])
 @pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
-def test_sector_generator_is_the_joint_generator_restricted(kind, m, n, d):
-    # Q^T G Q with Q the normalised orbit sums, at rates that tell every
-    # collision class apart
-    p = ModelParams(m, n, lambda_s=0.7, lambda_r=1.3, mu=0.9)
+def test_sector_generator_is_the_joint_generator_restricted(kind, m, n, d, rates):
+    # Q^T G Q with Q the normalised orbit sums
+    p = ModelParams(m, n, *rates)
     sec, big = sector_basis(p, d), joint_basis(p, d)
     rows = sec.rows_of(big.exponents[:, :3 * m], big.exponents[:, 3 * m:])
     q = sparse.csr_matrix((1.0 / np.sqrt(sec.orbit_size[rows]), (np.arange(big.size), rows)),
@@ -83,13 +92,21 @@ def test_tagged_data_are_their_own_orbit_sums():
     assert sec.index[((2, 0, 0, 0, 0, 0), (0, 0))] == int(np.flatnonzero(c.vec == 0.3)[0])
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_rows_of_rejects_an_exponent_outside_the_sector(d):
+@pytest.mark.parametrize("n,d,reservoir", [
     # three excited reservoir particles: over the degree cap at d=2, and
     # more than the N=2 the sector has at d=3
-    sec = sector_basis(ModelParams(1, 2), d)
-    with pytest.raises(StateError, match=f"outside the sector of degree {d} at N=2"):
-        sec.rows_of(np.zeros((1, 3), dtype=int), np.array([[1, 0, 0, 1, 0, 0, 0, 0, 1]]))
+    pytest.param(2, 2, [1, 0, 0, 1, 0, 0, 0, 0, 1], id="2"),
+    pytest.param(2, 3, [1, 0, 0, 1, 0, 0, 0, 0, 1], id="3"),
+    # one reservoir 3-exponent over the degree cap, whose digits in base
+    # d + 1 would alias the constant, a degree-1 row, or no row at all
+    pytest.param(4, 2, [2, 2, 0], id="4-2-220"),
+    pytest.param(4, 2, [3, 0, 0], id="4-2-300"),
+    pytest.param(4, 2, [0, 0, 3], id="4-2-003"),
+])
+def test_rows_of_rejects_an_exponent_outside_the_sector(n, d, reservoir):
+    sec = sector_basis(ModelParams(1, n), d)
+    with pytest.raises(StateError, match=f"outside the sector of degree {d} at N={n}"):
+        sec.rows_of(np.zeros((1, 3), dtype=int), np.array([reservoir]))
 
 
 def test_an_oversize_sector_is_a_config_error_before_enumeration(monkeypatch):

@@ -535,9 +535,16 @@ def test_embedding_over_every_variable_is_the_block(d):
     assert _same_bits(assemble_T(1, d).mat.toarray(), therm)
 
 
-@pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 8, 2)])
-def test_generators_equal_the_oracle_assembly(m, n, d, monkeypatch):
-    p = ModelParams(m, n)
+@pytest.mark.parametrize("m,n,d,rates", [
+    pytest.param(m, n, d, (1.0, 1.0, 1.0), id=f"{m}-{n}-{d}")
+    for m, n, d in [(1, 2, 3), (2, 3, 2), (1, 8, 2)]] + [
+    # each collision class switched off and on: (lambda_s, lambda_r, mu) in
+    # {0, 0.7} x {0, 1.3} x {0, 0.9}, with one and two tagged particles
+    pytest.param(m, n, d, rates, id="-".join(map(str, (m, n, d, *rates))))
+    for m, n, d in [(1, 2, 2), (2, 3, 2), (1, 5, 1), (2, 2, 2), (1, 3, 3)]
+    for rates in itertools.product((0.0, 0.7), (0.0, 1.3), (0.0, 0.9))])
+def test_generators_equal_the_oracle_assembly(m, n, d, rates, monkeypatch):
+    p = ModelParams(m, n, *rates)
     fast = {kind: assemble_generator(kind, p, d).mat.toarray()
             for kind in ("reservoir", "thermostat")}
     # rebuild the pair and thermostat blocks as well, through the oracle
