@@ -242,7 +242,8 @@ def scaling_study(
     under both couplings, read off the long-time limit, estimate the
     spectral gap, and evaluate the bound's bump peak with it; the
     distance curve and the gap share one SpectralContext per size, and
-    every distance curve is cross-checked by DOP853 (see evolve). Fits
+    every distance curve is cross-checked by the dense eigendecomposition
+    of each block it fills (see evolve). Fits
     log-log power laws through the limit and bump columns.
     """
     if len(ns) < 2:

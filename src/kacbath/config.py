@@ -92,6 +92,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would check CONFIG_SCHEMA against its
+# metaschema again on every load (tests/test_config.py checks it once).
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 
 def _defaults_of(schema: dict) -> dict:
     out = {}
@@ -137,11 +141,10 @@ class RunConfig:
 
 def validate_config(doc: dict) -> dict:
     """Schema-check a raw document and return it with defaults merged."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ConfigError(f"config invalid at {where}: {error.message}") from error
     merged = _defaults_of(CONFIG_SCHEMA)
     for key, val in doc.items():
         if isinstance(val, dict) and isinstance(merged.get(key), dict):

@@ -31,7 +31,7 @@ class QuadratureError(ToleranceError):
 
 
 class IntegrationError(ToleranceError):
-    """Matrix-exponential and adaptive-integrator routes disagree."""
+    """The Krylov and dense-eigendecomposition routes of evolve disagree."""
 
 
 class HorizonError(KacbathError):

@@ -4,8 +4,8 @@ the reservoir-symmetric sector route.
 The package evolves both flows on the sector (`evolution.distance_curve`).
 The route here assembles both generators on the joint basis of all
 3(M + N) velocity components, embeds the tagged data with the reservoir
-factor constant, evolves each flow with `evolve` (Krylov, with its DOP853
-cross-check) and takes the norm of the difference. The joint basis grows
+factor constant, evolves each flow with `evolve` (Krylov, with its dense
+eigendecomposition cross-check) and takes the norm of the difference. The joint basis grows
 like N^d, so this fits small N only. Tests compare the two.
 """
 

@@ -4,6 +4,7 @@ determinism."""
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -494,3 +495,22 @@ def test_perturbation_families_have_unit_mean():
             h = perturbation_data(fam, 0.2, m)
             assert h.mean() == pytest.approx(1.0, abs=0)
             assert h.fluctuation_norm() > 0.0
+
+
+def test_the_package_imports_no_ode_integrator():
+    # evolve's cross-check is a dense eigendecomposition, so scipy.integrate
+    # (and the optimize and special modules it pulls in) stays out of every
+    # kacbath process; the benchmark's tracer still resolves solve_ivp
+    code = (
+        "import sys, kacbath, kacbath.cli\n"
+        "heavy = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special')\n"
+        "         if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "from kacbath import evolution\n"
+        "assert evolution.solve_ivp.__module__.startswith('scipy.integrate')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

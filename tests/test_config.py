@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,7 +42,7 @@ def test_sequences_become_tuples():
     assert cfg.reservoir_sizes == (2, 4, 8)
 
 
-@pytest.mark.parametrize("doc", [
+REJECTED = [
     {"n": 2},                                  # missing m
     {"m": 0, "n": 2},                          # m below minimum
     {"m": 1, "n": 2, "mu": -1.0},              # negative rate
@@ -49,10 +50,32 @@ def test_sequences_become_tuples():
     {"m": 1, "n": 2, "extra_field": 1},        # unknown key
     {"m": 1, "n": 2, "init": {"kind": "x"}},   # nested enum
     {"m": 1, "n": 2, "observables": []},       # empty list
-])
+]
+
+
+@pytest.mark.parametrize("doc", REJECTED)
 def test_schema_rejections(doc):
     with pytest.raises(ConfigError):
         validate_config(doc)
+
+
+def test_schema_is_valid_under_its_metaschema():
+    # the loader's validator is built once, without this check
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    assert cls is jsonschema.Draft202012Validator
+    cls.check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("doc", REJECTED + [
+    {"m": 1, "n": 2, "mu": "fast", "extra_field": 1, "grid": {"count": 1}},
+])
+def test_error_message_is_the_best_match_of_jsonschema_validate(doc):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, CONFIG_SCHEMA)
+    where = "/".join(str(p) for p in want.value.absolute_path) or "(root)"
+    with pytest.raises(ConfigError) as got:
+        validate_config(doc)
+    assert str(got.value) == f"config invalid at {where}: {want.value.message}"
 
 
 def test_error_message_names_the_path():

@@ -36,6 +36,7 @@ from kacbath.spectral import (
     thermostat_block,
 )
 
+import dop853_oracle
 import joint_flow_oracle
 
 
@@ -115,21 +116,21 @@ def _count_krylov(monkeypatch) -> list:
     return calls
 
 
-def _count_dop853(monkeypatch, basis) -> list:
-    """Record the degree of the block each DOP853 call integrates."""
+def _count_factored(monkeypatch, basis) -> list:
+    """Record the degree of the block each dense eigendecomposition factors."""
     calls = []
-    real = evolution.solve_ivp
+    real = np.linalg.eigh
     degree_of = {}
     for m in range(basis.degree + 1):
         sl = basis.degree_slice(m)
         degree_of[sl.stop - sl.start] = m
     assert len(degree_of) == basis.degree + 1  # block sizes tell degrees apart
 
-    def counted(fun, t_span, y0, **kwargs):
-        calls.append(degree_of[len(y0)])
-        return real(fun, t_span, y0, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(degree_of[a.shape[0]])
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(evolution, "solve_ivp", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
 
 
@@ -196,10 +197,10 @@ def test_evolve_skips_the_empty_degree_blocks(kind, n, monkeypatch):
     times = np.array([0.0, 0.3, 1.7, 9.0])
     want = _every_block_path(g, c0, times)
     calls = _count_krylov(monkeypatch)
-    integrated = _count_dop853(monkeypatch, g.basis)
+    factored = _count_factored(monkeypatch, g.basis)
     got = _path(g, c0, times)
     assert [deg for deg, _ in calls] == [0, 2]
-    assert integrated == [0, 2]
+    assert factored == [0, 2]
     for m in range(4):
         sl = g.basis.degree_slice(m)
         if m in (0, 2):
@@ -216,21 +217,23 @@ def test_evolve_data_in_every_block_takes_the_full_route(kind, monkeypatch):
     times = np.array([0.0, 0.3, 1.7, 9.0])
     want = _every_block_path(g, c0, times)
     calls = _count_krylov(monkeypatch)
-    integrated = _count_dop853(monkeypatch, g.basis)
+    factored = _count_factored(monkeypatch, g.basis)
     got = _path(g, c0, times)
     assert [deg for deg, _ in calls] == [0, 1, 2, 3]
-    assert integrated == [0, 1, 2, 3]
+    assert factored == [0, 1, 2, 3]
     assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(c0.vec)
 
 
 def test_evolve_at_time_zero_integrates_nothing(monkeypatch):
     # exp(G 0) c0 = c0: the Krylov route still runs on the filled blocks,
-    # and its result is compared with c0 itself
+    # and its result is compared with c0 itself; no block is factored
     g = assemble_generator("reservoir", ModelParams(1, 2), 3)
     c0 = _random_data(g.basis)
-    integrated = _count_dop853(monkeypatch, g.basis)
+    calls = _count_krylov(monkeypatch)
+    factored = _count_factored(monkeypatch, g.basis)
     got = _path(g, c0, [0.0, 0.0])
-    assert integrated == []
+    assert [deg for deg, _ in calls] == [0, 1, 2, 3]
+    assert factored == []
     assert np.abs(got - c0.vec).max() <= 1e-13 * np.linalg.norm(c0.vec)
 
 
@@ -377,11 +380,37 @@ def test_default_time_grid_shape():
 
 
 def test_cross_check_route_agreement():
-    # both flows of a distance curve pass the DOP853 check of every block
-    # the embedded data fills
+    # both flows of a distance curve pass the eigendecomposition check of
+    # every block the embedded data fills
     ctx = SpectralContext(ModelParams(1, 2), 2)
     curve = distance_curve(ctx, anisotropic_pair_data(0.2), [0.0, 0.7, 1.9])
     assert curve.distance[1] > 0.0
+
+
+def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """evolve's cross-check measure: the worst row gap over max(1, |row|)."""
+    scale = np.maximum(1.0, np.linalg.norm(got, axis=1))
+    return float((np.linalg.norm(got - want, axis=1) / scale).max())
+
+
+@pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
+def test_evolve_matches_the_dop853_oracle_in_every_joint_block(kind):
+    g = assemble_generator(kind, ModelParams(1, 2), 3)
+    c0 = _random_data(g.basis)
+    times = np.array([0.0, 0.3, 1.7, 9.0, 80.0])
+    gap = _relative_gap(_path(g, c0, times), dop853_oracle.path(g, c0, times))
+    assert gap <= evolution.CROSS_CHECK_TOL
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 16, 2), (1, 6, 3)])
+def test_evolve_matches_the_dop853_oracle_on_the_sector(m, n, d):
+    ctx = SpectralContext(ModelParams(m, n), d)
+    grid = default_time_grid(80.0, count=56)
+    for family in ("h1_v1x", "h2_aniso"):
+        c0 = ctx.sector.tagged_coeffs(perturbation_data(family, 0.2, m))
+        for g in (ctx.sector_reservoir, ctx.sector_thermostat):
+            gap = _relative_gap(_path(g, c0, grid), dop853_oracle.path(g, c0, grid))
+            assert gap <= evolution.CROSS_CHECK_TOL
 
 
 # ---------------------------------------------------------------------------
