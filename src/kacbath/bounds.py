@@ -176,8 +176,32 @@ def bump_peak(bp: BoundParams, m: int, n: int) -> tuple[float, float]:
     return val, tstar
 
 
+def perturbation_data(family: str, eps: float, m: int) -> HermiteCoeffs:
+    """Named initial-density families, as mean-one Hermite data on 3M vars.
+
+    h1_v1x is 1 + eps h1(v1x); h2_aniso is 1 + eps (h2(v1x) - h2(v1y)).
+    """
+    b_deg = {"h1_v1x": 1, "h2_aniso": 2}
+    if family not in b_deg:
+        raise ConfigError(f"unknown perturbation family {family!r}")
+    if not np.isfinite(eps):
+        raise ConfigError(f"eps must be finite, got {eps!r}")
+    b = make_basis(3 * m, b_deg[family])
+    vec = np.zeros(b.size)
+    vec[0] = 1.0
+    def key(var: int, power: int):
+        return tuple(power if i == var else 0 for i in range(3 * m))
+    if family == "h1_v1x":
+        vec[b.index[key(0, 1)]] = eps
+    else:
+        vec[b.index[key(0, 2)]] = eps
+        vec[b.index[key(1, 2)]] = -eps
+    return HermiteCoeffs(b, vec)
+
+
 def anisotropic_pair_data(eps: float) -> HermiteCoeffs:
-    """Initial density 1 + eps (h2(v1x) - h2(v1y)) on one tagged particle.
+    """Initial density 1 + eps (h2(v1x) - h2(v1y)) on one tagged particle:
+    the h2_aniso family at M = 1.
 
     The perturbation is a trace-free second-degree harmonic, orthogonal
     to the total energy and to every momentum component and their
@@ -188,14 +212,7 @@ def anisotropic_pair_data(eps: float) -> HermiteCoeffs:
     gives a true (nonnegative) density; the importance sampler checks
     pointwise rather than this constructor.
     """
-    if not np.isfinite(eps):
-        raise ConfigError("eps must be finite")
-    b = make_basis(3, 2)
-    vec = np.zeros(b.size)
-    vec[0] = 1.0
-    vec[b.index[(2, 0, 0)]] = eps
-    vec[b.index[(0, 2, 0)]] = -eps
-    return HermiteCoeffs(b, vec)
+    return perturbation_data("h2_aniso", eps, 1)
 
 
 @dataclass(frozen=True)
@@ -238,19 +255,19 @@ def scaling_study(
 ) -> ScalingStudy:
     """Measure both scaling regimes of the coupling distance.
 
-    For each reservoir size: evolve the anisotropic pair perturbation
-    under both couplings, read off the long-time limit, estimate the
-    spectral gap, and evaluate the bound's bump peak with it; the
-    distance curve and the gap share one SpectralContext per size, and
-    every distance curve is cross-checked by the dense eigendecomposition
-    of each block it fills (see evolve). Fits
-    log-log power laws through the limit and bump columns.
+    For each reservoir size: evolve the h2_aniso perturbation of the
+    first of the M tagged particles under both couplings, read off the
+    long-time limit, estimate the spectral gap, and evaluate the bound's
+    bump peak with it; the distance curve and the gap share one
+    SpectralContext per size, and every distance curve is cross-checked
+    by the dense eigendecomposition of each block it fills (see evolve).
+    Fits log-log power laws through the limit and bump columns.
     """
     if len(ns) < 2:
         raise ConfigError("need at least two reservoir sizes to fit exponents")
     if len(set(ns)) != len(ns):
         raise ConfigError(f"reservoir sizes must be distinct to fit exponents, got {list(ns)}")
-    h0 = anisotropic_pair_data(eps)
+    h0 = perturbation_data("h2_aniso", eps, m)
     tbath = assemble_T(1, d)
     l_hat = estimate_l(tbath)
     grid = default_time_grid(t_end, count=grid_count)

@@ -25,6 +25,7 @@ from .bounds import (
     bound_curve,
     estimate_l,
     make_bound_params,
+    perturbation_data,
     scaling_study,
 )
 from .config import CONFIG_SCHEMA, RunConfig, load_config
@@ -85,26 +86,6 @@ def _unit_coeff(m: int, degree: int, key_exponent: dict[int, int]) -> HermiteCoe
     return HermiteCoeffs(b, vec)
 
 
-def perturbation_data(family: str, eps: float, m: int) -> HermiteCoeffs:
-    """Named initial-density families, as mean-one Hermite data on 3M vars."""
-    b_deg = {"h1_v1x": 1, "h2_aniso": 2}
-    if family not in b_deg:
-        raise ConfigError(f"unknown perturbation family {family!r}")
-    if not np.isfinite(eps):
-        raise ConfigError(f"init.eps must be finite, got {eps!r}")
-    b = make_basis(3 * m, b_deg[family])
-    vec = np.zeros(b.size)
-    vec[0] = 1.0
-    def key(var: int, power: int):
-        return tuple(power if i == var else 0 for i in range(3 * m))
-    if family == "h1_v1x":
-        vec[b.index[key(0, 1)]] = eps
-    else:
-        vec[b.index[key(0, 2)]] = eps
-        vec[b.index[key(1, 2)]] = -eps
-    return HermiteCoeffs(b, vec)
-
-
 # Block forms of the registry's observables: each maps a read-only
 # (count, M+N, 3) block state to (count,) values with the per-member
 # arithmetic of the per-state form (kinematics.total_energy and
@@ -152,12 +133,6 @@ def _record_times(cfg: RunConfig) -> np.ndarray:
         return np.asarray(cfg.record_times, dtype=float)
     return default_time_grid(cfg.t_end, count=cfg.grid["count"],
                              t_min=cfg.grid["t_min"])
-
-
-def _require_config(cfg: RunConfig | None) -> RunConfig:
-    if cfg is None:
-        raise ConfigError("this subcommand needs --config")
-    return cfg
 
 
 def _measured_bound_params(cfg: RunConfig, ctx: SpectralContext, h0: HermiteCoeffs):
@@ -231,8 +206,7 @@ def _raise_if_failed(kind: str, result: tuple[bool, str]) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_simulate(cfg: RunConfig | None, args) -> int:
-    cfg = _require_config(cfg)
+def cmd_simulate(cfg: RunConfig, args) -> int:
     p = _model(cfg)
     times = _record_times(cfg)
     sim = SimConfig(t_end=cfg.t_end, record_times=tuple(float(t) for t in times),
@@ -255,8 +229,7 @@ def cmd_simulate(cfg: RunConfig | None, args) -> int:
     return 0
 
 
-def cmd_spectral(cfg: RunConfig | None, args) -> int:
-    cfg = _require_config(cfg)
+def cmd_spectral(cfg: RunConfig, args) -> int:
     p = _model(cfg)
     if cfg.operator == "bath_map":
         op = assemble_T(p.m, cfg.degree)
@@ -266,8 +239,7 @@ def cmd_spectral(cfg: RunConfig | None, args) -> int:
     return 0
 
 
-def cmd_verify_lemma1(cfg: RunConfig | None, args) -> int:
-    cfg = _require_config(cfg)
+def cmd_verify_lemma1(cfg: RunConfig, args) -> int:
     ms = cfg.system_sizes if cfg.system_sizes is not None else (cfg.m,)
     ns = cfg.reservoir_sizes if cfg.reservoir_sizes is not None else (cfg.n,)
     header = ["M", "N", "C", "ratio", "stderr", "samples"]
@@ -284,8 +256,7 @@ def cmd_verify_lemma1(cfg: RunConfig | None, args) -> int:
     return 0
 
 
-def cmd_verify_lemma2(cfg: RunConfig | None, args) -> int:
-    cfg = _require_config(cfg)
+def cmd_verify_lemma2(cfg: RunConfig, args) -> int:
     p = _model(cfg)
     basis = make_basis(3 * cfg.m, cfg.degree)
     ctx = SpectralContext(p, cfg.degree)
@@ -334,8 +305,7 @@ def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
     return 0
 
 
-def cmd_gap(cfg: RunConfig | None, args) -> int:
-    cfg = _require_config(cfg)
+def cmd_gap(cfg: RunConfig, args) -> int:
     if cfg.system_kind != "reservoir":
         # the thermostat flow does not conserve total momentum and energy,
         # so the invariant projector is not its conserved subspace
@@ -352,8 +322,7 @@ def cmd_gap(cfg: RunConfig | None, args) -> int:
     return 0
 
 
-def cmd_distance(cfg: RunConfig | None, args) -> int:
-    cfg = _require_config(cfg)
+def cmd_distance(cfg: RunConfig, args) -> int:
     p = _model(cfg)
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
@@ -369,8 +338,7 @@ def cmd_distance(cfg: RunConfig | None, args) -> int:
     return 0
 
 
-def cmd_bound(cfg: RunConfig | None, args) -> int:
-    cfg = _require_config(cfg)
+def cmd_bound(cfg: RunConfig, args) -> int:
     if cfg.reservoir_sizes is not None:
         study = scaling_study(
             cfg.m, ns=cfg.reservoir_sizes, eps=cfg.eps,
@@ -537,7 +505,9 @@ def main(argv=None) -> int:
                 if getattr(args, flag) is not None:
                     raise ConfigError(f"{args.command} reads no {what}; "
                                       f"{_NO_CONFIG[args.command]}")
-        elif args.config is not None:
+        elif args.config is None:
+            raise ConfigError("this subcommand needs --config")
+        else:
             overrides = {key: getattr(args, key) for key in ("seed", "threads")
                          if getattr(args, key) is not None}
             cfg = load_config(args.config, overrides)

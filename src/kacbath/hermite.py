@@ -13,20 +13,17 @@ what makes the truncated matrices exact restrictions rather than
 approximations.
 
 Also hosts the sphere rule (product Gauss-Legendre x uniform), the one
-integration input of the collision-average kernel, and exact conversion
-between sparse monomial polynomials and Hermite coefficients.
+integration input of the collision-average kernel, and sparse monomial
+polynomials.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import cache
 from math import comb
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solve_triangular
 
 from .errors import StateError
 
@@ -37,12 +34,10 @@ __all__ = [
     "hermite_value_table",
     "evaluate_basis",
     "sphere_rule",
-    "monomial_to_hermite_1d",
     "HermiteCoeffs",
     "poly_coord",
     "poly_mul",
     "poly_add",
-    "hermite_coeffs_from_poly",
 ]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -200,37 +195,8 @@ def sphere_rule(max_degree: int):
 
 
 # ---------------------------------------------------------------------------
-# monomial <-> Hermite conversion (exact, used for observables and the
-# conserved-quantity subspace)
-
-
-def _hermite_monomial_matrix(dmax: int) -> np.ndarray:
-    """A[k, n] = coefficient of x^k in h_n(x); upper triangular."""
-    a = np.zeros((dmax + 1, dmax + 1))
-    a[0, 0] = 1.0
-    if dmax >= 1:
-        a[1, 1] = SQRT_2PI
-    for n in range(1, dmax):
-        shifted = np.zeros(dmax + 1)
-        shifted[1:] = a[:-1, n]
-        a[:, n + 1] = (SQRT_2PI * shifted - np.sqrt(n) * a[:, n - 1]) / np.sqrt(n + 1)
-    return a
-
-
-@cache
-def monomial_to_hermite_1d(dmax: int) -> np.ndarray:
-    """B[n, k] = coefficient of h_n in the expansion of x^k.
-
-    Cached per dmax by functools.cache and read-only, since callers
-    share it.
-    """
-    a = _hermite_monomial_matrix(dmax)
-    b = solve_triangular(a, np.eye(dmax + 1), lower=False)
-    b.flags.writeable = False
-    return b
-
-
-# Sparse polynomials: {((var, exp), ...): coeff} with vars sorted, exps > 0.
+# sparse monomial polynomials, for the conserved quantities:
+# {((var, exp), ...): coeff} with vars sorted, exps > 0
 
 
 def poly_coord(var: int) -> dict:
@@ -257,34 +223,6 @@ def poly_mul(p: dict, q: dict) -> dict:
             key = tuple(sorted(exps.items()))
             out[key] = out.get(key, 0.0) + cp * cq
     return out
-
-
-def hermite_coeffs_from_poly(poly: dict, basis: Basis) -> np.ndarray:
-    """Exact Hermite coefficients of a sparse monomial polynomial.
-
-    Each monomial factors over its active variables; the 1D expansions
-    x^k = sum_n B[n,k] h_n(x) distribute into the product basis. Raises
-    if the polynomial degree exceeds the basis truncation.
-    """
-    vec = np.zeros(basis.size)
-    conv = monomial_to_hermite_1d(basis.degree)
-    for key, coeff in poly.items():
-        total = sum(e for _, e in key)
-        if total > basis.degree:
-            raise StateError(
-                f"monomial degree {total} exceeds basis degree {basis.degree}"
-            )
-        active = list(key)
-        choices = [range(e + 1) for _, e in active]
-        for ns in itertools.product(*choices):
-            c = coeff
-            exp_vec = [0] * basis.nvars
-            for (var, e), n in zip(active, ns):
-                c *= conv[n, e]
-                exp_vec[var] = n
-            if c != 0.0:
-                vec[basis.index[tuple(exp_vec)]] += c
-    return vec
 
 
 # ---------------------------------------------------------------------------

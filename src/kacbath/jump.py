@@ -257,7 +257,6 @@ def _block_values(
     p: ModelParams,
     init,
     obs_fns: list[Callable[[JointState], float]],
-    check: bool,
 ) -> np.ndarray:
     """Weighted observable values of one member block, (count, n_times, n_obs)."""
     count = min(BLOCK, cfg.ensemble - block * BLOCK)
@@ -274,7 +273,7 @@ def _block_values(
     plain_fns = [obs_fns[o] for o in plain]
     per_state = np.empty((count, len(plain)))
     for k, tau in enumerate(cfg.record_times):
-        _advance(vw, t_next, tau, p, rates, stream, check)
+        _advance(vw, t_next, tau, p, rates, stream)
         if not np.isfinite(vw).all():
             raise StateError(f"velocities must be finite (block {block}, t={tau})")
         for o in batched:
@@ -298,7 +297,6 @@ def run_ensemble(
     p: ModelParams,
     init,
     observables: dict[str, Callable[[JointState], float]],
-    check: bool = False,
     workers: int = 1,
 ) -> list[MomentRecord]:
     """Ensemble moment curves: one MomentRecord per (record time, observable).
@@ -319,12 +317,12 @@ def run_ensemble(
     blocks = range(-(-cfg.ensemble // BLOCK))
     workers = min(workers, len(blocks))
     if workers <= 1:
-        parts = [_block_values(b, cfg, p, init, obs_fns, check) for b in blocks]
+        parts = [_block_values(b, cfg, p, init, obs_fns) for b in blocks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_block_values, b, cfg, p, init, obs_fns, check)
+            futures = [pool.submit(_block_values, b, cfg, p, init, obs_fns)
                        for b in blocks]
             parts = [fut.result() for fut in futures]
     values = np.concatenate(parts)

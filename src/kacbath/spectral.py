@@ -59,7 +59,6 @@ from .hermite import (
     Basis,
     HermiteCoeffs,
     basis_rows,
-    hermite_coeffs_from_poly,
     make_basis,
     poly_add,
     poly_coord,
@@ -89,9 +88,6 @@ __all__ = [
 # Off-degree-block entries must vanish to this tolerance before they are
 # hard-zeroed; anything larger signals an assembly bug, not roundoff.
 BLOCK_TOL = 1e-12
-# Largest distance from 0 or 1 of a singular value of the degree-m rows
-# of the invariant basis (P_m is idempotent exactly when all lie at 0 or 1).
-IDEMPOTENCY_TOL = 1e-10
 # Largest entry of G_m U_m (a generator block times the invariant basis
 # of that block) that still counts as G annihilating the invariants.
 KERNEL_TOL = 1e-8
@@ -637,47 +633,49 @@ def invariant_projector(p: ModelParams, d: int,
 
     Functions invariant under every momentum-preserving rotation of
     phase space are exactly the polynomials in the three total-momentum
-    components and the total energy; the span of their monomials with
-    weighted degree <= d is orthonormalized into U on the joint basis of
-    (p, d), passed as `basis` if already enumerated.
+    components P and the total energy E. Rotations preserve each Hermite
+    degree, so the degree-m part of that subspace is spanned by the
+    degree-m Hermite parts of the homogeneous P^a E^b with |a| + 2b = m.
+    A degree-m monomial x^alpha is sqrt(alpha!) (2 pi)^(-m/2) h_alpha plus
+    lower degrees (the leading-monomial fact of `_exact_block`), so with
+    c_alpha the monomial coefficients of P^a E^b that part is
+    sum_alpha c_alpha sqrt(alpha!) (2 pi)^(-m/2) h_alpha.
 
-    Returns one U_m per degree block m: the left singular vectors of the
-    degree-m rows of U with singular value above 1/2. Every singular
-    value must lie within IDEMPOTENCY_TOL of 0 or 1, else ToleranceError:
-    that makes P_m = U_m U_m^T idempotent, so U U^T is block diagonal.
+    Returns one U_m per degree block m of the joint basis of (p, d),
+    passed as `basis` if already enumerated: those columns, orthonormalized
+    by `orth`. Raises ToleranceError, naming the degree, if they are not
+    independent.
     """
     big = joint_basis(p, d) if basis is None else basis
-    nvars = big.nvars
     mom = [poly_add(*[poly_coord(3 * t + c) for t in range(p.m + p.n)]) for c in range(3)]
-    energy = poly_add(*[poly_mul(poly_coord(i), poly_coord(i)) for i in range(nvars)])
+    energy = poly_add(*[poly_mul(poly_coord(i), poly_coord(i)) for i in range(big.nvars)])
 
-    vecs = []
-    for a1 in range(d + 1):
-        for a2 in range(d + 1 - a1):
-            for a3 in range(d + 1 - a1 - a2):
-                for b in range((d - a1 - a2 - a3) // 2 + 1):
-                    poly = {(): 1.0}
-                    for gen, power in zip(mom + [energy], (a1, a2, a3, b)):
-                        for _ in range(power):
-                            poly = poly_mul(poly, gen)
-                    vecs.append(hermite_coeffs_from_poly(poly, big))
-    stack = np.stack(vecs, axis=1)
-    u = orth(stack)
-    if u.shape[1] != stack.shape[1]:
-        raise ToleranceError(
-            f"conserved-quantity monomials not independent: rank {u.shape[1]} "
-            f"of {stack.shape[1]}"
-        )
     blocks = []
     for m in range(d + 1):
-        left, sv, _ = np.linalg.svd(u[big.degree_slice(m)], full_matrices=False)
-        defect = float(np.minimum(sv, np.abs(1.0 - sv)).max())
-        if defect > IDEMPOTENCY_TOL:
+        sl = big.degree_slice(m)
+        cols = []
+        for a in itertools.product(range(m + 1), repeat=3):
+            b, odd = divmod(m - sum(a), 2)
+            if odd or b < 0:
+                continue
+            factors = [g for g, k in zip(mom + [energy], (*a, b)) for _ in range(k)]
+            poly = reduce(poly_mul, factors, {(): 1.0})
+            col = np.zeros(sl.stop - sl.start)
+            for key, c in poly.items():
+                alpha = [0] * big.nvars
+                for var, e in key:
+                    alpha[var] = e
+                col[big.index[tuple(alpha)] - sl.start] = (
+                    c * np.sqrt(float(prod(factorial(e) for _, e in key))))
+            cols.append(col * (2.0 * np.pi) ** (-m / 2))
+        stack = np.stack(cols, axis=1)
+        u = orth(stack)
+        if u.shape[1] != stack.shape[1]:
             raise ToleranceError(
-                f"invariant projector not idempotent in degree {m}: defect "
-                f"{defect:.3e} exceeds {IDEMPOTENCY_TOL:.0e}"
+                f"conserved-quantity polynomials of degree {m} not independent: "
+                f"rank {u.shape[1]} of {stack.shape[1]}"
             )
-        blocks.append(left[:, sv > 0.5])
+        blocks.append(u)
     return blocks
 
 
@@ -738,9 +736,9 @@ def spectral_gap(ctx: SpectralContext) -> float:
     removed, so k is reproducible bit for bit. Blocks U_m spans (degree
     0) are skipped.
 
-    Raises ToleranceError if a projector block is not idempotent to
-    IDEMPOTENCY_TOL, if a generator block does not annihilate its
-    invariants to KERNEL_TOL, if Lanczos does not converge, if its Ritz
+    Raises ToleranceError if the invariants of a degree are not
+    independent (see invariant_projector), if a generator block does not
+    annihilate its invariants to KERNEL_TOL, if Lanczos does not converge, if its Ritz
     vector overlaps the invariants or its residual exceeds RITZ_TOL, or
     if the gap is nonpositive.
     """

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -282,6 +283,31 @@ def test_bound_scaling_mode(tmp_path):
     doc = json.loads(out.read_text())
     assert [r["n"] for r in doc["rows"]] == [2, 4]
     assert doc["p"] > 0.0 and doc["q"] > 0.0
+
+
+def test_bound_scaling_mode_at_two_tagged_particles(tmp_path):
+    # h0 lives on all 3M tagged variables; data orthogonal to momentum and
+    # energy ends at its projection on the conserved momentum quadratics,
+    # eps sqrt(2) / (M + N)
+    cfg = _write_config(
+        tmp_path, m=2, t_end=80.0, grid={"count": 56}, degree=2, eps=0.2,
+        reservoir_sizes=[2, 4, 8])
+    out = tmp_path / "scal.json"
+    assert _run("bound", "--config", cfg, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["m"] == 2 and [r["n"] for r in doc["rows"]] == [2, 4, 8]
+    for row in doc["rows"]:
+        assert abs(row["limit"] - 0.2 * sqrt(2.0) / (2 + row["n"])) <= 1e-12
+
+
+@pytest.mark.parametrize("sub", sorted(set(cli._HANDLERS) - set(cli._NO_CONFIG)))
+def test_a_subcommand_without_a_config_exits_2(tmp_path, capsys, sub):
+    out = tmp_path / "out"
+    assert _run(sub, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "ConfigError", "exit_code": 2,
+                      "message": "this subcommand needs --config"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("cross_check", False), ("max_degree", 3)])

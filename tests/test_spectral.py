@@ -17,7 +17,6 @@ from kacbath import ModelParams, SpectralContext, assemble_T, spectral, spectral
 from kacbath.errors import ConfigError, QuadratureError, StateError, ToleranceError
 from kacbath.hermite import (
     HermiteCoeffs,
-    hermite_coeffs_from_poly,
     make_basis,
     poly_add,
     poly_coord,
@@ -42,6 +41,7 @@ from kacbath.spectral import (
 
 import embedding_oracle
 import gap_oracle
+import invariant_oracle
 import quadrature_oracle
 import tensor_oracle
 
@@ -96,7 +96,7 @@ def test_pair_rotation_fixes_pair_invariants():
     px = poly_add(poly_coord(0), poly_coord(3))  # v1x + v2x
     energy = poly_add(*[poly_mul(poly_coord(k), poly_coord(k)) for k in range(6)])
     for poly in (px, energy, poly_mul(px, px)):
-        vec = hermite_coeffs_from_poly(poly, b)
+        vec = invariant_oracle.hermite_coeffs_from_poly(poly, b)
         np.testing.assert_allclose(op.mat @ vec, vec, atol=1e-10)
 
 
@@ -114,10 +114,10 @@ def test_thermostat_generator_kills_reservoir_momentum_only():
     b = g.basis
     # sum of reservoir x-velocities is conserved by the bath dynamics
     res_px = poly_add(poly_coord(3), poly_coord(6))
-    vec = hermite_coeffs_from_poly(res_px, b)
+    vec = invariant_oracle.hermite_coeffs_from_poly(res_px, b)
     np.testing.assert_allclose(g.mat @ vec, 0.0, atol=1e-10)
     # the tagged velocity is not: it decays at rate mu/3
-    tag = hermite_coeffs_from_poly(poly_coord(0), b)
+    tag = invariant_oracle.hermite_coeffs_from_poly(poly_coord(0), b)
     np.testing.assert_allclose(g.mat @ tag, -(p.mu / 3.0) * tag, atol=1e-10)
 
 
@@ -285,6 +285,18 @@ def test_invariant_projector_structure(m, n, d):
         assert sum(u.shape[1] for u in blocks) == 11
 
 
+@pytest.mark.parametrize("m,n,d", [(1, 2, 2), (1, 16, 2), (2, 3, 2), (1, 2, 3),
+                                   (1, 6, 3), (2, 2, 3), (2, 4, 3)])
+def test_invariant_projector_matches_the_whole_basis_oracle(m, n, d):
+    # per degree block, the leading-monomial route spans what the whole
+    # polynomials expanded in the joint basis span
+    p = ModelParams(m, n)
+    for u, want in zip(invariant_projector(p, d), invariant_oracle.invariant_projector(p, d),
+                       strict=True):
+        assert u.shape == want.shape
+        assert np.abs(u @ u.T - want @ want.T).max() <= 1e-13
+
+
 def test_spectral_gap_small_reservoir_values():
     # frozen from the assembled generator at degree 2, unit rates:
     # the gap follows (N+1)/(3N) for a single tagged particle
@@ -345,9 +357,11 @@ def test_lanczos_starts_off_the_invariants(m, n, d, monkeypatch):
 
 
 def test_gap_is_reproducible_bit_for_bit():
-    p = ModelParams(1, 4)
-    first, second = (spectral_gap(SpectralContext(p, 3)) for _ in range(2))
-    assert first.hex() == second.hex()
+    # at M = 2 the top eigenvalue of the degree-2 block is 10-fold
+    # degenerate, where Lanczos is most sensitive to the last bits of U_m
+    for p, d in ((ModelParams(1, 4), 3), (ModelParams(2, 3), 2)):
+        first, second = (spectral_gap(SpectralContext(p, d)) for _ in range(2))
+        assert first.hex() == second.hex()
 
 
 def test_gap_names_the_degree_where_lanczos_does_not_converge(monkeypatch):
@@ -398,29 +412,24 @@ def _defect(message: str) -> float:
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_gap_rejects_a_complement_not_idempotent_in_one_block(m, monkeypatch):
-    # scaling the degree-m rows of U moves that block's singular values
-    # from 1 to 1 + 1e-7, so P_m = U_m U_m^T is no longer idempotent
+def test_invariant_projector_names_a_rank_deficient_block(m, monkeypatch):
+    # one invariant of degree m repeated in place of another: orth finds
+    # the rank one short, and the projector names the degree
     p = ModelParams(1, 2)
-    sl = joint_basis(p, 2).degree_slice(m)
+    rows = joint_basis(p, 2).degree_slice(m)
     real = spectral.orth
-    seen = []
 
-    def broken(a):
-        u = real(a)
-        u[sl] *= 1.0 + 1e-7
-        seen.append(u)
-        return u
+    def deficient(a):
+        if len(a) == rows.stop - rows.start:
+            a = a.copy()
+            a[:, -1] = a[:, 0]
+        return real(a)
 
-    monkeypatch.setattr(spectral, "orth", broken)
-    ctx = SpectralContext(p, 2)
-    with pytest.raises(ToleranceError, match=f"idempotent in degree {m}") as err:
-        spectral_gap(ctx)
-    sv = np.linalg.svd(seen[0][sl], compute_uv=False)
-    want = float(np.abs(sv[sv > 0.5] - 1.0).max())
-    assert want == pytest.approx(1e-7, rel=1e-6)
-    assert _defect(str(err.value)) == pytest.approx(want, rel=1e-3)
-    assert want > spectral.IDEMPOTENCY_TOL
+    monkeypatch.setattr(spectral, "orth", deficient)
+    want = (1, 3, 7)[m]
+    with pytest.raises(ToleranceError, match=f"degree {m} not independent: "
+                                             f"rank {want - 1} of {want}"):
+        spectral_gap(SpectralContext(p, 2))
 
 
 def test_gap_rejects_a_generator_moving_the_degree_2_invariants(monkeypatch):
