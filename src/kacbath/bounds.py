@@ -14,9 +14,10 @@ saturates at C ||h0 - 1||); the second is the transient bump, of order
 M/sqrt(N) at its peak.
 
 k and l are certified here only as truncated-space, per-configuration
-estimates supplied by the spectral module; nothing assumes they are
-independent of (M, N) even though the displayed formula treats them as
-constants.
+estimates supplied by the spectral module (k on the reservoir-symmetric
+sector, where it bounds the joint-space gap from above); nothing assumes
+they are independent of (M, N) even though the displayed formula treats
+them as constants.
 
 Finding (the strict xfail in tests/test_bounds.py): the bump's initial
 slope is at most l/((1 + sqrt 3) sqrt M) times the permanent term's,
@@ -257,11 +258,15 @@ def scaling_study(
 
     For each reservoir size: evolve the h2_aniso perturbation of the
     first of the M tagged particles under both couplings, read off the
-    long-time limit, estimate the spectral gap, and evaluate the bound's
-    bump peak with it; the distance curve and the gap share one
-    SpectralContext per size, and every distance curve is cross-checked
-    by the dense eigendecomposition of each block it fills (see evolve).
-    Fits log-log power laws through the limit and bump columns.
+    long-time limit, measure the spectral gap, and evaluate the bound's
+    bump peak with it; every distance curve is cross-checked by the dense
+    eigendecomposition of each block it fills (see evolve). The curve and
+    the gap read one reservoir generator on the reservoir-symmetric
+    sector, built once per size and of the same size at every N, so the
+    study reaches any reservoir size. That gap bounds the joint-space gap
+    from above only; the data, which depend on the tagged velocities
+    alone, never leave the sector. Fits log-log power laws through the
+    limit and bump columns.
     """
     if len(ns) < 2:
         raise ConfigError("need at least two reservoir sizes to fit exponents")

@@ -20,9 +20,9 @@ The blocks c0 leaves empty are exactly zero in that matrix's flow too,
 because from_raw makes it exactly block diagonal. The dense block needs
 no preflight of its own: the sector and the joint basis are capped at
 one dense operator over all their rows (spectral._check_dense). The
-Krylov route and the spectral gap multiply by the generator's CSR
-matrix (`OperatorMatrix.mat`, held only in CSR): the generator has
-about a hundred nonzeros per row.
+Krylov route multiplies by the generator's CSR matrix
+(`OperatorMatrix.mat`, held only in CSR): the generator has about a
+hundred nonzeros per row.
 
 The central observable is the distance curve: the same initial density
 perturbation is evolved under the finite-reservoir generator and the
@@ -34,9 +34,12 @@ reservoir particles, and the curve is evolved on that sector
 (kacbath.sector): 34 rows at d=2 and 136 at d=3 for every N >= d,
 where the joint basis grows like N^d. evolve itself takes any graded
 basis; the joint-basis flow of both generators is the sector route's
-test oracle. The gap, which bounds the curve, is still measured on the
-joint basis (spectral_gap), so it sets the reach of the `distance`
-subcommand.
+test oracle. The gap k, which the bound next to the curve reads, comes
+from the same sector reservoir generator (spectral_gap: the dense
+spectrum of each degree block), so the `distance` subcommand reaches any
+N. On the sector k bounds the joint-space gap only from above; it is the
+rate at which data on the tagged velocities relax, since they never
+leave the sector.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from kacbath import ModelParams, assemble_T, cli, spectral
+from kacbath import ModelParams, assemble_T, cli, lemma1_constant, make_bound_params, spectral
 from kacbath.cli import main, perturbation_data
 from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
@@ -212,8 +212,8 @@ def _count_calls(monkeypatch, name: str, key) -> Counter:
 
 def test_gap_rejects_the_thermostat_before_assembly(tmp_path, capsys, monkeypatch):
     # the thermostat flow does not conserve total momentum and energy, so
-    # the invariant projector is the wrong subspace for its gap
-    built = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
+    # the kernel count of the reservoir gap does not apply to it
+    built = _count_calls(monkeypatch, "sector_basis", lambda p, d: (p.n, d))
     cfg = _write_config(tmp_path, degree=2, system_kind="thermostat")
     out = tmp_path / "gap.json"
     assert _run("gap", "--config", cfg, "--out", str(out)) == 2
@@ -224,8 +224,8 @@ def test_gap_rejects_the_thermostat_before_assembly(tmp_path, capsys, monkeypatc
 
 
 def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
-    # the gap reads the joint reservoir generator and the distance curve
-    # both sector generators; no joint thermostat generator is built
+    # the distance curve builds both sector generators and the gap reads
+    # the reservoir one; nothing is built on the joint basis
     generators = _count_calls(monkeypatch, "assemble_generator",
                               lambda kind, p, d: (kind, p.n, d))
     sector = _count_calls(monkeypatch, "assemble_sector_generator",
@@ -238,11 +238,9 @@ def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
                          grid={"count": 10},
                          init={"kind": "perturbation", "family": "h2_aniso", "eps": 0.2})
     assert _run("distance", "--config", dist, "--out", str(tmp_path / "d.csv")) == 0
-    sizes = (2, 4, 3)
-    assert generators == {("reservoir", n, 2): 1 for n in sizes}
     assert sector == {(kind, n, 2): 1 for kind in ("reservoir", "thermostat")
-                      for n in sizes}
-    assert bases == {(n, 2): 1 for n in sizes}
+                      for n in (2, 4, 3)}
+    assert not generators and not bases
 
 
 def test_verify_lemma2_enumerates_the_joint_basis_once(tmp_path, monkeypatch):
@@ -265,6 +263,25 @@ def test_distance_csv_contract(tmp_path):
     for t, d, bound, t1, t2 in rows:
         assert d <= bound + 1e-9
         assert bound == pytest.approx(t1 + t2, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,offset", [(7, 8.28e-3), (8, -8.21e-4)])
+def test_distance_on_both_sides_of_the_gap_pole(tmp_path, n, offset):
+    # at d = 3 the gap k crosses mu/3 between N = 7 and N = 8, so
+    # b = mu l / (k - mu/3) changes sign; the bound holds on both sides
+    cfg = _write_config(tmp_path, n=n, degree=3, t_end=80.0, grid={"count": 56},
+                        init={"kind": "perturbation", "family": "h2_aniso", "eps": 0.2})
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    assert _run("distance", "--config", cfg, "--out", str(rundir / "curve.csv")) == 0
+    assert _run("gap", "--config", cfg, "--out", str(rundir / "gap.json")) == 0
+    assert _run("report", "--dir", str(rundir)) == 0
+    doc = json.loads((rundir / "gap.json").read_text())
+    assert doc["k_hat"] - 1.0 / 3.0 == pytest.approx(offset, rel=1e-2)
+    bp = make_bound_params(c=lemma1_constant(1, n).c, lambda_s=1.0, mu=1.0,
+                           k=doc["k_hat"], l=doc["l_hat"],
+                           h0_norm=perturbation_data("h2_aniso", 0.2, 1).fluctuation_norm())
+    assert np.sign(bp.b) == np.sign(offset)
 
 
 def test_bound_single_curve(tmp_path):

@@ -186,9 +186,10 @@ def test_krylov_dimensions_of_criterion_6_data(m, n, d, monkeypatch):
     ctx = SpectralContext(ModelParams(m, n), d)
     c0 = anisotropic_pair_data(0.2).embed(ctx.basis, np.arange(3))
     grid = default_time_grid(80.0, count=56)
-    thermostat = assemble_generator("thermostat", ctx.p, d, basis=ctx.basis)
+    reservoir, thermostat = (assemble_generator(kind, ctx.p, d, basis=ctx.basis)
+                             for kind in ("reservoir", "thermostat"))
     dims = _count_krylov(monkeypatch)
-    evolve(ctx.reservoir, c0, grid)
+    evolve(reservoir, c0, grid)
     assert dims == [(0, 1), (2, 4)]
     dims.clear()
     evolve(thermostat, c0, grid)

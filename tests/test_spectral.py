@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import factorial, pi, prod, sqrt
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from kacbath import ModelParams, SpectralContext, assemble_T, spectral, spectral_gap
 from kacbath.errors import ConfigError, QuadratureError, StateError, ToleranceError
@@ -306,10 +305,17 @@ def test_spectral_gap_small_reservoir_values():
 
 
 def test_spectral_gap_monotone_in_degree():
+    # at M = 1, N = 2 the gap is 1/2 exactly at caps 1 and 2, so an order
+    # between the two floats is roundoff; cap 3 adds a slower block
     p = ModelParams(1, 2)
     gaps = [spectral_gap(SpectralContext(p, d)) for d in (1, 2, 3)]
-    assert gaps[0] >= gaps[1] >= gaps[2]
-    assert gaps[-1] > 0.0
+    assert abs(gaps[0] - 0.5) <= 1e-12 and abs(gaps[1] - 0.5) <= 1e-12
+    assert 0.0 < gaps[2] < gaps[1]
+
+
+def test_gap_needs_a_block_above_degree_0():
+    with pytest.raises(StateError, match="degree cap 0"):
+        spectral_gap(SpectralContext(ModelParams(1, 2), 0))
 
 
 def test_gap_is_n_plus_one_over_3n():
@@ -318,85 +324,36 @@ def test_gap_is_n_plus_one_over_3n():
         assert abs(k - (n + 1) / (3 * n)) <= 1e-12, (n, k)
 
 
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_gap_reaches_past_the_joint_basis(n):
+    # the joint basis at d = 2 stops at N = 41; the sector has 34 rows at
+    # every N, and the gap does not build the joint basis
+    with pytest.raises(ConfigError, match="joint basis"):
+        joint_basis(ModelParams(1, n), 2)
+    ctx = SpectralContext(ModelParams(1, n), 2)
+    k = spectral_gap(ctx)
+    assert abs(k - (n + 1) / (3 * n)) <= 1e-12, (n, k)
+    assert "basis" not in vars(ctx)
+
+
 @pytest.mark.parametrize("m,n,d", [(1, 2, 1), (1, 2, 2), (1, 2, 3), (2, 3, 2),
-                                   (1, 16, 2), (1, 6, 3), (1, 8, 3)])
+                                   (1, 16, 2), (1, 6, 3), (1, 8, 3), (2, 2, 3)])
 def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
+    # the sector route against the two joint-basis routes of gap_oracle
     ctx = SpectralContext(ModelParams(m, n), d)
-    want = gap_oracle.spectral_gap(ctx.reservoir, ctx.invariants)
-    assert abs(spectral_gap(ctx) - want) <= 1e-12
-
-
-def _spy_eigsh(monkeypatch, change=None) -> list:
-    """Record each Lanczos call of spectral_gap as (operator, start vector);
-    `change(theta, x, n)` may rewrite the Ritz pair of an n-row block."""
-    real = spectral.eigsh
-    calls = []
-
-    def spy(op, **kwargs):
-        calls.append((op, kwargs["v0"]))
-        theta, x = real(op, **kwargs)
-        return (theta, x) if change is None else change(theta, x, op.shape[0])
-
-    monkeypatch.setattr(spectral, "eigsh", spy)
-    return calls
-
-
-@pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 16, 2)])
-def test_lanczos_starts_off_the_invariants(m, n, d, monkeypatch):
-    # a start vector inside span U_m (the all-ones vector nearly is, at
-    # degrees 1 and 2) has nothing for Lanczos to grow off the invariants
-    ctx = SpectralContext(ModelParams(m, n), d)
-    calls = _spy_eigsh(monkeypatch)
-    spectral_gap(ctx)
-    blocks = ctx.invariants[1:]
-    assert len(calls) == len(blocks) == d
-    for (op, v0), u in zip(calls, blocks):
-        assert op.shape == (len(u), len(u))
-        off = v0 - u @ (u.T @ v0)
-        assert np.linalg.norm(off) >= 0.5 * np.linalg.norm(v0)
+    gen = assemble_generator("reservoir", ctx.p, d, basis=ctx.basis)
+    invariants = invariant_projector(ctx.p, d, basis=ctx.basis)
+    k = spectral_gap(ctx)
+    assert abs(k - gap_oracle.spectral_gap(gen, invariants)) <= 1e-12
+    assert abs(k - gap_oracle.lanczos_gap(gen, invariants)) <= 1e-12
 
 
 def test_gap_is_reproducible_bit_for_bit():
     # at M = 2 the top eigenvalue of the degree-2 block is 10-fold
-    # degenerate, where Lanczos is most sensitive to the last bits of U_m
+    # degenerate, where the former Lanczos route was least stable
     for p, d in ((ModelParams(1, 4), 3), (ModelParams(2, 3), 2)):
         first, second = (spectral_gap(SpectralContext(p, d)) for _ in range(2))
         assert first.hex() == second.hex()
-
-
-def test_gap_names_the_degree_where_lanczos_does_not_converge(monkeypatch):
-    ctx = SpectralContext(ModelParams(1, 2), 3)
-    rows = len(ctx.invariants[2])
-
-    def change(theta, x, n):
-        if n == rows:
-            raise ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      np.empty(0), np.empty((n, 0)))
-        return theta, x
-
-    _spy_eigsh(monkeypatch, change)
-    with pytest.raises(ToleranceError, match="did not converge in degree 2"):
-        spectral_gap(ctx)
-
-
-@pytest.mark.parametrize("nudge,check", [
-    (lambda theta, x, u: (theta + 1e-6, x), "Lanczos residual in degree 2"),
-    (lambda theta, x, u: (theta, x + 1e-6 * u[:, :1]),
-     "Ritz vector overlaps the invariants in degree 2"),
-])
-def test_gap_rejects_a_perturbed_ritz_pair(nudge, check, monkeypatch):
-    ctx = SpectralContext(ModelParams(1, 2), 2)
-    u2 = ctx.invariants[2]
-
-    def change(theta, x, n):
-        return nudge(theta, x, u2) if n == len(u2) else (theta, x)
-
-    _spy_eigsh(monkeypatch, change)
-    with pytest.raises(ToleranceError, match=check) as err:
-        spectral_gap(ctx)
-    got = float(str(err.value).split(": ")[1].split()[0])
-    assert got == pytest.approx(1e-6, rel=1e-3)
-    assert got > spectral.RITZ_TOL
 
 
 def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
@@ -405,10 +362,6 @@ def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
     sl = op.basis.degree_slice(m)
     mat[sl, sl] = change(mat[sl, sl])
     return OperatorMatrix(op.name, op.basis, sparse.csr_matrix(mat))
-
-
-def _defect(message: str) -> float:
-    return float(message.split("defect ")[1].split()[0])
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -429,47 +382,75 @@ def test_invariant_projector_names_a_rank_deficient_block(m, monkeypatch):
     want = (1, 3, 7)[m]
     with pytest.raises(ToleranceError, match=f"degree {m} not independent: "
                                              f"rank {want - 1} of {want}"):
-        spectral_gap(SpectralContext(p, 2))
+        invariant_projector(p, 2)
+
+
+def _sector_kernel(p: ModelParams) -> np.ndarray:
+    """Orthonormal kernel of the degree-2 block of the sector reservoir
+    generator at cap 2: the conserved quantities of degree 2."""
+    g = spectral.assemble_sector_generator("reservoir", p, 2).block(2).toarray()
+    evals, evecs = np.linalg.eigh(g)
+    return evecs[:, np.abs(evals) <= 1e-12]
+
+
+def _counts(message: str) -> tuple[int, int, int]:
+    """(kernel, above, expected) from the gap's kernel-count message."""
+    found = re.search(r"(\d+) eigenvalues within \S+ of 0 and (\d+) above, expected (\d+)",
+                      message)
+    return tuple(int(x) for x in found.groups())
 
 
 def test_gap_rejects_a_generator_moving_the_degree_2_invariants(monkeypatch):
-    real = spectral.assemble_generator
     p = ModelParams(1, 2)
-    u2 = SpectralContext(p, 2).invariants[2]
-    inv = u2 @ u2.T
+    kernel = _sector_kernel(p)
+    assert kernel.shape[1] == 7
+    real = spectral.assemble_sector_generator
 
     def broken(kind, p, d, basis=None):
-        return _with_block(real(kind, p, d, basis=basis), 2, lambda g: g + 1e-6 * inv)
+        return _with_block(real(kind, p, d, basis=basis), 2,
+                           lambda g: g - 1e-6 * kernel @ kernel.T)
 
-    monkeypatch.setattr(spectral, "assemble_generator", broken)
-    ctx = SpectralContext(p, 2)
-    with pytest.raises(ToleranceError, match="annihilate invariants in degree 2") as err:
-        spectral_gap(ctx)
-    want = float(np.abs(ctx.reservoir.block(2) @ u2).max())
-    assert _defect(str(err.value)) == pytest.approx(want, rel=1e-3)
-    assert want > spectral.KERNEL_TOL
+    monkeypatch.setattr(spectral, "assemble_sector_generator", broken)
+    with pytest.raises(ToleranceError, match="sector generator in degree 2: ") as err:
+        spectral_gap(SpectralContext(p, 2))
+    assert _counts(str(err.value)) == (0, 0, 7)
 
 
 def test_gap_rejects_a_generator_growing_off_the_invariants(monkeypatch):
-    # adding 2 (I - U_2 U_2^T) to G_2 keeps the invariants in the kernel
-    # but lifts the degree-2 complement spectrum above zero
-    real = spectral.assemble_generator
+    # adding 2 (I - K K^T) to G_2 keeps the conserved quantities K in the
+    # kernel but lifts every other eigenvalue of the block above zero
     p = ModelParams(1, 2)
-    u2 = SpectralContext(p, 2).invariants[2]
-    comp = np.eye(len(u2)) - u2 @ u2.T
+    kernel = _sector_kernel(p)
+    rows = len(kernel)
+    real = spectral.assemble_sector_generator
 
     def broken(kind, p, d, basis=None):
-        return _with_block(real(kind, p, d, basis=basis), 2, lambda g: g + 2.0 * comp)
+        return _with_block(real(kind, p, d, basis=basis), 2,
+                           lambda g: g + 2.0 * (np.eye(rows) - kernel @ kernel.T))
 
-    monkeypatch.setattr(spectral, "assemble_generator", broken)
-    ctx = SpectralContext(p, 2)
-    with pytest.raises(ToleranceError, match="nonpositive spectral gap") as err:
-        spectral_gap(ctx)
-    w = np.linalg.eigh(comp)[1][:, u2.shape[1]:]
-    want = -float(np.linalg.eigvalsh(w.T @ ctx.reservoir.block(2).toarray() @ w).max())
-    assert want < 0.0
-    got = float(str(err.value).split("gap ")[1])
-    assert got == pytest.approx(want, rel=1e-3)
+    monkeypatch.setattr(spectral, "assemble_sector_generator", broken)
+    with pytest.raises(ToleranceError, match="sector generator in degree 2: ") as err:
+        spectral_gap(SpectralContext(p, 2))
+    assert _counts(str(err.value)) == (7, rows - 7, 7)
+
+
+@pytest.mark.parametrize("n", [2, 8, 4096])
+def test_gap_rejects_a_collision_block_that_breaks_energy_conservation(n, monkeypatch):
+    # a smaller diagonal entry on h_2 of one velocity component keeps the
+    # pair average symmetric and contracting, but it no longer fixes the
+    # pair energy: one conserved quantity of degree 2 leaves the kernel
+    real = spectral.pair_avg_block
+
+    def broken(d):
+        block = real(d).copy()
+        at = make_basis(6, d).index[(2, 0, 0, 0, 0, 0)]
+        block[at, at] -= 0.1
+        return block
+
+    monkeypatch.setattr(spectral, "pair_avg_block", broken)
+    with pytest.raises(ToleranceError, match="sector generator in degree 2: ") as err:
+        spectral_gap(SpectralContext(ModelParams(1, n), 2))
+    assert _counts(str(err.value)) == (6, 0, 7)
 
 
 def test_joint_basis_shape():
