@@ -67,7 +67,7 @@ def estimate_l(t: OperatorMatrix) -> float:
     """
     top = 0.0
     for m in range(t.basis.degree + 1):
-        block = t.block(m).toarray()
+        block = t.block(m)
         gap = block - block @ block
         evals = np.linalg.eigvalsh(0.5 * (gap + gap.T))
         if evals[0] < -_PSD_TOL:

@@ -235,7 +235,7 @@ def cmd_spectral(cfg: RunConfig, args) -> int:
         op = assemble_T(p.m, cfg.degree)
     else:
         op = assemble_generator(cfg.operator, p, cfg.degree)
-    write_matrix(args.out, op.mat.toarray())
+    write_matrix(args.out, op.toarray())
     return 0
 
 
@@ -284,7 +284,7 @@ def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
     t = assemble_T(1, max_degree)
     # both routes give all C(deg + 2, 2) eigenvalues of each degree block
     spectra = {str(deg): (np.sort(symmetric_tensor_eigenvalues(deg)),
-                          np.sort(np.linalg.eigvalsh(t.block(deg).toarray())))
+                          np.sort(np.linalg.eigvalsh(t.block(deg))))
                for deg in range(1, max_degree + 1)}
     matrix_route = {k: float(mat[-1]) for k, (_, mat) in spectra.items()}
     payload = {

@@ -17,12 +17,12 @@ from the dense symmetric eigendecomposition of that block (Moler and
 Van Loan, SIAM Review 2003), always cross-checks the result: it is exact
 to roundoff, and the two routes share no code beyond the matrix itself.
 The blocks c0 leaves empty are exactly zero in that matrix's flow too,
-because from_raw makes it exactly block diagonal. The dense block needs
-no preflight of its own: the sector and the joint basis are capped at
-one dense operator over all their rows (spectral._check_dense). The
-Krylov route multiplies by the generator's CSR matrix
-(`OperatorMatrix.mat`, held only in CSR): the generator has about a
-hundred nonzeros per row.
+because from_raw makes it exactly block diagonal. Each block that c0
+fills is made dense once (`OperatorMatrix.block`), from the generator's
+entry list, and both routes read that one array: Lanczos multiplies by
+it and the cross-check factors it. The dense block needs no preflight of
+its own: the sector and the joint basis are capped at one dense operator
+over all their rows (spectral._check_dense).
 
 The central observable is the distance curve: the same initial density
 perturbation is evolved under the finite-reservoir generator and the
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConfigError,
@@ -96,11 +95,17 @@ def _gram_schmidt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _krylov_path(g, b: np.ndarray, times: np.ndarray, degree: int,
+def eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric tridiagonal
+    matrix with the given diagonal and off-diagonal."""
+    return np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def _krylov_path(g: np.ndarray, b: np.ndarray, times: np.ndarray, degree: int,
                  scale: float, tol: float = KRYLOV_TOL) -> _KrylovPath:
     """exp(t G) b at each t of `times`, by Lanczos from b.
 
-    g is a symmetric nonpositive sparse block and `scale` the infinity
+    g is a symmetric nonpositive dense block and `scale` the infinity
     norm of the generator it comes from. After j steps the Lanczos
     relation G V_j = V_j T_j + beta_j v_{j+1} e_j^T holds, and with
     T_j = S diag(theta) S^T and ||exp(s G)|| <= 1 the error of
@@ -157,10 +162,10 @@ def _krylov_path(g, b: np.ndarray, times: np.ndarray, degree: int,
     return _KrylovPath(values, bound, k)
 
 
-def _dense_path(block, b: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _dense_path(block: np.ndarray, b: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(t G) b at each t of `times`, from the dense eigendecomposition
     of the symmetric block G."""
-    lam, q = np.linalg.eigh(block.toarray())
+    lam, q = np.linalg.eigh(block)
     return (np.exp(np.outer(times, lam)) * (q.T @ b)) @ q.T
 
 
@@ -168,7 +173,7 @@ def evolve(g: OperatorMatrix, c0: HermiteCoeffs, times) -> list[HermiteCoeffs]:
     """Coefficient vectors exp(G t) c0 at the requested times.
 
     Computed per degree block by Lanczos from the block's part of c0,
-    on the CSR blocks of G, until the a-posteriori error bound
+    on the dense degree blocks of G, until the a-posteriori error bound
     (see _krylov_path) is at most KRYLOV_TOL times that part's norm at
     every requested time; blocks where c0 is identically zero are left
     zero and never sliced. G must be symmetric, which assembly checks
@@ -183,7 +188,7 @@ def evolve(g: OperatorMatrix, c0: HermiteCoeffs, times) -> list[HermiteCoeffs]:
         raise StateError("initial coefficients live on a different basis")
 
     basis = g.basis
-    g_norm = float(abs(g.mat).sum(axis=1).max())
+    g_norm = g.norm_inf()
     out = np.repeat(c0.vec[None, :], arr.size, axis=0)
     ref = out.copy()
     for m in range(basis.degree + 1):

@@ -14,6 +14,7 @@ exp(-pi |x|^2), i.e. independent coordinates of variance 1/(2 pi).
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 __all__ = [
     "GAMMA_SIGMA",
@@ -36,8 +37,8 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        self.rng = np.random.Generator(np.random.PCG64(seq))
+        seq = SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        self.rng = Generator(PCG64(seq))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -50,8 +50,6 @@ from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import orth
 
 from .errors import ConfigError, QuadratureError, StateError, ToleranceError
 from .hermite import (
@@ -96,8 +94,9 @@ REFINE_TOL = 1e-10
 # Largest entry of |G - G^T| of an assembled generator.
 SYMMETRY_TOL = 1e-10
 # Largest dense float64 operator on a joint, tagged or sector basis, in
-# bytes (8192 rows). Generators are held only in CSR; this bounds the
-# dense matrix the `spectral` export writes, and it sets the reach of
+# bytes (8192 rows). Operators are held as their entries, and only their
+# degree blocks are made dense, except by the `spectral` export; this
+# bounds the dense matrix that export writes, and it sets the reach of
 # every joint-basis computation and of the sector. The largest joint
 # size in use (d=3, M=1, N=8: 4060 rows) exports 132 MB.
 DENSE_BYTES_MAX = 2**29
@@ -105,37 +104,72 @@ DENSE_BYTES_MAX = 2**29
 
 @dataclass
 class OperatorMatrix:
-    """Sparse (CSR) matrix of an operator on a truncated Hermite basis.
+    """Matrix of an operator on a truncated Hermite basis, as its entries.
 
-    Degree-block structure is verified at construction and off-block
-    roundoff is dropped, so `mat` is exactly block diagonal by total
-    degree and stores no off-degree entry and no zero.
+    `rows`, `cols` and `values` list the nonzero entries sorted row-major,
+    each position once. Degree-block structure is verified at construction
+    and off-block roundoff is dropped, so every entry lies inside a degree
+    block, no entry is zero, and the entries of each block are one
+    contiguous run.
     """
 
     name: str
     basis: Basis
-    mat: sparse.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def from_raw(cls, name: str, basis: Basis, mat) -> "OperatorMatrix":
-        """Check and store a dense or sparse matrix on `basis`."""
-        coo = sparse.coo_matrix(mat, dtype=float)
-        if coo.shape != (basis.size, basis.size):
-            raise StateError(f"{name}: matrix shape {coo.shape} vs basis {basis.size}")
-        off = basis.degree_of[coo.row] != basis.degree_of[coo.col]
-        worst = float(np.abs(coo.data[off]).max()) if off.any() else 0.0
+        """Check and store a dense matrix on `basis`, or its entries as a
+        tuple (rows, cols, values) listing each position at most once."""
+        n = basis.size
+        if isinstance(mat, tuple):
+            rows, cols, values = (np.asarray(a) for a in mat)
+        else:
+            mat = np.asarray(mat, dtype=float)
+            if mat.shape != (n, n):
+                raise StateError(f"{name}: matrix shape {mat.shape} vs basis {n}")
+            rows, cols = np.nonzero(mat)
+            values = mat[rows, cols]
+        off = basis.degree_of[rows] != basis.degree_of[cols]
+        worst = float(np.abs(values[off]).max()) if off.any() else 0.0
         if worst > BLOCK_TOL:
             raise ToleranceError(
                 f"{name}: off-degree-block magnitude {worst:.3e} exceeds {BLOCK_TOL:.0e}"
             )
-        keep = ~off & (coo.data != 0.0)
-        csr = sparse.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                                shape=coo.shape)
-        return cls(name, basis, csr)
+        keep = np.flatnonzero(~off & (values != 0.0))
+        keep = keep[np.argsort(rows[keep] * n + cols[keep], kind="stable")]
+        return cls(name, basis, rows[keep], cols[keep], values[keep])
 
-    def block(self, m: int) -> sparse.csr_matrix:
+    def block(self, m: int) -> np.ndarray:
+        """The dense degree-m block."""
         sl = self.basis.degree_slice(m)
-        return self.mat[sl, sl]
+        lo, hi = np.searchsorted(self.rows, (sl.start, sl.stop))
+        out = np.zeros((sl.stop - sl.start,) * 2)
+        out[self.rows[lo:hi] - sl.start, self.cols[lo:hi] - sl.start] = self.values[lo:hi]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix on the whole basis."""
+        out = np.zeros((self.basis.size,) * 2)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        """G x for a vector or a matrix x with one row per basis function,
+        each row's sum taken over its entries in column order."""
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(self.basis.size, -1)
+        k = flat.shape[1]
+        bins = (self.rows[:, None] * k + np.arange(k)).ravel()
+        terms = (self.values[:, None] * flat[self.cols]).ravel()
+        return np.bincount(bins, weights=terms, minlength=flat.size).reshape(x.shape)
+
+    def norm_inf(self) -> float:
+        """||G||_inf, the largest absolute row sum."""
+        return float(np.bincount(self.rows, weights=np.abs(self.values),
+                                 minlength=self.basis.size).max())
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +356,7 @@ def pair_avg_block(d: int) -> np.ndarray:
     if asym > REFINE_TOL:
         raise ToleranceError(f"pair block asymmetry {asym:.3e}")
     out = 0.5 * (out + out.T)
-    _cache[key] = OperatorMatrix.from_raw("pair_avg", b6, out).mat.toarray()
+    _cache[key] = OperatorMatrix.from_raw("pair_avg", b6, out).toarray()
     return _cache[key]
 
 
@@ -334,7 +368,7 @@ def thermostat_block(d: int) -> np.ndarray:
     if key in _cache:
         return _cache[key]
     block = _checked_kernel("thermostat block", "thermostat", d)
-    _cache[key] = OperatorMatrix.from_raw("thermostat_avg", make_basis(3, d), block).mat.toarray()
+    _cache[key] = OperatorMatrix.from_raw("thermostat_avg", make_basis(3, d), block).toarray()
     return _cache[key]
 
 
@@ -391,8 +425,7 @@ def _lift(name: str, basis, local: np.ndarray, terms, image_rows, root: np.ndarr
     """sum of weight * A over the terms (see _images), plus `diagonal` (one
     number or one per column), scaled by root[col] / root[row]. np.bincount
     sums each (row, col) in listing order, the diagonal last: the bits of a
-    dense `+=` over the terms, where coo.tocsr() would sum in another order
-    and move entries at roundoff. No n x n array is formed."""
+    dense `+=` over the terms. No n x n array is formed."""
     n = basis.size
     diag = np.arange(n)
     entries = itertools.chain(_images(local, terms, image_rows),
@@ -401,9 +434,7 @@ def _lift(name: str, basis, local: np.ndarray, terms, image_rows, root: np.ndarr
     key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     data = np.bincount(inverse, weights=np.concatenate(vals), minlength=key.size)
     row, col = np.divmod(key, n)
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    csr = sparse.csr_matrix((data * root[col] / root[row], col, indptr), shape=(n, n))
-    return OperatorMatrix.from_raw(name, basis, csr)
+    return OperatorMatrix.from_raw(name, basis, (row, col, data * root[col] / root[row]))
 
 
 def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
@@ -553,13 +584,19 @@ def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
     """op, once no entry of |G - G^T| exceeds SYMMETRY_TOL: the Krylov route
     of evolve and the gap's eigvalsh (which reads one triangle) assume a
     symmetric generator, and this is checked once per operator, when it is
-    built."""
-    skew = abs(op.mat - op.mat.T).tocoo()
-    at = int(skew.data.argmax()) if skew.nnz else None
-    if at is not None and skew.data[at] > SYMMETRY_TOL:
+    built. Each entry (i, j) is compared with its mirror (j, i), read as 0
+    where that is not listed."""
+    if not op.values.size:
+        return op
+    n = op.basis.size
+    key, mirror = op.rows * n + op.cols, op.cols * n + op.rows
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    skew = np.abs(op.values - np.where(key[at] == mirror, op.values[at], 0.0))
+    worst = int(skew.argmax())
+    if skew[worst] > SYMMETRY_TOL:
         raise StateError(
-            f"{op.name}: not symmetric in degree {op.basis.degree_of[skew.row[at]]} "
-            f"(defect {skew.data[at]:.3e})"
+            f"{op.name}: not symmetric in degree {op.basis.degree_of[op.rows[worst]]} "
+            f"(defect {skew[worst]:.3e})"
         )
     return op
 
@@ -623,6 +660,13 @@ def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # conserved-quantity subspace and the spectral gap
+
+
+def orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of `a`: its left singular vectors
+    whose singular values exceed eps * max(a.shape) * s_max."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s > np.finfo(float).eps * max(a.shape) * np.amax(s, initial=0.0)]
 
 
 def invariant_projector(p: ModelParams, d: int,
@@ -745,10 +789,10 @@ def spectral_gap(ctx: SpectralContext) -> float:
     if ctx.d < 1:
         raise StateError("degree cap 0 has no block off the constants to measure a gap in")
     gen = ctx.sector_reservoir
-    tol = KERNEL_TOL * float(abs(gen.mat).sum(axis=1).max())
+    tol = KERNEL_TOL * gen.norm_inf()
     gaps = []
     for m in range(1, ctx.d + 1):
-        evals = np.linalg.eigvalsh(gen.block(m).toarray())
+        evals = np.linalg.eigvalsh(gen.block(m))
         kernel = int(np.count_nonzero(np.abs(evals) <= tol))
         above = int(np.count_nonzero(evals > tol))
         want = _conserved_count(m)
@@ -817,10 +861,10 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
     second_moment = np.zeros(len(us))
     for j in range(p.n):
         op = assemble_pair_rotation("interaction", 0, j, p, d, basis=big)
-        ru = op.mat @ u_joint
+        ru = op @ u_joint
         acc += ru
         second_moment += np.einsum("ik,ik->k", ru, ru) / p.n
-    tu = assemble_T(p.m, d, particle=0).mat @ u
+    tu = assemble_T(p.m, d, particle=0) @ u
     lhs = np.sum((acc / p.n - joint(tu)) ** 2, axis=0)
 
     tt = np.einsum("ik,ik->k", tu, tu)

@@ -5,7 +5,7 @@ The package evolves each degree block by Lanczos and cross-checks it with
 the block's dense eigendecomposition (`evolution.evolve`). The route here
 shares neither: it integrates c'(t) = G_m c(t) on every block that c0
 fills with DOP853 (`scipy.integrate.solve_ivp`, rtol 1e-11, atol 1e-14,
-output at the requested times), on the same CSR blocks, and leaves the
+output at the requested times), on the same dense blocks, and leaves the
 empty blocks at zero. Its step count over long horizons makes it far
 slower than either package route. Tests compare them.
 """

@@ -54,7 +54,7 @@ def spectral_gap(gen: OperatorMatrix, invariants: list[np.ndarray]) -> float:
         raise ToleranceError("complement projector has empty range")
     w = evecs[:, keep]
 
-    g = gen.mat.toarray()
+    g = gen.toarray()
     inv = evecs[:, ~keep]
     kernel_defect = float(np.abs(g @ inv).max()) if inv.size else 0.0
     if kernel_defect > 1e-8:
@@ -76,7 +76,7 @@ def lanczos_gap(gen: OperatorMatrix, invariants: list[np.ndarray]) -> float:
     Once G_m U_m is checked to vanish, this operator is G_m off the range
     of U_m and -s on it; every eigenvalue of the symmetric G lies in
     [-||G||_inf, 0], so the top one lies off the invariants. Only that
-    eigenvalue is computed, by Lanczos on the sparse block with the shift
+    eigenvalue is computed, by Lanczos on the dense block with the shift
     applied as U_m (U_m^T x). The start vector is a fixed-seed normal
     vector with its U_m part removed. Blocks U_m spans (degree 0) are
     skipped.
@@ -88,7 +88,7 @@ def lanczos_gap(gen: OperatorMatrix, invariants: list[np.ndarray]) -> float:
     a block's top eigenvalue is highly degenerate (degrees 2 and 3 at
     M = 2), so this stays an oracle.
     """
-    shift = 2.0 * float(abs(gen.mat).sum(axis=1).max())
+    shift = 2.0 * gen.norm_inf()
     gaps = []
     for m, u in enumerate(invariants):
         g = gen.block(m)

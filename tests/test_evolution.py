@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 from math import exp, sqrt
-from scipy import sparse
 
 from kacbath import (
     ModelParams,
@@ -77,7 +76,7 @@ def test_evolution_contracts_fluctuations():
 
 def _eigen_blocks(g) -> list:
     """Dense eigendecomposition of every degree block, none skipped."""
-    blocks = (g.block(m).toarray() for m in range(g.basis.degree + 1))
+    blocks = (g.block(m) for m in range(g.basis.degree + 1))
     return [np.linalg.eigh(0.5 * (b + b.T)) for b in blocks]
 
 
@@ -117,26 +116,28 @@ def _count_krylov(monkeypatch) -> list:
 
 
 def _count_factored(monkeypatch, basis) -> list:
-    """Record the degree of the block each dense eigendecomposition factors."""
+    """Record the degree of the block each dense eigendecomposition of the
+    cross-check factors (Lanczos factors its small tridiagonal T_j by
+    np.linalg.eigh too, so the cross-check's own helper is counted)."""
     calls = []
-    real = np.linalg.eigh
+    real = evolution._dense_path
     degree_of = {}
     for m in range(basis.degree + 1):
         sl = basis.degree_slice(m)
         degree_of[sl.stop - sl.start] = m
     assert len(degree_of) == basis.degree + 1  # block sizes tell degrees apart
 
-    def counted(a, *args, **kwargs):
-        calls.append(degree_of[a.shape[0]])
-        return real(a, *args, **kwargs)
+    def counted(block, *args, **kwargs):
+        calls.append(degree_of[block.shape[0]])
+        return real(block, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(evolution, "_dense_path", counted)
     return calls
 
 
 def _block_args(g, m):
     """A degree block of g and the generator norm, as evolve passes them."""
-    return g.block(m), float(abs(g.mat).sum(axis=1).max())
+    return g.block(m), g.norm_inf()
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 2, 3), (2, 3, 2), (1, 16, 2), (1, 8, 3)])
@@ -259,7 +260,7 @@ def test_an_asymmetric_generator_is_refused_when_built(build, m, monkeypatch):
     monkeypatch.setattr(spectral, "pair_avg_block", lambda d: bad)
     p = ModelParams(1, 2)
     monkeypatch.setattr(spectral, "SYMMETRY_TOL", np.inf)
-    mat = build("reservoir", p, m).mat
+    mat = build("reservoir", p, m).toarray()
     want = float(abs(mat - mat.T).max())
     monkeypatch.setattr(spectral, "SYMMETRY_TOL", 1e-10)
     with pytest.raises(StateError, match=f"not symmetric in degree {m}") as err:
@@ -298,9 +299,9 @@ def test_krylov_route_rejects_a_positive_ritz_value():
     p = ModelParams(1, 2)
     g = assemble_generator("reservoir", p, 2)
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
-    mat = g.mat.toarray()
+    mat = g.toarray()
     mat[0, 0] += 1e-9
-    broken = OperatorMatrix(g.name, g.basis, sparse.csr_matrix(mat))
+    broken = OperatorMatrix.from_raw(g.name, g.basis, mat)
     with pytest.raises(ToleranceError, match="above zero in degree 0") as err:
         evolve(broken, c0, [0.0, 1.0])
     got = float(str(err.value).split("Ritz value ")[1].split()[0])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from math import factorial, pi, prod, sqrt
-from scipy import sparse
 
 from kacbath import ModelParams, SpectralContext, assemble_T, spectral, spectral_gap
 from kacbath.errors import ConfigError, QuadratureError, StateError, ToleranceError
@@ -63,7 +62,7 @@ def _unit_h1_tagged(m: int) -> HermiteCoeffs:
 ])
 def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
     op = assemble_pair_rotation(kind, i, j, p, 3)
-    mat = op.mat.toarray()
+    mat = op.toarray()
     assert np.abs(mat - mat.T).max() <= 1e-10
     assert np.linalg.norm(mat, 2) <= 1.0 + 1e-10
     # exact degree-block structure: no leakage between degrees
@@ -78,7 +77,7 @@ def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
 def test_pair_average_spectrum_in_unit_interval():
     # an averaging operator: spectrum within [0, 1], so A - A^2 is PSD
     p = ModelParams(1, 3)
-    mat = assemble_pair_rotation("interaction", 0, 1, p, 4).mat.toarray()
+    mat = assemble_pair_rotation("interaction", 0, 1, p, 4).toarray()
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() >= -1e-12
     assert eigs.max() <= 1.0 + 1e-12
@@ -96,13 +95,13 @@ def test_pair_rotation_fixes_pair_invariants():
     energy = poly_add(*[poly_mul(poly_coord(k), poly_coord(k)) for k in range(6)])
     for poly in (px, energy, poly_mul(px, px)):
         vec = invariant_oracle.hermite_coeffs_from_poly(poly, b)
-        np.testing.assert_allclose(op.mat @ vec, vec, atol=1e-10)
+        np.testing.assert_allclose(op @ vec, vec, atol=1e-10)
 
 
 def test_generators_are_symmetric_and_negative_semidefinite():
     p = ModelParams(1, 2)
     for kind in ("reservoir", "thermostat"):
-        mat = assemble_generator(kind, p, 2).mat.toarray()
+        mat = assemble_generator(kind, p, 2).toarray()
         assert np.abs(mat - mat.T).max() <= 1e-10
         assert np.linalg.eigvalsh(mat).max() <= 1e-10
 
@@ -114,10 +113,10 @@ def test_thermostat_generator_kills_reservoir_momentum_only():
     # sum of reservoir x-velocities is conserved by the bath dynamics
     res_px = poly_add(poly_coord(3), poly_coord(6))
     vec = invariant_oracle.hermite_coeffs_from_poly(res_px, b)
-    np.testing.assert_allclose(g.mat @ vec, 0.0, atol=1e-10)
+    np.testing.assert_allclose(g @ vec, 0.0, atol=1e-10)
     # the tagged velocity is not: it decays at rate mu/3
     tag = invariant_oracle.hermite_coeffs_from_poly(poly_coord(0), b)
-    np.testing.assert_allclose(g.mat @ tag, -(p.mu / 3.0) * tag, atol=1e-10)
+    np.testing.assert_allclose(g @ tag, -(p.mu / 3.0) * tag, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +132,18 @@ def test_bath_map_degree_blocks():
         (2, [7 / 15] * 5 + [2 / 3]),
         (3, [12 / 35] * 7 + [8 / 15] * 3),
     ]:
-        for eigs in (np.linalg.eigvalsh(t.block(deg).toarray()),
+        for eigs in (np.linalg.eigvalsh(t.block(deg)),
                      symmetric_tensor_eigenvalues(deg)):
             np.testing.assert_allclose(np.sort(eigs), pinned, rtol=0, atol=1e-14)
     # degree-1 block is exactly (2/3) I
-    np.testing.assert_allclose(t.block(1).toarray(), (2.0 / 3.0) * np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(t.block(1), (2.0 / 3.0) * np.eye(3), atol=1e-12)
 
 
 def test_tensor_route_matches_matrix_route():
     t = assemble_T(1, 5)
     for deg in range(1, 6):
         a = np.sort(symmetric_tensor_eigenvalues(deg))
-        b = np.sort(np.linalg.eigvalsh(t.block(deg).toarray()))
+        b = np.sort(np.linalg.eigvalsh(t.block(deg)))
         # both routes give the whole spectrum of the degree block
         assert a.shape == b.shape == ((deg + 1) * (deg + 2) // 2,)
         assert np.abs(a - b).max() < 1e-9
@@ -357,11 +356,12 @@ def test_gap_is_reproducible_bit_for_bit():
 
 
 def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
-    """op with its degree-m block replaced by change(block), stored as CSR."""
-    mat = op.mat.toarray()
+    """op with its degree-m block replaced by change(block), stored as its
+    entries."""
+    mat = op.toarray()
     sl = op.basis.degree_slice(m)
     mat[sl, sl] = change(mat[sl, sl])
-    return OperatorMatrix(op.name, op.basis, sparse.csr_matrix(mat))
+    return OperatorMatrix.from_raw(op.name, op.basis, mat)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -388,7 +388,7 @@ def test_invariant_projector_names_a_rank_deficient_block(m, monkeypatch):
 def _sector_kernel(p: ModelParams) -> np.ndarray:
     """Orthonormal kernel of the degree-2 block of the sector reservoir
     generator at cap 2: the conserved quantities of degree 2."""
-    g = spectral.assemble_sector_generator("reservoir", p, 2).block(2).toarray()
+    g = spectral.assemble_sector_generator("reservoir", p, 2).block(2)
     evals, evecs = np.linalg.eigh(g)
     return evecs[:, np.abs(evals) <= 1e-12]
 
@@ -522,7 +522,7 @@ def test_embedding_over_every_variable_is_the_block(d):
     therm = thermostat_block(d)
     assert _same_bits(embed_block(therm, b3, b3, (0, 1, 2)),
                       embedding_oracle.embed_block(therm, b3, b3, (0, 1, 2)))
-    assert _same_bits(assemble_T(1, d).mat.toarray(), therm)
+    assert _same_bits(assemble_T(1, d).toarray(), therm)
 
 
 @pytest.mark.parametrize("m,n,d,rates", [
@@ -535,7 +535,7 @@ def test_embedding_over_every_variable_is_the_block(d):
     for rates in itertools.product((0.0, 0.7), (0.0, 1.3), (0.0, 0.9))])
 def test_generators_equal_the_oracle_assembly(m, n, d, rates, monkeypatch):
     p = ModelParams(m, n, *rates)
-    fast = {kind: assemble_generator(kind, p, d).mat.toarray()
+    fast = {kind: assemble_generator(kind, p, d).toarray()
             for kind in ("reservoir", "thermostat")}
     # rebuild the pair and thermostat blocks as well, through the oracle
     monkeypatch.setattr(spectral, "_cache", {})
@@ -555,10 +555,10 @@ def test_pair_rotations_and_bath_map_equal_the_oracle_embedding(d):
         ("reservoir", 0, 2, np.concatenate([w_slots(p, 0), w_slots(p, 2)])),
         ("interaction", 1, 1, np.concatenate([v_slots(1), w_slots(p, 1)])),
     ]:
-        got = assemble_pair_rotation(kind, i, j, p, d, basis=big).mat.toarray()
+        got = assemble_pair_rotation(kind, i, j, p, d, basis=big).toarray()
         assert _same_bits(got, embedding_oracle.embed_block(pair, b6, big, slots))
     b3, tagged = make_basis(3, d), make_basis(6, d)
-    assert _same_bits(assemble_T(2, d, particle=1).mat.toarray(),
+    assert _same_bits(assemble_T(2, d, particle=1).toarray(),
                       embedding_oracle.embed_block(thermostat_block(d), b3, tagged, (3, 4, 5)))
 
 
@@ -576,8 +576,8 @@ def test_generator_assembly_allocates_less_than_one_dense_generator():
     assert peak < 8 * g.basis.size ** 2
 
 
-def _same_csr(a, b) -> bool:
-    return all(_same_bits(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
+def _same_entries(a: OperatorMatrix, b: OperatorMatrix) -> bool:
+    return all(_same_bits(getattr(a, k), getattr(b, k)) for k in ("rows", "cols", "values"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,7 +585,8 @@ def _same_csr(a, b) -> bool:
        noise=st.one_of(st.just(spectral.BLOCK_TOL), st.floats(1e-16, 1e-8)))
 def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
     # a block-diagonal matrix with zeros inside its blocks, plus noise of
-    # largest magnitude `noise` at some off-degree positions
+    # largest magnitude `noise` at some off-degree positions; given dense,
+    # or as every position's entry (zeros too) in shuffled order
     basis = make_basis(3, 2)
     rng = np.random.default_rng(seed)
     off = basis.degree_of[:, None] != basis.degree_of[None, :]
@@ -596,17 +597,56 @@ def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
     raw = clean.copy()
     raw.flat[spots] = rng.uniform(-noise, noise, spots.size)
     raw.flat[spots[-1]] = noise if rng.random() < 0.5 else -noise
+    rows, cols = np.divmod(rng.permutation(raw.size), basis.size)
+    entries = (rows, cols, raw[rows, cols])
     if noise > spectral.BLOCK_TOL:
-        for mat in (raw, sparse.csr_matrix(raw)):
+        for mat in (raw, entries):
             with pytest.raises(ToleranceError, match=f"magnitude {noise:.3e} exceeds"):
                 OperatorMatrix.from_raw("noisy", basis, mat)
         return
-    got = OperatorMatrix.from_raw("noisy", basis, raw).mat
-    assert _same_csr(got, OperatorMatrix.from_raw("noisy", basis, sparse.csr_matrix(raw)).mat)
-    rows = np.repeat(np.arange(basis.size), np.diff(got.indptr))
-    assert not off[rows, got.indices].any()
-    assert (got.data != 0.0).all()
+    got = OperatorMatrix.from_raw("noisy", basis, raw)
+    assert _same_entries(got, OperatorMatrix.from_raw("noisy", basis, entries))
+    assert (np.diff(got.rows * basis.size + got.cols) > 0).all()  # row-major, once each
+    assert not off[got.rows, got.cols].any()
+    assert (got.values != 0.0).all()
     assert _same_bits(got.toarray(), clean)
+
+
+@pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
+@pytest.mark.parametrize("build", [spectral.assemble_generator,
+                                   spectral.assemble_sector_generator],
+                         ids=["joint", "sector"])
+def test_products_and_blocks_read_the_dense_matrix(build, kind):
+    g = build(kind, ModelParams(2, 3), 3)
+    dense = g.toarray()
+    x = RngStream(4, 0).rng.standard_normal((g.basis.size, 5))
+    scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max()
+    assert g.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
+    assert np.abs(g @ x - dense @ x).max() <= 1e-14 * scale
+    assert np.abs(g @ x[:, 0] - dense @ x[:, 0]).max() <= 1e-14 * scale
+    assert (g @ x[:, :1]).shape == (g.basis.size, 1)
+    for m in range(g.basis.degree + 1):
+        sl = g.basis.degree_slice(m)
+        assert _same_bits(g.block(m), dense[sl, sl])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_generator_entry_without_its_mirror_is_refused(m):
+    # one entry (i, j) of the degree-m block set where (j, i) is not listed:
+    # the defect is the entry itself, and the degree is named
+    g = assemble_generator("reservoir", ModelParams(1, 2), 3)
+    assert spectral._check_symmetric(g) is g
+    dense = g.toarray()
+    sl = g.basis.degree_slice(m)
+    block = dense[sl, sl]
+    apart = (block == 0.0) & (block.T == 0.0) & ~np.eye(len(block), dtype=bool)
+    i, j = np.argwhere(apart)[0] + sl.start
+    dense[i, j] = 5e-10
+    lopsided = OperatorMatrix.from_raw(g.name, g.basis, dense)
+    assert not ((lopsided.rows == j) & (lopsided.cols == i)).any()
+    with pytest.raises(StateError, match=f"not symmetric in degree {m} "
+                                         r"\(defect 5\.000e-10\)"):
+        spectral._check_symmetric(lopsided)
 
 
 def test_embedding_rejects_a_sub_basis_of_lower_degree():
