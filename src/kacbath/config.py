@@ -5,14 +5,20 @@ fields they do not use. Validation happens twice, deliberately: the
 schema rejects structurally bad documents with a path to the offending
 field, and the dataclass constructors re-check the semantic invariants
 (so programmatic construction is guarded too).
+
+CONFIG_SCHEMA is checked by kacbath's own validator, which implements
+the JSON Schema 2020-12 keywords the schema uses and refuses any other,
+so loading a config needs nothing beyond the standard library. It
+reports the error jsonschema's `best_match` picks, in the same words;
+the tests hold it to jsonschema, which is a test dependency only.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 from dataclasses import dataclass
-
-import jsonschema
 
 from .errors import ConfigError
 from .jump import SYSTEM_KINDS
@@ -92,9 +98,89 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate would check CONFIG_SCHEMA against its
-# metaschema again on every load (tests/test_config.py checks it once).
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# JSON Schema keywords that never fail a document
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "default"})
+
+# bound keyword: (fails when op(value, bound), message)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+}
+
+
+def _is_type(value, kind: str) -> bool:
+    """The JSON Schema 2020-12 type test: a bool is neither integer nor
+    number, and a float with an integral value is an integer."""
+    if kind == "object":
+        return isinstance(value, dict)
+    if kind == "array":
+        return isinstance(value, list)
+    number = isinstance(value, numbers.Number) and not isinstance(value, bool)
+    if kind == "number":
+        return number
+    if kind == "integer":
+        return number and (isinstance(value, int)
+                           or isinstance(value, float) and value.is_integer())
+    raise NotImplementedError(f"config schema type {kind!r} is not implemented")
+
+
+def _errors(sub: dict, value, path: tuple = ()):
+    """Yield (path, message) for each failure of `value` under the schema
+    node `sub`, in jsonschema's order: the node's keywords in key order,
+    properties in schema order, items by index."""
+    for word, want in sub.items():
+        if word in _ANNOTATIONS:
+            continue
+        if word == "type":
+            if not _is_type(value, want):
+                yield path, f"{value!r} is not of type {want!r}"
+        elif word == "enum":
+            if value not in want:
+                yield path, f"{value!r} is not one of {want!r}"
+        elif word in _BOUNDS:
+            fails, text = _BOUNDS[word]
+            if _is_type(value, "number") and fails(value, want):
+                yield path, f"{value!r} is {text} of {want!r}"
+        elif word == "minItems":
+            if isinstance(value, list) and len(value) < want:
+                short = "should be non-empty" if want == 1 else "is too short"
+                yield path, f"{value!r} {short}"
+        elif word == "items":
+            for i, item in enumerate(value if isinstance(value, list) else ()):
+                yield from _errors(want, item, path + (i,))
+        elif word == "required":
+            for key in want if isinstance(value, dict) else ():
+                if key not in value:
+                    yield path, f"{key!r} is a required property"
+        elif word == "properties":
+            for key, child in want.items() if isinstance(value, dict) else ():
+                if key in value:
+                    yield from _errors(child, value[key], path + (key,))
+        elif word == "additionalProperties" and want is False:
+            known = sub.get("properties", {})
+            extras = sorted((k for k in value if k not in known), key=str) \
+                if isinstance(value, dict) else []
+            if extras:
+                were = "was" if len(extras) == 1 else "were"
+                yield path, ("Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {were} unexpected)")
+        else:
+            raise NotImplementedError(
+                f"config schema keyword {word!r}: {want!r} is not implemented")
+
+
+def _with_ints(sub: dict, value):
+    """`value`, valid under the schema node `sub`, with every value that the
+    schema types as integer made a Python int (2.0 is a valid integer)."""
+    kind = sub.get("type")
+    if kind == "integer":
+        return int(value)
+    if kind == "array":
+        return [_with_ints(sub["items"], item) for item in value]
+    if kind == "object":
+        return {key: _with_ints(sub["properties"][key], val) for key, val in value.items()}
+    return value
 
 
 def _defaults_of(schema: dict) -> dict:
@@ -140,13 +226,22 @@ class RunConfig:
 
 
 def validate_config(doc: dict) -> dict:
-    """Schema-check a raw document and return it with defaults merged."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    """Schema-check a raw document and return it with defaults merged and
+    every integer-typed value an int.
+
+    Of several failures the one reported is jsonschema's best match: the
+    shallowest path, then the greatest path, then the first in schema
+    order. (best_match next prefers a value off its node's type, but the
+    errors left at one path all come from one node and agree on that.)
+    """
+    error = max(_errors(CONFIG_SCHEMA, doc), default=None,
+                key=lambda e: (-len(e[0]), e[0]))
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {where}: {error.message}") from error
+        path, message = error
+        where = "/".join(map(str, path)) or "(root)"
+        raise ConfigError(f"config invalid at {where}: {message}")
     merged = _defaults_of(CONFIG_SCHEMA)
-    for key, val in doc.items():
+    for key, val in _with_ints(CONFIG_SCHEMA, doc).items():
         if isinstance(val, dict) and isinstance(merged.get(key), dict):
             merged[key] = {**merged[key], **val}
         else:

@@ -103,8 +103,14 @@ def write_matrix(path: str, mat: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ConfigError(f"matrix export needs a 2d array, got ndim={arr.ndim}")
     lines = ["%d %d" % arr.shape]
-    for row in arr:
-        lines.append(" ".join("%.17g" % v for v in row))
+    # only the entries that print other than "0" are formatted: nonzeros,
+    # NaN and -0.0 ("-0"); exported operators are mostly zeros
+    shown = (arr != 0) | np.signbit(arr)
+    for row, mask in zip(arr, shown):
+        cells = ["0"] * len(row)
+        for j, v in zip(np.flatnonzero(mask).tolist(), row[mask].tolist()):
+            cells[j] = "%.17g" % v
+        lines.append(" ".join(cells))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -236,7 +236,7 @@ def _kernel_block(kind: str, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the exact route: closed-form sphere moments in rational arithmetic
+# the exact route: closed-form sphere moments in integer arithmetic
 
 
 @cache
@@ -249,21 +249,29 @@ def _sphere_moment(gamma: tuple) -> Fraction:
                     prod(range(sum(gamma) + 1, 0, -2)))
 
 
-def _sphere_entry(alpha: tuple, beta: tuple, c: int) -> Fraction:
-    """Coefficient of x^alpha in E_omega prod_i (x_i - c omega_i (omega.x))^beta_i.
+def _sphere_entry(alpha: tuple, beta: tuple, c: int) -> int:
+    """(2m + 1)!! times the coefficient of x^alpha in
+    E_omega prod_i (x_i - c omega_i (omega.x))^beta_i, for |alpha| = |beta| = m.
 
     Taking j_i factors -c omega_i (omega.x) from the i-th power leaves
     x^(beta - j); the multinomial expansion of (omega.x)^|j| must then
     supply x^delta with delta = alpha - beta + j, and omega^delta with it.
+    The moment of omega^(alpha - beta + 2j) is 0 for every j if alpha - beta
+    has an odd entry, and otherwise has a denominator dividing (2|j| + 1)!!,
+    which divides (2m + 1)!!.
     """
-    total = Fraction(0)
+    if any((a - b) % 2 for a, b in zip(alpha, beta)):
+        return 0
+    top = prod(range(2 * sum(beta) + 1, 0, -2))
+    total = 0
     choices = (range(max(0, b - a), b + 1) for a, b in zip(alpha, beta))
     for j in itertools.product(*choices):
         delta = [a - b + k for a, b, k in zip(alpha, beta, j)]
         r = sum(j)
         count = (prod(comb(b, k) for b, k in zip(beta, j)) * factorial(r)
                  // prod(factorial(k) for k in delta))
-        total += (-c) ** r * count * _sphere_moment(tuple(k + e for k, e in zip(j, delta)))
+        moment = _sphere_moment(tuple(k + e for k, e in zip(j, delta)))
+        total += (-c) ** r * count * moment.numerator * (top // moment.denominator)
     return total
 
 
@@ -289,12 +297,20 @@ def _degree_exponents(n: int, m: int) -> list[tuple]:
     return [tuple(map(int, e)) for e in basis.exponents[basis.degree_slice(m)]]
 
 
-def _moment_matrix(kind: str, m: int) -> list[list]:
-    """A_m[alpha][beta]: the coefficient of x^alpha in E_omega prod_c
-    r_c(x, omega)^beta_c, over the degree-m exponents, exactly."""
+def _moment_numerators(kind: str, m: int) -> tuple[list[list[int]], int]:
+    """A_m[alpha][beta], the coefficient of x^alpha in E_omega prod_c
+    r_c(x, omega)^beta_c over the degree-m exponents, as integers over one
+    denominator: 1 for mix, (2m + 1)!! for the sphere kinds."""
     n, entry = _MOMENT_ENTRIES[kind]
     exps = _degree_exponents(n, m)
-    return [[entry(a, b) for b in exps] for a in exps]
+    den = 1 if kind == "mix" else prod(range(2 * m + 1, 0, -2))
+    return [[entry(a, b) for b in exps] for a in exps], den
+
+
+def _moment_matrix(kind: str, m: int) -> list[list[Fraction]]:
+    """A_m exactly, in Fractions, for checks in exact arithmetic."""
+    rows, den = _moment_numerators(kind, m)
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 @cache
@@ -304,13 +320,15 @@ def _exact_block(kind: str, m: int) -> np.ndarray:
     h_alpha has leading monomial coefficient (2 pi)^(m/2) / sqrt(alpha!),
     and a degree-preserving operator is fixed by its action on leading
     monomials, so the Hermite block is sqrt(alpha!/beta!) A_m[alpha, beta].
-    Cached per (kind, m) by functools.cache (`_cache` holds the assembled
-    pair and thermostat blocks only) and read-only, since callers share it.
+    Each entry of A_m is rounded once, by the int / int division of its
+    numerator by the common denominator. Cached per (kind, m) by
+    functools.cache (`_cache` holds the assembled pair and thermostat
+    blocks only) and read-only, since callers share it.
     """
     exps = _degree_exponents(_MOMENT_ENTRIES[kind][0], m)
     root = np.sqrt([float(prod(factorial(e) for e in a)) for a in exps])
-    a = np.array([[float(x) for x in row] for row in _moment_matrix(kind, m)])
-    block = root[:, None] * a / root[None, :]
+    rows, den = _moment_numerators(kind, m)
+    block = root[:, None] * np.array([[x / den for x in row] for row in rows]) / root[None, :]
     if kind == "mix":
         block *= 2.0 ** (-m / 2)
     block.flags.writeable = False

@@ -195,6 +195,23 @@ def test_gap_json(tmp_path):
     assert doc["l_hat"] == pytest.approx(0.49888765156985887, abs=1e-9)
 
 
+def test_integral_floats_are_read_as_integers(tmp_path):
+    # JSON Schema counts 8.0 as an integer, so both configs are valid and
+    # must give the same artifacts
+    outs = {}
+    for kind, cast in (("int", int), ("float", float)):
+        gap = _write_config(tmp_path, f"{kind}-gap.json", m=cast(1), n=cast(8),
+                            degree=cast(2))
+        sim = _write_config(tmp_path, f"{kind}-sim.json", t_end=0.5,
+                            record_times=[0.5], ensemble=cast(10))
+        outs[kind] = tmp_path / f"{kind}-gap.out", tmp_path / f"{kind}-sim.out"
+        assert _run("gap", "--config", gap, "--out", str(outs[kind][0])) == 0
+        assert _run("simulate", "--config", sim, "--out", str(outs[kind][1])) == 0
+    k_hat = [json.loads(outs[kind][0].read_text())["k_hat"] for kind in outs]
+    assert k_hat[0] == k_hat[1]
+    assert outs["int"][1].read_bytes() == outs["float"][1].read_bytes()
+
+
 def _count_calls(monkeypatch, name: str, key) -> Counter:
     """Count calls of spectral.<name> made from any kacbath module, by key(args)."""
     calls = Counter()

@@ -72,6 +72,19 @@ def test_matrix_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_matrix(path), mat)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_bytes_are_the_per_element_format(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(0, 9, size=2))
+    special = [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, -1e300,
+               np.inf, -np.inf, np.nan, 1.0 / 3.0]
+    mat = np.where(rng.random(shape) < 0.5, rng.choice(special, size=shape),
+                   rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape))
+    write_matrix(tmp_path / "op.mat", mat)
+    want = ["%d %d" % shape] + [" ".join("%.17g" % v for v in row) for row in mat]
+    assert (tmp_path / "op.mat").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 def test_matrix_shape_errors(tmp_path):
     with pytest.raises(ConfigError):
         write_matrix(tmp_path / "x.mat", np.zeros(3))

@@ -40,6 +40,7 @@ from kacbath.spectral import (
 import embedding_oracle
 import gap_oracle
 import invariant_oracle
+import moment_oracle
 import quadrature_oracle
 import tensor_oracle
 
@@ -807,6 +808,13 @@ def test_exact_blocks_satisfy_detailed_balance(kind):
                 for alpha in spectral._degree_exponents(3, m)]
         for i, j in itertools.combinations(range(len(a)), 2):
             assert fact[i] * a[i][j] == fact[j] * a[j][i]
+
+
+@pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat"])
+def test_exact_blocks_are_the_rational_route_bitwise(kind):
+    for m in range(9):
+        assert (spectral._exact_block(kind, m).tobytes()
+                == moment_oracle.exact_block(kind, m).tobytes())
 
 
 @pytest.mark.parametrize("m", range(7))
