@@ -32,11 +32,13 @@ E[omega^gamma] = prod_i (gamma_i - 1)!! / (|gamma| + 1)!! (even gamma;
 Every operator on a many-particle basis is one lift of those blocks.
 `_collision_terms` lists the collision classes of both generators once,
 over all N reservoir particles on the joint basis and over d + 1
-representatives weighted by `_partner_weight` on the reservoir-symmetric
-sector. One vectorised pass per class lists every column's images; a
-per-class table (joint and tagged bases) or `SectorBasis.rows_of` gives
-their rows, and `_lift` sums the entries in listing order, the diagonal
-last, so the joint generators are bitwise the dense sum of the blocks.
+representatives weighted by the partners they stand for on the
+reservoir-symmetric sector (`_sector_lift`, shared by the sector
+generators and `verify_lemma2`). One vectorised pass per class lists
+every column's images; a per-class table (joint and tagged bases) or
+`SectorBasis.rows_of` gives their rows, and `_lift` sums the entries in
+listing order, the diagonal last, so the joint generators are bitwise
+the dense sum of the blocks.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ __all__ = [
     "pair_avg_block",
     "thermostat_block",
     "embed_block",
-    "assemble_pair_rotation",
     "assemble_T",
     "assemble_generator",
     "sector_basis",
@@ -96,9 +97,10 @@ SYMMETRY_TOL = 1e-10
 # Largest dense float64 operator on a joint, tagged or sector basis, in
 # bytes (8192 rows). Operators are held as their entries, and only their
 # degree blocks are made dense, except by the `spectral` export; this
-# bounds the dense matrix that export writes, and it sets the reach of
-# every joint-basis computation and of the sector. The largest joint
-# size in use (d=3, M=1, N=8: 4060 rows) exports 132 MB.
+# bounds the dense matrix that export writes. On the joint basis it sets
+# the reach of `spectral` alone, since every other subcommand runs on the
+# sector, whose size does not depend on N (14005 rows at M=1, d=7 is
+# over it). The `spectral` export at d=3, M=1, N=8 (4060 rows) is 132 MB.
 DENSE_BYTES_MAX = 2**29
 
 
@@ -307,12 +309,6 @@ def _moment_numerators(kind: str, m: int) -> tuple[list[list[int]], int]:
     return [[entry(a, b) for b in exps] for a in exps], den
 
 
-def _moment_matrix(kind: str, m: int) -> list[list[Fraction]]:
-    """A_m exactly, in Fractions, for checks in exact arithmetic."""
-    rows, den = _moment_numerators(kind, m)
-    return [[Fraction(x, den) for x in row] for row in rows]
-
-
 @cache
 def _exact_block(kind: str, m: int) -> np.ndarray:
     """Degree-m Hermite block of `kind` from its exact moment matrix.
@@ -510,35 +506,6 @@ def sector_basis(p: ModelParams, d: int) -> SectorBasis:
 # model operators
 
 
-def assemble_pair_rotation(kind: str, i: int, j: int, p: ModelParams,
-                           d: int, basis: Basis | None = None) -> OperatorMatrix:
-    """Collision average for one labeled pair on the joint basis.
-
-    kind: 'system' (tagged i with tagged j), 'reservoir' (reservoir i
-    with reservoir j), or 'interaction' (tagged i with reservoir j).
-    Indices are zero-based within their populations. A caller that
-    already holds the joint basis of (p, d) passes it as `basis`.
-    """
-    if kind == "system":
-        if not (0 <= i < j < p.m):
-            raise StateError(f"system pair ({i},{j}) out of range for m={p.m}")
-        slots = np.concatenate([v_slots(i), v_slots(j)])
-    elif kind == "reservoir":
-        if not (0 <= i < j < p.n):
-            raise StateError(f"reservoir pair ({i},{j}) out of range for n={p.n}")
-        slots = np.concatenate([w_slots(p, i), w_slots(p, j)])
-    elif kind == "interaction":
-        if not (0 <= i < p.m and 0 <= j < p.n):
-            raise StateError(f"interaction pair ({i},{j}) out of range")
-        slots = np.concatenate([v_slots(i), w_slots(p, j)])
-    else:
-        raise StateError(f"unknown pair kind {kind!r}")
-    big = joint_basis(p, d) if basis is None else basis
-    return _lift(f"pair[{kind},{i},{j}]", big, big.exponents,
-                 [(pair_avg_block(d), make_basis(6, d), slots, 1.0)], _joint_rows(big),
-                 np.ones(big.size), 0.0)
-
-
 def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
     """Thermostat average for one tagged particle on the 3m-variable basis,
     size-checked by _dense_basis."""
@@ -619,12 +586,33 @@ def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
     return op
 
 
-def _partner_weight(slot: int, support: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """How often a reservoir particle of the representative layout stands
-    for the collision partners it represents: slots below the support size
-    r are the support itself, slot r stands for each of the N - r fresh
-    particles, and later slots for none."""
-    return np.where(slot < support, 1.0, np.where(slot == support, fresh, 0.0))
+def _sector_lift(p: ModelParams, sec: SectorBasis):
+    """The weight of each of the d + 1 reservoir slots of the sector's
+    representatives, per column, and lift(name, terms, diagonal): `_lift`
+    onto `sec`.
+
+    The representative of an orbit lives on M tagged and d + 1 reservoir
+    particles: tagged exponent first, then the support on reservoir
+    particles 0..r-1, zero on the rest. Slots below r stand for
+    themselves, slot r for each of the N - r fresh particles, and later
+    slots for none; each image's row is the orbit of its exponents.
+    """
+    d = sec.degree
+    r = np.count_nonzero(sec.support, axis=1)
+    local = np.zeros((sec.size, 3 * (p.m + d + 1)), dtype=np.int64)
+    local[:, :3 * p.m] = sec.tagged
+    local[:, 3 * p.m:3 * (p.m + d)] = sec.single.exponents[sec.support].reshape(sec.size, -1)
+    partner = [np.where(j < r, 1.0, np.where(j == r, p.n - r, 0.0)) for j in range(d + 1)]
+
+    def image_rows(slots, sub, sub_of, k, cols):
+        exps = local[cols]
+        exps[:, slots] = sub.exponents[k]
+        return sec.rows_of(exps[:, :3 * p.m], exps[:, 3 * p.m:])
+
+    def lift(name: str, terms, diagonal) -> OperatorMatrix:
+        return _lift(name, sec, local, terms, image_rows, np.sqrt(sec.orbit_size), diagonal)
+
+    return partner, lift
 
 
 def assemble_sector_generator(kind: str, p: ModelParams, d: int,
@@ -644,23 +632,9 @@ def assemble_sector_generator(kind: str, p: ModelParams, d: int,
     particles. A caller that already holds the sector basis of (p, d)
     passes it as `basis`.
     """
-    sec = sector_basis(p, d) if basis is None else basis
-    r = np.count_nonzero(sec.support, axis=1)
-    fresh = (p.n - r).astype(float)
-    # the representatives on M tagged and d + 1 reservoir particles
-    local = np.zeros((sec.size, 3 * (p.m + d + 1)), dtype=np.int64)
-    local[:, :3 * p.m] = sec.tagged
-    local[:, 3 * p.m:3 * (p.m + d)] = sec.single.exponents[sec.support].reshape(sec.size, -1)
-    partner = [_partner_weight(j, r, fresh) for j in range(d + 1)]
-
-    def image_rows(slots, sub, sub_of, k, cols):
-        exps = local[cols]
-        exps[:, slots] = sub.exponents[k]
-        return sec.rows_of(exps[:, :3 * p.m], exps[:, 3 * p.m:])
-
+    partner, lift = _sector_lift(p, sector_basis(p, d) if basis is None else basis)
     terms, total = _collision_terms(kind, p, d, partner)
-    return _check_symmetric(_lift(f"sector generator[{kind}]", sec, local, terms, image_rows,
-                                  np.sqrt(sec.orbit_size), -total))
+    return _check_symmetric(lift(f"sector generator[{kind}]", terms, -total))
 
 
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
@@ -743,18 +717,14 @@ def invariant_projector(p: ModelParams, d: int,
 class SpectralContext:
     """The operators of one configuration (p, d), each built at most once.
 
-    On the reservoir-symmetric sector: both generators, which the distance
-    curve evolves; the gap reads the reservoir one. On the joint basis:
-    the basis itself, which verify_lemma2 embeds into. Each is built on
-    first use and then kept.
+    All of them live on the reservoir-symmetric sector: the sector basis,
+    which verify_lemma2 lifts its collision averages onto, and both
+    generators, which the distance curve evolves; the gap reads the
+    reservoir one. Each is built on first use and then kept.
     """
 
     p: ModelParams
     d: int
-
-    @cached_property
-    def basis(self) -> Basis:
-        return joint_basis(self.p, self.d)
 
     @cached_property
     def sector(self) -> SectorBasis:
@@ -851,9 +821,15 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
     (so R^2 <= R) and <u, R_1j u> = <u, T_1 u> for u depending only on
     the tagged particle; it is the form the convergence bound consumes
     and is strict unless u sits in an eigenspace with eigenvalue 0 or 1.
-    All three numbers come from assembled matrices, on the joint basis of
-    `ctx` at its degree. The functions share one tagged basis; each R_1j
-    is embedded once and applied to all of them as one matrix product.
+
+    Both averages over j are symmetric in the reservoir particles, so they
+    are read on `ctx.sector`, at the same cost for every N: a lift of the
+    pair block over the d + 1 representative reservoir slots, each
+    weighted by the partners it stands for over N, is (1/N) sum_j R_1j,
+    and a lift of its square has the quadratic form
+    (1/N) sum_j ||R_1j u||^2. u and T_1 u are their own orbit sums
+    (SectorBasis.tagged_coeffs); variance_bound is read on the tagged
+    basis. The functions share one tagged basis of degree <= ctx.d.
     Returns one result per function, in order.
     """
     p, d = ctx.p, ctx.d
@@ -866,24 +842,25 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
         raise StateError(f"u must live on {3 * p.m} variables, got {basis.nvars}")
     if basis.degree > d:
         raise StateError("u degree exceeds requested truncation")
-    big = ctx.basis
-    tagged = np.arange(3 * p.m)
+    sec = ctx.sector
+    partner, lift = _sector_lift(p, sec)
+    pair, b6 = pair_avg_block(d), make_basis(6, d)
 
-    def joint(cols: np.ndarray) -> np.ndarray:
-        return np.stack([HermiteCoeffs(basis, c).embed(big, tagged).vec
-                         for c in cols.T], axis=1)
+    def average(name: str, block: np.ndarray) -> OperatorMatrix:
+        """(1/N) sum_j of `block` on tagged particle 0 and reservoir particle j."""
+        return lift(name, [(block, b6, np.concatenate([v_slots(0), w_slots(p, j)]), w / p.n)
+                           for j, w in enumerate(partner)], 0.0)
+
+    def placed(cols: np.ndarray) -> np.ndarray:
+        return np.stack([sec.tagged_coeffs(HermiteCoeffs(basis, c)).vec for c in cols.T],
+                        axis=1)
 
     u = np.stack([c.vec for c in us], axis=1)
-    u_joint = joint(u)
-    acc = np.zeros_like(u_joint)
-    second_moment = np.zeros(len(us))
-    for j in range(p.n):
-        op = assemble_pair_rotation("interaction", 0, j, p, d, basis=big)
-        ru = op @ u_joint
-        acc += ru
-        second_moment += np.einsum("ik,ik->k", ru, ru) / p.n
-    tu = assemble_T(p.m, d, particle=0) @ u
-    lhs = np.sum((acc / p.n - joint(tu)) ** 2, axis=0)
+    tu = assemble_T(p.m, basis.degree, particle=0) @ u
+    u_sec = placed(u)
+    lhs = np.sum((average("interaction average", pair) @ u_sec - placed(tu)) ** 2, axis=0)
+    second_moment = np.einsum("ik,ik->k", u_sec,
+                              average("interaction second moment", pair @ pair) @ u_sec)
 
     tt = np.einsum("ik,ik->k", tu, tu)
     rhs = (second_moment - tt) / p.n

@@ -5,6 +5,8 @@ float per entry.
 The package sums integer numerators over the common denominator
 (2m + 1)!! and divides once per entry; both round the same exact
 rational once, so tests require the blocks to be bitwise equal.
+`moment_matrix` gives the package's moment matrix itself in `Fraction`s,
+for the checks in exact arithmetic.
 """
 
 import itertools
@@ -47,3 +49,10 @@ def exact_block(kind: str, m: int) -> np.ndarray:
     if kind == "mix":
         block *= 2.0 ** (-m / 2)
     return block
+
+
+def moment_matrix(kind: str, m: int) -> list[list[Fraction]]:
+    """A_m exactly, in Fractions: the package's integer numerators over
+    their common denominator."""
+    rows, den = spectral._moment_numerators(kind, m)
+    return [[Fraction(x, den) for x in row] for row in rows]

@@ -260,12 +260,14 @@ def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
     assert not generators and not bases
 
 
-def test_verify_lemma2_enumerates_the_joint_basis_once(tmp_path, monkeypatch):
-    # every trial and every interaction pair share one spectral context
+def test_verify_lemma2_builds_one_sector_basis_and_no_joint_basis(tmp_path, monkeypatch):
+    # every trial and both collision averages share one sector basis
     bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
+    sectors = _count_calls(monkeypatch, "sector_basis", lambda p, d: (p.n, d))
     cfg = _write_config(tmp_path, n=3, degree=2, random_polynomials=4)
     assert _run("verify-lemma2", "--config", cfg, "--out", str(tmp_path / "l2.json")) == 0
-    assert bases == {(3, 2): 1}
+    assert not bases
+    assert sectors == {(3, 2): 1}
 
 
 def test_distance_csv_contract(tmp_path):
@@ -494,6 +496,66 @@ def test_report_aggregates_and_flags_failures(tmp_path, capsys):
     assert _run("report", "--dir", str(rundir)) == 3
     streamed = json.loads(capsys.readouterr().out)
     assert streamed["passed"] is False
+
+
+_NAN_ARTIFACTS = {
+    # a NaN after the first row, where Python's min and max skip it
+    "curve.csv": "t,distance,bound,bound_term1,bound_term2\n"
+                 + "".join(f"{t},0.01,0.5,0.25,0.25\n" for t in range(3))
+                 + "3,nan,0.5,0.25,0.25\n4,0.01,0.5,0.25,0.25\n",
+    "l1.csv": "M,N,C,ratio,stderr,samples\n"
+              "1,2,0.9,0.5,0.01,100\n1,4,0.8,nan,0.01,100\n1,8,0.7,0.4,0.01,100\n",
+    "moments.csv": "time,observable,mean,std_error,n_samples\n"
+                   "0.4,v1x_h1,1.0,0.01,100\n0.8,v1x_h1,nan,0.01,100\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_ARTIFACTS))
+def test_report_fails_a_nan_in_a_later_row(tmp_path, capsys, name):
+    (tmp_path / name).write_text(_NAN_ARTIFACTS[name])
+    assert _run("report", "--dir", str(tmp_path)) == 3
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["file"] == name and check["passed"] is False
+
+
+def test_report_fails_a_nan_in_a_bath_map_route(tmp_path, capsys):
+    # the summaries are finite; one eigenvalue of degree 3 is not
+    assert _run("verify-lemma3", "--max-degree", "3", "--out", str(tmp_path / "l3.json")) == 0
+    doc = json.loads((tmp_path / "l3.json").read_text())
+    doc["matrix_route"]["3"] = float("nan")
+    (tmp_path / "l3.json").write_text(json.dumps(doc))
+    assert _run("report", "--dir", str(tmp_path)) == 3
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["kind"] == "bath-map-spectrum" and check["passed"] is False
+
+
+def test_verify_lemma3_fails_a_nan_above_degree_one(tmp_path, monkeypatch, capsys):
+    # the summaries over degrees carry a NaN of any degree into the artifact
+    real = cli.symmetric_tensor_eigenvalues
+
+    def broken(deg):
+        ev = np.array(real(deg))
+        if deg == 2:
+            ev[0] = np.nan
+        return ev
+
+    monkeypatch.setattr(cli, "symmetric_tensor_eigenvalues", broken)
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    out = rundir / "l3.json"
+    assert _run("verify-lemma3", "--max-degree", "3", "--out", str(out)) == 3
+    assert np.isnan(json.loads(out.read_text())["route_disagreement"])
+    assert _run("report", "--dir", str(rundir)) == 3
+
+
+def test_verify_lemma2_fails_a_nan_in_a_later_trial(tmp_path, monkeypatch):
+    _wrap_result(monkeypatch, "verify_lemma2", lambda results: [
+        res._replace(lhs=np.nan) if i == 1 else res for i, res in enumerate(results)])
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    cfg = _write_config(tmp_path, degree=2, random_polynomials=3)
+    assert _run("verify-lemma2", "--config", cfg, "--out", str(rundir / "l2.json")) == 3
+    assert _run("report", "--dir", str(rundir)) == 3
 
 
 def test_report_empty_directory_is_a_config_error(tmp_path, capsys):

@@ -184,10 +184,11 @@ def test_krylov_dimensions_of_criterion_6_data(m, n, d, monkeypatch):
     # h2_aniso on criterion 6's grid: the degree-2 part reaches an invariant
     # subspace of dimension 4 under the reservoir flow, whatever the block
     # size, and is an eigenvector of the bath flow
-    ctx = SpectralContext(ModelParams(m, n), d)
-    c0 = anisotropic_pair_data(0.2).embed(ctx.basis, np.arange(3))
+    p = ModelParams(m, n)
+    big = joint_basis(p, d)
+    c0 = anisotropic_pair_data(0.2).embed(big, np.arange(3))
     grid = default_time_grid(80.0, count=56)
-    reservoir, thermostat = (assemble_generator(kind, ctx.p, d, basis=ctx.basis)
+    reservoir, thermostat = (assemble_generator(kind, p, d, basis=big)
                              for kind in ("reservoir", "thermostat"))
     dims = _count_krylov(monkeypatch)
     evolve(reservoir, c0, grid)

@@ -25,7 +25,6 @@ from kacbath.randomness import RngStream
 from kacbath.spectral import (
     OperatorMatrix,
     assemble_generator,
-    assemble_pair_rotation,
     embed_block,
     invariant_projector,
     joint_basis,
@@ -40,6 +39,7 @@ from kacbath.spectral import (
 import embedding_oracle
 import gap_oracle
 import invariant_oracle
+import lemma2_oracle
 import moment_oracle
 import quadrature_oracle
 import tensor_oracle
@@ -62,7 +62,7 @@ def _unit_h1_tagged(m: int) -> HermiteCoeffs:
     ("interaction", 0, 2, ModelParams(1, 3)),
 ])
 def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
-    op = assemble_pair_rotation(kind, i, j, p, 3)
+    op = lemma2_oracle.assemble_pair_rotation(kind, i, j, p, 3)
     mat = op.toarray()
     assert np.abs(mat - mat.T).max() <= 1e-10
     assert np.linalg.norm(mat, 2) <= 1.0 + 1e-10
@@ -78,7 +78,7 @@ def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
 def test_pair_average_spectrum_in_unit_interval():
     # an averaging operator: spectrum within [0, 1], so A - A^2 is PSD
     p = ModelParams(1, 3)
-    mat = assemble_pair_rotation("interaction", 0, 1, p, 4).toarray()
+    mat = lemma2_oracle.assemble_pair_rotation("interaction", 0, 1, p, 4).toarray()
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() >= -1e-12
     assert eigs.max() <= 1.0 + 1e-12
@@ -90,7 +90,7 @@ def test_pair_rotation_fixes_pair_invariants():
     # energy and momentum of the colliding pair are pointwise conserved,
     # so their Hermite data is fixed by the average
     p = ModelParams(2, 2)
-    op = assemble_pair_rotation("system", 0, 1, p, 2)
+    op = lemma2_oracle.assemble_pair_rotation("system", 0, 1, p, 2)
     b = op.basis
     px = poly_add(poly_coord(0), poly_coord(3))  # v1x + v2x
     energy = poly_add(*[poly_mul(poly_coord(k), poly_coord(k)) for k in range(6)])
@@ -232,25 +232,67 @@ def test_lemma2_rejects_wrong_variable_count():
 
 
 def test_lemma2_batch_equals_one_call_per_function(monkeypatch):
-    # one call embeds each interaction rotation once for all functions and
-    # returns what one call per function returns
+    # one call lifts the interaction average and its second moment once
+    # each onto the sector, over the d + 1 representative reservoir slots,
+    # for all functions, and returns what one call per function returns
     ctx = SpectralContext(ModelParams(1, 3), 2)
     basis = make_basis(3, 2)
     us = [HermiteCoeffs(basis, RngStream(7, t).rng.standard_normal(basis.size))
           for t in range(4)]
     alone = [verify_lemma2([u], ctx)[0] for u in us]
-    embedded = []
-    real = spectral.assemble_pair_rotation
+    lifts = []
+    real = spectral._lift
 
-    def counted(kind, i, j, *args, **kwargs):
-        embedded.append((kind, i, j))
-        return real(kind, i, j, *args, **kwargs)
+    def counted(name, basis, local, terms, *args):
+        lifts.append((basis is ctx.sector, [slots.tolist() for _, _, slots, _ in terms]))
+        return real(name, basis, local, terms, *args)
 
-    monkeypatch.setattr(spectral, "assemble_pair_rotation", counted)
+    monkeypatch.setattr(spectral, "_lift", counted)
     batch = verify_lemma2(us, ctx)
-    assert embedded == [("interaction", 0, j) for j in range(3)]
+    slots = [list(range(3)) + list(range(3 * j + 3, 3 * j + 6)) for j in range(3)]
+    assert [slot_lists for on_sector, slot_lists in lifts if on_sector] == [slots, slots]
     for got, want in zip(batch, alone, strict=True):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 1), (1, 3, 3), (2, 3, 2), (1, 8, 2), (2, 4, 3)])
+def test_lemma2_equals_the_joint_oracle(m, n, d):
+    # the sector route against the N pair rotations on the joint basis
+    ctx = SpectralContext(ModelParams(m, n), d)
+    basis = make_basis(3 * m, d)
+    us = [HermiteCoeffs(basis, RngStream(20 + n, t).rng.standard_normal(basis.size))
+          for t in range(3)]
+    for got, want in zip(verify_lemma2(us, ctx), lemma2_oracle.verify_lemma2(us, ctx),
+                         strict=True):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 4096])
+def test_lemma2_unit_mode_defect_at_any_reservoir_size(n):
+    # 1/(9N) and twice that at degree cap 2, also past N = 41, where the
+    # joint basis stops
+    if n > 41:
+        with pytest.raises(ConfigError, match="joint basis"):
+            joint_basis(ModelParams(1, n), 2)
+    basis = make_basis(3, 2)
+    vec = np.zeros(basis.size)
+    vec[basis.index[(1, 0, 0)]] = 1.0
+    [res] = verify_lemma2([HermiteCoeffs(basis, vec)], SpectralContext(ModelParams(1, n), 2))
+    assert res.lhs == pytest.approx(1.0 / (9.0 * n), abs=1e-14)
+    assert res.rhs == pytest.approx(1.0 / (9.0 * n), abs=1e-14)
+    assert res.variance_bound == pytest.approx(2.0 / (9.0 * n), abs=1e-14)
+
+
+def test_lemma2_reads_functions_below_the_degree_cap():
+    # functions of degree 1 give the same numbers at cap 2 as at cap 1
+    basis = make_basis(3, 1)
+    us = [HermiteCoeffs(basis, RngStream(5, t).rng.standard_normal(basis.size))
+          for t in range(5)]
+    low = verify_lemma2(us, SpectralContext(ModelParams(1, 3), 1))
+    high = verify_lemma2(us, SpectralContext(ModelParams(1, 3), 2))
+    for got, want in zip(high, low, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        assert abs(got.lhs - got.rhs) <= 1e-14
 
 
 def test_lemma2_rejects_an_empty_or_mixed_batch():
@@ -341,8 +383,9 @@ def test_gap_reaches_past_the_joint_basis(n):
 def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
     # the sector route against the two joint-basis routes of gap_oracle
     ctx = SpectralContext(ModelParams(m, n), d)
-    gen = assemble_generator("reservoir", ctx.p, d, basis=ctx.basis)
-    invariants = invariant_projector(ctx.p, d, basis=ctx.basis)
+    big = joint_basis(ctx.p, d)
+    gen = assemble_generator("reservoir", ctx.p, d, basis=big)
+    invariants = invariant_projector(ctx.p, d, basis=big)
     k = spectral_gap(ctx)
     assert abs(k - gap_oracle.spectral_gap(gen, invariants)) <= 1e-12
     assert abs(k - gap_oracle.lanczos_gap(gen, invariants)) <= 1e-12
@@ -556,7 +599,7 @@ def test_pair_rotations_and_bath_map_equal_the_oracle_embedding(d):
         ("reservoir", 0, 2, np.concatenate([w_slots(p, 0), w_slots(p, 2)])),
         ("interaction", 1, 1, np.concatenate([v_slots(1), w_slots(p, 1)])),
     ]:
-        got = assemble_pair_rotation(kind, i, j, p, d, basis=big).toarray()
+        got = lemma2_oracle.assemble_pair_rotation(kind, i, j, p, d, basis=big).toarray()
         assert _same_bits(got, embedding_oracle.embed_block(pair, b6, big, slots))
     b3, tagged = make_basis(3, d), make_basis(6, d)
     assert _same_bits(assemble_T(2, d, particle=1).toarray(),
@@ -789,7 +832,7 @@ def _rank(rows: list) -> int:
 def test_bath_map_eigenvalues_are_exact_roots(m, pinned):
     # the nullity of A_m - lambda I, by exact rank, is the multiplicity;
     # the multiplicities fill the block, so no other eigenvalue exists
-    a = spectral._moment_matrix("thermostat", m)
+    a = moment_oracle.moment_matrix("thermostat", m)
     size = len(a)
     assert sum(pinned.values()) == size == (m + 1) * (m + 2) // 2
     for lam, mult in pinned.items():
@@ -803,7 +846,7 @@ def test_exact_blocks_satisfy_detailed_balance(kind):
     # alpha! A[alpha, beta] = beta! A[beta, alpha]: the operator is
     # self-adjoint in L^2(Gamma), exactly, in rational arithmetic
     for m in range(7):
-        a = spectral._moment_matrix(kind, m)
+        a = moment_oracle.moment_matrix(kind, m)
         fact = [prod(factorial(e) for e in alpha)
                 for alpha in spectral._degree_exponents(3, m)]
         for i, j in itertools.combinations(range(len(a)), 2):
