@@ -10,28 +10,38 @@ A state z splits into its momentum part, the mean velocity V repeated
 on every particle, and the rest, which lies in the D = 3(M+N)-3
 dimensional complement and has squared radius
 rho^2 = |z|^2 - (M+N)|V|^2. A Haar rotation keeps V and sends the rest
-to a uniform point on the complement sphere of radius rho. The Monte
-Carlo estimator below reads only the 3M system velocities, which see
-just 3M of the D complement coordinates. The first k coordinates of a
-uniform point on the unit sphere S^(D-1) are distributed as
-w / sqrt(|w|^2 + X), with w ~ N(0, I_k) independent of X ~ chi^2_(D-k)
-(Diaconis and Freedman, 1987). Take as those 3M coordinates the
-complement directions that reach the system block, with an orthonormal
-basis Q of the system block whose last three vectors are its mean
-directions: they put Q on the system block, scaled by c = sqrt(N/(M+N))
-along the mean directions, since the complement direction that moves
-the system mean moves the reservoir mean against it. The law of w is
-rotation invariant, so the coordinates may be drawn as Q^T w, and the
-rotated system block is
+to a uniform point on the complement sphere of radius rho, so R[h](z)
+depends on z only through its orbit (V, rho). Under the background
+Gaussian, sigma^2 per coordinate, V ~ N(0, sigma^2/(M+N) I_3) and
+rho^2 ~ sigma^2 chi^2_D are independent (Cochran's theorem), and the
+Monte Carlo estimator below draws the orbit, never the state.
+
+The estimator reads only the 3M system velocities, which see just 3M of
+the D complement coordinates. The first k coordinates of a uniform
+point on the unit sphere S^(D-1) are distributed as w / sqrt(|w|^2 + X),
+with w ~ N(0, I_k) independent of X ~ chi^2_(D-k) (Diaconis and
+Freedman, 1987). Take as those 3M coordinates the complement directions
+that reach the system block, with an orthonormal basis Q of the system
+block whose last three vectors are its mean directions: they put Q on
+the system block, scaled by c = sqrt(N/(M+N)) along the mean
+directions, since the complement direction that moves the system mean
+moves the reservoir mean against it. The law of w is rotation
+invariant, so the coordinates may be drawn as Q^T w, and the rotated
+system block is
 
     V + rho / sqrt(|w|^2 + X) * A w,
     A = Q diag(1, ..., 1, c, c, c) Q^T
       = I_3M - (1 - c)/M * kron(1_(MxM), I_3),
 
-whatever completion Q has. Each rotation costs 3M normals and one
-chi-square variate whatever N is, and no frame of the full phase space,
-no basis of the complement and no reservoir coordinate of a rotated
-state is ever formed.
+whatever completion Q has. A couples a column only to the same velocity
+component of every system particle, so the columns S that h reads need
+only the coordinates R = {i : i mod 3 in S mod 3} of w; the rest of w
+enters through its squared norm alone, which joins X as one chi-square
+variate with 3M - |R| + 3N - 3 degrees of freedom. An outer state costs
+3 normals and one chi-square variate, a rotation |R| normals and one
+chi-square variate, whatever N is; no state, no frame of the phase
+space, no basis of the complement and no reservoir coordinate is ever
+formed.
 
 Norms and means are with respect to the background Gaussian weight.
 """
@@ -45,7 +55,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .hermite import HermiteCoeffs, evaluate_basis
+from .hermite import HermiteCoeffs, make_basis
 from .randomness import GAMMA_SIGMA, RngStream
 
 
@@ -72,28 +82,51 @@ def lemma1_constant(m: int, n: int) -> BoundConstant:
     return BoundConstant(m=m, n=n, c=c)
 
 
-def _system_rows(
-    z: np.ndarray, w: np.ndarray, r2: np.ndarray, m: int
-) -> np.ndarray:
-    """System block of Haar-rotated states, shape (b, k, 3M).
+def _reach(cols: np.ndarray, m: int) -> np.ndarray:
+    """The system coordinates R = {i : i mod 3 in cols mod 3}, ascending:
+    the rows of A that are nonzero on the columns `cols`."""
+    return np.flatnonzero(np.isin(np.arange(3 * m) % 3, cols % 3))
 
-    `z` holds b states, shape (b, M+N, 3); `w`, shape (b, k, 3M), are
-    standard normals and `r2`, shape (b, k), are chi-square draws with
-    3N-3 degrees of freedom. Row j of state i is
-    V_i + rho_i / sqrt(|w_ij|^2 + r2_ij) * (w_ij @ A), with the mean
-    velocity V, the complement radius rho and the matrix A of the
-    module docstring.
+
+def _draws(rng: np.random.Generator, b: int, inner: int, m: int, n: int,
+           width: int):
+    """Random input of b outer states with `inner` rotations each.
+
+    Drawn in this order: the mean velocities V, shape (b, 3); the
+    squared complement radii rho^2, shape (b,); the normals w on a reach
+    of `width` coordinates, shape (b, inner, width); and the chi-square
+    variates r2 with 3M - width + 3N - 3 degrees of freedom, shape
+    (b, inner).
     """
-    total = z.shape[1]
-    v = z.mean(axis=1)
-    rho2 = np.sum(z * z, axis=(1, 2)) - total * np.sum(v * v, axis=1)
-    rho = np.sqrt(np.maximum(rho2, 0.0))
+    total = m + n
+    v = rng.normal(0.0, GAMMA_SIGMA / sqrt(total), (b, 3))
+    rho2 = GAMMA_SIGMA**2 * rng.chisquare(3 * total - 3, b)
+    w = rng.standard_normal((b, inner, width))
+    r2 = rng.chisquare(3 * total - 3 - width, (b, inner))
+    return v, rho2, w, r2
+
+
+def _system_rows(
+    v: np.ndarray, rho2: np.ndarray, w: np.ndarray, r2: np.ndarray,
+    m: int, n: int, cols: np.ndarray,
+) -> np.ndarray:
+    """Columns `cols` of the rotated system block, shape (b, k, len(cols)).
+
+    `v`, shape (b, 3), and `rho2`, shape (b,), are the mean velocities
+    and squared complement radii of b states; `w`, shape (b, k, |R|),
+    are standard normals on the reach R = _reach(cols, m), and `r2`,
+    shape (b, k), are chi-square variates with 3M - |R| + 3N - 3 degrees
+    of freedom. Row j of state i is
+    V_i[cols mod 3] + rho_i / sqrt(|w_ij|^2 + r2_ij) * (w_ij @ A[R, cols])
+    with the matrix A of the module docstring.
+    """
+    reach = _reach(cols, m)
     norms = np.sqrt(np.sum(w * w, axis=-1) + r2)
     norms[norms == 0.0] = 1.0  # probability-zero draw; leaves V
-    shrink = (1.0 - sqrt((total - m) / total)) / m
-    a = np.eye(3 * m) - shrink * np.kron(np.ones((m, m)), np.eye(3))
-    u = (rho[:, None] / norms)[:, :, None] * (w @ a)
-    return np.tile(v, m)[:, None, :] + u
+    shrink = (1.0 - sqrt(n / (m + n))) / m
+    a = (reach[:, None] == cols) - shrink * (reach[:, None] % 3 == cols % 3)
+    u = (np.sqrt(rho2)[:, None] / norms)[:, :, None] * (w @ a)
+    return v[:, cols % 3][:, None, :] + u
 
 
 class Lemma1Estimate(NamedTuple):
@@ -109,6 +142,7 @@ def _ratio_core(
     fluctuation_norm: float,
     m: int,
     n: int,
+    cols: np.ndarray,
     outer: int,
     inner: int,
     stream: RngStream,
@@ -116,37 +150,35 @@ def _ratio_core(
 ) -> Lemma1Estimate:
     """Nested estimator for ||R[h] - 1|| / ||h - 1||.
 
-    `evaluate` maps system rows, shape (k, 3M), to h values, shape (k,).
-    Outer states are drawn from the background Gaussian; per state, two
-    independent half-sample rotation averages A and B give the unbiased
-    square E[(A-1)(B-1)] = (R[h](z) - 1)^2, which a plain single-loop
-    average of squares would overestimate. The outer mean of the
-    products is clamped at zero before the square root; the error bar
-    follows by the delta method.
+    `evaluate` maps rows of the system columns `cols`, shape
+    (k, len(cols)), to h values, shape (k,). Outer states are drawn from
+    the background Gaussian; per state, two independent half-sample
+    rotation averages A and B give the unbiased square
+    E[(A-1)(B-1)] = (R[h](z) - 1)^2, which a plain single-loop average of
+    squares would overestimate. The outer mean of the products is
+    clamped at zero before the square root; the error bar follows by the
+    delta method.
 
-    Each chunk of b outer states draws, in this order, the states z,
-    shape (b, 3(M+N)); the normals w, shape (b, inner, 3M); and the
-    chi-square draws r2 with 3N-3 degrees of freedom, shape (b, inner).
-    `_system_rows` turns these draws into the system block of the
-    rotated states in closed form: a rotation costs 3M + 1 draws
-    whatever N is, and the reservoir coordinates are never formed.
+    Each chunk of b outer states takes its draws from `_draws`: the
+    orbits (V, rho^2) of the states, then per rotation the normals on
+    the reach of `cols` and one chi-square variate. `_system_rows` turns
+    them into the columns `cols` of the rotated system block in closed
+    form; neither cost grows with N.
     """
     if outer < 2:
         raise ConfigError(f"need at least two outer states, got {outer}")
     if inner < 2 or inner % 2:
         raise ConfigError(f"inner sample count must be even and >= 2, got {inner}")
-    s = 3 * m
+    width = len(_reach(cols, m))
     half = inner // 2
 
     prods = np.empty(outer)
     done = 0
     while done < outer:
         b = min(chunk, outer - done)
-        z = stream.rng.normal(0.0, GAMMA_SIGMA, (b, 3 * (m + n)))
-        w = stream.rng.standard_normal((b, inner, s))
-        r2 = stream.rng.chisquare(3 * n - 3, (b, inner))
-        rows = _system_rows(z.reshape(b, m + n, 3), w, r2, m)
-        vals = evaluate(rows.reshape(b * inner, s)).reshape(b, inner)
+        v, rho2, w, r2 = _draws(stream.rng, b, inner, m, n, width)
+        rows = _system_rows(v, rho2, w, r2, m, n, cols)
+        vals = evaluate(rows.reshape(b * inner, len(cols))).reshape(b, inner)
         a = vals[:, :half].mean(axis=1) - 1.0
         c = vals[:, half:].mean(axis=1) - 1.0
         prods[done : done + b] = a * c
@@ -196,8 +228,12 @@ def estimate_lemma1_ratio(
     if denom == 0.0:
         raise StateError("h is constant; the ratio is undefined")
 
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        return evaluate_basis(h.basis, rows) @ h.vec
-
-    return _ratio_core(evaluate, denom, m, n, samples, inner, stream)
+    # the variables with a nonzero exponent in some active coefficient
+    cols = np.flatnonzero(h.basis.exponents[h.vec != 0.0].any(axis=0))
+    restricted = make_basis(len(cols), h.basis.degree)
+    vec = np.zeros(restricted.size)
+    for j in np.flatnonzero(h.vec):
+        vec[restricted.index[tuple(h.basis.exponents[j, cols].tolist())]] = h.vec[j]
+    evaluate = HermiteCoeffs(restricted, vec).evaluate
+    return _ratio_core(evaluate, denom, m, n, cols, samples, inner, stream)
 

@@ -1,7 +1,8 @@
 """Full-dimensional rotation samplers, kept as oracles for the projector.
 
-The package draws only the system block of each momentum-preserving
-rotation, in closed form (`projector._system_rows`). The routes here
+The package draws only the system columns that h reads of each
+momentum-preserving rotation, in closed form (`projector._system_rows`),
+from the orbit of each state rather than the state. The routes here
 build the whole rotated state in an explicit orthonormal frame of the
 phase space: `rotated_states` resamples every complement coordinate of
 the frame, and `sample_momentum_preserving_rotation` materializes a

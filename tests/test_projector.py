@@ -8,7 +8,13 @@ from kacbath import lemma1_constant
 from kacbath.errors import ConfigError, StateError
 from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.kinematics import JointState, total_energy, total_momentum
-from kacbath.projector import _ratio_core, _system_rows, estimate_lemma1_ratio
+from kacbath.projector import (
+    _draws,
+    _ratio_core,
+    _reach,
+    _system_rows,
+    estimate_lemma1_ratio,
+)
 from kacbath.randomness import GAMMA_SIGMA, RngStream
 from conditioning_kernel import verify_gaussian_identity
 from rotation_oracle import (
@@ -19,12 +25,20 @@ from rotation_oracle import (
 )
 
 
-def _mean_one_h1(m: int, eps: float) -> HermiteCoeffs:
+def _mean_one_h1(m: int, eps: float, var: int = 0) -> HermiteCoeffs:
+    """1 + eps h1 of system variable `var` (v1x by default)."""
     b = make_basis(3 * m, 1)
     vec = np.zeros(b.size)
     vec[0] = 1.0
-    vec[b.index[tuple(1 if i == 0 else 0 for i in range(3 * m))]] = eps
+    vec[b.index[tuple(1 if i == var else 0 for i in range(3 * m))]] = eps
     return HermiteCoeffs(b, vec)
+
+
+def _orbit(z: np.ndarray, m: int, n: int):
+    """Mean velocity, shape (1, 3), and squared complement radius, shape
+    (1,), of one flat state z."""
+    v = z.reshape(m + n, 3).mean(axis=0)
+    return v[None], np.array([z @ z - (m + n) * (v @ v)])
 
 
 def test_frame_is_orthogonal():
@@ -142,8 +156,8 @@ def test_system_rows_equal_the_full_rotation_block():
             (count, len(frame.complement_slots)))
         want = rotated_states(frame, z, count, RngStream(51, 10 * m + n))[:, :s]
         w = u[:, :s] @ frame.system_basis.T
-        got = _system_rows(z.reshape(1, m + n, 3), w[None],
-                           np.sum(u[None, :, s:] ** 2, axis=2), m)
+        got = _system_rows(*_orbit(z, m, n), w[None],
+                           np.sum(u[None, :, s:] ** 2, axis=2), m, n, np.arange(s))
         assert got.shape == (1, count, s)
         np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-12)
 
@@ -175,13 +189,51 @@ def test_system_rows_have_the_haar_mean_and_covariance():
     rng = RngStream(60, 1).rng
     w = rng.standard_normal((1, 20_000, s))
     r2 = rng.chisquare(len(comp) - s, (1, 20_000))
-    marginal = _system_rows(z.reshape(1, m + n, 3), w, r2, m)[0]
+    marginal = _system_rows(*_orbit(z, m, n), w, r2, m, n, np.arange(s))[0]
     assert _moment_z(marginal, mean, cov) <= 5.0
 
     stream = RngStream(60, 2)
     dense = np.array([(sample_momentum_preserving_rotation(frame, stream) @ z)[:s]
                       for _ in range(4000)])
     assert _moment_z(dense, mean, cov) <= 5.0
+
+
+@pytest.mark.parametrize("cols, reach", [((4,), [1, 4, 7]),
+                                         ((0, 5), [0, 2, 3, 5, 6, 8])])
+def test_column_subset_rows_have_the_haar_mean_and_covariance(cols, reach):
+    # the estimator's reduced draws on the reach of a column subset S
+    # (v2y, then v1x and v2z, at M=3) give those columns the Haar mean and
+    # covariance of the full system block; the chi-square variate carries
+    # the squared norm of every unread coordinate, so a wrong degree of
+    # freedom moves the covariance
+    m, n = 3, 3
+    frame = build_frame(m, n)
+    s, cols = 3 * m, np.array(cols)
+    comp, gsl = frame.complement_slots, frame.g_slots
+    z = RngStream(61, 0).rng.normal(0.0, GAMMA_SIGMA, frame.dim)
+    y = frame.coordinates(z)
+    mean = (frame.p[:s, gsl] @ y[gsl])[cols]
+    pc = frame.p[cols][:, comp]
+    cov = float(y[comp] @ y[comp]) / len(comp) * pc @ pc.T
+
+    assert _reach(cols, m).tolist() == reach
+    _, _, w, r2 = _draws(RngStream(61, 1).rng, 1, 40_000, m, n, len(reach))
+    rows = _system_rows(*_orbit(z, m, n), w, r2, m, n, cols)[0]
+    assert rows.shape == (40_000, len(cols))
+    assert _moment_z(rows, mean, cov) <= 5.0
+
+
+def test_drawn_orbits_follow_the_closed_form():
+    # V ~ N(0, sigma^2/(M+N) I_3) and rho^2 ~ sigma^2 chi^2_D, D = 3(M+N)-3,
+    # independent: mean and covariance of (V, rho^2) against their closed forms
+    m, n, k = 2, 5, 40_000
+    total = m + n
+    d = 3 * total - 3
+    v, rho2, _, _ = _draws(RngStream(62, 0).rng, k, 2, m, n, m)
+    x = np.column_stack([v, rho2])
+    mean = np.array([0.0, 0.0, 0.0, GAMMA_SIGMA**2 * d])
+    cov = np.diag([GAMMA_SIGMA**2 / total] * 3 + [2.0 * GAMMA_SIGMA**4 * d])
+    assert _moment_z(x, mean, cov) <= 5.0
 
 
 def test_estimator_rows_follow_the_background_gaussian():
@@ -196,7 +248,7 @@ def test_estimator_rows_follow_the_background_gaussian():
         seen.append(rows.copy())
         return np.ones(len(rows))
 
-    _ratio_core(evaluate, 1.0, m, n, outer, inner, RngStream(80, 0))
+    _ratio_core(evaluate, 1.0, m, n, np.arange(3 * m), outer, inner, RngStream(80, 0))
     rows = np.concatenate(seen).reshape(outer, inner, 3 * m)
     first = rows.mean(axis=1)
     second = (rows[:, :, :, None] * rows[:, :, None, :]).mean(axis=1)
@@ -223,10 +275,11 @@ def test_system_block_estimator_matches_full_rotation_estimator():
 
 
 def test_ratio_for_linear_data_matches_momentum_overlap():
-    # R maps 1 + eps h1(v1x) to 1 + eps/(M+N) h1 of the total momentum
-    # direction, so the ratio is exactly 1/sqrt(M+N)
-    for m, n in [(1, 2), (1, 4), (2, 4)]:
-        h = _mean_one_h1(m, 0.5)
+    # R maps 1 + eps h1(v) to 1 + eps/(M+N) h1 of the total momentum
+    # direction of the same component, so the ratio is exactly
+    # 1/sqrt(M+N); v is v1x, and v2y (variable 4) in the last case
+    for m, n, var in [(1, 2, 0), (1, 4, 0), (2, 4, 0), (2, 8, 4)]:
+        h = _mean_one_h1(m, 0.5, var)
         est = estimate_lemma1_ratio(h, m, n, 3000, RngStream(20 + m, n), inner=64)
         want = 1.0 / sqrt(m + n)
         assert abs(est.ratio - want) <= 3.0 * max(est.stderr, 1e-4), (m, n, est)
