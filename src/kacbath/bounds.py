@@ -38,11 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateBoundError, ToleranceError
-from .evolution import default_time_grid, distance_curve, long_time_limit
 from .hermite import HermiteCoeffs, make_basis
 from .kinematics import ModelParams
 from .projector import lemma1_constant
-from .spectral import OperatorMatrix, SpectralContext, assemble_T, spectral_gap
+from .spectral import OperatorMatrix, SpectralContext, assemble_T, conserved_norm, spectral_gap
 
 # |k - mu/3| below this is treated as degenerate (the two exponentials
 # coincide and b blows up; see make_bound_params).
@@ -228,7 +227,7 @@ class ScalingRow:
 class ScalingStudy:
     """Two-regime scaling table across reservoir sizes at fixed M.
 
-    Per N: the measured long-time limit of the exact distance curve
+    Per N: the long-time limit of the distance between the two flows
     (permanent regime, expected ~ M/N) and the closed-form peak of the
     bound's transient term evaluated with that configuration's measured
     spectral gap (bump regime, expected ~ M/sqrt(N)). `p` and `q` are
@@ -250,38 +249,35 @@ def scaling_study(
     lambda_s: float = 1.0,
     lambda_r: float = 1.0,
     mu: float = 1.0,
-    t_end: float = 80.0,
-    grid_count: int = 56,
     d: int = 2,
 ) -> ScalingStudy:
     """Measure both scaling regimes of the coupling distance.
 
-    For each reservoir size: evolve the h2_aniso perturbation of the
-    first of the M tagged particles under both couplings, read off the
-    long-time limit, measure the spectral gap, and evaluate the bound's
-    bump peak with it; every distance curve is cross-checked by the dense
-    eigendecomposition of each block it fills (see evolve). The curve and
-    the gap read one reservoir generator on the reservoir-symmetric
-    sector, built once per size and of the same size at every N, so the
-    study reaches any reservoir size. That gap bounds the joint-space gap
-    from above only; the data, which depend on the tagged velocities
-    alone, never leave the sector. Fits log-log power laws through the
-    limit and bump columns.
+    For each reservoir size, on the h2_aniso perturbation h0 of the first
+    of the M tagged particles: the long-time limit of the distance, the
+    spectral gap, and the bound's bump peak at that gap. The reservoir
+    flow tends to Pi h0, the projection onto the conserved quantities, and
+    with mu > 0 the thermostat relaxes every tagged mode, so the bath flow
+    tends to 1: the limit is ||Pi h0 - 1|| (conserved_norm), and at mu = 0
+    its kernel count check raises. Both read one reservoir generator on
+    the reservoir-symmetric sector, of the same size at every N, so the
+    study reaches any reservoir size; that gap bounds the joint-space gap
+    from above only. Fits log-log power laws through both columns.
     """
     if len(ns) < 2:
         raise ConfigError("need at least two reservoir sizes to fit exponents")
     if len(set(ns)) != len(ns):
         raise ConfigError(f"reservoir sizes must be distinct to fit exponents, got {list(ns)}")
     h0 = perturbation_data("h2_aniso", eps, m)
-    tbath = assemble_T(1, d)
-    l_hat = estimate_l(tbath)
-    grid = default_time_grid(t_end, count=grid_count)
+    if d < h0.degree():
+        raise ConfigError(f"degree cap {d} below h0 degree {h0.degree()}")
+    l_hat = estimate_l(assemble_T(1, d))
 
     rows = []
     for n in ns:
         ctx = SpectralContext(
             ModelParams(m, n, lambda_s=lambda_s, lambda_r=lambda_r, mu=mu), d)
-        limit = long_time_limit(distance_curve(ctx, h0, grid))
+        limit = conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
         k_hat = spectral_gap(ctx)
         bp = make_bound_params(
             c=lemma1_constant(m, n).c,

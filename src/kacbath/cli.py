@@ -32,7 +32,6 @@ from .config import CONFIG_SCHEMA, RunConfig, load_config
 from .errors import (
     ConfigError,
     DegenerateBoundError,
-    HorizonError,
     KacbathError,
     NegativeWeightError,
     StateError,
@@ -158,13 +157,20 @@ def _columns(rows, *names) -> np.ndarray:
     return np.array([[float(r[name]) for r in rows] for name in names])
 
 
-def _check_distance_rows(rows) -> tuple[bool, str]:
-    cols = _columns(rows, "distance", "bound", "bound_term1", "bound_term2")
-    distance, bound, term1, term2 = cols
-    slack = float(np.min(bound - distance))
+def _check_bound_rows(rows) -> tuple[bool, str]:
+    cols = _columns(rows, "bound", "bound_term1", "bound_term2")
+    bound, term1, term2 = cols
     split = float(np.max(np.abs(bound - term1 - term2)))
-    ok = bool(np.isfinite(cols).all()) and slack >= -1e-9 and split <= 1e-12
-    return ok, f"min slack {slack:.3e}, max term-split defect {split:.3e}"
+    ok = bool(np.isfinite(cols).all()) and split <= 1e-12
+    return ok, f"max term-split defect {split:.3e}"
+
+
+def _check_distance_rows(rows) -> tuple[bool, str]:
+    distance, bound = _columns(rows, "distance", "bound")
+    slack = float(np.min(bound - distance))
+    split_ok, split = _check_bound_rows(rows)
+    ok = split_ok and bool(np.isfinite(distance).all()) and slack >= -1e-9
+    return ok, f"min slack {slack:.3e}, {split}"
 
 
 def _check_lemma1_rows(rows) -> tuple[bool, str]:
@@ -357,8 +363,7 @@ def cmd_bound(cfg: RunConfig, args) -> int:
     if cfg.reservoir_sizes is not None:
         study = scaling_study(
             cfg.m, ns=cfg.reservoir_sizes, eps=cfg.eps,
-            lambda_s=cfg.lambda_s, lambda_r=cfg.lambda_r, mu=cfg.mu,
-            t_end=cfg.t_end, grid_count=cfg.grid["count"], d=cfg.degree)
+            lambda_s=cfg.lambda_s, lambda_r=cfg.lambda_r, mu=cfg.mu, d=cfg.degree)
         write_json(args.out, {
             "m": study.m, "degree": study.degree, "eps": study.eps,
             "rows": [{"n": r.n, "limit": r.limit, "gap": r.gap,
@@ -371,8 +376,11 @@ def cmd_bound(cfg: RunConfig, args) -> int:
     times = _record_times(cfg)
     bp = _measured_bound_params(cfg, SpectralContext(p, cfg.degree), h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
-    write_csv(args.out, ["t", "bound", "bound_term1", "bound_term2"],
-              list(zip(bc.times, bc.total, bc.term1, bc.term2)))
+    header = ["t", "bound", "bound_term1", "bound_term2"]
+    rows = list(zip(bc.times, bc.total, bc.term1, bc.term2))
+    write_csv(args.out, header, rows)
+    _raise_if_failed("bound-envelope",
+                     _check_bound_rows([dict(zip(header, r)) for r in rows]))
     return 0
 
 
@@ -382,6 +390,8 @@ def cmd_bound(cfg: RunConfig, args) -> int:
 _CSV_CHECKS = {
     ("t", "distance", "bound", "bound_term1", "bound_term2"):
         ("distance-vs-bound", _check_distance_rows),
+    ("t", "bound", "bound_term1", "bound_term2"):
+        ("bound-envelope", _check_bound_rows),
     ("M", "N", "C", "ratio", "stderr", "samples"):
         ("projector-contraction", _check_lemma1_rows),
     ("time", "observable", "mean", "std_error", "n_samples"):
@@ -502,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: Exception) -> int | None:
     if isinstance(exc, (ConfigError, StateError, UnitVectorError)):
         return 2
-    if isinstance(exc, (ToleranceError, HorizonError, DegenerateBoundError,
-                        NegativeWeightError)):
+    if isinstance(exc, (ToleranceError, DegenerateBoundError, NegativeWeightError)):
         return 3
     if isinstance(exc, OSError):
         return 4

@@ -34,10 +34,6 @@ class IntegrationError(ToleranceError):
     """The Krylov and dense-eigendecomposition routes of evolve disagree."""
 
 
-class HorizonError(KacbathError):
-    """A time horizon is too short for the requested limit extraction."""
-
-
 class DegenerateBoundError(KacbathError):
     """Bound constants are degenerate (k too close to mu/3); use the
     limiting form mu * l * t * exp(-mu t / 3) instead."""

@@ -39,7 +39,9 @@ from the same sector reservoir generator (spectral_gap: the dense
 spectrum of each degree block), so the `distance` subcommand reaches any
 N. On the sector k bounds the joint-space gap only from above; it is the
 rate at which data on the tagged velocities relax, since they never
-leave the sector.
+leave the sector. The curve's long-time limit needs no evolution: the
+reservoir flow tends to the projection of the data onto the kernel of
+its generator, which spectral.conserved_norm reads block by block.
 """
 
 from __future__ import annotations
@@ -49,13 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    HorizonError,
-    IntegrationError,
-    StateError,
-    ToleranceError,
-)
+from .errors import ConfigError, IntegrationError, StateError, ToleranceError
 from .hermite import HermiteCoeffs
 from .kinematics import ModelParams
 from .spectral import OperatorMatrix, SpectralContext
@@ -68,9 +64,6 @@ CROSS_CHECK_TOL = 1e-9
 KRYLOV_TOL = 1e-12
 # Largest entry of V^T V - I for the Lanczos basis V of a block.
 _ORTHOGONALITY_TOL = 1e-12
-# Plateau criterion for long_time_limit: the tail must be flat to this
-# fraction of the curve's peak.
-PLATEAU_FRACTION = 1e-6
 
 
 def _check_times(times) -> np.ndarray:
@@ -259,27 +252,6 @@ def distance_curve(ctx: SpectralContext, h0: HermiteCoeffs, times) -> DistanceCu
         params=p,
         degree=d,
     )
-
-
-def long_time_limit(curve: DistanceCurve) -> float:
-    """Plateau value of a distance curve, with a horizon check.
-
-    The transients of both flows are exponentials, so a sufficient
-    horizon shows up as a flat tail: the last two samples must agree to
-    PLATEAU_FRACTION of the curve's peak (a zero curve passes trivially).
-    """
-    if len(curve.times) < 3:
-        raise HorizonError("need at least three samples to judge the horizon")
-    peak = max(curve.distance)
-    if peak == 0.0:
-        return 0.0
-    tail_move = abs(curve.distance[-1] - curve.distance[-2])
-    if tail_move > PLATEAU_FRACTION * peak:
-        raise HorizonError(
-            f"curve still moving at the horizon: step {tail_move:.3e} "
-            f"vs peak {peak:.3e}"
-        )
-    return float(curve.distance[-1])
 
 
 def default_time_grid(t_end: float, count: int = 48, t_min: float = 0.01) -> np.ndarray:

@@ -48,7 +48,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from math import comb, factorial, prod
+from math import comb, factorial, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +80,7 @@ __all__ = [
     "invariant_projector",
     "SpectralContext",
     "spectral_gap",
+    "conserved_norm",
     "verify_lemma2",
 ]
 
@@ -351,7 +352,8 @@ def pair_avg_block(d: int) -> np.ndarray:
 
     on the six-variable basis of degree <= d, assembled as mix o refl o
     mix from the kernel's mix and reflection blocks, each checked against
-    its exact route.
+    its exact route. Cached per degree and read-only, since every later
+    generator reads it.
     """
     key = ("pair", d)
     if key in _cache:
@@ -370,20 +372,23 @@ def pair_avg_block(d: int) -> np.ndarray:
     if asym > REFINE_TOL:
         raise ToleranceError(f"pair block asymmetry {asym:.3e}")
     out = 0.5 * (out + out.T)
-    _cache[key] = OperatorMatrix.from_raw("pair_avg", b6, out).toarray()
-    return _cache[key]
+    out.flags.writeable = False
+    _cache[key] = out
+    return out
 
 
 def thermostat_block(d: int) -> np.ndarray:
     """Matrix of the single-particle thermostat average on 3 variables: the
     collision is the co-isometry [I - omega omega^T, omega] of (v, s), so s
-    integrates out and the kernel averages I - omega omega^T alone."""
+    integrates out and the kernel averages I - omega omega^T alone. Cached
+    read-only, like pair_avg_block."""
     key = ("thermostat", d)
     if key in _cache:
         return _cache[key]
     block = _checked_kernel("thermostat block", "thermostat", d)
-    _cache[key] = OperatorMatrix.from_raw("thermostat_avg", make_basis(3, d), block).toarray()
-    return _cache[key]
+    block.flags.writeable = False
+    _cache[key] = block
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -746,18 +751,32 @@ def _conserved_count(m: int) -> int:
     return sum(comb(m - 2 * b + 2, 2) for b in range(m // 2 + 1))
 
 
+def _conserved_mask(evals: np.ndarray, m: int, tol: float) -> np.ndarray:
+    """Mask of the kernel, the eigenvalues within tol of 0, of a degree-m
+    sector reservoir block. Every P^a E^b lies in the sector, so there must
+    be exactly _conserved_count(m) and none above, and then the kernel is
+    their span; raises ToleranceError naming both counts otherwise."""
+    kernel = np.abs(evals) <= tol
+    count = int(np.count_nonzero(kernel))
+    above = int(np.count_nonzero(evals > tol))
+    want = _conserved_count(m)
+    if count != want or above:
+        raise ToleranceError(
+            f"sector generator in degree {m}: {count} eigenvalues within "
+            f"{tol:.1e} of 0 and {above} above, expected {want} conserved "
+            f"quantities and none above"
+        )
+    return kernel
+
+
 def spectral_gap(ctx: SpectralContext) -> float:
     """Decay rate k of the reservoir generator off the conserved quantities.
 
     Read from the reservoir generator on the reservoir-symmetric sector
-    (ctx.sector_reservoir, the one the distance curve evolves), which is
-    exactly block diagonal by total degree. For each degree block m >= 1
-    the whole spectrum is taken by a dense eigvalsh. Every P^a E^b is
-    symmetric in the reservoir particles, so all of them lie in the
-    sector: the block must have exactly _conserved_count(m) eigenvalues
-    within KERNEL_TOL ||G||_inf of 0 and none above, and then its kernel
-    is exactly their span. kappa_m is minus the largest eigenvalue off
-    the kernel, and k is the minimum over the blocks.
+    (ctx.sector_reservoir), exactly block diagonal by total degree. Each
+    degree block m >= 1 has its whole spectrum taken by a dense eigvalsh
+    and its kernel checked by _conserved_mask; kappa_m is minus the
+    largest eigenvalue off the kernel, and k the minimum over the blocks.
 
     The sector holds the functions symmetric in the reservoir particles,
     where the flow of data on the tagged velocities stays, so k is the
@@ -770,9 +789,7 @@ def spectral_gap(ctx: SpectralContext) -> float:
     (d = 3).
 
     Raises StateError at degree cap 0, which has no block to measure, and
-    ToleranceError, naming the degree and both counts, if a block's kernel
-    count differs from _conserved_count(m) or an eigenvalue lies above the
-    kernel.
+    ToleranceError if a block's kernel is not the conserved quantities'.
     """
     if ctx.d < 1:
         raise StateError("degree cap 0 has no block off the constants to measure a gap in")
@@ -781,17 +798,26 @@ def spectral_gap(ctx: SpectralContext) -> float:
     gaps = []
     for m in range(1, ctx.d + 1):
         evals = np.linalg.eigvalsh(gen.block(m))
-        kernel = int(np.count_nonzero(np.abs(evals) <= tol))
-        above = int(np.count_nonzero(evals > tol))
-        want = _conserved_count(m)
-        if kernel != want or above:
-            raise ToleranceError(
-                f"sector generator in degree {m}: {kernel} eigenvalues within "
-                f"{tol:.1e} of 0 and {above} above, expected {want} conserved "
-                f"quantities and none above"
-            )
+        _conserved_mask(evals, m, tol)
         gaps.append(-float(evals[evals < -tol].max()))
     return min(gaps)
+
+
+def conserved_norm(gen: OperatorMatrix, c: np.ndarray) -> float:
+    """Norm of the projection of c onto the kernel of the sector reservoir
+    generator gen in degrees m >= 1: the long-time limit ||Pi h0 - 1|| of
+    the reservoir flow of mean-one data h0. Each block c fills is factored
+    by a dense eigh, and _conserved_mask checks its kernel."""
+    tol = KERNEL_TOL * gen.norm_inf()
+    total = 0.0
+    for m in range(1, gen.basis.degree + 1):
+        part = c[gen.basis.degree_slice(m)]
+        if not part.any():
+            continue
+        evals, vecs = np.linalg.eigh(gen.block(m))
+        kernel = vecs[:, _conserved_mask(evals, m, tol)]
+        total += float(np.sum((kernel.T @ part) ** 2))
+    return sqrt(total)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from kacbath import (
 )
 from kacbath.bounds import scaling_study
 from kacbath.cli import main
-from kacbath.evolution import evolve, long_time_limit
+from kacbath.evolution import evolve
 from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.jump import PerturbationInit, hermite_observable
 from kacbath.kinematics import pair_collide
@@ -37,6 +37,7 @@ from kacbath.projector import estimate_lemma1_ratio
 from kacbath.randomness import GAMMA_SIGMA, RngStream
 from kacbath.spectral import (
     assemble_generator,
+    conserved_norm,
     joint_basis,
     symmetric_tensor_eigenvalues,
     verify_lemma2,
@@ -291,7 +292,7 @@ def test_criterion_5_distance_below_bound():
             slack = min(b - d for b, d in zip(bc.total, curve.distance))
             worst_slack = min(worst_slack, slack)
             assert slack >= -1e-9, (n, name, slack)
-            limit = long_time_limit(curve)
+            limit = conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
             assert limit <= c * h0.fluctuation_norm(), (n, name, limit)
 
     elapsed = time.perf_counter() - start

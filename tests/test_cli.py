@@ -242,21 +242,22 @@ def test_gap_rejects_the_thermostat_before_assembly(tmp_path, capsys, monkeypatc
 
 def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
     # the distance curve builds both sector generators and the gap reads
-    # the reservoir one; nothing is built on the joint basis
+    # the reservoir one; the sweep reads its limit and gap from the
+    # reservoir one alone; nothing is built on the joint basis
     generators = _count_calls(monkeypatch, "assemble_generator",
                               lambda kind, p, d: (kind, p.n, d))
     sector = _count_calls(monkeypatch, "assemble_sector_generator",
                           lambda kind, p, d: (kind, p.n, d))
     bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
     study = _write_config(tmp_path, "study.json", degree=2, eps=0.2,
-                          reservoir_sizes=[2, 4], t_end=70.0, grid={"count": 36})
+                          reservoir_sizes=[2, 4])
     assert _run("bound", "--config", study, "--out", str(tmp_path / "s.json")) == 0
     dist = _write_config(tmp_path, "dist.json", n=3, degree=2, t_end=3.0,
                          grid={"count": 10},
                          init={"kind": "perturbation", "family": "h2_aniso", "eps": 0.2})
     assert _run("distance", "--config", dist, "--out", str(tmp_path / "d.csv")) == 0
-    assert sector == {(kind, n, 2): 1 for kind in ("reservoir", "thermostat")
-                      for n in (2, 4, 3)}
+    assert sector == {("reservoir", 2, 2): 1, ("reservoir", 4, 2): 1,
+                      ("reservoir", 3, 2): 1, ("thermostat", 3, 2): 1}
     assert not generators and not bases
 
 
@@ -305,15 +306,16 @@ def test_distance_on_both_sides_of_the_gap_pole(tmp_path, n, offset):
 
 def test_bound_single_curve(tmp_path):
     cfg = _write_config(tmp_path, t_end=3.0, grid={"count": 8}, degree=2)
-    out = tmp_path / "b.csv"
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    out = rundir / "b.csv"
     assert _run("bound", "--config", cfg, "--out", str(out)) == 0
     assert out.read_text().splitlines()[0] == "t,bound,bound_term1,bound_term2"
+    assert _run("report", "--dir", str(rundir)) == 0
 
 
 def test_bound_scaling_mode(tmp_path):
-    cfg = _write_config(
-        tmp_path, t_end=70.0, grid={"count": 30}, degree=2, eps=0.2,
-        reservoir_sizes=[2, 4])
+    cfg = _write_config(tmp_path, degree=2, eps=0.2, reservoir_sizes=[2, 4])
     out = tmp_path / "scal.json"
     assert _run("bound", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads(out.read_text())
@@ -325,9 +327,7 @@ def test_bound_scaling_mode_at_two_tagged_particles(tmp_path):
     # h0 lives on all 3M tagged variables; data orthogonal to momentum and
     # energy ends at its projection on the conserved momentum quadratics,
     # eps sqrt(2) / (M + N)
-    cfg = _write_config(
-        tmp_path, m=2, t_end=80.0, grid={"count": 56}, degree=2, eps=0.2,
-        reservoir_sizes=[2, 4, 8])
+    cfg = _write_config(tmp_path, m=2, degree=2, eps=0.2, reservoir_sizes=[2, 4, 8])
     out = tmp_path / "scal.json"
     assert _run("bound", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads(out.read_text())
@@ -451,6 +451,10 @@ _FAILING_RUNS = {
                                 "eps": 0.2}),
         lambda mp: _wrap_result(mp, "distance_curve", lambda c: dataclasses.replace(
             c, distance=tuple(d + 1.0 for d in c.distance)))),
+    "bound": (
+        "bound.csv", dict(t_end=3.0, grid={"count": 8}, degree=2),
+        lambda mp: _wrap_result(mp, "bound_curve", lambda bc: bc._replace(
+            total=tuple(b + 1e-6 for b in bc.total)))),
 }
 
 
@@ -503,6 +507,8 @@ _NAN_ARTIFACTS = {
     "curve.csv": "t,distance,bound,bound_term1,bound_term2\n"
                  + "".join(f"{t},0.01,0.5,0.25,0.25\n" for t in range(3))
                  + "3,nan,0.5,0.25,0.25\n4,0.01,0.5,0.25,0.25\n",
+    "bound.csv": "t,bound,bound_term1,bound_term2\n"
+                 "0,0,0,0\n1,0.5,0.25,0.25\n2,nan,0.25,0.25\n",
     "l1.csv": "M,N,C,ratio,stderr,samples\n"
               "1,2,0.9,0.5,0.01,100\n1,4,0.8,nan,0.01,100\n1,8,0.7,0.4,0.01,100\n",
     "moments.csv": "time,observable,mean,std_error,n_samples\n"

@@ -17,12 +17,11 @@ from kacbath.bounds import anisotropic_pair_data
 from kacbath.cli import perturbation_data
 from kacbath.errors import (
     ConfigError,
-    HorizonError,
     IntegrationError,
     StateError,
     ToleranceError,
 )
-from kacbath.evolution import evolve, long_time_limit
+from kacbath.evolution import evolve
 from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.randomness import RngStream
 from kacbath import spectral
@@ -30,6 +29,7 @@ from kacbath.spectral import (
     OperatorMatrix,
     assemble_generator,
     assemble_sector_generator,
+    conserved_norm,
     joint_basis,
     pair_avg_block,
     thermostat_block,
@@ -347,22 +347,18 @@ def test_distance_vanishes_when_couplings_match_in_law():
     assert max(curve.distance) == 0.0
 
 
+def _limit(ctx: SpectralContext, h0: HermiteCoeffs) -> float:
+    """The long-time distance ||Pi h0 - 1|| on the context's sector."""
+    return conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
+
+
 def test_degree_one_limit_is_momentum_overlap():
     # the finite-reservoir flow preserves the momentum component of h0;
     # the bath flow kills it; the gap converges to eps/sqrt(M+N)
     eps = 0.1
     for n in (2, 4):
-        grid = default_time_grid(70.0, count=40)
-        curve = distance_curve(SpectralContext(ModelParams(1, n), 1), _h1_data(eps), grid)
-        limit = long_time_limit(curve)
+        limit = _limit(SpectralContext(ModelParams(1, n), 1), _h1_data(eps))
         assert limit == pytest.approx(eps / sqrt(1 + n), rel=1e-6)
-
-
-def test_long_time_limit_needs_a_plateau():
-    ctx = SpectralContext(ModelParams(1, 2), 1)
-    curve = distance_curve(ctx, _h1_data(0.1), [0.0, 0.5, 1.0, 2.0])
-    with pytest.raises(HorizonError):
-        long_time_limit(curve)
 
 
 def test_distance_curve_input_checks():
@@ -458,9 +454,42 @@ def test_h2_aniso_limit_is_the_conserved_projection(n):
     # h2_aniso is orthogonal to momentum and energy; its long-time distance
     # is its projection on the conserved polynomials, eps sqrt(2) / (1 + N)
     eps = 0.2
-    grid = default_time_grid(80.0, count=56)
-    curve = distance_curve(SpectralContext(ModelParams(1, n), 2), anisotropic_pair_data(eps), grid)
-    assert long_time_limit(curve) == pytest.approx(eps * sqrt(2.0) / (1 + n), rel=1e-12)
+    limit = _limit(SpectralContext(ModelParams(1, n), 2), anisotropic_pair_data(eps))
+    assert limit == pytest.approx(eps * sqrt(2.0) / (1 + n), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_limit_is_the_closed_form_up_to_n_4096(m):
+    # Pi h0 keeps the momentum overlap of h1_v1x, 1/sqrt(M+N) of it, and the
+    # momentum-quadratic overlap of h2_aniso, 1/(M+N) of it
+    for n in (2, 8, 64, 4096):
+        ctx = SpectralContext(ModelParams(m, n), 2)
+        for family, ratio in (("h1_v1x", 1.0 / sqrt(m + n)), ("h2_aniso", 1.0 / (m + n))):
+            h0 = perturbation_data(family, 0.2, m)
+            norm = h0.fluctuation_norm()
+            assert abs(_limit(ctx, h0) - ratio * norm) <= 1e-14 * norm, (n, family)
+
+
+@pytest.mark.parametrize("m,n,d", SECTOR_SHAPES)
+def test_limit_is_the_evolved_curve_at_t_80(m, n, d):
+    # the plateau of the two evolved flows, read at t = 80, is the oracle
+    ctx = SpectralContext(ModelParams(m, n), d)
+    for h0 in (perturbation_data("h1_v1x", 0.1, m), perturbation_data("h2_aniso", 0.2, m),
+                _random_tagged(m, d)):
+        plateau = distance_curve(ctx, h0, [0.0, 80.0]).distance[-1]
+        assert abs(_limit(ctx, h0) - plateau) <= 1e-12
+
+
+def test_limit_without_reservoir_collisions_and_without_coupling():
+    # lambda_R = 0 leaves the conserved quantities, and so the limit, alone;
+    # mu = 0 decouples the tagged particle, whose own polynomials then join
+    # the kernel, and the kernel count refuses them
+    h0 = anisotropic_pair_data(0.2)
+    for lambda_r in (0.0, 1.0):
+        limit = _limit(SpectralContext(ModelParams(1, 8, lambda_r=lambda_r), 2), h0)
+        assert limit == pytest.approx(0.2 * sqrt(2.0) / 9, rel=1e-13)
+    with pytest.raises(ToleranceError, match="sector generator in degree 2: 22 eigenvalues"):
+        _limit(SpectralContext(ModelParams(1, 8, mu=0.0), 2), h0)
 
 
 def test_distance_curve_at_n_1024_takes_under_a_second():

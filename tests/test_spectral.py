@@ -726,12 +726,27 @@ def test_thermostat_block_is_the_first_particle_restriction_of_the_pair_block(d)
     assert np.abs(thermostat_block(d) - restricted).max() <= 1e-14
 
 
-@pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat"])
+@pytest.mark.parametrize("kind", ["mix", "reflection", "thermostat", "pair"])
 def test_kernel_blocks_have_exactly_zero_off_degree_entries(kind):
+    # the composed pair block is cached as computed, so its product of
+    # block-diagonal factors must be exactly block diagonal too
     d = 4
-    basis = make_basis(spectral._MOMENT_ENTRIES[kind][0], d)
+    if kind == "pair":
+        basis, block = make_basis(6, d), pair_avg_block(d)
+    else:
+        basis = make_basis(spectral._MOMENT_ENTRIES[kind][0], d)
+        block = spectral._kernel_block(kind, d)
     off = basis.degree_of[:, None] != basis.degree_of[None, :]
-    assert (spectral._kernel_block(kind, d)[off] == 0.0).all()
+    assert (block[off] == 0.0).all()
+
+
+@pytest.mark.parametrize("build", [pair_avg_block, thermostat_block])
+def test_cached_collision_blocks_are_read_only(build):
+    # every generator built later in the process reads the cached block
+    block = build(2)
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 2.0
+    assert build(2) is block
 
 
 @settings(max_examples=40, deadline=None)
