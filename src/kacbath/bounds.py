@@ -231,7 +231,8 @@ class ScalingStudy:
     (permanent regime, expected ~ M/N) and the closed-form peak of the
     bound's transient term evaluated with that configuration's measured
     spectral gap (bump regime, expected ~ M/sqrt(N)). `p` and `q` are
-    the least-squares power-law exponents of the two columns.
+    the least-squares power-law exponents of the two columns, the limits
+    fitted against M + N and the peaks against N.
     """
 
     m: int
@@ -262,7 +263,8 @@ def scaling_study(
     its kernel count check raises. Both read one reservoir generator on
     the reservoir-symmetric sector, of the same size at every N, so the
     study reaches any reservoir size; that gap bounds the joint-space gap
-    from above only. Fits log-log power laws through both columns.
+    from above only. Fits log-log power laws through both columns: the
+    limits against M + N, the bump peaks against N.
     """
     if len(ns) < 2:
         raise ConfigError("need at least two reservoir sizes to fit exponents")
@@ -290,9 +292,12 @@ def scaling_study(
         bump, _ = bump_peak(bp, m, n)
         rows.append(ScalingRow(n=n, limit=limit, gap=k_hat, bump=bump))
 
-    logn = np.log([r.n for r in rows])
-    p_fit = -float(np.polyfit(logn, np.log([r.limit for r in rows]), 1)[0])
-    q_fit = -float(np.polyfit(logn, np.log([r.bump for r in rows]), 1)[0])
+    # the limits fall like (M+N)^-p (h2_aniso gives ||h0 - 1||/(M+N)), the
+    # bump peaks like N^-q
+    p_fit = -float(np.polyfit(np.log([m + r.n for r in rows]),
+                              np.log([r.limit for r in rows]), 1)[0])
+    q_fit = -float(np.polyfit(np.log([r.n for r in rows]),
+                              np.log([r.bump for r in rows]), 1)[0])
     return ScalingStudy(
         m=m, degree=d, eps=eps, rows=tuple(rows), p=p_fit, q=q_fit
     )

@@ -285,8 +285,10 @@ def _block_values(
             out[:, k, o] = vals
         if plain:
             for row in range(count):
+                # each member gets its own copy, which the finiteness check
+                # above has already covered
                 snap = vw[row].copy()
-                state = JointState(snap[: p.m], snap[p.m :])
+                state = JointState.from_checked(snap[: p.m], snap[p.m :])
                 per_state[row] = [fn(state) for fn in plain_fns]
             out[:, k, plain] = per_state
     return out * weights[:, None, None]

@@ -77,6 +77,15 @@ class JointState:
         if not (np.isfinite(self.v).all() and np.isfinite(self.w).all()):
             raise StateError("velocities must be finite")
 
+    @classmethod
+    def from_checked(cls, v: np.ndarray, w: np.ndarray) -> "JointState":
+        """A state on float arrays of shapes (M, 3) and (N, 3) that the caller
+        has already checked finite, built without __post_init__'s
+        conversions and scans; the state holds v and w themselves."""
+        state = object.__new__(cls)
+        state.v, state.w = v, w
+        return state
+
 
 def _check_unit(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)

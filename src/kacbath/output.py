@@ -4,8 +4,11 @@ Three formats, all stable byte-for-byte across runs with equal inputs:
 CSV with '.' decimal separator and 17 significant digits (enough to
 round-trip a double exactly), JSON with sorted keys and a trailing
 newline, and a plain matrix interchange format (a dimension header
-line, then one row of values per line) for offline inspection of
-assembled operators.
+line, then one row of values per line, 17 significant digits, "0" for
+an absent entry) for offline inspection of assembled operators. An
+operator is written from its sorted entry list: each distinct value is
+formatted once and the rows are streamed to the file, so neither a
+dense matrix nor the whole text is held in memory.
 
 Every writer is atomic: the text goes to a temporary file in the
 target's directory, which is then renamed over the target, so a failed
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,14 +41,15 @@ def format_value(x) -> str:
     raise ConfigError(f"cannot format {type(x).__name__} into CSV")
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to a fresh file beside path, then rename it over path."""
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write the lines, in order, to a fresh file beside path, then rename it
+    over path; lines may be produced while the file is written."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -67,7 +71,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
                 f"CSV row width {len(cells)} does not match header width {width}"
             )
         lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, ["\n".join(lines) + "\n"])
 
 
 def _jsonable(obj):
@@ -89,7 +93,7 @@ def _jsonable(obj):
 def write_json(path: str, obj) -> None:
     """Sorted-keys, indented JSON with a trailing newline."""
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
-    _write_text(path, text + "\n")
+    _write_lines(path, [text + "\n"])
 
 
 def read_json(path: str):
@@ -97,21 +101,46 @@ def read_json(path: str):
         return json.load(fh)
 
 
-def write_matrix(path: str, mat: np.ndarray) -> None:
-    """Dimension header ("rows cols") then row-major values, one row per line."""
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2:
-        raise ConfigError(f"matrix export needs a 2d array, got ndim={arr.ndim}")
-    lines = ["%d %d" % arr.shape]
-    # only the entries that print other than "0" are formatted: nonzeros,
-    # NaN and -0.0 ("-0"); exported operators are mostly zeros
-    shown = (arr != 0) | np.signbit(arr)
-    for row, mask in zip(arr, shown):
-        cells = ["0"] * len(row)
-        for j, v in zip(np.flatnonzero(mask).tolist(), row[mask].tolist()):
-            cells[j] = "%.17g" % v
-        lines.append(" ".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+def write_matrix(path: str, mat) -> None:
+    """Dimension header ("rows cols") then row-major values, one row per line.
+
+    `mat` is a 2d array, or an operator that lists its entries sorted
+    row-major as `rows`, `cols` and `values` on a `basis` of `basis.size`
+    functions (spectral.OperatorMatrix), which is written from that list
+    with no dense copy.
+    """
+    if hasattr(mat, "basis"):
+        shape = (mat.basis.size,) * 2
+        rows, cols, values = mat.rows, mat.cols, mat.values
+    else:
+        arr = np.asarray(mat, dtype=float)
+        if arr.ndim != 2:
+            raise ConfigError(f"matrix export needs a 2d array, got ndim={arr.ndim}")
+        shape = arr.shape
+        # the entries that print other than "0": nonzeros, NaN and -0.0
+        rows, cols = np.nonzero((arr != 0) | np.signbit(arr))
+        values = arr[rows, cols]
+    _write_lines(path, _matrix_lines(shape, rows, cols, values))
+
+
+def _matrix_lines(shape, rows, cols, values) -> Iterator[str]:
+    """The lines of the matrix format for entries sorted by row; every
+    cell not listed prints as "0"."""
+    yield "%d %d\n" % shape
+    # each distinct value is formatted once; values are told apart by their
+    # bits, so -0.0 and 0.0, and NaNs of any payload, keep their own text
+    bits, which = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    cells = np.full(shape[1], "0", dtype=object)
+    ends = np.searchsorted(rows, np.arange(1, shape[0] + 1)).tolist()
+    lo = 0
+    for hi in ends:
+        at = cols[lo:hi]
+        cells[at] = text[which[lo:hi]]
+        yield " ".join(cells.tolist()) + "\n"
+        cells[at] = "0"
+        lo = hi
 
 
 def read_matrix(path: str) -> np.ndarray:

@@ -97,11 +97,11 @@ REFINE_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 # Largest dense float64 operator on a joint, tagged or sector basis, in
 # bytes (8192 rows). Operators are held as their entries, and only their
-# degree blocks are made dense, except by the `spectral` export; this
-# bounds the dense matrix that export writes. On the joint basis it sets
-# the reach of `spectral` alone, since every other subcommand runs on the
-# sector, whose size does not depend on N (14005 rows at M=1, d=7 is
-# over it). The `spectral` export at d=3, M=1, N=8 (4060 rows) is 132 MB.
+# degree blocks are made dense. The `spectral` export streams its rows from
+# the entries, and this bounds the text it writes, one cell per position
+# (44 MB at d=3, M=1, N=8, 4060 rows). On the joint basis it sets the reach
+# of `spectral` alone, since every other subcommand runs on the sector,
+# whose size does not depend on N (14005 rows at M=1, d=7 is over it).
 DENSE_BYTES_MAX = 2**29
 
 
@@ -137,7 +137,8 @@ class OperatorMatrix:
             values = mat[rows, cols]
         off = basis.degree_of[rows] != basis.degree_of[cols]
         worst = float(np.abs(values[off]).max()) if off.any() else 0.0
-        if worst > BLOCK_TOL:
+        # a NaN compares False, so it fails a check written as "not <="
+        if not worst <= BLOCK_TOL:
             raise ToleranceError(
                 f"{name}: off-degree-block magnitude {worst:.3e} exceeds {BLOCK_TOL:.0e}"
             )
@@ -151,12 +152,6 @@ class OperatorMatrix:
         lo, hi = np.searchsorted(self.rows, (sl.start, sl.stop))
         out = np.zeros((sl.stop - sl.start,) * 2)
         out[self.rows[lo:hi] - sl.start, self.cols[lo:hi] - sl.start] = self.values[lo:hi]
-        return out
-
-    def toarray(self) -> np.ndarray:
-        """The dense matrix on the whole basis."""
-        out = np.zeros((self.basis.size,) * 2)
-        out[self.rows, self.cols] = self.values
         return out
 
     def __matmul__(self, x) -> np.ndarray:
@@ -582,8 +577,8 @@ def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
     key, mirror = op.rows * n + op.cols, op.cols * n + op.rows
     at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
     skew = np.abs(op.values - np.where(key[at] == mirror, op.values[at], 0.0))
-    worst = int(skew.argmax())
-    if skew[worst] > SYMMETRY_TOL:
+    worst = int(skew.argmax())  # the first NaN, if there is one
+    if not skew[worst] <= SYMMETRY_TOL:
         raise StateError(
             f"{op.name}: not symmetric in degree {op.basis.degree_of[op.rows[worst]]} "
             f"(defect {skew[worst]:.3e})"

@@ -31,6 +31,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from kacbath.errors import ToleranceError
 from kacbath.spectral import KERNEL_TOL, OperatorMatrix
 
+from matrix_oracle import dense
+
 # Largest Lanczos residual ||A x - theta x|| of the gap's Ritz pair, and
 # largest overlap ||U_m^T x|| of its Ritz vector with the invariants.
 RITZ_TOL = 1e-10
@@ -54,7 +56,7 @@ def spectral_gap(gen: OperatorMatrix, invariants: list[np.ndarray]) -> float:
         raise ToleranceError("complement projector has empty range")
     w = evecs[:, keep]
 
-    g = gen.toarray()
+    g = dense(gen)
     inv = evecs[:, ~keep]
     kernel_defect = float(np.abs(g @ inv).max()) if inv.size else 0.0
     if kernel_defect > 1e-8:

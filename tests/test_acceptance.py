@@ -313,7 +313,7 @@ def test_criterion_6_scaling_regimes():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
-    _report(6, f"limits fit N^-p with p = {study.p:.3f}; bump peaks fit "
+    _report(6, f"limits fit (M+N)^-p with p = {study.p:.3f}; bump peaks fit "
                f"N^-q with q = {study.q:.3f}; {elapsed:.1f} s")
 
 

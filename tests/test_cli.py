@@ -18,6 +18,8 @@ from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
 from kacbath.spectral import assemble_generator
 
+from matrix_oracle import dense
+
 
 def _write_config(tmp_path, name="c.json", **fields):
     doc = {"m": 1, "n": 2}
@@ -103,7 +105,7 @@ def test_spectral_exports_symmetric_operator(tmp_path):
     assert mat.shape == (55, 55)
     assert np.abs(mat - mat.T).max() < 1e-10
     # the export prints 17 significant digits, so it reads back exactly
-    want = assemble_generator("reservoir", ModelParams(1, 2), 2).toarray()
+    want = dense(assemble_generator("reservoir", ModelParams(1, 2), 2))
     assert mat.tobytes() == want.tobytes()
 
 
@@ -111,7 +113,7 @@ def test_spectral_exports_the_bath_map_exactly(tmp_path):
     cfg = _write_config(tmp_path, m=2, degree=3, operator="bath_map")
     out = tmp_path / "bath.mat"
     assert _run("spectral", "--config", cfg, "--out", str(out)) == 0
-    want = assemble_T(2, 3).toarray()
+    want = dense(assemble_T(2, 3))
     assert read_matrix(str(out)).tobytes() == want.tobytes()
 
 
@@ -323,17 +325,22 @@ def test_bound_scaling_mode(tmp_path):
     assert doc["p"] > 0.0 and doc["q"] > 0.0
 
 
-def test_bound_scaling_mode_at_two_tagged_particles(tmp_path):
+@pytest.mark.parametrize("m", [1, 2])
+def test_bound_scaling_mode_limits_pass_report(tmp_path, m):
     # h0 lives on all 3M tagged variables; data orthogonal to momentum and
     # energy ends at its projection on the conserved momentum quadratics,
-    # eps sqrt(2) / (M + N)
-    cfg = _write_config(tmp_path, m=2, degree=2, eps=0.2, reservoir_sizes=[2, 4, 8])
-    out = tmp_path / "scal.json"
+    # eps sqrt(2) / (M + N), which the p fit against M + N reads as p = 1
+    cfg = _write_config(tmp_path, m=m, degree=2, eps=0.2, reservoir_sizes=[2, 4, 8])
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    out = rundir / "scal.json"
     assert _run("bound", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert doc["m"] == 2 and [r["n"] for r in doc["rows"]] == [2, 4, 8]
+    assert doc["m"] == m and [r["n"] for r in doc["rows"]] == [2, 4, 8]
     for row in doc["rows"]:
-        assert abs(row["limit"] - 0.2 * sqrt(2.0) / (2 + row["n"])) <= 1e-12
+        assert abs(row["limit"] - 0.2 * sqrt(2.0) / (m + row["n"])) <= 1e-12
+    assert abs(doc["p"] - 1.0) <= 1e-12
+    assert _run("report", "--dir", str(rundir)) == 0
 
 
 @pytest.mark.parametrize("sub", sorted(set(cli._HANDLERS) - set(cli._NO_CONFIG)))
@@ -585,6 +592,45 @@ def test_exit_codes(tmp_path, capsys):
                 "--out", str(tmp_path / "missing" / "g.json")) == 4
     records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
     assert [r["exit_code"] for r in records] == [4, 2, 4]
+
+
+def test_a_missing_output_directory_exits_4_before_the_work(tmp_path, capsys, monkeypatch):
+    # the study never runs, and the message names the missing directory,
+    # not a temporary file inside it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scaling study ran")
+
+    monkeypatch.setattr(cli, "scaling_study", refuse)
+    cfg = _write_config(tmp_path, degree=2, reservoir_sizes=[2, 4])
+    missing = tmp_path / "missing"
+    assert _run("bound", "--config", cfg, "--out", str(missing / "scaling.json")) == 4
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["exit_code"] == 4 and record["error"] == "FileNotFoundError"
+    assert record["message"] == f"output directory {str(missing)!r} does not exist"
+    assert not missing.exists()
+
+
+def test_consecutive_main_calls_parse_independently(tmp_path, monkeypatch):
+    # the parser is built once per process; flags of one call do not reach
+    # the next, and each subcommand's defaults come back
+    seen = []
+    for name in ("gap", "verify-lemma3"):
+        monkeypatch.setitem(cli._HANDLERS, name, lambda cfg, args: seen.append(args) or 0)
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "g.json")
+    assert _run("gap", "--config", cfg, "--out", out, "--seed", "5", "--threads", "2") == 0
+    assert _run("verify-lemma3", "--max-degree", "3") == 0
+    assert _run("gap", "--config", cfg, "--out", out) == 0
+    assert _run("verify-lemma3") == 0
+    assert [vars(a) for a in seen] == [
+        {"command": "gap", "config": cfg, "out": out, "seed": 5, "threads": 2},
+        {"command": "verify-lemma3", "config": None, "out": None, "seed": None,
+         "threads": None, "max_degree": 3},
+        {"command": "gap", "config": cfg, "out": out, "seed": None, "threads": None},
+        {"command": "verify-lemma3", "config": None, "out": None, "seed": None,
+         "threads": None, "max_degree": 6},
+    ]
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("sub,name", [("simulate", "m.csv"), ("gap", "g.json"),

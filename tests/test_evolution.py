@@ -37,6 +37,7 @@ from kacbath.spectral import (
 
 import dop853_oracle
 import joint_flow_oracle
+from matrix_oracle import dense
 
 
 def _h1_data(eps: float) -> HermiteCoeffs:
@@ -261,7 +262,7 @@ def test_an_asymmetric_generator_is_refused_when_built(build, m, monkeypatch):
     monkeypatch.setattr(spectral, "pair_avg_block", lambda d: bad)
     p = ModelParams(1, 2)
     monkeypatch.setattr(spectral, "SYMMETRY_TOL", np.inf)
-    mat = build("reservoir", p, m).toarray()
+    mat = dense(build("reservoir", p, m))
     want = float(abs(mat - mat.T).max())
     monkeypatch.setattr(spectral, "SYMMETRY_TOL", 1e-10)
     with pytest.raises(StateError, match=f"not symmetric in degree {m}") as err:
@@ -300,7 +301,7 @@ def test_krylov_route_rejects_a_positive_ritz_value():
     p = ModelParams(1, 2)
     g = assemble_generator("reservoir", p, 2)
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
-    mat = g.toarray()
+    mat = dense(g)
     mat[0, 0] += 1e-9
     broken = OperatorMatrix.from_raw(g.name, g.basis, mat)
     with pytest.raises(ToleranceError, match="above zero in degree 0") as err:

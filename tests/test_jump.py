@@ -1,6 +1,8 @@
 """Stochastic jump process: rates, per-event conservation, stationarity,
 determinism, importance weights."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from math import pi, sqrt
@@ -14,7 +16,7 @@ from kacbath import (
     SimConfig,
     run_ensemble,
 )
-from kacbath.cli import observable_registry
+from kacbath.cli import observable_registry, perturbation_data
 from kacbath.errors import ConfigError, NegativeWeightError, StateError
 from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.jump import BLOCK, PerturbationInit, _advance, event_rates, hermite_observable
@@ -309,6 +311,49 @@ def test_batched_and_per_state_observables_give_identical_records(workers):
     a = run_ensemble(cfg, p, init, batched, workers=workers)
     b = run_ensemble(cfg, p, init, per_state, workers=workers)
     assert a == b
+
+
+class _PerState:
+    """A registry observable called one state at a time, so run_ensemble
+    takes its plain-callable path."""
+
+    def __init__(self, obs: BlockObservable):
+        self.obs = obs
+
+    def __call__(self, s: JointState) -> float:
+        return self.obs(s)
+
+
+def test_plain_forms_of_the_registry_give_identical_records():
+    p = ModelParams(2, 3)
+    cfg = SimConfig(t_end=1.0, record_times=(0.0, 0.5, 1.0), ensemble=BLOCK + 40,
+                    seed=37, system_kind="reservoir")
+    init = PerturbationInit(perturbation_data("h1_v1x", 0.1, 2))
+    registry = observable_registry(p)
+    plain = {name: _PerState(obs) for name, obs in registry.items()}
+    assert run_ensemble(cfg, p, init, registry) == run_ensemble(cfg, p, init, plain)
+
+
+def _scramble(s: JointState) -> float:
+    value = float(s.v[0, 0])
+    s.v[:] = 1e3
+    s.w[:] = -1e3
+    return value
+
+
+def test_a_plain_observable_that_writes_its_state_changes_nothing_else():
+    # each member's state is its own copy: the writes reach neither the
+    # trajectory (the batched records) nor the next member's state
+    p = ModelParams(1, 2)
+    cfg = SimConfig(t_end=1.0, record_times=(0.0, 0.5, 1.0), ensemble=BLOCK + 40,
+                    seed=41, system_kind="reservoir")
+    registry = observable_registry(p)
+    batched = {"v": registry["v1x"], "e": registry["total_energy"]}
+    clean = run_ensemble(cfg, p, EquilibriumInit(), batched)
+    dirty = run_ensemble(cfg, p, EquilibriumInit(), {"mut": _scramble, **batched})
+    assert [r for r in dirty if r.observable != "mut"] == clean
+    assert ([dataclasses.replace(r, observable="v") for r in dirty if r.observable == "mut"]
+            == [r for r in clean if r.observable == "v"])
 
 
 def _ensemble_cfg(ensemble: int = 16) -> SimConfig:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kacbath import ModelParams, assemble_T
 from kacbath.errors import ConfigError
 from kacbath.output import (
     format_value,
@@ -12,6 +14,9 @@ from kacbath.output import (
     write_json,
     write_matrix,
 )
+from kacbath.spectral import assemble_generator
+
+from matrix_oracle import dense, dense_matrix_text
 
 
 def test_format_value_styles():
@@ -83,6 +88,44 @@ def test_matrix_bytes_are_the_per_element_format(tmp_path, seed):
     write_matrix(tmp_path / "op.mat", mat)
     want = ["%d %d" % shape] + [" ".join("%.17g" % v for v in row) for row in mat]
     assert (tmp_path / "op.mat").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+# zeros of both signs, NaNs of both signs and two payloads, infinities,
+# subnormals and the extremes, beside values drawn freely
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+            1.7976931348623157e308, -2.2250738585072014e-308, 1.0 / 3.0,
+            *np.array([0x7FF8000000000000, -0x0008000000000000, 0x7FF8000000000001],
+                      dtype=np.int64).view(float).tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matrix_bytes_equal_the_dense_writer(tmp_path_factory, data):
+    # a few distinct values, each repeated over a sparse pattern
+    rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    palette = data.draw(st.lists(st.sampled_from(_SPECIAL) | st.floats(width=64),
+                                 min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(-3 * len(palette), len(palette) - 1),
+                               min_size=rows * cols, max_size=rows * cols))
+    mat = np.array([palette[k] if k >= 0 else 0.0 for k in picks]).reshape(rows, cols)
+    path = tmp_path_factory.mktemp("mat") / "op.mat"
+    write_matrix(path, mat)
+    assert path.read_bytes() == dense_matrix_text(mat).encode()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble_generator("reservoir", ModelParams(1, 3), 2),
+    lambda: assemble_generator("thermostat", ModelParams(2, 2), 2),
+    lambda: assemble_T(2, 3),
+], ids=["reservoir", "thermostat", "bath_map"])
+def test_operator_export_reads_back_bitwise(tmp_path, build):
+    # an operator is written from its entry list, in the dense writer's
+    # bytes, and reads back bitwise equal to its dense matrix
+    op = build()
+    path = tmp_path / "op.mat"
+    write_matrix(path, op)
+    assert path.read_text() == dense_matrix_text(dense(op))
+    assert read_matrix(path).tobytes() == dense(op).tobytes()
 
 
 def test_matrix_shape_errors(tmp_path):

@@ -41,6 +41,7 @@ import gap_oracle
 import invariant_oracle
 import lemma2_oracle
 import moment_oracle
+from matrix_oracle import dense
 import quadrature_oracle
 import tensor_oracle
 
@@ -63,7 +64,7 @@ def _unit_h1_tagged(m: int) -> HermiteCoeffs:
 ])
 def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
     op = lemma2_oracle.assemble_pair_rotation(kind, i, j, p, 3)
-    mat = op.toarray()
+    mat = dense(op)
     assert np.abs(mat - mat.T).max() <= 1e-10
     assert np.linalg.norm(mat, 2) <= 1.0 + 1e-10
     # exact degree-block structure: no leakage between degrees
@@ -78,7 +79,7 @@ def test_pair_rotations_are_symmetric_contractions(kind, i, j, p):
 def test_pair_average_spectrum_in_unit_interval():
     # an averaging operator: spectrum within [0, 1], so A - A^2 is PSD
     p = ModelParams(1, 3)
-    mat = lemma2_oracle.assemble_pair_rotation("interaction", 0, 1, p, 4).toarray()
+    mat = dense(lemma2_oracle.assemble_pair_rotation("interaction", 0, 1, p, 4))
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() >= -1e-12
     assert eigs.max() <= 1.0 + 1e-12
@@ -102,7 +103,7 @@ def test_pair_rotation_fixes_pair_invariants():
 def test_generators_are_symmetric_and_negative_semidefinite():
     p = ModelParams(1, 2)
     for kind in ("reservoir", "thermostat"):
-        mat = assemble_generator(kind, p, 2).toarray()
+        mat = dense(assemble_generator(kind, p, 2))
         assert np.abs(mat - mat.T).max() <= 1e-10
         assert np.linalg.eigvalsh(mat).max() <= 1e-10
 
@@ -402,7 +403,7 @@ def test_gap_is_reproducible_bit_for_bit():
 def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
     """op with its degree-m block replaced by change(block), stored as its
     entries."""
-    mat = op.toarray()
+    mat = dense(op)
     sl = op.basis.degree_slice(m)
     mat[sl, sl] = change(mat[sl, sl])
     return OperatorMatrix.from_raw(op.name, op.basis, mat)
@@ -566,7 +567,7 @@ def test_embedding_over_every_variable_is_the_block(d):
     therm = thermostat_block(d)
     assert _same_bits(embed_block(therm, b3, b3, (0, 1, 2)),
                       embedding_oracle.embed_block(therm, b3, b3, (0, 1, 2)))
-    assert _same_bits(assemble_T(1, d).toarray(), therm)
+    assert _same_bits(dense(assemble_T(1, d)), therm)
 
 
 @pytest.mark.parametrize("m,n,d,rates", [
@@ -579,7 +580,7 @@ def test_embedding_over_every_variable_is_the_block(d):
     for rates in itertools.product((0.0, 0.7), (0.0, 1.3), (0.0, 0.9))])
 def test_generators_equal_the_oracle_assembly(m, n, d, rates, monkeypatch):
     p = ModelParams(m, n, *rates)
-    fast = {kind: assemble_generator(kind, p, d).toarray()
+    fast = {kind: dense(assemble_generator(kind, p, d))
             for kind in ("reservoir", "thermostat")}
     # rebuild the pair and thermostat blocks as well, through the oracle
     monkeypatch.setattr(spectral, "_cache", {})
@@ -599,10 +600,10 @@ def test_pair_rotations_and_bath_map_equal_the_oracle_embedding(d):
         ("reservoir", 0, 2, np.concatenate([w_slots(p, 0), w_slots(p, 2)])),
         ("interaction", 1, 1, np.concatenate([v_slots(1), w_slots(p, 1)])),
     ]:
-        got = lemma2_oracle.assemble_pair_rotation(kind, i, j, p, d, basis=big).toarray()
+        got = dense(lemma2_oracle.assemble_pair_rotation(kind, i, j, p, d, basis=big))
         assert _same_bits(got, embedding_oracle.embed_block(pair, b6, big, slots))
     b3, tagged = make_basis(3, d), make_basis(6, d)
-    assert _same_bits(assemble_T(2, d, particle=1).toarray(),
+    assert _same_bits(dense(assemble_T(2, d, particle=1)),
                       embedding_oracle.embed_block(thermostat_block(d), b3, tagged, (3, 4, 5)))
 
 
@@ -653,7 +654,7 @@ def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
     assert (np.diff(got.rows * basis.size + got.cols) > 0).all()  # row-major, once each
     assert not off[got.rows, got.cols].any()
     assert (got.values != 0.0).all()
-    assert _same_bits(got.toarray(), clean)
+    assert _same_bits(dense(got), clean)
 
 
 @pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
@@ -662,16 +663,16 @@ def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
                          ids=["joint", "sector"])
 def test_products_and_blocks_read_the_dense_matrix(build, kind):
     g = build(kind, ModelParams(2, 3), 3)
-    dense = g.toarray()
+    full = dense(g)
     x = RngStream(4, 0).rng.standard_normal((g.basis.size, 5))
-    scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max()
-    assert g.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
-    assert np.abs(g @ x - dense @ x).max() <= 1e-14 * scale
-    assert np.abs(g @ x[:, 0] - dense @ x[:, 0]).max() <= 1e-14 * scale
+    scale = np.abs(full).sum(axis=1).max() * np.abs(x).max()
+    assert g.norm_inf() == pytest.approx(np.abs(full).sum(axis=1).max(), rel=1e-15)
+    assert np.abs(g @ x - full @ x).max() <= 1e-14 * scale
+    assert np.abs(g @ x[:, 0] - full @ x[:, 0]).max() <= 1e-14 * scale
     assert (g @ x[:, :1]).shape == (g.basis.size, 1)
     for m in range(g.basis.degree + 1):
         sl = g.basis.degree_slice(m)
-        assert _same_bits(g.block(m), dense[sl, sl])
+        assert _same_bits(g.block(m), full[sl, sl])
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -680,17 +681,47 @@ def test_a_generator_entry_without_its_mirror_is_refused(m):
     # the defect is the entry itself, and the degree is named
     g = assemble_generator("reservoir", ModelParams(1, 2), 3)
     assert spectral._check_symmetric(g) is g
-    dense = g.toarray()
+    full = dense(g)
     sl = g.basis.degree_slice(m)
-    block = dense[sl, sl]
+    block = full[sl, sl]
     apart = (block == 0.0) & (block.T == 0.0) & ~np.eye(len(block), dtype=bool)
     i, j = np.argwhere(apart)[0] + sl.start
-    dense[i, j] = 5e-10
-    lopsided = OperatorMatrix.from_raw(g.name, g.basis, dense)
+    full[i, j] = 5e-10
+    lopsided = OperatorMatrix.from_raw(g.name, g.basis, full)
     assert not ((lopsided.rows == j) & (lopsided.cols == i)).any()
     with pytest.raises(StateError, match=f"not symmetric in degree {m} "
                                          r"\(defect 5\.000e-10\)"):
         spectral._check_symmetric(lopsided)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_raw_refuses_a_non_finite_off_degree_entry(bad):
+    # a NaN compares False with the tolerance, so it used to be dropped as
+    # roundoff; given dense or as entries, it fails the block check
+    basis = make_basis(3, 2)
+    raw = np.eye(basis.size)
+    raw[0, basis.degree_slice(2).start] = bad
+    rows, cols = np.nonzero(raw)
+    for mat in (raw, (rows, cols, raw[rows, cols])):
+        with pytest.raises(ToleranceError, match=f"off-degree-block magnitude {abs(bad):.3e} "
+                                                 "exceeds"):
+            OperatorMatrix.from_raw("broken", basis, mat)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_a_non_finite_entry_in_a_block_is_not_symmetric(mirrored):
+    # a NaN inside a degree block is kept by from_raw, and the symmetry
+    # check reads it as a NaN defect, alone or with a NaN mirror
+    basis = make_basis(3, 2)
+    raw = np.eye(basis.size)
+    i, j = basis.degree_slice(2).start, basis.degree_slice(2).start + 1
+    raw[i, j] = np.nan
+    if mirrored:
+        raw[j, i] = np.nan
+    op = OperatorMatrix.from_raw("broken", basis, raw)
+    assert np.isnan(op.values).sum() == 1 + mirrored
+    with pytest.raises(StateError, match=r"not symmetric in degree 2 \(defect nan\)"):
+        spectral._check_symmetric(op)
 
 
 def test_embedding_rejects_a_sub_basis_of_lower_degree():
