@@ -58,6 +58,8 @@ from .spectral import (
     SpectralContext,
     assemble_T,
     assemble_generator,
+    conserved_count,
+    k_block,
     spectral_gap,
     symmetric_tensor_eigenvalues,
     verify_lemma2,
@@ -212,8 +214,15 @@ def _check_scaling_json(doc) -> tuple[bool, str]:
 
 
 def _check_gap_json(doc) -> tuple[bool, str]:
-    ok = doc["k_hat"] > 0.0 and doc["l_hat"] >= 0.0
-    return ok, f"k_hat = {doc['k_hat']:.6g}, l_hat = {doc['l_hat']:.6g}"
+    # one kappa and one kernel count per degree 1..d; every kernel is the
+    # span of the P^a E^b of its degree, and k is the smallest kappa
+    counts, kappa = doc["kernel_counts"], doc["kappa"]
+    want = [conserved_count(m) for m in range(1, doc["degree"] + 1)]
+    ok = (doc["k_hat"] > 0.0 and doc["l_hat"] >= 0.0 and counts == want
+          and len(kappa) == len(want) and doc["k_hat"] == min(kappa))
+    return ok, (f"k_hat = {doc['k_hat']:.6g} (degree {doc['k_degree']}, multiplicity "
+                f"{doc['k_multiplicity']}), l_hat = {doc['l_hat']:.6g}, kernel counts "
+                f"{counts} against {want}")
 
 
 def _raise_if_failed(kind: str, result: tuple[bool, str]) -> None:
@@ -334,13 +343,18 @@ def cmd_gap(cfg: RunConfig, args) -> int:
         # it is not the k of the reservoir coupling that the bound takes
         raise ConfigError(
             f"gap is defined for system_kind 'reservoir' only, got {cfg.system_kind!r}")
-    k_hat = spectral_gap(SpectralContext(_model(cfg), cfg.degree))
+    ctx = SpectralContext(_model(cfg), cfg.degree)
+    k_hat = spectral_gap(ctx)
+    first = k_block(ctx)
     l_hat = estimate_l(assemble_T(1, cfg.degree))
     write_json(args.out, {
         "m": cfg.m, "n": cfg.n, "degree": cfg.degree,
         "lambda_s": cfg.lambda_s, "lambda_r": cfg.lambda_r, "mu": cfg.mu,
         "system_kind": cfg.system_kind,
         "k_hat": k_hat, "l_hat": l_hat,
+        "k_degree": first.degree, "k_multiplicity": first.multiplicity,
+        "kappa": [b.kappa for b in ctx.gap_blocks],
+        "kernel_counts": [b.kernel_count for b in ctx.gap_blocks],
     })
     return 0
 

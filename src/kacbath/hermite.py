@@ -31,6 +31,7 @@ __all__ = [
     "Basis",
     "make_basis",
     "basis_rows",
+    "unit_codes",
     "hermite_value_table",
     "evaluate_basis",
     "sphere_rule",
@@ -118,6 +119,15 @@ def basis_rows(nvars: int, pos: np.ndarray, val: np.ndarray) -> np.ndarray:
         rank = rank + binom[(rest + v) * nvars + k] - binom[rest * nvars + k]
         rest = rest + v
     return np.array([comb(m - 1 + nvars, nvars) for m in range(top + 1)])[rest] + rank
+
+
+def unit_codes(exponents: np.ndarray, width: int) -> np.ndarray:
+    """Row in make_basis(width, d) of each run of `width` variables of the
+    exponents (k, width * U), as (k, U): the code of each unit, 0 for a unit
+    at rest."""
+    k, units = len(exponents), exponents.shape[1] // width
+    return basis_rows(width, np.arange(width),
+                      exponents.reshape(k * units, width)).reshape(k, units)
 
 
 # ---------------------------------------------------------------------------

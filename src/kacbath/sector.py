@@ -15,6 +15,14 @@ N! / ((N - r)! prod_k m_k!) joint functions, m_k the multiplicities in
 the support. Degree m has the same number of rows for every N >= m
 (1, 6, 27, 102, 348, 1095, 3249 for m = 0..6 at M = 1), so a sector
 computation costs the same at every reservoir size.
+
+A row is found by its orbit key: the codes of the M tagged particles
+(each particle's row in the 3-variable basis), then the reservoir codes
+in descending order, padded with 0 to d entries. `SectorBasis.find`
+searches the keys, sorted once per basis; `rows_of` and `tagged_coeffs`
+key joint exponents through it, and the lifts of `kacbath.spectral`
+build their tables of orbits with a particle put to rest or put in from
+it.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import StateError
-from .hermite import Basis, HermiteCoeffs, basis_rows, make_basis
+from .hermite import Basis, HermiteCoeffs, make_basis, unit_codes
 from .kinematics import ModelParams
 
 __all__ = ["SectorBasis", "sector_sizes", "make_sector"]
@@ -72,7 +80,7 @@ class SectorBasis:
     orbit_size: np.ndarray = field(repr=False)  # (size,) |O_a|
     index: dict = field(repr=False)             # (tagged, support) tuples -> row
     degree_of: np.ndarray = field(repr=False)   # (size,) total degree per row
-    _keys: np.ndarray = field(repr=False)       # sorted _row_keys of the rows
+    _keys: np.ndarray = field(repr=False)       # sorted orbit keys of the rows
     _order: np.ndarray = field(repr=False)      # row of each sorted key
 
     @property
@@ -84,23 +92,29 @@ class SectorBasis:
         lo, hi = np.searchsorted(self.degree_of, [m, m + 1])
         return slice(int(lo), int(hi))
 
+    def find(self, tagged: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """Row of each orbit given by its key: the codes (rows of `single`)
+        of its M tagged particles (k, M) and its support (k, degree), in
+        descending order and padded with 0; -1 for a key that is no row."""
+        key = _row_keys(tagged, support)
+        at = np.minimum(np.searchsorted(self._keys, key), self.size - 1)
+        return np.where(self._keys[at] == key, self._order[at], -1)
+
     def rows_of(self, tagged: np.ndarray, reservoir: np.ndarray) -> np.ndarray:
         """Row of the orbit of each joint exponent, given as its tagged part
         (k, 3m) and the 3-exponents of any L reservoir particles (k, 3L);
         the particles not listed carry exponent zero. StateError if one lies
         outside the sector."""
-        k = len(tagged)
-        d = self.degree
-        codes = basis_rows(3, np.arange(3), reservoir.reshape(-1, 3))
-        codes = codes.reshape(k, reservoir.shape[1] // 3)
+        k, d = len(tagged), self.degree
+        tagged, codes = unit_codes(tagged, 3), unit_codes(reservoir, 3)
         support = np.zeros((k, max(d, codes.shape[1])), dtype=np.intp)
         support[:, :codes.shape[1]] = -np.sort(-codes, axis=1)
-        key = _row_keys(tagged, support[:, :d])
-        at = np.minimum(np.searchsorted(self._keys, key), self.size - 1)
-        if (support[:, d:].any() or (support[:, :1] >= self.single.size).any()
-                or (self._keys[at] != key).any()):
+        top = max(int(tagged.max(initial=0)), int(support.max(initial=0)))
+        rows = (self.find(tagged, support[:, :d]) if top < self.single.size
+                else np.full(k, -1))
+        if support[:, d:].any() or (rows < 0).any():
             raise StateError(f"exponent outside the sector of degree {d} at N={self.n}")
-        return self._order[at]
+        return rows
 
     def tagged_coeffs(self, h: HermiteCoeffs) -> HermiteCoeffs:
         """Data h on the 3m tagged variables in this basis: a function of the
@@ -112,8 +126,8 @@ class SectorBasis:
 
 
 def _row_keys(tagged: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """One byte string per row of (tagged exponent, support); every entry is
-    at most the sector size, so it fits 16 bits once the size is checked."""
+    """One byte string per orbit key (tagged codes, support); every code is
+    below the size of `single`, which fits 16 bits at every degree allowed."""
     rows = np.ascontiguousarray(np.hstack([tagged, support]), dtype=np.uint16)
     return rows.view(f"S{2 * rows.shape[1]}").ravel()
 
@@ -160,7 +174,7 @@ def make_sector(p: ModelParams, d: int) -> SectorBasis:
     assert degree_of.size == sum(sector_sizes(p, d))
     index = {(tuple(map(int, a)), tuple(map(int, s))): i
              for i, (a, s) in enumerate(zip(tagged, support))}
-    keys = _row_keys(tagged, support)
+    keys = _row_keys(unit_codes(tagged, 3), support)
     order = np.argsort(keys, kind="stable")
     return SectorBasis(p.n, d, single, tagged, support, np.array(orbit),
                        index, degree_of, keys[order], order)

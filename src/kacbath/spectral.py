@@ -31,12 +31,15 @@ E[omega^gamma] = prod_i (gamma_i - 1)!! / (|gamma| + 1)!! (even gamma;
 
 Every operator on a many-particle basis is one lift of those blocks.
 `_collision_terms` lists the collision classes of both generators once,
-over all N reservoir particles on the joint basis and over d + 1
-representatives weighted by the partners they stand for on the
-reservoir-symmetric sector (`_sector_lift`, shared by the sector
-generators and `verify_lemma2`). One vectorised pass per class lists
-every column's images; a per-class table (joint and tagged bases) or
-`SectorBasis.rows_of` gives their rows, and `_lift` sums the entries in
+as blocks on particles (units), over all N reservoir particles on the
+joint basis and over d + 1 representatives weighted by the partners they
+stand for on the reservoir-symmetric sector (`_sector_lift`, shared by
+the sector generators and `verify_lemma2`). A `_Layout` codes every
+column by its units' rows in the 3-variable basis, once per lift, and
+holds two small tables per unit: a row with one unit put to rest, and a
+row at rest with a code put in. One vectorised pass over each run of
+classes that share a block lists every column's images, their sub rows
+and rows read from those tables, and `_lift` sums the entries in
 listing order, the diagonal last, so the joint generators are bitwise
 the dense sum of the blocks.
 """
@@ -63,6 +66,7 @@ from .hermite import (
     poly_coord,
     poly_mul,
     sphere_rule,
+    unit_codes,
 )
 from .kinematics import ModelParams
 from .sector import SectorBasis, make_sector, sector_sizes
@@ -79,7 +83,10 @@ __all__ = [
     "symmetric_tensor_eigenvalues",
     "invariant_projector",
     "SpectralContext",
+    "GapBlock",
     "spectral_gap",
+    "k_block",
+    "conserved_count",
     "conserved_norm",
     "verify_lemma2",
 ]
@@ -347,8 +354,9 @@ def pair_avg_block(d: int) -> np.ndarray:
 
     on the six-variable basis of degree <= d, assembled as mix o refl o
     mix from the kernel's mix and reflection blocks, each checked against
-    its exact route. Cached per degree and read-only, since every later
-    generator reads it.
+    its exact route. Every factor keeps the degree, so the products are
+    taken one degree block at a time. Cached per degree and read-only,
+    since every later generator reads it.
     """
     key = ("pair", d)
     if key in _cache:
@@ -357,11 +365,15 @@ def pair_avg_block(d: int) -> np.ndarray:
     refl = _checked_kernel("pair reflection block", "reflection", d)
 
     b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
-    mix_full = np.eye(b6.size)
-    for pair in ((0, 3), (1, 4), (2, 5)):
-        mix_full = mix_full @ embed_block(mix, b2, b6, pair)
+    mixes = [embed_block(mix, b2, b6, pair) for pair in ((0, 3), (1, 4), (2, 5))]
     refl_full = embed_block(refl, b3, b6, (3, 4, 5))
-    out = mix_full @ refl_full @ mix_full
+
+    def composed(m: int) -> np.ndarray:
+        sl = b6.degree_slice(m)
+        mix_m = reduce(np.matmul, [f[sl, sl] for f in mixes])
+        return mix_m @ refl_full[sl, sl] @ mix_m
+
+    out = _by_degree(6, d, composed)
 
     asym = float(np.abs(out - out.T).max())
     if asym > REFINE_TOL:
@@ -390,84 +402,191 @@ def thermostat_block(d: int) -> np.ndarray:
 # one lift for every operator
 
 
-def _images(local: np.ndarray, terms, image_rows):
-    """Entries (rows, cols, values) of weight * A for each term (block, sub,
-    slots, weight), with A = `block` on the `slots` variables of the column
-    exponents `local` and the weight one number or one per column. Each
-    column of nonzero weight lists the nonzero entries k of its block
-    column; image_rows(slots, sub, sub_of, k, cols) gives their rows, and
-    images with row -1 lie outside the basis and are dropped."""
-    for block, sub, slots, weight in terms:
-        slots = np.asarray(slots)
-        exps = local[:, slots]
-        if (exps.sum(axis=1) > sub.degree).any():
-            raise StateError(f"sub-basis of degree {sub.degree} misses slot exponents")
-        sub_of = basis_rows(sub.nvars, np.arange(sub.nvars), exps)
-        weight = np.broadcast_to(weight, sub_of.shape)
-        live = np.flatnonzero(weight)
+class _Layout(NamedTuple):
+    """How a lift reads its columns and finds the rows of their images.
+
+    Each column is cut into units of `width` variables (particles, or the
+    single coordinates of embed_block), and codes[c, u] is the row of unit
+    u of column c in make_basis(width, d), 0 for a unit at rest. Units of
+    one group are interchangeable (the sector's reservoir slots); every
+    other unit is a group of its own. For a row x and a code c,
+    drop[g, x, c] is the row of x with one unit of group g and code c put
+    to rest, put[g, x, c] the row of x with one unit of group g at rest
+    given code c, and code 0 keeps x; -1 where that is no row. Row n and
+    code S (the index -1 and the codes above make_basis(width, d)) are -1.
+    """
+
+    width: int
+    codes: np.ndarray  # (n, U)
+    group: np.ndarray  # (U,)
+    drop: np.ndarray   # (G, n + 1, S + 1)
+    put: np.ndarray    # (G, n + 1, S + 1)
+
+
+def _layout(width: int, degree: int, codes: np.ndarray, group: np.ndarray,
+            x: np.ndarray, u: np.ndarray, rest: np.ndarray) -> _Layout:
+    """The _Layout of the columns `codes` of a basis of degree <= `degree`,
+    from the row rest[i] of each row x[i] with its unit u[i] (of nonzero
+    code) at rest."""
+    n = len(codes)
+    shape = (int(group.max(initial=-1)) + 1, n + 1, comb(width + degree, width) + 1)
+    drop, put = np.full(shape, -1, dtype=np.int32), np.full(shape, -1, dtype=np.int32)
+    drop[:, :n, 0] = put[:, :n, 0] = np.arange(n)
+    drop[group[u], x, codes[x, u]] = rest
+    put[group[u], rest, codes[x, u]] = x
+    return _Layout(width, codes, group, drop, put)
+
+
+def _basis_layout(big: Basis, width: int) -> _Layout:
+    """The layout of a make_basis basis in units of `width` variables, each a
+    group of its own; the rows at rest follow in closed form."""
+    codes = unit_codes(big.exponents, width)
+    x, u = np.nonzero(codes)
+    rest = big.exponents[x].reshape(len(x), codes.shape[1], width)
+    rest[np.arange(len(x)), u] = 0
+    rest = basis_rows(big.nvars, np.arange(big.nvars), rest.reshape(len(x), big.nvars))
+    return _layout(width, big.degree, codes, np.arange(codes.shape[1]), x, u, rest)
+
+
+class _Run(NamedTuple):
+    """Terms in a row of a lift that share their block: their units (T, s),
+    weights (T, n) or (T, 1), and the block's tables. join[i] is the sub
+    row of the codes with mixed-radix index i (radix S + 1), -1 above the
+    sub degree; split holds the codes of each sub row, codes above S read
+    as S; by_row, start and value list the block's nonzero entries column
+    by column."""
+
+    units: np.ndarray
+    weight: np.ndarray
+    join: np.ndarray
+    split: np.ndarray
+    degree: int
+    by_row: np.ndarray
+    start: np.ndarray
+    value: np.ndarray
+
+
+def _runs(lay: _Layout, terms) -> list[_Run]:
+    """The terms (block, sub, units, weight), in order, as runs of terms that
+    share block and sub."""
+    grouped = []
+    for block, sub, units, weight in terms:
+        if not (grouped and grouped[-1][0] is block and grouped[-1][1] is sub):
+            grouped.append((block, sub, [], []))
+        grouped[-1][2].append(units)
+        grouped[-1][3].append(weight)
+    size = lay.drop.shape[2] - 1
+    runs = []
+    for block, sub, units, weights in grouped:
+        split = np.minimum(unit_codes(sub.exponents, lay.width), size)
+        join = np.full((size + 1,) * split.shape[1], -1)
+        join[tuple(split.T)] = np.arange(sub.size)
         by_col, by_row = np.nonzero(block.T)  # its nonzero entries, column by column
-        start = np.searchsorted(by_col, np.arange(sub.size + 1))
-        first, count = start[sub_of[live]], np.diff(start)[sub_of[live]]
-        cols = np.repeat(live, count)
-        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(cols.size)
-        k = by_row[at]
-        vals = block[k, sub_of[cols]] * weight[cols]
-        rows = image_rows(slots, sub, sub_of, k, cols)
-        keep = rows >= 0
-        yield rows[keep], cols[keep], vals[keep]
+        # one weight per column where any term has them, else one per term
+        weight = (np.array([np.broadcast_to(w, len(lay.codes)) for w in weights])
+                  if any(np.ndim(w) for w in weights) else np.array(weights, dtype=float)[:, None])
+        runs.append(_Run(np.array(units).reshape(len(units), -1), weight, join.ravel(),
+                         split, sub.degree, by_row,
+                         np.searchsorted(by_col, np.arange(sub.size + 1)),
+                         block[by_row, by_col]))
+    return runs
 
 
-def _joint_rows(big: Basis):
-    """image_rows on a make_basis basis. Columns that agree outside the
-    slots share the row of their exponents with the slots zeroed, found in
-    closed form from each row's nonzero entries; per term a table indexed by
-    (that row, sub row) holds every column, and -1 an image above the degree."""
-    pos = np.argsort(big.exponents == 0, axis=1, kind="stable")[:, :big.degree]
-    val = np.take_along_axis(big.exponents, pos, axis=1)
+def _images(lay: _Layout, runs: list[_Run], lo: int, hi: int):
+    """Entries (rows, cols, values) of weight * A over the terms of `runs`,
+    on the columns lo..hi-1: A is the block on the term's units and the
+    weight one number or one per column. Term by term, each column of
+    nonzero weight lists the nonzero entries k of its block column in
+    order. Its image keeps the column's codes off the term's units and puts
+    on them the codes of sub row k: its row comes from the column's row
+    with those units dropped, then the new codes put, all read from
+    `lay`'s tables. Images with row -1 lie outside the basis."""
+    n = len(lay.codes)
+    size = lay.drop.shape[2] - 1
+    drop, put = lay.drop.ravel(), lay.put.ravel()
+    for run in runs:
+        codes = lay.codes[lo:hi, run.units].transpose(1, 0, 2)  # (T, hi - lo, s)
+        sub_of = run.join[np.ravel_multi_index(tuple(np.moveaxis(codes, 2, 0)),
+                                               (size + 1,) * codes.shape[2])]
+        if (sub_of < 0).any():
+            raise StateError(f"sub-basis of degree {run.degree} misses slot exponents")
+        weight = np.broadcast_to(run.weight, (len(run.weight), n))[:, lo:hi]
+        count = np.diff(run.start)[sub_of] * (weight != 0)
+        t, c = np.nonzero(count)
+        count, first, codes = count[t, c], run.start[sub_of[t, c]], codes[t, c]
+        base = lay.group[run.units[t]] * (n + 1)  # each unit's table, as an offset in rows
+        rows = c + lo
+        for i in range(codes.shape[1]):
+            rows = drop[(base[:, i] + rows) * (size + 1) + codes[:, i]]
+        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        k = run.by_row[at]
+        rows = np.repeat(rows, count)
+        for i in range(codes.shape[1]):
+            rows = put[(np.repeat(base[:, i], count) + rows) * (size + 1) + run.split[k, i]]
+        yield rows, np.repeat(c + lo, count), run.value[at] * np.repeat(weight[t, c], count)
 
-    def rows(slots, sub, sub_of, k, cols):
-        zeroed = basis_rows(big.nvars, pos, np.where(np.isin(pos, slots), 0, val))
-        table = np.full((big.size, sub.size), -1, dtype=np.intp)
-        table[zeroed, sub_of] = np.arange(big.size)
-        return table[zeroed[cols], k]
 
-    return rows
+# Most elements of the dense accumulator of one chunk of columns in _lift,
+# for blocks that keep the degree (8 MB).
+_CHUNK = 2**20
 
 
-def _lift(name: str, basis, local: np.ndarray, terms, image_rows, root: np.ndarray,
+def _chunks(basis) -> list[tuple[int, int]]:
+    """Column ranges for _lift: the whole basis if its square fits in
+    _CHUNK, else ranges inside one degree block, of block rows x columns
+    within _CHUNK."""
+    if basis.size ** 2 <= _CHUNK:
+        return [(0, basis.size)]
+    out = []
+    for m in range(basis.degree + 1):
+        sl = basis.degree_slice(m)
+        width = max(1, _CHUNK // (sl.stop - sl.start))
+        out += [(lo, min(lo + width, sl.stop)) for lo in range(sl.start, sl.stop, width)]
+    return out
+
+
+def _summed(lay: _Layout, runs: list[_Run], lo: int, hi: int, diagonal: np.ndarray):
+    """The entries (rows, cols, values) of columns lo..hi-1, summed by
+    np.bincount into a dense (rows, hi - lo) array in listing order, the
+    diagonal last: every position gets its terms in order, which are the
+    bits of a dense `+=` over the terms."""
+    own = np.arange(lo, hi)
+    rows, cols, vals = (np.concatenate(a) for a in zip(
+        *_images(lay, runs, lo, hi), (own, own, diagonal[lo:hi])))
+    keep = rows >= 0
+    rows, cols, vals = rows[keep], cols[keep] - lo, vals[keep]
+    top = int(rows.min())  # the rows in reach: the degree block, unless a block leaks
+    acc = np.bincount((rows - top) * (hi - lo) + cols, weights=vals,
+                      minlength=(int(rows.max()) + 1 - top) * (hi - lo))
+    at = np.flatnonzero(acc != 0.0)  # faster than on the floats
+    return at // (hi - lo) + top, at % (hi - lo) + lo, acc[at]
+
+
+def _lift(name: str, basis, lay: _Layout, terms, root: np.ndarray,
           diagonal) -> OperatorMatrix:
     """sum of weight * A over the terms (see _images), plus `diagonal` (one
-    number or one per column), scaled by root[col] / root[row]. np.bincount
-    sums each (row, col) in listing order, the diagonal last: the bits of a
-    dense `+=` over the terms. No n x n array is formed."""
-    n = basis.size
-    diag = np.arange(n)
-    entries = itertools.chain(_images(local, terms, image_rows),
-                              [(diag, diag, np.broadcast_to(diagonal, n))])
-    keys, vals = zip(*((rows * n + cols, v) for rows, cols, v in entries))
-    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    data = np.bincount(inverse, weights=np.concatenate(vals), minlength=key.size)
-    row, col = np.divmod(key, n)
-    return OperatorMatrix.from_raw(name, basis, (row, col, data * root[col] / root[row]))
+    number or one per column), scaled by root[col] / root[row], summed a
+    chunk of columns at a time (_chunks, _summed). No n x n array is formed
+    past _CHUNK elements."""
+    runs = _runs(lay, terms)
+    diagonal = np.broadcast_to(diagonal, basis.size)
+    parts = [_summed(lay, runs, lo, hi, diagonal) for lo, hi in _chunks(basis)]
+    row, col, data = (np.concatenate(a) for a in zip(*parts))
+    del parts  # copied above; free them before from_raw makes its own copies
+    data *= root[col]
+    data /= root[row]
+    return OperatorMatrix.from_raw(name, basis, (row, col, data))
 
 
 def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
     """Lift an operator on `sub` variables to the big basis, acting as
     the identity on all other variables."""
     out = np.zeros((big.size, big.size))
-    (rows, cols, vals), = _images(big.exponents, [(block, sub, slots, 1.0)], _joint_rows(big))
-    out[rows, cols] = vals
+    lay = _basis_layout(big, 1)
+    for rows, cols, vals in _images(lay, _runs(lay, [(block, sub, slots, 1.0)]), 0, big.size):
+        keep = rows >= 0
+        out[rows[keep], cols[keep]] = vals[keep]
     return out
-
-
-def v_slots(i: int):
-    """Coordinate columns of tagged particle i in the joint ordering."""
-    return np.arange(3 * i, 3 * i + 3)
-
-
-def w_slots(p: ModelParams, j: int):
-    """Coordinate columns of reservoir particle j (after all tagged)."""
-    return np.arange(3 * (p.m + j), 3 * (p.m + j) + 3)
 
 
 def _check_dense(rows: int, what: str) -> None:
@@ -512,17 +631,18 @@ def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
     if not 0 <= particle < m:
         raise StateError(f"particle {particle} out of range for m={m}")
     basis = _dense_basis(3 * m, d, f"tagged basis at M={m}, degree {d}")
-    return _lift(f"thermostat[{particle}]", basis, basis.exponents,
-                 [(thermostat_block(d), make_basis(3, d), v_slots(particle), 1.0)],
-                 _joint_rows(basis), np.ones(basis.size), 0.0)
+    return _lift(f"thermostat[{particle}]", basis, _basis_layout(basis, 3),
+                 [(thermostat_block(d), make_basis(3, d), (particle,), 1.0)],
+                 np.ones(basis.size), 0.0)
 
 
 def _collision_terms(kind: str, p: ModelParams, d: int, partner: Sequence) -> tuple:
     """The collision classes of the generator of `kind` as lift terms
-    (block, sub, slots, weight), and the sum of the weights in term order:
+    (block, sub, units, weight), and the sum of the weights in term order:
     tagged pairs at rate lambda_s / (M - 1), reservoir pairs at lambda_r /
     (N - 1), and each tagged particle with each reservoir particle at mu / N
-    ('reservoir') or with the thermostat at mu ('thermostat'). Collisions
+    ('reservoir') or with the thermostat at mu ('thermostat'). Tagged
+    particle i is unit i and reservoir particle j unit M + j; collisions
     with reservoir particle j < len(partner) are weighted by partner[j] too."""
     if kind not in ("reservoir", "thermostat"):
         raise StateError(f"unknown generator kind {kind!r}")
@@ -530,19 +650,18 @@ def _collision_terms(kind: str, p: ModelParams, d: int, partner: Sequence) -> tu
     terms = []
     if p.m >= 2 and p.lambda_s > 0:
         c = p.lambda_s / (p.m - 1)
-        terms += [(pair, b6, np.concatenate([v_slots(i), v_slots(j)]), c)
-                  for i, j in itertools.combinations(range(p.m), 2)]
+        terms += [(pair, b6, (i, j), c) for i, j in itertools.combinations(range(p.m), 2)]
     if p.lambda_r > 0:
         c = p.lambda_r / (p.n - 1)
-        terms += [(pair, b6, np.concatenate([w_slots(p, i), w_slots(p, j)]), c * partner[j])
+        terms += [(pair, b6, (p.m + i, p.m + j), c * partner[j])
                   for i, j in itertools.combinations(range(len(partner)), 2)]
     if p.mu > 0 and kind == "reservoir":
         c = p.mu / p.n
-        terms += [(pair, b6, np.concatenate([v_slots(i), w_slots(p, j)]), c * partner[j])
+        terms += [(pair, b6, (i, p.m + j), c * partner[j])
                   for i in range(p.m) for j in range(len(partner))]
     elif p.mu > 0:
-        terms += [(thermostat_block(d), make_basis(3, d), v_slots(i), p.mu)
-                  for i in range(p.m)]
+        block, b3 = thermostat_block(d), make_basis(3, d)
+        terms += [(block, b3, (i,), p.mu) for i in range(p.m)]
     return terms, reduce(np.add, [weight for *_, weight in terms], 0.0)
 
 
@@ -561,8 +680,8 @@ def assemble_generator(kind: str, p: ModelParams, d: int,
     """
     big = joint_basis(p, d) if basis is None else basis
     terms, total = _collision_terms(kind, p, d, [1.0] * p.n)
-    return _check_symmetric(_lift(f"generator[{kind}]", big, big.exponents, terms,
-                                  _joint_rows(big), np.ones(big.size), -total))
+    return _check_symmetric(_lift(f"generator[{kind}]", big, _basis_layout(big, 3), terms,
+                                  np.ones(big.size), -total))
 
 
 def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
@@ -597,20 +716,27 @@ def _sector_lift(p: ModelParams, sec: SectorBasis):
     themselves, slot r for each of the N - r fresh particles, and later
     slots for none; each image's row is the orbit of its exponents.
     """
-    d = sec.degree
+    d, n = sec.degree, sec.size
     r = np.count_nonzero(sec.support, axis=1)
-    local = np.zeros((sec.size, 3 * (p.m + d + 1)), dtype=np.int64)
-    local[:, :3 * p.m] = sec.tagged
-    local[:, 3 * p.m:3 * (p.m + d)] = sec.single.exponents[sec.support].reshape(sec.size, -1)
     partner = [np.where(j < r, 1.0, np.where(j == r, p.n - r, 0.0)) for j in range(d + 1)]
-
-    def image_rows(slots, sub, sub_of, k, cols):
-        exps = local[cols]
-        exps[:, slots] = sub.exponents[k]
-        return sec.rows_of(exps[:, :3 * p.m], exps[:, 3 * p.m:])
+    # units: the M tagged particles, one group each, then the d + 1
+    # reservoir slots, one group, since an orbit only sees their codes'
+    # multiset; a row with one unit at rest has that tagged code zeroed, or
+    # that support entry dropped (the support stays descending)
+    tagged = unit_codes(sec.tagged, 3)
+    codes = np.hstack([tagged, sec.support, np.zeros((n, 1), dtype=sec.support.dtype)])
+    x, u = np.nonzero(codes)
+    own = u < p.m
+    rest = tagged[x]
+    rest[own, u[own]] = 0
+    gone = np.where(own, d, u - p.m)  # the support entry dropped, d for none
+    support = np.take_along_axis(codes[x, p.m:], np.arange(d) + (np.arange(d) >= gone[:, None]),
+                                 axis=1)
+    lay = _layout(3, d, codes, np.minimum(np.arange(codes.shape[1]), p.m), x, u,
+                  sec.find(rest, support))
 
     def lift(name: str, terms, diagonal) -> OperatorMatrix:
-        return _lift(name, sec, local, terms, image_rows, np.sqrt(sec.orbit_size), diagonal)
+        return _lift(name, sec, lay, terms, np.sqrt(sec.orbit_size), diagonal)
 
     return partner, lift
 
@@ -713,6 +839,16 @@ def invariant_projector(p: ModelParams, d: int,
     return blocks
 
 
+class GapBlock(NamedTuple):
+    """One degree block m >= 1 of the sector reservoir generator, as
+    spectral_gap reads it."""
+
+    degree: int
+    kappa: float        # minus the largest eigenvalue off the kernel
+    multiplicity: int   # eigenvalues within the kernel tolerance of -kappa
+    kernel_count: int   # eigenvalues within it of 0: conserved_count(degree)
+
+
 @dataclass(frozen=True)
 class SpectralContext:
     """The operators of one configuration (p, d), each built at most once.
@@ -720,7 +856,8 @@ class SpectralContext:
     All of them live on the reservoir-symmetric sector: the sector basis,
     which verify_lemma2 lifts its collision averages onto, and both
     generators, which the distance curve evolves; the gap reads the
-    reservoir one. Each is built on first use and then kept.
+    spectrum of each degree block of the reservoir one (gap_blocks). Each
+    is built on first use and then kept.
     """
 
     p: ModelParams
@@ -738,8 +875,25 @@ class SpectralContext:
     def sector_thermostat(self) -> OperatorMatrix:
         return assemble_sector_generator("thermostat", self.p, self.d, basis=self.sector)
 
+    @cached_property
+    def gap_blocks(self) -> list[GapBlock]:
+        """The spectrum of each degree block m >= 1 of the sector reservoir
+        generator, as spectral_gap reads it (see there)."""
+        if self.d < 1:
+            raise StateError("degree cap 0 has no block off the constants to measure a gap in")
+        gen = self.sector_reservoir
+        tol = KERNEL_TOL * gen.norm_inf()
+        blocks = []
+        for m in range(1, self.d + 1):
+            evals = np.linalg.eigvalsh(gen.block(m))
+            kernel = int(np.count_nonzero(_conserved_mask(evals, m, tol)))
+            top = float(evals[evals < -tol].max())
+            blocks.append(GapBlock(m, -top, int(np.count_nonzero(np.abs(evals - top) <= tol)),
+                                   kernel))
+        return blocks
 
-def _conserved_count(m: int) -> int:
+
+def conserved_count(m: int) -> int:
     """Number of the P^a E^b with |a| + 2b = m (P the total momentum, E the
     total energy): sum over b <= m/2 of C(m - 2b + 2, 2), that is 3, 7, 13,
     22, 34, 50 for m = 1..6."""
@@ -749,12 +903,12 @@ def _conserved_count(m: int) -> int:
 def _conserved_mask(evals: np.ndarray, m: int, tol: float) -> np.ndarray:
     """Mask of the kernel, the eigenvalues within tol of 0, of a degree-m
     sector reservoir block. Every P^a E^b lies in the sector, so there must
-    be exactly _conserved_count(m) and none above, and then the kernel is
+    be exactly conserved_count(m) and none above, and then the kernel is
     their span; raises ToleranceError naming both counts otherwise."""
     kernel = np.abs(evals) <= tol
     count = int(np.count_nonzero(kernel))
     above = int(np.count_nonzero(evals > tol))
-    want = _conserved_count(m)
+    want = conserved_count(m)
     if count != want or above:
         raise ToleranceError(
             f"sector generator in degree {m}: {count} eigenvalues within "
@@ -783,19 +937,22 @@ def spectral_gap(ctx: SpectralContext) -> float:
     at any N, where the joint basis stops at N = 41 (d = 2) and N = 10
     (d = 3).
 
-    Raises StateError at degree cap 0, which has no block to measure, and
-    ToleranceError if a block's kernel is not the conserved quantities'.
+    Each kappa_m stays in ctx.gap_blocks with its multiplicity and the
+    block's kernel count, so that `gap` reports which block sets k without
+    a second eigensolve. Raises StateError at degree cap 0, which has no
+    block to measure, and ToleranceError if a block's kernel is not the
+    conserved quantities'.
     """
-    if ctx.d < 1:
-        raise StateError("degree cap 0 has no block off the constants to measure a gap in")
-    gen = ctx.sector_reservoir
-    tol = KERNEL_TOL * gen.norm_inf()
-    gaps = []
-    for m in range(1, ctx.d + 1):
-        evals = np.linalg.eigvalsh(gen.block(m))
-        _conserved_mask(evals, m, tol)
-        gaps.append(-float(evals[evals < -tol].max()))
-    return min(gaps)
+    return min(block.kappa for block in ctx.gap_blocks)
+
+
+def k_block(ctx: SpectralContext) -> GapBlock:
+    """The block that sets k: the lowest degree whose kappa_m lies within
+    the kernel tolerance (the one the multiplicities are counted at) of the
+    smallest, so that blocks with equal rates name the first of them."""
+    tol = KERNEL_TOL * ctx.sector_reservoir.norm_inf()
+    k = min(block.kappa for block in ctx.gap_blocks)
+    return next(block for block in ctx.gap_blocks if block.kappa - k <= tol)
 
 
 def conserved_norm(gen: OperatorMatrix, c: np.ndarray) -> float:
@@ -848,9 +1005,10 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
     pair block over the d + 1 representative reservoir slots, each
     weighted by the partners it stands for over N, is (1/N) sum_j R_1j,
     and a lift of its square has the quadratic form
-    (1/N) sum_j ||R_1j u||^2. u and T_1 u are their own orbit sums
-    (SectorBasis.tagged_coeffs); variance_bound is read on the tagged
-    basis. The functions share one tagged basis of degree <= ctx.d.
+    (1/N) sum_j ||R_1j u||^2. u and T_1 u are their own orbit sums, on
+    the rows SectorBasis.rows_of gives the tagged basis; variance_bound
+    is read on the tagged basis. The functions share one tagged basis of
+    degree <= ctx.d.
     Returns one result per function, in order.
     """
     p, d = ctx.p, ctx.d
@@ -869,12 +1027,16 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
 
     def average(name: str, block: np.ndarray) -> OperatorMatrix:
         """(1/N) sum_j of `block` on tagged particle 0 and reservoir particle j."""
-        return lift(name, [(block, b6, np.concatenate([v_slots(0), w_slots(p, j)]), w / p.n)
+        return lift(name, [(block, b6, (0, p.m + j), w / p.n)
                            for j, w in enumerate(partner)], 0.0)
 
+    tagged = sec.rows_of(basis.exponents, np.zeros((basis.size, 0), dtype=int))
+
     def placed(cols: np.ndarray) -> np.ndarray:
-        return np.stack([sec.tagged_coeffs(HermiteCoeffs(basis, c)).vec for c in cols.T],
-                        axis=1)
+        """Functions of the tagged velocities, each its own orbit sum."""
+        out = np.zeros((sec.size, cols.shape[1]))
+        out[tagged] = cols
+        return out
 
     u = np.stack([c.vec for c in us], axis=1)
     tu = assemble_T(p.m, basis.degree, particle=0) @ u

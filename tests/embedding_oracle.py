@@ -1,8 +1,8 @@
 """Per-row embedding of small blocks, kept as an oracle for the assembly.
 
 The package lifts an operator on a few variables to a many-variable
-basis with one vectorised image pass per collision (`spectral._images`),
-finding the row of every image in closed form. The route here walks the
+basis in one vectorised image pass per run of collisions that share a
+block (`spectral._images`), reading the row of every image from tables. The route here walks the
 big basis row by row, groups rows by their exponents outside the slots
 in a dict, and scatters the block into each group with one `np.ix_`;
 `generator` sums such lifts into a dense matrix. Tests compare the

@@ -12,20 +12,11 @@ pair rotation: symmetry, spectrum and the pair invariants.
 import numpy as np
 
 from kacbath.errors import StateError
-from kacbath.hermite import Basis, HermiteCoeffs, make_basis
+from kacbath.hermite import Basis, HermiteCoeffs
 from kacbath.kinematics import ModelParams
-from kacbath.spectral import (
-    Lemma2Result,
-    OperatorMatrix,
-    SpectralContext,
-    _joint_rows,
-    _lift,
-    assemble_T,
-    joint_basis,
-    pair_avg_block,
-    v_slots,
-    w_slots,
-)
+from kacbath.spectral import Lemma2Result, OperatorMatrix, SpectralContext, assemble_T, joint_basis
+
+from lift_oracle import pair_rotation, v_slots, w_slots
 
 
 def assemble_pair_rotation(kind: str, i: int, j: int, p: ModelParams,
@@ -51,10 +42,8 @@ def assemble_pair_rotation(kind: str, i: int, j: int, p: ModelParams,
         slots = np.concatenate([v_slots(i), w_slots(p, j)])
     else:
         raise StateError(f"unknown pair kind {kind!r}")
-    big = joint_basis(p, d) if basis is None else basis
-    return _lift(f"pair[{kind},{i},{j}]", big, big.exponents,
-                 [(pair_avg_block(d), make_basis(6, d), slots, 1.0)], _joint_rows(big),
-                 np.ones(big.size), 0.0)
+    return pair_rotation(f"pair[{kind},{i},{j}]", slots, d,
+                         joint_basis(p, d) if basis is None else basis)
 
 
 def verify_lemma2(us, ctx: SpectralContext) -> list[Lemma2Result]:

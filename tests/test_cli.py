@@ -197,6 +197,43 @@ def test_gap_json(tmp_path):
     assert doc["l_hat"] == pytest.approx(0.49888765156985887, abs=1e-9)
 
 
+def test_gap_json_names_the_block_that_sets_k(tmp_path, monkeypatch):
+    # at (1, 6, 3) kappa_3 < kappa_1 = kappa_2 = (N+1)/(3N) sets k, three
+    # times over; each sector block is factored once, by spectral_gap (a
+    # 6-row block is also l_hat's degree-2 thermostat block)
+    sizes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or real(a))
+    cfg = _write_config(tmp_path, n=6, degree=3)
+    out = tmp_path / "gap.json"
+    assert _run("gap", "--config", cfg, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert [sizes.count(rows) for rows in (6, 27, 102)] == [2, 1, 1]
+    assert doc["kernel_counts"] == [3, 7, 13]
+    assert doc["kappa"][:2] == pytest.approx([7 / 18] * 2, abs=1e-12)
+    assert (doc["k_degree"], doc["k_multiplicity"]) == (3, 3)
+    assert doc["k_hat"] == doc["kappa"][2] < 7 / 18
+    # equal rates name the lowest degree: at N=2, kappa_1 = kappa_2 = 1/2
+    assert _run("gap", "--config", _write_config(tmp_path, degree=2), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["k_degree"], doc["k_multiplicity"], doc["kernel_counts"]) == (1, 3, [3, 7])
+
+
+@pytest.mark.parametrize("field,value", [("kernel_counts", [3, 6, 13]),
+                                         ("kernel_counts", [3, 7]),
+                                         ("k_hat", 0.36)])
+def test_report_fails_a_gap_whose_kernels_or_minimum_are_off(tmp_path, field, value):
+    cfg = _write_config(tmp_path, n=6, degree=3)
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    assert _run("gap", "--config", cfg, "--out", str(rundir / "gap.json")) == 0
+    assert _run("report", "--dir", str(rundir)) == 0
+    doc = json.loads((rundir / "gap.json").read_text())
+    doc[field] = value
+    (rundir / "gap.json").write_text(json.dumps(doc))
+    assert _run("report", "--dir", str(rundir)) == 3
+
+
 def test_integral_floats_are_read_as_integers(tmp_path):
     # JSON Schema counts 8.0 as an integer, so both configs are valid and
     # must give the same artifacts

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from math import factorial, pi, prod, sqrt
+from math import comb, factorial, pi, prod, sqrt
 
 from kacbath import ModelParams, SpectralContext, assemble_T, spectral, spectral_gap
 from kacbath.errors import ConfigError, QuadratureError, StateError, ToleranceError
@@ -31,15 +31,15 @@ from kacbath.spectral import (
     pair_avg_block,
     symmetric_tensor_eigenvalues,
     thermostat_block,
-    v_slots,
     verify_lemma2,
-    w_slots,
 )
 
 import embedding_oracle
 import gap_oracle
 import invariant_oracle
 import lemma2_oracle
+import lift_oracle
+from lift_oracle import v_slots, w_slots
 import moment_oracle
 from matrix_oracle import dense
 import quadrature_oracle
@@ -244,14 +244,15 @@ def test_lemma2_batch_equals_one_call_per_function(monkeypatch):
     lifts = []
     real = spectral._lift
 
-    def counted(name, basis, local, terms, *args):
-        lifts.append((basis is ctx.sector, [slots.tolist() for _, _, slots, _ in terms]))
-        return real(name, basis, local, terms, *args)
+    def counted(name, basis, layout, terms, *args):
+        lifts.append((basis is ctx.sector, [list(units) for _, _, units, _ in terms]))
+        return real(name, basis, layout, terms, *args)
 
     monkeypatch.setattr(spectral, "_lift", counted)
     batch = verify_lemma2(us, ctx)
-    slots = [list(range(3)) + list(range(3 * j + 3, 3 * j + 6)) for j in range(3)]
-    assert [slot_lists for on_sector, slot_lists in lifts if on_sector] == [slots, slots]
+    # tagged particle 0 (unit 0) with each reservoir slot j (unit 1 + j)
+    pairs = [[0, 1 + j] for j in range(3)]
+    assert [unit_lists for on_sector, unit_lists in lifts if on_sector] == [pairs, pairs]
     for got, want in zip(batch, alone, strict=True):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
@@ -623,6 +624,84 @@ def test_generator_assembly_allocates_less_than_one_dense_generator():
 
 def _same_entries(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     return all(_same_bits(getattr(a, k), getattr(b, k)) for k in ("rows", "cols", "values"))
+
+
+# ---------------------------------------------------------------------------
+# the table-driven lift against the per-term oracle, bitwise
+
+
+def _lemma2_lifts(ctx: SpectralContext, us) -> list[OperatorMatrix]:
+    """The two sector lifts verify_lemma2 builds, as it builds them."""
+    lifts = []
+    real = spectral._lift
+
+    def kept(*args):
+        lifts.append(real(*args))
+        return lifts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_lift", kept)
+        verify_lemma2(us, ctx)
+    return [op for op in lifts if op.basis is ctx.sector]
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(2, 8), d=st.integers(0, 3),
+       rates=st.tuples(*[st.sampled_from([0.0, 0.7, 1.3])] * 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_lift_equals_the_per_term_oracle(m, n, d, rates, seed):
+    # generators of both kinds on the sector (and on the joint basis where
+    # it is small), the tagged thermostat average, a block embedded on
+    # random slots, and verify_lemma2's two sector lifts, each bitwise
+    p = ModelParams(m, n, *rates)
+    rng = np.random.default_rng(seed)
+    sec = spectral.sector_basis(p, d)
+    for kind in ("reservoir", "thermostat"):
+        assert _same_entries(spectral.assemble_sector_generator(kind, p, d, basis=sec),
+                             lift_oracle.sector_generator(kind, p, sec))
+        if comb(3 * (m + n) + d, d) <= 800:
+            assert _same_entries(assemble_generator(kind, p, d),
+                                 lift_oracle.generator(kind, p, d))
+    particle = int(rng.integers(m))
+    assert _same_entries(assemble_T(m, d, particle), lift_oracle.assemble_T(m, d, particle))
+    tagged, b3 = make_basis(3 * m, d), make_basis(3, d)
+    slots = rng.choice(3 * m, 3, replace=False)
+    assert _same_bits(embed_block(thermostat_block(d), b3, tagged, slots),
+                      lift_oracle.embed_block(thermostat_block(d), b3, tagged, slots))
+    if d >= 1:
+        ctx = SpectralContext(p, d)
+        us = [HermiteCoeffs(tagged, rng.standard_normal(tagged.size))]
+        got = _lemma2_lifts(ctx, us)
+        want = lift_oracle.lemma2_averages(p, ctx.sector)
+        assert len(got) == 2 and all(map(_same_entries, got, want))
+
+
+_RATES = {(3, 4, 2): (0.7, 1.3, 0.4), (2, 3, 3): (1.0, 0.0, 1.0)}
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 8, 2), (2, 6, 2), (1, 6, 3), (1, 16, 2), (3, 4, 2),
+                                   (2, 3, 3), (2, 2, 4)])
+def test_joint_generators_equal_the_per_term_oracle(m, n, d):
+    p = ModelParams(m, n, *_RATES.get((m, n, d), ()))
+    for kind in ("reservoir", "thermostat"):
+        assert _same_entries(assemble_generator(kind, p, d), lift_oracle.generator(kind, p, d))
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 8, 2), (2, 6, 2), (1, 6, 3), (1, 16, 2), (3, 4, 2),
+                                   (2, 3, 3), (2, 2, 4), (2, 16, 3), (1, 4096, 4),
+                                   (2, 4096, 4), (1, 4096, 5)])
+def test_sector_generators_equal_the_per_term_oracle(m, n, d):
+    p = ModelParams(m, n, *_RATES.get((m, n, d), ()))
+    sec = spectral.sector_basis(p, d)
+    for kind in ("reservoir", "thermostat"):
+        assert _same_entries(spectral.assemble_sector_generator(kind, p, d, basis=sec),
+                             lift_oracle.sector_generator(kind, p, sec))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_thermostat_average_equals_the_per_term_oracle(d):
+    assert _same_entries(assemble_T(1, d), lift_oracle.assemble_T(1, d))
+    assert _same_entries(assemble_T(2, min(d, 4), 1), lift_oracle.assemble_T(2, min(d, 4), 1))
 
 
 @settings(max_examples=60, deadline=None)
