@@ -9,20 +9,20 @@ reorthogonalisation. The small tridiagonal matrix T_j is exponentiated
 exactly through its eigendecomposition, and Lanczos stops once a
 rigorous a-posteriori bound on the error over the whole time grid drops
 below KRYLOV_TOL times the block's norm. Smooth data needs only a few
-steps (4 for anisotropic degree-2 data, whatever the block size), and
-no block-sized dense matrix is formed for it. A block where the initial
-coefficients are all zero stays zero, exp(G_m t) 0 = 0, so it is
-skipped by both routes. The exponential of every block that c0 fills,
-from the dense symmetric eigendecomposition of that block (Moler and
-Van Loan, SIAM Review 2003), always cross-checks the result: it is exact
-to roundoff, and the two routes share no code beyond the matrix itself.
-The blocks c0 leaves empty are exactly zero in that matrix's flow too,
-because from_raw makes it exactly block diagonal. Each block that c0
-fills is made dense once (`OperatorMatrix.block`), from the generator's
-entry list, and both routes read that one array: Lanczos multiplies by
-it and the cross-check factors it. The dense block needs no preflight of
-its own: the sector and the joint basis are capped at one dense operator
-over all their rows (spectral._check_dense).
+steps (4 for anisotropic degree-2 data, whatever the block size). A
+block where the initial coefficients are all zero stays zero,
+exp(G_m t) 0 = 0, so it is skipped by both routes. The exponential of
+every block that c0 fills, from the dense symmetric eigendecomposition
+of that block (Moler and Van Loan, SIAM Review 2003), always
+cross-checks the result: it is exact to roundoff, and the two routes
+share no code beyond the matrix itself. The blocks c0 leaves empty are
+exactly zero in that matrix's flow too, because from_raw makes it
+exactly block diagonal. Each block that c0 fills is made dense once
+(`OperatorMatrix.block`), from the generator's entry list, and both
+routes read that one array: Lanczos multiplies by it and the cross-check
+factors it. The dense block needs no preflight of its own: the sector
+and the joint basis are capped at one dense operator over all their rows
+(spectral._check_dense).
 
 The central observable is the distance curve: the same initial density
 perturbation is evolved under the finite-reservoir generator and the
@@ -95,7 +95,7 @@ def eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
 
 
 def _krylov_path(g: np.ndarray, b: np.ndarray, times: np.ndarray, degree: int,
-                 scale: float, tol: float = KRYLOV_TOL) -> _KrylovPath:
+                 scale: float) -> _KrylovPath:
     """exp(t G) b at each t of `times`, by Lanczos from b.
 
     g is a symmetric nonpositive dense block and `scale` the infinity
@@ -108,10 +108,10 @@ def _krylov_path(g: np.ndarray, b: np.ndarray, times: np.ndarray, degree: int,
 
     for every t <= t_end (t_end in place of the fraction where
     theta_i = 0). Lanczos stops at the first j where this bound is at
-    most tol * beta_0, or at j = n. Raises ToleranceError if the basis
-    has lost orthogonality (max |V^T V - I| above _ORTHOGONALITY_TOL) or
-    a Ritz value lies above KRYLOV_TOL * scale, since the bound assumes
-    G <= 0.
+    most KRYLOV_TOL * beta_0, or at j = n. Raises ToleranceError if the
+    basis has lost orthogonality (max |V^T V - I| above
+    _ORTHOGONALITY_TOL) or a Ritz value lies above KRYLOV_TOL * scale,
+    since the bound assumes G <= 0.
     """
     n = b.size
     beta0 = float(np.linalg.norm(b))
@@ -131,7 +131,7 @@ def _krylov_path(g: np.ndarray, b: np.ndarray, times: np.ndarray, degree: int,
         pos = rate > 0.0
         weight[pos] = -np.expm1(-t_end * rate[pos]) / rate[pos]
         bound = beta0 * beta[-1] * float(np.abs(s[-1] * s[0]) @ weight)
-        if bound <= tol * beta0 or j + 1 == n:
+        if bound <= KRYLOV_TOL * beta0 or j + 1 == n:
             break
         if j + 1 == len(v):
             v = np.concatenate([v, np.empty((min(len(v), n - len(v)), n))])
@@ -170,7 +170,7 @@ def evolve(g: OperatorMatrix, c0: HermiteCoeffs, times) -> list[HermiteCoeffs]:
     (see _krylov_path) is at most KRYLOV_TOL times that part's norm at
     every requested time; blocks where c0 is identically zero are left
     zero and never sliced. G must be symmetric, which assembly checks
-    once per generator. Each block that c0 fills is also exponentiated
+    once per operator. Each block that c0 fills is also exponentiated
     through its dense eigendecomposition, from the same part of c0;
     when every time is 0 nothing is factored and the result is compared
     with c0. A relative disagreement beyond CROSS_CHECK_TOL at any time

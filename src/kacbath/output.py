@@ -101,39 +101,28 @@ def read_json(path: str):
         return json.load(fh)
 
 
-def write_matrix(path: str, mat) -> None:
+def write_matrix(path: str, op) -> None:
     """Dimension header ("rows cols") then row-major values, one row per line.
 
-    `mat` is a 2d array, or an operator that lists its entries sorted
-    row-major as `rows`, `cols` and `values` on a `basis` of `basis.size`
-    functions (spectral.OperatorMatrix), which is written from that list
-    with no dense copy.
+    `op` is an operator that lists its entries sorted row-major as `rows`,
+    `cols` and `values` on a `basis` of `basis.size` functions
+    (spectral.OperatorMatrix); it is written from that list with no dense
+    copy.
     """
-    if hasattr(mat, "basis"):
-        shape = (mat.basis.size,) * 2
-        rows, cols, values = mat.rows, mat.cols, mat.values
-    else:
-        arr = np.asarray(mat, dtype=float)
-        if arr.ndim != 2:
-            raise ConfigError(f"matrix export needs a 2d array, got ndim={arr.ndim}")
-        shape = arr.shape
-        # the entries that print other than "0": nonzeros, NaN and -0.0
-        rows, cols = np.nonzero((arr != 0) | np.signbit(arr))
-        values = arr[rows, cols]
-    _write_lines(path, _matrix_lines(shape, rows, cols, values))
+    _write_lines(path, _matrix_lines(op.basis.size, op.rows, op.cols, op.values))
 
 
-def _matrix_lines(shape, rows, cols, values) -> Iterator[str]:
-    """The lines of the matrix format for entries sorted by row; every
-    cell not listed prints as "0"."""
-    yield "%d %d\n" % shape
+def _matrix_lines(n: int, rows, cols, values) -> Iterator[str]:
+    """The lines of the n x n matrix format for entries sorted by row;
+    every cell not listed prints as "0"."""
+    yield "%d %d\n" % (n, n)
     # each distinct value is formatted once; values are told apart by their
-    # bits, so -0.0 and 0.0, and NaNs of any payload, keep their own text
+    # bits, so NaNs of any payload keep their own text
     bits, which = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
                             return_inverse=True)
     text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    cells = np.full(shape[1], "0", dtype=object)
-    ends = np.searchsorted(rows, np.arange(1, shape[0] + 1)).tolist()
+    cells = np.full(n, "0", dtype=object)
+    ends = np.searchsorted(rows, np.arange(1, n + 1)).tolist()
     lo = 0
     for hi in ends:
         at = cols[lo:hi]

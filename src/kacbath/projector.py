@@ -58,6 +58,9 @@ from .errors import ConfigError, StateError
 from .hermite import HermiteCoeffs, make_basis
 from .randomness import GAMMA_SIGMA, RngStream
 
+# Outer states whose draws _ratio_core takes in one call of _draws.
+OUTER_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class BoundConstant:
@@ -146,7 +149,6 @@ def _ratio_core(
     outer: int,
     inner: int,
     stream: RngStream,
-    chunk: int = 256,
 ) -> Lemma1Estimate:
     """Nested estimator for ||R[h] - 1|| / ||h - 1||.
 
@@ -159,11 +161,11 @@ def _ratio_core(
     clamped at zero before the square root; the error bar follows by the
     delta method.
 
-    Each chunk of b outer states takes its draws from `_draws`: the
-    orbits (V, rho^2) of the states, then per rotation the normals on
-    the reach of `cols` and one chi-square variate. `_system_rows` turns
-    them into the columns `cols` of the rotated system block in closed
-    form; neither cost grows with N.
+    Each chunk of OUTER_CHUNK outer states (fewer in the last) takes its
+    draws from `_draws`: the orbits (V, rho^2) of the states, then per
+    rotation the normals on the reach of `cols` and one chi-square
+    variate. `_system_rows` turns them into the columns `cols` of the
+    rotated system block in closed form; neither cost grows with N.
     """
     if outer < 2:
         raise ConfigError(f"need at least two outer states, got {outer}")
@@ -175,7 +177,7 @@ def _ratio_core(
     prods = np.empty(outer)
     done = 0
     while done < outer:
-        b = min(chunk, outer - done)
+        b = min(OUTER_CHUNK, outer - done)
         v, rho2, w, r2 = _draws(stream.rng, b, inner, m, n, width)
         rows = _system_rows(v, rho2, w, r2, m, n, cols)
         vals = evaluate(rows.reshape(b * inner, len(cols))).reshape(b, inner)

@@ -44,21 +44,20 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def sample_gamma_vec3(stream: RngStream, size: int | None = None) -> np.ndarray:
-    """Velocities from the background Gaussian: (3,) or (size, 3)."""
-    shape = 3 if size is None else (size, 3)
-    return stream.rng.normal(0.0, GAMMA_SIGMA, shape)
+def sample_gamma_vec3(stream: RngStream, size: int) -> np.ndarray:
+    """`size` velocities from the background Gaussian, (size, 3)."""
+    return stream.rng.normal(0.0, GAMMA_SIGMA, (size, 3))
 
 
-def sample_unit_sphere(stream: RngStream, size: int | None = None) -> np.ndarray:
-    """Uniform unit vectors in R^3 by normalizing Gaussian draws."""
-    shape = (3,) if size is None else (size, 3)
-    g = stream.rng.standard_normal(shape)
+def sample_unit_sphere(stream: RngStream, size: int) -> np.ndarray:
+    """`size` uniform unit vectors in R^3, (size, 3), by normalizing
+    Gaussian draws."""
+    g = stream.rng.standard_normal((size, 3))
     norm = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
     # A zero draw has probability zero; resample defensively if it happens.
     while np.any(norm == 0.0):
         bad = (norm == 0.0).ravel()
         g[bad] = stream.rng.standard_normal((int(bad.sum()), 3))
         norm = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
-    return np.squeeze(g / norm) if size is None else g / norm
+    return g / norm
 

@@ -28,6 +28,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, factorial, prod
 
 import numpy as np
@@ -39,24 +40,11 @@ from .kinematics import ModelParams
 __all__ = ["SectorBasis", "sector_sizes", "make_sector"]
 
 
-def _support_counts(d: int, n: int) -> list[int]:
-    """Number of supports of total degree s = 0..d with at most n
-    particles: the coefficients of prod_k (1 - y x^k)^(-comb(k + 2, 2)),
-    k = 1..d, summed over the powers y^r with r <= n."""
-    # f[s][r]: supports of total degree s over r particles
-    f = [[int(s == 0 and r == 0) for r in range(d + 1)] for s in range(d + 1)]
-    for k in range(1, d + 1):
-        for _ in range(comb(k + 2, 2)):  # one factor per 3-exponent of degree k
-            for s in range(k, d + 1):
-                for r in range(1, d + 1):
-                    f[s][r] += f[s - k][r - 1]
-    return [sum(f[s][:min(n, d) + 1]) for s in range(d + 1)]
-
-
 def sector_sizes(p: ModelParams, d: int) -> list[int]:
-    """Rows of the sector per degree m = 0..d, in closed form: a tagged
-    exponent of degree t times a support of degree m - t."""
-    supports = _support_counts(d, p.n)
+    """Rows of the sector per degree m = 0..d, counted without building it:
+    a tagged exponent of degree t times a support of degree m - t on at
+    most N particles."""
+    supports = [sum(len(sup) <= p.n for sup in level) for level in _supports(d)]
     return [sum(comb(t + 3 * p.m - 1, t) * supports[m - t] for t in range(m + 1))
             for m in range(d + 1)]
 
@@ -132,9 +120,11 @@ def _row_keys(tagged: np.ndarray, support: np.ndarray) -> np.ndarray:
     return rows.view(f"S{2 * rows.shape[1]}").ravel()
 
 
-def _supports(d: int, single: Basis) -> list[list[tuple]]:
-    """supports[s]: descending tuples of nonzero rows of `single` with total
-    degree s, for s = 0..d."""
+@cache
+def _supports(d: int) -> tuple[tuple[tuple, ...], ...]:
+    """supports[s]: descending tuples of nonzero rows of make_basis(3, d)
+    with total degree s, for s = 0..d; cached per degree."""
+    single = make_basis(3, d)
     out = [[] for _ in range(d + 1)]
 
     def extend(prefix: tuple, total: int, top: int):
@@ -145,7 +135,7 @@ def _supports(d: int, single: Basis) -> list[list[tuple]]:
                 extend(prefix + (code,), total + step, code)
 
     extend((), 0, single.size - 1)
-    return out
+    return tuple(map(tuple, out))
 
 
 def make_sector(p: ModelParams, d: int) -> SectorBasis:
@@ -155,7 +145,7 @@ def make_sector(p: ModelParams, d: int) -> SectorBasis:
         raise StateError(f"invalid sector degree {d}")
     single = make_basis(3, d)
     tagged_basis = make_basis(3 * p.m, d)
-    supports = _supports(d, single)
+    supports = _supports(d)
     tagged, support, orbit = [], [], []
     for m in range(d + 1):
         for t in range(m, -1, -1):

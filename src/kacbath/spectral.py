@@ -41,7 +41,8 @@ row at rest with a code put in. One vectorised pass over each run of
 classes that share a block lists every column's images, their sub rows
 and rows read from those tables, and `_lift` sums the entries in
 listing order, the diagonal last, so the joint generators are bitwise
-the dense sum of the blocks.
+the dense sum of the blocks. `_lift` is the one producer of operators,
+and it checks each one for symmetry as it finishes it.
 """
 
 from __future__ import annotations
@@ -130,18 +131,11 @@ class OperatorMatrix:
     values: np.ndarray
 
     @classmethod
-    def from_raw(cls, name: str, basis: Basis, mat) -> "OperatorMatrix":
-        """Check and store a dense matrix on `basis`, or its entries as a
-        tuple (rows, cols, values) listing each position at most once."""
+    def from_raw(cls, name: str, basis: Basis, entries: tuple) -> "OperatorMatrix":
+        """Check and store the entries (rows, cols, values) of an operator on
+        `basis`, listing each position at most once."""
         n = basis.size
-        if isinstance(mat, tuple):
-            rows, cols, values = (np.asarray(a) for a in mat)
-        else:
-            mat = np.asarray(mat, dtype=float)
-            if mat.shape != (n, n):
-                raise StateError(f"{name}: matrix shape {mat.shape} vs basis {n}")
-            rows, cols = np.nonzero(mat)
-            values = mat[rows, cols]
+        rows, cols, values = (np.asarray(a) for a in entries)
         off = basis.degree_of[rows] != basis.degree_of[cols]
         worst = float(np.abs(values[off]).max()) if off.any() else 0.0
         # a NaN compares False, so it fails a check written as "not <="
@@ -562,12 +556,33 @@ def _summed(lay: _Layout, runs: list[_Run], lo: int, hi: int, diagonal: np.ndarr
     return at // (hi - lo) + top, at % (hi - lo) + lo, acc[at]
 
 
+def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
+    """op, once no entry of |G - G^T| exceeds SYMMETRY_TOL: the Krylov route
+    of evolve and every eigvalsh (which reads one triangle) assume a
+    symmetric operator, and _lift checks each one once, when it is built.
+    Each entry (i, j) is compared with its mirror (j, i), read as 0 where
+    that is not listed."""
+    if not op.values.size:
+        return op
+    n = op.basis.size
+    key, mirror = op.rows * n + op.cols, op.cols * n + op.rows
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    skew = np.abs(op.values - np.where(key[at] == mirror, op.values[at], 0.0))
+    worst = int(skew.argmax())  # the first NaN, if there is one
+    if not skew[worst] <= SYMMETRY_TOL:
+        raise StateError(
+            f"{op.name}: not symmetric in degree {op.basis.degree_of[op.rows[worst]]} "
+            f"(defect {skew[worst]:.3e})"
+        )
+    return op
+
+
 def _lift(name: str, basis, lay: _Layout, terms, root: np.ndarray,
           diagonal) -> OperatorMatrix:
     """sum of weight * A over the terms (see _images), plus `diagonal` (one
     number or one per column), scaled by root[col] / root[row], summed a
-    chunk of columns at a time (_chunks, _summed). No n x n array is formed
-    past _CHUNK elements."""
+    chunk of columns at a time (_chunks, _summed), and checked for symmetry
+    (_check_symmetric). No n x n array is formed past _CHUNK elements."""
     runs = _runs(lay, terms)
     diagonal = np.broadcast_to(diagonal, basis.size)
     parts = [_summed(lay, runs, lo, hi, diagonal) for lo, hi in _chunks(basis)]
@@ -575,7 +590,7 @@ def _lift(name: str, basis, lay: _Layout, terms, root: np.ndarray,
     del parts  # copied above; free them before from_raw makes its own copies
     data *= root[col]
     data /= root[row]
-    return OperatorMatrix.from_raw(name, basis, (row, col, data))
+    return _check_symmetric(OperatorMatrix.from_raw(name, basis, (row, col, data)))
 
 
 def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
@@ -591,8 +606,7 @@ def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
 
 def _check_dense(rows: int, what: str) -> None:
     """Raise ConfigError unless one dense operator on `rows` rows fits in
-    DENSE_BYTES_MAX; callers count the rows in closed form, so nothing is
-    enumerated before."""
+    DENSE_BYTES_MAX; callers count the rows without building the basis."""
     dense = 8 * rows * rows
     if dense > DENSE_BYTES_MAX:
         raise ConfigError(
@@ -625,14 +639,12 @@ def sector_basis(p: ModelParams, d: int) -> SectorBasis:
 # model operators
 
 
-def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
-    """Thermostat average for one tagged particle on the 3m-variable basis,
+def assemble_T(m: int, d: int) -> OperatorMatrix:
+    """Thermostat average for tagged particle 0 on the 3m-variable basis,
     size-checked by _dense_basis."""
-    if not 0 <= particle < m:
-        raise StateError(f"particle {particle} out of range for m={m}")
     basis = _dense_basis(3 * m, d, f"tagged basis at M={m}, degree {d}")
-    return _lift(f"thermostat[{particle}]", basis, _basis_layout(basis, 3),
-                 [(thermostat_block(d), make_basis(3, d), (particle,), 1.0)],
+    return _lift("thermostat[0]", basis, _basis_layout(basis, 3),
+                 [(thermostat_block(d), make_basis(3, d), (0,), 1.0)],
                  np.ones(basis.size), 0.0)
 
 
@@ -665,8 +677,7 @@ def _collision_terms(kind: str, p: ModelParams, d: int, partner: Sequence) -> tu
     return terms, reduce(np.add, [weight for *_, weight in terms], 0.0)
 
 
-def assemble_generator(kind: str, p: ModelParams, d: int,
-                       basis: Basis | None = None) -> OperatorMatrix:
+def assemble_generator(kind: str, p: ModelParams, d: int) -> OperatorMatrix:
     """Full jump generator on the joint basis of degree <= d.
 
     kind 'reservoir': tagged-tagged + reservoir-reservoir +
@@ -674,35 +685,12 @@ def assemble_generator(kind: str, p: ModelParams, d: int,
     where tagged-reservoir collisions are replaced by the thermostat
     average acting on tagged variables only (reservoir-internal
     collisions kept). Returned matrix is sum_e c_e (A_e - I) with every
-    A_e an embedded averaging block. A caller that already holds the
-    joint basis of (p, d) passes it as `basis`, so it is not enumerated
-    again.
+    A_e an embedded averaging block.
     """
-    big = joint_basis(p, d) if basis is None else basis
+    big = joint_basis(p, d)
     terms, total = _collision_terms(kind, p, d, [1.0] * p.n)
-    return _check_symmetric(_lift(f"generator[{kind}]", big, _basis_layout(big, 3), terms,
-                                  np.ones(big.size), -total))
-
-
-def _check_symmetric(op: OperatorMatrix) -> OperatorMatrix:
-    """op, once no entry of |G - G^T| exceeds SYMMETRY_TOL: the Krylov route
-    of evolve and the gap's eigvalsh (which reads one triangle) assume a
-    symmetric generator, and this is checked once per operator, when it is
-    built. Each entry (i, j) is compared with its mirror (j, i), read as 0
-    where that is not listed."""
-    if not op.values.size:
-        return op
-    n = op.basis.size
-    key, mirror = op.rows * n + op.cols, op.cols * n + op.rows
-    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-    skew = np.abs(op.values - np.where(key[at] == mirror, op.values[at], 0.0))
-    worst = int(skew.argmax())  # the first NaN, if there is one
-    if not skew[worst] <= SYMMETRY_TOL:
-        raise StateError(
-            f"{op.name}: not symmetric in degree {op.basis.degree_of[op.rows[worst]]} "
-            f"(defect {skew[worst]:.3e})"
-        )
-    return op
+    return _lift(f"generator[{kind}]", big, _basis_layout(big, 3), terms,
+                 np.ones(big.size), -total)
 
 
 def _sector_lift(p: ModelParams, sec: SectorBasis):
@@ -741,10 +729,9 @@ def _sector_lift(p: ModelParams, sec: SectorBasis):
     return partner, lift
 
 
-def assemble_sector_generator(kind: str, p: ModelParams, d: int,
-                              basis: SectorBasis | None = None) -> OperatorMatrix:
+def assemble_sector_generator(kind: str, p: ModelParams, sec: SectorBasis) -> OperatorMatrix:
     """The generator of `kind` (see assemble_generator) on the
-    reservoir-symmetric sector of degree <= d.
+    reservoir-symmetric sector `sec` of (p, d).
 
     Entry (a, b) is <e_a, G e_b> = sqrt(|O_b| / |O_a|) sum_{x in O_a} G[x, y_b]
     for one representative y_b of orbit b: tagged exponent first, then the
@@ -755,12 +742,11 @@ def assemble_sector_generator(kind: str, p: ModelParams, d: int,
     particle with a support particle and with a fresh partner (again N - r
     times), or the thermostat on each tagged particle; collisions between
     fresh particles fix phi_y: the joint collision list on d + 1 reservoir
-    particles. A caller that already holds the sector basis of (p, d)
-    passes it as `basis`.
+    particles.
     """
-    partner, lift = _sector_lift(p, sector_basis(p, d) if basis is None else basis)
-    terms, total = _collision_terms(kind, p, d, partner)
-    return _check_symmetric(lift(f"sector generator[{kind}]", terms, -total))
+    partner, lift = _sector_lift(p, sec)
+    terms, total = _collision_terms(kind, p, sec.degree, partner)
+    return lift(f"sector generator[{kind}]", terms, -total)
 
 
 def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
@@ -869,11 +855,11 @@ class SpectralContext:
 
     @cached_property
     def sector_reservoir(self) -> OperatorMatrix:
-        return assemble_sector_generator("reservoir", self.p, self.d, basis=self.sector)
+        return assemble_sector_generator("reservoir", self.p, self.sector)
 
     @cached_property
     def sector_thermostat(self) -> OperatorMatrix:
-        return assemble_sector_generator("thermostat", self.p, self.d, basis=self.sector)
+        return assemble_sector_generator("thermostat", self.p, self.sector)
 
     @cached_property
     def gap_blocks(self) -> list[GapBlock]:
@@ -1039,7 +1025,7 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
         return out
 
     u = np.stack([c.vec for c in us], axis=1)
-    tu = assemble_T(p.m, basis.degree, particle=0) @ u
+    tu = assemble_T(p.m, basis.degree) @ u
     u_sec = placed(u)
     lhs = np.sum((average("interaction average", pair) @ u_sec - placed(tu)) ** 2, axis=0)
     second_moment = np.einsum("ik,ik->k", u_sec,

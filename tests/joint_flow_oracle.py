@@ -14,15 +14,15 @@ import numpy as np
 from kacbath.evolution import evolve
 from kacbath.hermite import HermiteCoeffs
 from kacbath.kinematics import ModelParams
-from kacbath.spectral import assemble_generator, joint_basis
+from kacbath.spectral import assemble_generator
 
 
 def distance_curves(p: ModelParams, d: int, h0s: list[HermiteCoeffs],
                     times) -> list[np.ndarray]:
     """||h_t - h~_t|| at `times` for each tagged datum of `h0s`, from the
     two joint generators of (p, d), each assembled once."""
-    big = joint_basis(p, d)
-    gens = [assemble_generator(kind, p, d, basis=big) for kind in ("reservoir", "thermostat")]
+    gens = [assemble_generator(kind, p, d) for kind in ("reservoir", "thermostat")]
+    big = gens[0].basis
     curves = []
     for h0 in h0s:
         c0 = h0.embed(big, np.arange(3 * p.m))

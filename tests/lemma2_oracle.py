@@ -76,7 +76,7 @@ def verify_lemma2(us, ctx: SpectralContext) -> list[Lemma2Result]:
         ru = op @ u_joint
         acc += ru
         second_moment += np.einsum("ik,ik->k", ru, ru) / p.n
-    tu = assemble_T(p.m, d, particle=0) @ u
+    tu = assemble_T(p.m, d) @ u
     lhs = np.sum((acc / p.n - joint(tu)) ** 2, axis=0)
 
     tt = np.einsum("ik,ik->k", tu, tu)

@@ -152,10 +152,10 @@ def generator(kind: str, p: ModelParams, d: int) -> OperatorMatrix:
                 np.ones(big.size), -total)
 
 
-def assemble_T(m: int, d: int, particle: int = 0) -> OperatorMatrix:
+def assemble_T(m: int, d: int) -> OperatorMatrix:
     basis = make_basis(3 * m, d)
-    return lift(f"thermostat[{particle}]", basis, basis.exponents,
-                [(thermostat_block(d), make_basis(3, d), v_slots(particle), 1.0)],
+    return lift("thermostat[0]", basis, basis.exponents,
+                [(thermostat_block(d), make_basis(3, d), v_slots(0), 1.0)],
                 joint_rows(basis), np.ones(basis.size), 0.0)
 
 

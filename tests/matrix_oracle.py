@@ -1,9 +1,12 @@
 """Dense forms for tests: the dense matrix of an operator held as its
-entries, and the dense matrix writer that `output.write_matrix` replaced,
-kept as the oracle for its bytes. The writer scans a dense array row by
-row and formats every entry that prints other than "0" on its own."""
+entries, an operator from the nonzero entries of a dense matrix, and the
+dense matrix writer that `output.write_matrix` replaced, kept as the
+oracle for its bytes. The writer scans a dense array row by row and
+formats every entry that prints other than "0" on its own."""
 
 import numpy as np
+
+from kacbath.spectral import OperatorMatrix
 
 
 def dense(op) -> np.ndarray:
@@ -11,6 +14,13 @@ def dense(op) -> np.ndarray:
     out = np.zeros((op.basis.size,) * 2)
     out[op.rows, op.cols] = op.values
     return out
+
+
+def operator(name: str, basis, mat: np.ndarray) -> OperatorMatrix:
+    """The operator whose entries are the nonzeros (NaN included) of the
+    square matrix `mat` on `basis`, through OperatorMatrix.from_raw."""
+    rows, cols = np.nonzero(mat)
+    return OperatorMatrix.from_raw(name, basis, (rows, cols, mat[rows, cols]))
 
 
 def dense_matrix_text(mat) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 
 from kacbath.errors import ConfigError, ToleranceError
 from kacbath.hermite import evaluate_basis
+from kacbath.projector import OUTER_CHUNK
 from kacbath.randomness import GAMMA_SIGMA, RngStream
 
 # Residual norm below which a candidate completion vector is discarded
@@ -219,11 +220,10 @@ def full_rotation_ratio(h, m: int, n: int, outer: int, stream: RngStream,
     """
     frame = build_frame(m, n)
     half = inner // 2
-    chunk = 256  # outer states per draw, as in `projector._ratio_core`
     prods = np.empty(outer)
     done = 0
     while done < outer:
-        b = min(chunk, outer - done)
+        b = min(OUTER_CHUNK, outer - done)
         z = stream.rng.normal(0.0, GAMMA_SIGMA, (b, frame.dim))
         u = stream.rng.standard_normal((b, inner, len(frame.complement_slots)))
         for i in range(b):

@@ -118,7 +118,7 @@ def test_estimate_l_rejects_broken_operator():
     from kacbath.spectral import OperatorMatrix
 
     b = make_basis(1, 1)
-    bad = OperatorMatrix.from_raw("bad", b, np.diag([1.0, 2.0]))  # not a contraction
+    bad = OperatorMatrix.from_raw("bad", b, ([0, 1], [0, 1], [1.0, 2.0]))  # not a contraction
     with pytest.raises(ToleranceError):
         estimate_l(bad)
 

@@ -286,7 +286,7 @@ def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
     generators = _count_calls(monkeypatch, "assemble_generator",
                               lambda kind, p, d: (kind, p.n, d))
     sector = _count_calls(monkeypatch, "assemble_sector_generator",
-                          lambda kind, p, d: (kind, p.n, d))
+                          lambda kind, p, sec: (kind, p.n, sec.degree))
     bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
     study = _write_config(tmp_path, "study.json", degree=2, eps=0.2,
                           reservoir_sizes=[2, 4])

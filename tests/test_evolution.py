@@ -26,7 +26,6 @@ from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.randomness import RngStream
 from kacbath import spectral
 from kacbath.spectral import (
-    OperatorMatrix,
     assemble_generator,
     assemble_sector_generator,
     conserved_norm,
@@ -37,7 +36,7 @@ from kacbath.spectral import (
 
 import dop853_oracle
 import joint_flow_oracle
-from matrix_oracle import dense
+from matrix_oracle import dense, operator
 
 
 def _h1_data(eps: float) -> HermiteCoeffs:
@@ -163,7 +162,7 @@ def test_krylov_route_matches_the_eigh_oracle(kind, m, n, d):
 
 @pytest.mark.parametrize("m,n,d,deg", [(1, 2, 3, 3), (1, 16, 2, 2)])
 @pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
-def test_krylov_stopping_bound_covers_the_true_error(kind, m, n, d, deg):
+def test_krylov_stopping_bound_covers_the_true_error(kind, m, n, d, deg, monkeypatch):
     # a loose tolerance stops Lanczos early, where the error is far above
     # roundoff; the a-posteriori bound must still cover it at every time
     # (at tol 1e-3 the error is already at roundoff: the bound is loose)
@@ -174,7 +173,8 @@ def test_krylov_stopping_bound_covers_the_true_error(kind, m, n, d, deg):
     b = c0.vec[g.basis.degree_slice(deg)]
     block, g_norm = _block_args(g, deg)
     tight = evolution._krylov_path(block, b, times, deg, g_norm)
-    loose = evolution._krylov_path(block, b, times, deg, g_norm, tol=0.1)
+    monkeypatch.setattr(evolution, "KRYLOV_TOL", 0.1)
+    loose = evolution._krylov_path(block, b, times, deg, g_norm)
     err = float(np.linalg.norm(loose.values - want, axis=1).max())
     assert loose.dim < tight.dim
     assert 1e-10 * np.linalg.norm(b) < err <= loose.bound <= 0.1 * np.linalg.norm(b)
@@ -186,11 +186,10 @@ def test_krylov_dimensions_of_criterion_6_data(m, n, d, monkeypatch):
     # subspace of dimension 4 under the reservoir flow, whatever the block
     # size, and is an eigenvector of the bath flow
     p = ModelParams(m, n)
-    big = joint_basis(p, d)
-    c0 = anisotropic_pair_data(0.2).embed(big, np.arange(3))
-    grid = default_time_grid(80.0, count=56)
-    reservoir, thermostat = (assemble_generator(kind, p, d, basis=big)
+    reservoir, thermostat = (assemble_generator(kind, p, d)
                              for kind in ("reservoir", "thermostat"))
+    c0 = anisotropic_pair_data(0.2).embed(reservoir.basis, np.arange(3))
+    grid = default_time_grid(80.0, count=56)
     dims = _count_krylov(monkeypatch)
     evolve(reservoir, c0, grid)
     assert dims == [(0, 1), (2, 4)]
@@ -250,8 +249,10 @@ def test_evolve_at_time_zero_integrates_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("build", [assemble_generator, assemble_sector_generator],
-                         ids=["joint", "sector"])
+@pytest.mark.parametrize("build", [
+    assemble_generator,
+    lambda kind, p, d: assemble_sector_generator(kind, p, spectral.sector_basis(p, d)),
+], ids=["joint", "sector"])
 def test_an_asymmetric_generator_is_refused_when_built(build, m, monkeypatch):
     # one entry of the top-degree pair block moved by 3e-9: the joint and
     # the sector generator are refused once, when built, so evolve never
@@ -303,7 +304,7 @@ def test_krylov_route_rejects_a_positive_ritz_value():
     c0 = anisotropic_pair_data(0.2).embed(g.basis, np.arange(3))
     mat = dense(g)
     mat[0, 0] += 1e-9
-    broken = OperatorMatrix.from_raw(g.name, g.basis, mat)
+    broken = operator(g.name, g.basis, mat)
     with pytest.raises(ToleranceError, match="above zero in degree 0") as err:
         evolve(broken, c0, [0.0, 1.0])
     got = float(str(err.value).split("Ritz value ")[1].split()[0])

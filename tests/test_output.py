@@ -14,9 +14,10 @@ from kacbath.output import (
     write_json,
     write_matrix,
 )
-from kacbath.spectral import assemble_generator
+from kacbath.hermite import make_basis
+from kacbath.spectral import OperatorMatrix, assemble_generator
 
-from matrix_oracle import dense, dense_matrix_text
+from matrix_oracle import dense, dense_matrix_text, operator
 
 
 def test_format_value_styles():
@@ -68,25 +69,31 @@ def test_json_sorted_and_stable(tmp_path):
     assert read_json(path) == {"z": 0.25, "a": [1, [2, 3]], "flag": True}
 
 
-def test_matrix_roundtrip(tmp_path):
-    mat = np.random.default_rng(3).normal(size=(4, 7))
-    path = tmp_path / "op.mat"
-    write_matrix(path, mat)
-    header = path.read_text().splitlines()[0]
-    assert header == "4 7"
-    np.testing.assert_array_equal(read_matrix(path), mat)
+def _in_blocks(basis, values) -> OperatorMatrix:
+    """The operator on `basis` whose degree-block cells, row-major, hold
+    `values` (zeros, -0.0 among them, are not entries)."""
+    mat = np.zeros((basis.size,) * 2)
+    mat[basis.degree_of[:, None] == basis.degree_of[None, :]] = values
+    return operator("cells", basis, mat)
+
+
+def _block_cells(basis) -> int:
+    return int(np.sum(basis.degree_of[:, None] == basis.degree_of[None, :]))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_matrix_bytes_are_the_per_element_format(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    shape = tuple(rng.integers(0, 9, size=2))
+    basis = make_basis(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+    cells = _block_cells(basis)
     special = [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, -1e300,
                np.inf, -np.inf, np.nan, 1.0 / 3.0]
-    mat = np.where(rng.random(shape) < 0.5, rng.choice(special, size=shape),
-                   rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape))
-    write_matrix(tmp_path / "op.mat", mat)
-    want = ["%d %d" % shape] + [" ".join("%.17g" % v for v in row) for row in mat]
+    op = _in_blocks(basis, np.where(
+        rng.random(cells) < 0.5, rng.choice(special, size=cells),
+        rng.normal(size=cells) * 10.0 ** rng.integers(-20, 20, size=cells)))
+    write_matrix(tmp_path / "op.mat", op)
+    want = ["%d %d" % (basis.size, basis.size)]
+    want += [" ".join("%.17g" % v for v in row) for row in dense(op)]
     assert (tmp_path / "op.mat").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
@@ -101,16 +108,18 @@ _SPECIAL = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_matrix_bytes_equal_the_dense_writer(tmp_path_factory, data):
-    # a few distinct values, each repeated over a sparse pattern
-    rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    # a few distinct values, each repeated over a sparse pattern of the
+    # degree blocks
+    basis = make_basis(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+    cells = _block_cells(basis)
     palette = data.draw(st.lists(st.sampled_from(_SPECIAL) | st.floats(width=64),
                                  min_size=1, max_size=6))
     picks = data.draw(st.lists(st.integers(-3 * len(palette), len(palette) - 1),
-                               min_size=rows * cols, max_size=rows * cols))
-    mat = np.array([palette[k] if k >= 0 else 0.0 for k in picks]).reshape(rows, cols)
+                               min_size=cells, max_size=cells))
+    op = _in_blocks(basis, [palette[k] if k >= 0 else 0.0 for k in picks])
     path = tmp_path_factory.mktemp("mat") / "op.mat"
-    write_matrix(path, mat)
-    assert path.read_bytes() == dense_matrix_text(mat).encode()
+    write_matrix(path, op)
+    assert path.read_bytes() == dense_matrix_text(dense(op)).encode()
 
 
 @pytest.mark.parametrize("build", [
@@ -129,8 +138,6 @@ def test_operator_export_reads_back_bitwise(tmp_path, build):
 
 
 def test_matrix_shape_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        write_matrix(tmp_path / "x.mat", np.zeros(3))
     bad = tmp_path / "bad.mat"
     bad.write_text("2 2\n1 2\n")
     with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""The reservoir-symmetric sector: its basis, its size in closed form, and
+"""The reservoir-symmetric sector: its basis, its counted size, and
 both generators on it against the joint generators restricted to it."""
 
 import itertools
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from kacbath import ModelParams, sector, spectral
+from kacbath import ModelParams, spectral
 from kacbath.cli import perturbation_data
 from kacbath.errors import ConfigError, StateError
 from kacbath.sector import make_sector, sector_sizes
@@ -35,6 +35,11 @@ def test_sector_rows_per_degree_do_not_depend_on_n(d, want, n):
     assert _degree_rows(sector_basis(p, d)) == want
 
 
+def test_sector_sizes_at_degree_6():
+    # M = 1 at any N >= 6, counted from the supports without the sector
+    assert sector_sizes(ModelParams(1, 4096), 6) == [1, 6, 27, 102, 348, 1095, 3249]
+
+
 def test_sector_with_fewer_reservoir_particles_than_the_degree():
     # at N=2 no support holds three particles: 126 rows, not 136
     assert sum(sector_sizes(ModelParams(1, 2), 3)) == 126
@@ -42,8 +47,8 @@ def test_sector_with_fewer_reservoir_particles_than_the_degree():
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 2, 2), (1, 2, 4), (1, 3, 4), (1, 9, 5),
-                                   (2, 2, 3), (2, 5, 3), (3, 4, 2)])
-def test_closed_form_size_equals_the_enumeration(m, n, d):
+                                   (2, 2, 3), (2, 5, 3), (3, 4, 2), (2, 3, 4)])
+def test_counted_sizes_equal_the_sector_rows(m, n, d):
     p = ModelParams(m, n)
     sec = make_sector(p, d)
     assert _degree_rows(sec) == sector_sizes(p, d)
@@ -78,8 +83,8 @@ def test_sector_generator_is_the_joint_generator_restricted(kind, m, n, d, rates
     rows = sec.rows_of(big.exponents[:, :3 * m], big.exponents[:, 3 * m:])
     q = sparse.csr_matrix((1.0 / np.sqrt(sec.orbit_size[rows]), (np.arange(big.size), rows)),
                           shape=(big.size, sec.size))
-    want = q.T @ dense(assemble_generator(kind, p, d, basis=big)) @ q
-    got = assemble_sector_generator(kind, p, d, basis=sec)
+    want = q.T @ dense(assemble_generator(kind, p, d)) @ q
+    got = assemble_sector_generator(kind, p, sec)
     assert got.basis is sec
     assert np.abs(dense(got) - want).max() <= 1e-14
 
@@ -117,7 +122,6 @@ def test_an_oversize_sector_is_a_config_error_before_enumeration(monkeypatch):
         raise AssertionError("enumerated an oversize sector")
 
     monkeypatch.setattr(spectral, "make_sector", never)
-    monkeypatch.setattr(sector, "make_basis", never)
     rows = sum(sector_sizes(ModelParams(1, 64), 7))
     assert rows == 14005 and 8 * rows ** 2 > DENSE_BYTES_MAX
     with pytest.raises(ConfigError, match="reservoir-symmetric sector .* has 14005 rows"):

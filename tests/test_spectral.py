@@ -41,7 +41,7 @@ import lemma2_oracle
 import lift_oracle
 from lift_oracle import v_slots, w_slots
 import moment_oracle
-from matrix_oracle import dense
+from matrix_oracle import dense, operator
 import quadrature_oracle
 import tensor_oracle
 
@@ -385,9 +385,8 @@ def test_gap_reaches_past_the_joint_basis(n):
 def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
     # the sector route against the two joint-basis routes of gap_oracle
     ctx = SpectralContext(ModelParams(m, n), d)
-    big = joint_basis(ctx.p, d)
-    gen = assemble_generator("reservoir", ctx.p, d, basis=big)
-    invariants = invariant_projector(ctx.p, d, basis=big)
+    gen = assemble_generator("reservoir", ctx.p, d)
+    invariants = invariant_projector(ctx.p, d, basis=gen.basis)
     k = spectral_gap(ctx)
     assert abs(k - gap_oracle.spectral_gap(gen, invariants)) <= 1e-12
     assert abs(k - gap_oracle.lanczos_gap(gen, invariants)) <= 1e-12
@@ -407,7 +406,7 @@ def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
     mat = dense(op)
     sl = op.basis.degree_slice(m)
     mat[sl, sl] = change(mat[sl, sl])
-    return OperatorMatrix.from_raw(op.name, op.basis, mat)
+    return operator(op.name, op.basis, mat)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -434,7 +433,7 @@ def test_invariant_projector_names_a_rank_deficient_block(m, monkeypatch):
 def _sector_kernel(p: ModelParams) -> np.ndarray:
     """Orthonormal kernel of the degree-2 block of the sector reservoir
     generator at cap 2: the conserved quantities of degree 2."""
-    g = spectral.assemble_sector_generator("reservoir", p, 2).block(2)
+    g = SpectralContext(p, 2).sector_reservoir.block(2)
     evals, evecs = np.linalg.eigh(g)
     return evecs[:, np.abs(evals) <= 1e-12]
 
@@ -452,8 +451,8 @@ def test_gap_rejects_a_generator_moving_the_degree_2_invariants(monkeypatch):
     assert kernel.shape[1] == 7
     real = spectral.assemble_sector_generator
 
-    def broken(kind, p, d, basis=None):
-        return _with_block(real(kind, p, d, basis=basis), 2,
+    def broken(kind, p, sec):
+        return _with_block(real(kind, p, sec), 2,
                            lambda g: g - 1e-6 * kernel @ kernel.T)
 
     monkeypatch.setattr(spectral, "assemble_sector_generator", broken)
@@ -470,8 +469,8 @@ def test_gap_rejects_a_generator_growing_off_the_invariants(monkeypatch):
     rows = len(kernel)
     real = spectral.assemble_sector_generator
 
-    def broken(kind, p, d, basis=None):
-        return _with_block(real(kind, p, d, basis=basis), 2,
+    def broken(kind, p, sec):
+        return _with_block(real(kind, p, sec), 2,
                            lambda g: g + 2.0 * (np.eye(rows) - kernel @ kernel.T))
 
     monkeypatch.setattr(spectral, "assemble_sector_generator", broken)
@@ -604,8 +603,8 @@ def test_pair_rotations_and_bath_map_equal_the_oracle_embedding(d):
         got = dense(lemma2_oracle.assemble_pair_rotation(kind, i, j, p, d, basis=big))
         assert _same_bits(got, embedding_oracle.embed_block(pair, b6, big, slots))
     b3, tagged = make_basis(3, d), make_basis(6, d)
-    assert _same_bits(dense(assemble_T(2, d, particle=1)),
-                      embedding_oracle.embed_block(thermostat_block(d), b3, tagged, (3, 4, 5)))
+    assert _same_bits(dense(assemble_T(2, d)),
+                      embedding_oracle.embed_block(thermostat_block(d), b3, tagged, (0, 1, 2)))
 
 
 def test_generator_assembly_allocates_less_than_one_dense_generator():
@@ -657,13 +656,12 @@ def test_every_lift_equals_the_per_term_oracle(m, n, d, rates, seed):
     rng = np.random.default_rng(seed)
     sec = spectral.sector_basis(p, d)
     for kind in ("reservoir", "thermostat"):
-        assert _same_entries(spectral.assemble_sector_generator(kind, p, d, basis=sec),
+        assert _same_entries(spectral.assemble_sector_generator(kind, p, sec),
                              lift_oracle.sector_generator(kind, p, sec))
         if comb(3 * (m + n) + d, d) <= 800:
             assert _same_entries(assemble_generator(kind, p, d),
                                  lift_oracle.generator(kind, p, d))
-    particle = int(rng.integers(m))
-    assert _same_entries(assemble_T(m, d, particle), lift_oracle.assemble_T(m, d, particle))
+    assert _same_entries(assemble_T(m, d), lift_oracle.assemble_T(m, d))
     tagged, b3 = make_basis(3 * m, d), make_basis(3, d)
     slots = rng.choice(3 * m, 3, replace=False)
     assert _same_bits(embed_block(thermostat_block(d), b3, tagged, slots),
@@ -694,14 +692,14 @@ def test_sector_generators_equal_the_per_term_oracle(m, n, d):
     p = ModelParams(m, n, *_RATES.get((m, n, d), ()))
     sec = spectral.sector_basis(p, d)
     for kind in ("reservoir", "thermostat"):
-        assert _same_entries(spectral.assemble_sector_generator(kind, p, d, basis=sec),
+        assert _same_entries(spectral.assemble_sector_generator(kind, p, sec),
                              lift_oracle.sector_generator(kind, p, sec))
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_thermostat_average_equals_the_per_term_oracle(d):
     assert _same_entries(assemble_T(1, d), lift_oracle.assemble_T(1, d))
-    assert _same_entries(assemble_T(2, min(d, 4), 1), lift_oracle.assemble_T(2, min(d, 4), 1))
+    assert _same_entries(assemble_T(2, min(d, 4)), lift_oracle.assemble_T(2, min(d, 4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -709,8 +707,8 @@ def test_thermostat_average_equals_the_per_term_oracle(d):
        noise=st.one_of(st.just(spectral.BLOCK_TOL), st.floats(1e-16, 1e-8)))
 def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
     # a block-diagonal matrix with zeros inside its blocks, plus noise of
-    # largest magnitude `noise` at some off-degree positions; given dense,
-    # or as every position's entry (zeros too) in shuffled order
+    # largest magnitude `noise` at some off-degree positions, given as every
+    # position's entry (zeros too) in shuffled order
     basis = make_basis(3, 2)
     rng = np.random.default_rng(seed)
     off = basis.degree_of[:, None] != basis.degree_of[None, :]
@@ -724,12 +722,10 @@ def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
     rows, cols = np.divmod(rng.permutation(raw.size), basis.size)
     entries = (rows, cols, raw[rows, cols])
     if noise > spectral.BLOCK_TOL:
-        for mat in (raw, entries):
-            with pytest.raises(ToleranceError, match=f"magnitude {noise:.3e} exceeds"):
-                OperatorMatrix.from_raw("noisy", basis, mat)
+        with pytest.raises(ToleranceError, match=f"magnitude {noise:.3e} exceeds"):
+            OperatorMatrix.from_raw("noisy", basis, entries)
         return
-    got = OperatorMatrix.from_raw("noisy", basis, raw)
-    assert _same_entries(got, OperatorMatrix.from_raw("noisy", basis, entries))
+    got = OperatorMatrix.from_raw("noisy", basis, entries)
     assert (np.diff(got.rows * basis.size + got.cols) > 0).all()  # row-major, once each
     assert not off[got.rows, got.cols].any()
     assert (got.values != 0.0).all()
@@ -737,9 +733,10 @@ def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
 
 
 @pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
-@pytest.mark.parametrize("build", [spectral.assemble_generator,
-                                   spectral.assemble_sector_generator],
-                         ids=["joint", "sector"])
+@pytest.mark.parametrize("build", [
+    spectral.assemble_generator,
+    lambda kind, p, d: spectral.assemble_sector_generator(kind, p, spectral.sector_basis(p, d)),
+], ids=["joint", "sector"])
 def test_products_and_blocks_read_the_dense_matrix(build, kind):
     g = build(kind, ModelParams(2, 3), 3)
     full = dense(g)
@@ -766,25 +763,54 @@ def test_a_generator_entry_without_its_mirror_is_refused(m):
     apart = (block == 0.0) & (block.T == 0.0) & ~np.eye(len(block), dtype=bool)
     i, j = np.argwhere(apart)[0] + sl.start
     full[i, j] = 5e-10
-    lopsided = OperatorMatrix.from_raw(g.name, g.basis, full)
+    lopsided = operator(g.name, g.basis, full)
     assert not ((lopsided.rows == j) & (lopsided.cols == i)).any()
     with pytest.raises(StateError, match=f"not symmetric in degree {m} "
                                          r"\(defect 5\.000e-10\)"):
         spectral._check_symmetric(lopsided)
 
 
+def _lopsided(block: np.ndarray, nvars: int, d: int) -> np.ndarray:
+    """block with its degree-1 entry (e_1, e_0) moved by 1e-3, away from
+    its mirror."""
+    b = make_basis(nvars, d)
+    e = [tuple(int(i == k) for i in range(nvars)) for k in (0, 1)]
+    out = block.copy()
+    out[b.index[e[1]], b.index[e[0]]] += 1e-3
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_bath_map_is_checked_for_symmetry(m, monkeypatch):
+    # an asymmetric thermostat block reaches the tagged average, whose
+    # lift refuses it, naming the operator
+    d = 2
+    monkeypatch.setitem(spectral._cache, ("thermostat", d),
+                        _lopsided(thermostat_block(d), 3, d))
+    with pytest.raises(StateError, match=r"thermostat\[0\]: not symmetric in degree 1 "
+                                         r"\(defect 1\.000e-03\)"):
+        assemble_T(m, d)
+
+
+def test_the_lemma2_averages_are_checked_for_symmetry(monkeypatch):
+    # an asymmetric pair block reaches verify_lemma2's sector averages, the
+    # first of which refuses it
+    p, d = ModelParams(1, 4), 2
+    monkeypatch.setitem(spectral._cache, ("pair", d), _lopsided(pair_avg_block(d), 6, d))
+    with pytest.raises(StateError, match="interaction average: not symmetric in degree 1"):
+        verify_lemma2([_unit_h1_tagged(1)], SpectralContext(p, d))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_from_raw_refuses_a_non_finite_off_degree_entry(bad):
     # a NaN compares False with the tolerance, so it used to be dropped as
-    # roundoff; given dense or as entries, it fails the block check
+    # roundoff; it fails the block check
     basis = make_basis(3, 2)
     raw = np.eye(basis.size)
     raw[0, basis.degree_slice(2).start] = bad
-    rows, cols = np.nonzero(raw)
-    for mat in (raw, (rows, cols, raw[rows, cols])):
-        with pytest.raises(ToleranceError, match=f"off-degree-block magnitude {abs(bad):.3e} "
-                                                 "exceeds"):
-            OperatorMatrix.from_raw("broken", basis, mat)
+    with pytest.raises(ToleranceError, match=f"off-degree-block magnitude {abs(bad):.3e} "
+                                             "exceeds"):
+        operator("broken", basis, raw)
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
@@ -797,7 +823,7 @@ def test_a_non_finite_entry_in_a_block_is_not_symmetric(mirrored):
     raw[i, j] = np.nan
     if mirrored:
         raw[j, i] = np.nan
-    op = OperatorMatrix.from_raw("broken", basis, raw)
+    op = operator("broken", basis, raw)
     assert np.isnan(op.values).sum() == 1 + mirrored
     with pytest.raises(StateError, match=r"not symmetric in degree 2 \(defect nan\)"):
         spectral._check_symmetric(op)
