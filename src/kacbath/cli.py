@@ -287,8 +287,8 @@ def cmd_verify_lemma1(cfg: RunConfig, args) -> int:
 
 def cmd_verify_lemma2(cfg: RunConfig, args) -> int:
     p = _model(cfg)
-    basis = make_basis(3 * cfg.m, cfg.degree)
     ctx = SpectralContext(p, cfg.degree)
+    basis = make_basis(3 * cfg.m, cfg.degree)
     us = [HermiteCoeffs(basis, RngStream(cfg.seed, trial).rng.standard_normal(basis.size))
           for trial in range(cfg.random_polynomials)]
     trials = [{"lhs": res.lhs, "rhs": res.rhs, "variance_bound": res.variance_bound}
@@ -360,10 +360,9 @@ def cmd_gap(cfg: RunConfig, args) -> int:
 
 
 def cmd_distance(cfg: RunConfig, args) -> int:
-    p = _model(cfg)
+    ctx = SpectralContext(_model(cfg), cfg.degree)
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
-    ctx = SpectralContext(p, cfg.degree)
     curve = distance_curve(ctx, h0, times)
     bp = _measured_bound_params(cfg, ctx, h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
@@ -387,10 +386,10 @@ def cmd_bound(cfg: RunConfig, args) -> int:
             "p": study.p, "q": study.q,
         })
         return 0
-    p = _model(cfg)
+    ctx = SpectralContext(_model(cfg), cfg.degree)
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
-    bp = _measured_bound_params(cfg, SpectralContext(p, cfg.degree), h0)
+    bp = _measured_bound_params(cfg, ctx, h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
     header = ["t", "bound", "bound_term1", "bound_term2"]
     rows = list(zip(bc.times, bc.total, bc.term1, bc.term2))

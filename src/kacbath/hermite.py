@@ -121,13 +121,12 @@ def basis_rows(nvars: int, pos: np.ndarray, val: np.ndarray) -> np.ndarray:
     return np.array([comb(m - 1 + nvars, nvars) for m in range(top + 1)])[rest] + rank
 
 
-def unit_codes(exponents: np.ndarray, width: int) -> np.ndarray:
-    """Row in make_basis(width, d) of each run of `width` variables of the
-    exponents (k, width * U), as (k, U): the code of each unit, 0 for a unit
-    at rest."""
-    k, units = len(exponents), exponents.shape[1] // width
-    return basis_rows(width, np.arange(width),
-                      exponents.reshape(k * units, width)).reshape(k, units)
+def unit_codes(exponents: np.ndarray) -> np.ndarray:
+    """Row in make_basis(3, d) of each particle's three variables of the
+    exponents (k, 3U), as (k, U): the code of each particle, 0 for one at
+    rest."""
+    k, units = len(exponents), exponents.shape[1] // 3
+    return basis_rows(3, np.arange(3), exponents.reshape(k * units, 3)).reshape(k, units)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class SectorBasis:
         the particles not listed carry exponent zero. StateError if one lies
         outside the sector."""
         k, d = len(tagged), self.degree
-        tagged, codes = unit_codes(tagged, 3), unit_codes(reservoir, 3)
+        tagged, codes = unit_codes(tagged), unit_codes(reservoir)
         support = np.zeros((k, max(d, codes.shape[1])), dtype=np.intp)
         support[:, :codes.shape[1]] = -np.sort(-codes, axis=1)
         top = max(int(tagged.max(initial=0)), int(support.max(initial=0)))
@@ -164,7 +164,7 @@ def make_sector(p: ModelParams, d: int) -> SectorBasis:
     assert degree_of.size == sum(sector_sizes(p, d))
     index = {(tuple(map(int, a)), tuple(map(int, s))): i
              for i, (a, s) in enumerate(zip(tagged, support))}
-    keys = _row_keys(unit_codes(tagged, 3), support)
+    keys = _row_keys(unit_codes(tagged), support)
     order = np.argsort(keys, kind="stable")
     return SectorBasis(p.n, d, single, tagged, support, np.array(orbit),
                        index, degree_of, keys[order], order)

@@ -10,9 +10,10 @@ coordinates: with s = (a + b)/sqrt(2), r = (a - b)/sqrt(2) a collision
 is the identity on s and the reflection r -> r - 2 (r . omega) omega on
 r. The six-variable pair average is therefore mix o refl o mix, from a
 two-variable mixing rotation per coordinate and a three-variable
-reflection average; the thermostat operator averages the co-isometry
-(v, s) -> v + (s - v . omega) omega, whose background component s
-integrates out.
+reflection average, and each of its degree blocks is read from the codes
+of its rows' coordinate pairs and particles; the thermostat operator
+averages the co-isometry (v, s) -> v + (s - v . omega) omega, whose
+background component s integrates out.
 
 Every block comes from one symmetric-power kernel. A co-isometry
 x -> A x maps the leading monomial x^beta of a degree-m Hermite function
@@ -76,7 +77,6 @@ __all__ = [
     "OperatorMatrix",
     "pair_avg_block",
     "thermostat_block",
-    "embed_block",
     "assemble_T",
     "assemble_generator",
     "sector_basis",
@@ -346,33 +346,36 @@ def pair_avg_block(d: int) -> np.ndarray:
 
         h(a, b) -> int h(a - ((a-b).omega) omega, b + ((a-b).omega) omega) dsigma
 
-    on the six-variable basis of degree <= d, assembled as mix o refl o
-    mix from the kernel's mix and reflection blocks, each checked against
-    its exact route. Every factor keeps the degree, so the products are
-    taken one degree block at a time. Cached per degree and read-only,
-    since every later generator reads it.
+    on the six-variable basis of degree <= d (particle a the first three
+    variables), composed as mix o refl o mix from the kernel's mix and
+    reflection blocks, each checked against its exact route. Every factor
+    keeps the degree, so each degree block is built on its own, from the
+    codes of its rows: mix acts on each coordinate pair (a_c, b_c), so an
+    entry of the mix factor is the product of the three mix entries of the
+    pairs' rows in make_basis(2, d); refl acts on particle b alone, so an
+    entry of the refl factor is the reflection entry of b's rows in
+    make_basis(3, d) where a's rows agree, and 0 elsewhere. Cached per
+    degree and read-only, since every later generator reads it.
     """
     key = ("pair", d)
     if key in _cache:
         return _cache[key]
     mix = _checked_kernel("pair mix block", "mix", d)
     refl = _checked_kernel("pair reflection block", "reflection", d)
-
-    b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
-    mixes = [embed_block(mix, b2, b6, pair) for pair in ((0, 3), (1, 4), (2, 5))]
-    refl_full = embed_block(refl, b3, b6, (3, 4, 5))
+    b6 = make_basis(6, d)
 
     def composed(m: int) -> np.ndarray:
-        sl = b6.degree_slice(m)
-        mix_m = reduce(np.matmul, [f[sl, sl] for f in mixes])
-        return mix_m @ refl_full[sl, sl] @ mix_m
+        exps = b6.exponents[b6.degree_slice(m)]
+        pairs = [basis_rows(2, np.arange(2), exps[:, [c, c + 3]]) for c in range(3)]
+        mix_m = reduce(np.multiply, (mix[np.ix_(c, c)] for c in pairs))
+        a, b = unit_codes(exps).T
+        out = mix_m @ np.where(a[:, None] == a, refl[np.ix_(b, b)], 0.0) @ mix_m
+        asym = float(np.abs(out - out.T).max())
+        if asym > REFINE_TOL:
+            raise ToleranceError(f"pair block asymmetry {asym:.3e}")
+        return 0.5 * (out + out.T)
 
     out = _by_degree(6, d, composed)
-
-    asym = float(np.abs(out - out.T).max())
-    if asym > REFINE_TOL:
-        raise ToleranceError(f"pair block asymmetry {asym:.3e}")
-    out = 0.5 * (out + out.T)
     out.flags.writeable = False
     _cache[key] = out
     return out
@@ -399,47 +402,45 @@ def thermostat_block(d: int) -> np.ndarray:
 class _Layout(NamedTuple):
     """How a lift reads its columns and finds the rows of their images.
 
-    Each column is cut into units of `width` variables (particles, or the
-    single coordinates of embed_block), and codes[c, u] is the row of unit
-    u of column c in make_basis(width, d), 0 for a unit at rest. Units of
-    one group are interchangeable (the sector's reservoir slots); every
-    other unit is a group of its own. For a row x and a code c,
+    Each column is cut into its particles (units), and codes[c, u] is the
+    row of unit u of column c in make_basis(3, d), 0 for a unit at rest.
+    Units of one group are interchangeable (the sector's reservoir slots);
+    every other unit is a group of its own. For a row x and a code c,
     drop[g, x, c] is the row of x with one unit of group g and code c put
     to rest, put[g, x, c] the row of x with one unit of group g at rest
     given code c, and code 0 keeps x; -1 where that is no row. Row n and
-    code S (the index -1 and the codes above make_basis(width, d)) are -1.
+    code S (the index -1 and the codes above make_basis(3, d)) are -1.
     """
 
-    width: int
     codes: np.ndarray  # (n, U)
     group: np.ndarray  # (U,)
     drop: np.ndarray   # (G, n + 1, S + 1)
     put: np.ndarray    # (G, n + 1, S + 1)
 
 
-def _layout(width: int, degree: int, codes: np.ndarray, group: np.ndarray,
-            x: np.ndarray, u: np.ndarray, rest: np.ndarray) -> _Layout:
+def _layout(degree: int, codes: np.ndarray, group: np.ndarray, x: np.ndarray,
+            u: np.ndarray, rest: np.ndarray) -> _Layout:
     """The _Layout of the columns `codes` of a basis of degree <= `degree`,
     from the row rest[i] of each row x[i] with its unit u[i] (of nonzero
     code) at rest."""
     n = len(codes)
-    shape = (int(group.max(initial=-1)) + 1, n + 1, comb(width + degree, width) + 1)
+    shape = (int(group.max(initial=-1)) + 1, n + 1, comb(3 + degree, 3) + 1)
     drop, put = np.full(shape, -1, dtype=np.int32), np.full(shape, -1, dtype=np.int32)
     drop[:, :n, 0] = put[:, :n, 0] = np.arange(n)
     drop[group[u], x, codes[x, u]] = rest
     put[group[u], rest, codes[x, u]] = x
-    return _Layout(width, codes, group, drop, put)
+    return _Layout(codes, group, drop, put)
 
 
-def _basis_layout(big: Basis, width: int) -> _Layout:
-    """The layout of a make_basis basis in units of `width` variables, each a
-    group of its own; the rows at rest follow in closed form."""
-    codes = unit_codes(big.exponents, width)
+def _basis_layout(big: Basis) -> _Layout:
+    """The layout of a make_basis basis, each particle a group of its own;
+    the rows at rest follow in closed form."""
+    codes = unit_codes(big.exponents)
     x, u = np.nonzero(codes)
-    rest = big.exponents[x].reshape(len(x), codes.shape[1], width)
+    rest = big.exponents[x].reshape(len(x), codes.shape[1], 3)
     rest[np.arange(len(x)), u] = 0
     rest = basis_rows(big.nvars, np.arange(big.nvars), rest.reshape(len(x), big.nvars))
-    return _layout(width, big.degree, codes, np.arange(codes.shape[1]), x, u, rest)
+    return _layout(big.degree, codes, np.arange(codes.shape[1]), x, u, rest)
 
 
 class _Run(NamedTuple):
@@ -472,7 +473,7 @@ def _runs(lay: _Layout, terms) -> list[_Run]:
     size = lay.drop.shape[2] - 1
     runs = []
     for block, sub, units, weights in grouped:
-        split = np.minimum(unit_codes(sub.exponents, lay.width), size)
+        split = np.minimum(unit_codes(sub.exponents), size)
         join = np.full((size + 1,) * split.shape[1], -1)
         join[tuple(split.T)] = np.arange(sub.size)
         by_col, by_row = np.nonzero(block.T)  # its nonzero entries, column by column
@@ -593,17 +594,6 @@ def _lift(name: str, basis, lay: _Layout, terms, root: np.ndarray,
     return _check_symmetric(OperatorMatrix.from_raw(name, basis, (row, col, data)))
 
 
-def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
-    """Lift an operator on `sub` variables to the big basis, acting as
-    the identity on all other variables."""
-    out = np.zeros((big.size, big.size))
-    lay = _basis_layout(big, 1)
-    for rows, cols, vals in _images(lay, _runs(lay, [(block, sub, slots, 1.0)]), 0, big.size):
-        keep = rows >= 0
-        out[rows[keep], cols[keep]] = vals[keep]
-    return out
-
-
 def _check_dense(rows: int, what: str) -> None:
     """Raise ConfigError unless one dense operator on `rows` rows fits in
     DENSE_BYTES_MAX; callers count the rows without building the basis."""
@@ -627,11 +617,17 @@ def joint_basis(p: ModelParams, d: int) -> Basis:
     return _dense_basis(3 * (p.m + p.n), d, f"joint basis at M={p.m}, N={p.n}, degree {d}")
 
 
-def sector_basis(p: ModelParams, d: int) -> SectorBasis:
-    """The reservoir-symmetric sector of degree <= d (see kacbath.sector),
-    size-checked by _check_dense."""
+def _check_sector(p: ModelParams, d: int) -> None:
+    """_check_dense on the reservoir-symmetric sector of (p, d), counted by
+    sector_sizes without building it."""
     _check_dense(sum(sector_sizes(p, d)),
                  f"reservoir-symmetric sector at M={p.m}, N={p.n}, degree {d}")
+
+
+def sector_basis(p: ModelParams, d: int) -> SectorBasis:
+    """The reservoir-symmetric sector of degree <= d (see kacbath.sector),
+    size-checked by _check_sector."""
+    _check_sector(p, d)
     return make_sector(p, d)
 
 
@@ -643,7 +639,7 @@ def assemble_T(m: int, d: int) -> OperatorMatrix:
     """Thermostat average for tagged particle 0 on the 3m-variable basis,
     size-checked by _dense_basis."""
     basis = _dense_basis(3 * m, d, f"tagged basis at M={m}, degree {d}")
-    return _lift("thermostat[0]", basis, _basis_layout(basis, 3),
+    return _lift("thermostat[0]", basis, _basis_layout(basis),
                  [(thermostat_block(d), make_basis(3, d), (0,), 1.0)],
                  np.ones(basis.size), 0.0)
 
@@ -689,7 +685,7 @@ def assemble_generator(kind: str, p: ModelParams, d: int) -> OperatorMatrix:
     """
     big = joint_basis(p, d)
     terms, total = _collision_terms(kind, p, d, [1.0] * p.n)
-    return _lift(f"generator[{kind}]", big, _basis_layout(big, 3), terms,
+    return _lift(f"generator[{kind}]", big, _basis_layout(big), terms,
                  np.ones(big.size), -total)
 
 
@@ -711,7 +707,7 @@ def _sector_lift(p: ModelParams, sec: SectorBasis):
     # reservoir slots, one group, since an orbit only sees their codes'
     # multiset; a row with one unit at rest has that tagged code zeroed, or
     # that support entry dropped (the support stays descending)
-    tagged = unit_codes(sec.tagged, 3)
+    tagged = unit_codes(sec.tagged)
     codes = np.hstack([tagged, sec.support, np.zeros((n, 1), dtype=sec.support.dtype)])
     x, u = np.nonzero(codes)
     own = u < p.m
@@ -720,7 +716,7 @@ def _sector_lift(p: ModelParams, sec: SectorBasis):
     gone = np.where(own, d, u - p.m)  # the support entry dropped, d for none
     support = np.take_along_axis(codes[x, p.m:], np.arange(d) + (np.arange(d) >= gone[:, None]),
                                  axis=1)
-    lay = _layout(3, d, codes, np.minimum(np.arange(codes.shape[1]), p.m), x, u,
+    lay = _layout(d, codes, np.minimum(np.arange(codes.shape[1]), p.m), x, u,
                   sec.find(rest, support))
 
     def lift(name: str, terms, diagonal) -> OperatorMatrix:
@@ -843,11 +839,16 @@ class SpectralContext:
     which verify_lemma2 lifts its collision averages onto, and both
     generators, which the distance curve evolves; the gap reads the
     spectrum of each degree block of the reservoir one (gap_blocks). Each
-    is built on first use and then kept.
+    is built on first use and then kept. The sector's size is checked when
+    the context is made, so a caller that makes it first refuses a sector
+    over DENSE_BYTES_MAX before it builds any basis of its own.
     """
 
     p: ModelParams
     d: int
+
+    def __post_init__(self):
+        _check_sector(self.p, self.d)
 
     @cached_property
     def sector(self) -> SectorBasis:

@@ -5,14 +5,18 @@ basis in one vectorised image pass per run of collisions that share a
 block (`spectral._images`), reading the row of every image from tables. The route here walks the
 big basis row by row, groups rows by their exponents outside the slots
 in a dict, and scatters the block into each group with one `np.ix_`;
-`generator` sums such lifts into a dense matrix. Tests compare the
-package against it bitwise.
+`generator` sums such lifts into a dense matrix, and `pair_block` composes
+the pair average from the mix and reflection blocks embedded on all six
+variables (the package reads each entry from its rows' codes instead).
+Tests compare the package against it bitwise.
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 
+from kacbath import spectral
 from kacbath.hermite import Basis, make_basis
 from kacbath.kinematics import ModelParams
 from kacbath.spectral import pair_avg_block, thermostat_block
@@ -46,6 +50,23 @@ def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
     for ids, sids in slot_groups(big, sub, slots):
         out[np.ix_(ids, ids)] = block[np.ix_(sids, sids)]
     return out
+
+
+def pair_block(d: int) -> np.ndarray:
+    """The pair average of degree <= d as mix o refl o mix: the kernel's mix
+    block embedded on each coordinate pair (a_c, b_c) and its reflection
+    block on particle b, multiplied as dense six-variable matrices one
+    degree block at a time, then symmetrised."""
+    b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
+    mix, refl = spectral._kernel_block("mix", d), spectral._kernel_block("reflection", d)
+    mixes = [embed_block(mix, b2, b6, pair) for pair in ((0, 3), (1, 4), (2, 5))]
+    refl_full = embed_block(refl, b3, b6, (3, 4, 5))
+    out = np.zeros((b6.size, b6.size))
+    for m in range(d + 1):
+        sl = b6.degree_slice(m)
+        mix_m = reduce(np.matmul, [f[sl, sl] for f in mixes])
+        out[sl, sl] = mix_m @ refl_full[sl, sl] @ mix_m
+    return 0.5 * (out + out.T)
 
 
 def accumulate_embedded(out: np.ndarray, block: np.ndarray, sub: Basis,

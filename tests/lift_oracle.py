@@ -115,13 +115,6 @@ def lift(name: str, basis, local: np.ndarray, terms, image_rows, root: np.ndarra
     return OperatorMatrix.from_raw(name, basis, (row, col, data * root[col] / root[row]))
 
 
-def embed_block(block: np.ndarray, sub: Basis, big: Basis, slots) -> np.ndarray:
-    out = np.zeros((big.size, big.size))
-    (rows, cols, vals), = images(big.exponents, [(block, sub, slots, 1.0)], joint_rows(big))
-    out[rows, cols] = vals
-    return out
-
-
 def collision_terms(kind: str, p: ModelParams, d: int, partner) -> tuple:
     """The lift terms of the generator of `kind` with variable slots, and
     the sum of their weights, in `spectral._collision_terms`' order."""

@@ -12,7 +12,8 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from kacbath import ModelParams, assemble_T, cli, lemma1_constant, make_bound_params, spectral
+from kacbath import (ModelParams, assemble_T, bounds, cli, lemma1_constant, make_bound_params,
+                     spectral)
 from kacbath.cli import main, perturbation_data
 from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
@@ -131,6 +132,27 @@ def test_spectral_bath_map_over_the_dense_limit_exits_before_enumeration(
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ConfigError" and record["exit_code"] == 2
     assert "tagged basis at M=40, degree 3 has 302621 rows" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["verify-lemma2", "distance", "bound"])
+def test_an_oversized_sector_exits_before_any_tagged_basis(tmp_path, capsys, monkeypatch, sub):
+    # the sector at (M, N, d) = (16, 8, 4) has 349879 rows, over the dense
+    # limit; its size is checked before the tagged basis of verify-lemma2's
+    # functions or the initial data h0 is enumerated
+    def refuse(nvars, degree):
+        raise AssertionError(f"make_basis({nvars}, {degree}) was called")
+
+    monkeypatch.setattr(cli, "make_basis", refuse)
+    monkeypatch.setattr(bounds, "make_basis", refuse)
+    cfg = _write_config(tmp_path, m=16, n=8, degree=4, t_end=3.0, grid={"count": 8},
+                        init={"kind": "perturbation", "family": "h2_aniso", "eps": 0.2})
+    out = tmp_path / "out"
+    assert _run(sub, "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert ("reservoir-symmetric sector at M=16, N=8, degree 4 has 349879 rows"
+            in record["message"])
     assert not out.exists()
 
 

@@ -25,7 +25,6 @@ from kacbath.randomness import RngStream
 from kacbath.spectral import (
     OperatorMatrix,
     assemble_generator,
-    embed_block,
     invariant_projector,
     joint_basis,
     pair_avg_block,
@@ -522,52 +521,18 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_embedded_raw_blocks_equal_the_oracle(d):
-    # the raw mix and reflection blocks carry off-degree roundoff; the
-    # embedding copies it as it is, exactly like the per-row route
-    b2, b3, b6 = make_basis(2, d), make_basis(3, d), make_basis(6, d)
-    mix = quadrature_oracle.mix_block(d, extra=0)
-    refl = quadrature_oracle.reflection_block(d, extra=0)
-    off = b2.degree_of[:, None] != b2.degree_of[None, :]
-    assert np.abs(mix[off]).max() > 0.0
-    for pair in ((0, 3), (1, 4), (2, 5)):
-        assert _same_bits(embed_block(mix, b2, b6, pair),
-                          embedding_oracle.embed_block(mix, b2, b6, pair))
-    assert _same_bits(embed_block(refl, b3, b6, (3, 4, 5)),
-                      embedding_oracle.embed_block(refl, b3, b6, (3, 4, 5)))
-    # slots out of ascending order
-    assert _same_bits(embed_block(refl, b3, b6, (5, 1, 3)),
-                      embedding_oracle.embed_block(refl, b3, b6, (5, 1, 3)))
-
-
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (1, 5)])
-@pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_embedded_pair_block_equals_the_oracle(m, n, d):
-    p = ModelParams(m, n)
-    big = joint_basis(p, d)
-    b6 = make_basis(6, d)
-    pair = pair_avg_block(d)
-    slot_lists = [
-        np.concatenate([w_slots(p, 0), w_slots(p, 1)]),
-        np.concatenate([v_slots(0), w_slots(p, n - 1)]),
-        np.concatenate([w_slots(p, n - 1), v_slots(0)]),
-    ]
-    if m >= 2:
-        slot_lists.append(np.concatenate([v_slots(0), v_slots(1)]))
-    for slots in slot_lists:
-        assert _same_bits(embed_block(pair, b6, big, slots),
-                          embedding_oracle.embed_block(pair, b6, big, slots))
-
-
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_embedding_over_every_variable_is_the_block(d):
-    # no variable outside the slots: the whole basis is one group
-    b3 = make_basis(3, d)
-    therm = thermostat_block(d)
-    assert _same_bits(embed_block(therm, b3, b3, (0, 1, 2)),
-                      embedding_oracle.embed_block(therm, b3, b3, (0, 1, 2)))
-    assert _same_bits(dense(assemble_T(1, d)), therm)
+    # one tagged particle: the thermostat average lifts onto every variable
+    assert _same_bits(dense(assemble_T(1, d)), thermostat_block(d))
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_pair_block_equals_the_oracle_embedding(d, monkeypatch):
+    # the pair block read from its rows' codes, cold, is bitwise the
+    # product of the three embedded mix blocks and the embedded reflection
+    monkeypatch.setattr(spectral, "_cache", {})
+    assert _same_bits(pair_avg_block(d), embedding_oracle.pair_block(d))
 
 
 @pytest.mark.parametrize("m,n,d,rates", [
@@ -582,9 +547,8 @@ def test_generators_equal_the_oracle_assembly(m, n, d, rates, monkeypatch):
     p = ModelParams(m, n, *rates)
     fast = {kind: dense(assemble_generator(kind, p, d))
             for kind in ("reservoir", "thermostat")}
-    # rebuild the pair and thermostat blocks as well, through the oracle
-    monkeypatch.setattr(spectral, "_cache", {})
-    monkeypatch.setattr(spectral, "embed_block", embedding_oracle.embed_block)
+    # rebuild the pair block as well, through the oracle's embeddings
+    monkeypatch.setattr(spectral, "_cache", {("pair", d): embedding_oracle.pair_block(d)})
     for kind, mat in fast.items():
         assert _same_bits(mat, embedding_oracle.generator(kind, p, d))
 
@@ -650,8 +614,8 @@ def _lemma2_lifts(ctx: SpectralContext, us) -> list[OperatorMatrix]:
        seed=st.integers(0, 2**32 - 1))
 def test_every_lift_equals_the_per_term_oracle(m, n, d, rates, seed):
     # generators of both kinds on the sector (and on the joint basis where
-    # it is small), the tagged thermostat average, a block embedded on
-    # random slots, and verify_lemma2's two sector lifts, each bitwise
+    # it is small), the tagged thermostat average, and verify_lemma2's two
+    # sector lifts, each bitwise
     p = ModelParams(m, n, *rates)
     rng = np.random.default_rng(seed)
     sec = spectral.sector_basis(p, d)
@@ -662,12 +626,9 @@ def test_every_lift_equals_the_per_term_oracle(m, n, d, rates, seed):
             assert _same_entries(assemble_generator(kind, p, d),
                                  lift_oracle.generator(kind, p, d))
     assert _same_entries(assemble_T(m, d), lift_oracle.assemble_T(m, d))
-    tagged, b3 = make_basis(3 * m, d), make_basis(3, d)
-    slots = rng.choice(3 * m, 3, replace=False)
-    assert _same_bits(embed_block(thermostat_block(d), b3, tagged, slots),
-                      lift_oracle.embed_block(thermostat_block(d), b3, tagged, slots))
     if d >= 1:
         ctx = SpectralContext(p, d)
+        tagged = make_basis(3 * m, d)
         us = [HermiteCoeffs(tagged, rng.standard_normal(tagged.size))]
         got = _lemma2_lifts(ctx, us)
         want = lift_oracle.lemma2_averages(p, ctx.sector)
@@ -829,10 +790,12 @@ def test_a_non_finite_entry_in_a_block_is_not_symmetric(mirrored):
         spectral._check_symmetric(op)
 
 
-def test_embedding_rejects_a_sub_basis_of_lower_degree():
-    # slot exponents of degree 2 have no row in a degree-1 sub-basis
+def test_a_lift_rejects_a_sub_basis_of_lower_degree():
+    # particle exponents of degree 2 have no row in a degree-1 sub-basis
+    big = make_basis(6, 2)
     with pytest.raises(StateError, match="misses slot exponents"):
-        embed_block(np.eye(4), make_basis(3, 1), make_basis(6, 2), (0, 1, 2))
+        spectral._lift("short sub-basis", big, spectral._basis_layout(big),
+                       [(np.eye(4), make_basis(3, 1), (0,), 1.0)], np.ones(big.size), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +876,21 @@ def test_cold_top_degree_thermostat_block_stays_small(monkeypatch):
         tracemalloc.stop()
     assert block.shape == (165, 165)
     assert peak < 64 * 2**20
+
+
+def test_cold_pair_block_stays_small(monkeypatch):
+    # the degree-7 pair block (22.5 MiB) is built one degree block at a
+    # time from its rows' codes; four dense 6-variable factors over all
+    # degrees would peak near 7 times its size
+    monkeypatch.setattr(spectral, "_cache", {})
+    tracemalloc.start()
+    try:
+        block = pair_avg_block(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1716, 1716)
+    assert peak < 3 * block.nbytes
 
 
 @pytest.mark.parametrize("d", range(7))
