@@ -13,17 +13,11 @@ everything else is imported from its module (kacbath.spectral,
 kacbath.evolution, kacbath.jump, ...).
 """
 
-from .bounds import (
-    anisotropic_pair_data,
-    bound_curve,
-    estimate_l,
-    make_bound_params,
-)
+from .bounds import anisotropic_pair_data, bound_curve, measured_bound_params
 from .evolution import default_time_grid, distance_curve
 from .jump import BlockObservable, EquilibriumInit, SimConfig, run_ensemble
 from .kinematics import ModelParams
-from .projector import lemma1_constant
-from .spectral import SpectralContext, assemble_T, spectral_gap
+from .spectral import SpectralContext
 
 __version__ = "0.1.0"
 
@@ -34,13 +28,9 @@ __all__ = [
     "SimConfig",
     "SpectralContext",
     "anisotropic_pair_data",
-    "assemble_T",
     "bound_curve",
     "default_time_grid",
     "distance_curve",
-    "estimate_l",
-    "lemma1_constant",
-    "make_bound_params",
+    "measured_bound_params",
     "run_ensemble",
-    "spectral_gap",
 ]

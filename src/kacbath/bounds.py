@@ -13,11 +13,13 @@ b = mu l / (k - mu/3). The first term is the permanent budget (it
 saturates at C ||h0 - 1||); the second is the transient bump, of order
 M/sqrt(N) at its peak.
 
-k and l are certified here only as truncated-space, per-configuration
-estimates supplied by the spectral module (k on the reservoir-symmetric
-sector, where it bounds the joint-space gap from above); nothing assumes
-they are independent of (M, N) even though the displayed formula treats
-them as constants.
+This module measures the bound: measured_bound_params reads C from
+lemma1_constant(M, N), k from spectral_gap on the reservoir-symmetric
+sector (where it bounds the joint-space gap from above) and l from the
+degree blocks of the one-particle bath map, thermostat_block(d); the CLI
+and the scaling study both take it. k and l are truncated-space,
+per-configuration estimates; nothing assumes they are independent of
+(M, N) even though the displayed formula treats them as constants.
 
 Finding (the strict xfail in tests/test_bounds.py): the bump's initial
 slope is at most l/((1 + sqrt 3) sqrt M) times the permanent term's,
@@ -41,7 +43,7 @@ from .errors import ConfigError, DegenerateBoundError, ToleranceError
 from .hermite import HermiteCoeffs, make_basis
 from .kinematics import ModelParams
 from .projector import lemma1_constant
-from .spectral import OperatorMatrix, SpectralContext, assemble_T, conserved_norm, spectral_gap
+from .spectral import SpectralContext, bath_map_blocks, conserved_norm, spectral_gap
 
 # |k - mu/3| below this is treated as degenerate (the two exponentials
 # coincide and b blows up; see make_bound_params).
@@ -56,17 +58,18 @@ def lambda_rate(lambda_s: float, mu: float) -> float:
     return lambda_s / 2.0 + mu
 
 
-def estimate_l(t: OperatorMatrix) -> float:
-    """sup over unit u of sqrt(<u, Tu> - <Tu, Tu>) on the truncation.
+def estimate_l(d: int) -> float:
+    """sup over unit u of sqrt(<u, Tu> - <Tu, Tu>) on the truncation of
+    degree <= d, T the one-particle bath map.
 
-    Equals the square root of the top eigenvalue of T - T^2 on the
-    whole truncated basis of t. T is self-adjoint with spectrum in
-    [0, 1], so T - T^2 is positive semidefinite; an eigenvalue below
-    -1e-12 means the assembly is broken and raises.
+    Equals the square root of the top eigenvalue of T - T^2, read on each
+    degree block of thermostat_block(d) (bath_map_blocks); T acting on one
+    of M tagged particles has the same sup. T is self-adjoint with
+    spectrum in [0, 1], so T - T^2 is positive semidefinite; an eigenvalue
+    below -1e-12 means the block is broken and raises.
     """
     top = 0.0
-    for m in range(t.basis.degree + 1):
-        block = t.block(m)
+    for m, block in enumerate(bath_map_blocks(d)):
         gap = block - block @ block
         evals = np.linalg.eigvalsh(0.5 * (gap + gap.T))
         if evals[0] < -_PSD_TOL:
@@ -129,6 +132,16 @@ def make_bound_params(
         b=mu * l / denom,
         h0_norm=h0_norm,
     )
+
+
+def measured_bound_params(ctx: SpectralContext, h0: HermiteCoeffs) -> BoundParams:
+    """BoundParams of the configuration (ctx.p, ctx.d) and the data h0, with
+    every constant measured: C = lemma1_constant(M, N), k = spectral_gap(ctx)
+    and l = estimate_l(ctx.d); lambda_S and mu are those of ctx.p."""
+    p = ctx.p
+    return make_bound_params(c=lemma1_constant(p.m, p.n), lambda_s=p.lambda_s, mu=p.mu,
+                             k=spectral_gap(ctx), l=estimate_l(ctx.d),
+                             h0_norm=h0.fluctuation_norm())
 
 
 class BoundCurve(NamedTuple):
@@ -256,7 +269,8 @@ def scaling_study(
 
     For each reservoir size, on the h2_aniso perturbation h0 of the first
     of the M tagged particles: the long-time limit of the distance, the
-    spectral gap, and the bound's bump peak at that gap. The reservoir
+    spectral gap, and the bound's bump peak with the constants of
+    measured_bound_params. The reservoir
     flow tends to Pi h0, the projection onto the conserved quantities, and
     with mu > 0 the thermostat relaxes every tagged mode, so the bath flow
     tends to 1: the limit is ||Pi h0 - 1|| (conserved_norm), and at mu = 0
@@ -273,24 +287,18 @@ def scaling_study(
     h0 = perturbation_data("h2_aniso", eps, m)
     if d < h0.degree():
         raise ConfigError(f"degree cap {d} below h0 degree {h0.degree()}")
-    l_hat = estimate_l(assemble_T(1, d))
-
+    # every context checks its sector's size when it is made, so an
+    # oversized one is refused before the first row is built; each is
+    # dropped once its row is read
+    contexts = [SpectralContext(ModelParams(m, n, lambda_s=lambda_s, lambda_r=lambda_r,
+                                            mu=mu), d) for n in ns]
     rows = []
-    for n in ns:
-        ctx = SpectralContext(
-            ModelParams(m, n, lambda_s=lambda_s, lambda_r=lambda_r, mu=mu), d)
+    while contexts:
+        ctx = contexts.pop(0)
         limit = conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
-        k_hat = spectral_gap(ctx)
-        bp = make_bound_params(
-            c=lemma1_constant(m, n).c,
-            lambda_s=lambda_s,
-            mu=mu,
-            k=k_hat,
-            l=l_hat,
-            h0_norm=h0.fluctuation_norm(),
-        )
-        bump, _ = bump_peak(bp, m, n)
-        rows.append(ScalingRow(n=n, limit=limit, gap=k_hat, bump=bump))
+        bp = measured_bound_params(ctx, h0)
+        bump, _ = bump_peak(bp, m, ctx.p.n)
+        rows.append(ScalingRow(n=ctx.p.n, limit=limit, gap=bp.k, bump=bump))
 
     # the limits fall like (M+N)^-p (h2_aniso gives ||h0 - 1||/(M+N)), the
     # bump peaks like N^-q

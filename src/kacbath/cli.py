@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import (
     bound_curve,
     estimate_l,
-    make_bound_params,
+    measured_bound_params,
     perturbation_data,
     scaling_study,
 )
@@ -58,6 +58,7 @@ from .spectral import (
     SpectralContext,
     assemble_T,
     assemble_generator,
+    bath_map_blocks,
     conserved_count,
     k_block,
     spectral_gap,
@@ -136,18 +137,6 @@ def _record_times(cfg: RunConfig) -> np.ndarray:
         return np.asarray(cfg.record_times, dtype=float)
     return default_time_grid(cfg.t_end, count=cfg.grid["count"],
                              t_min=cfg.grid["t_min"])
-
-
-def _measured_bound_params(cfg: RunConfig, ctx: SpectralContext, h0: HermiteCoeffs):
-    """BoundParams with the gap and the bath-map dispersion measured here."""
-    return make_bound_params(
-        c=lemma1_constant(ctx.p.m, ctx.p.n).c,
-        lambda_s=cfg.lambda_s,
-        mu=cfg.mu,
-        k=spectral_gap(ctx),
-        l=estimate_l(assemble_T(1, cfg.degree)),
-        h0_norm=h0.fluctuation_norm(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +266,7 @@ def cmd_verify_lemma1(cfg: RunConfig, args) -> int:
         h = perturbation_data(cfg.init["family"], cfg.init["eps"], m)
         est = estimate_lemma1_ratio(h, m, n, cfg.samples,
                                     RngStream(cfg.seed, row_id), inner=cfg.inner)
-        rows.append((m, n, lemma1_constant(m, n).c, est.ratio, est.stderr,
+        rows.append((m, n, lemma1_constant(m, n), est.ratio, est.stderr,
                      cfg.samples * cfg.inner))
     write_csv(args.out, header, rows)
     _raise_if_failed("projector-contraction",
@@ -310,10 +299,10 @@ def cmd_verify_lemma3(cfg: RunConfig | None, args) -> int:
     lo, hi = DEGREE_RANGE
     if not lo <= max_degree <= hi:
         raise ConfigError(f"max degree must be in {lo}..{hi}, got {max_degree}")
-    t = assemble_T(1, max_degree)
+    blocks = bath_map_blocks(max_degree)
     # both routes give all C(deg + 2, 2) eigenvalues of each degree block
     spectra = {str(deg): (np.sort(symmetric_tensor_eigenvalues(deg)),
-                          np.sort(np.linalg.eigvalsh(t.block(deg))))
+                          np.sort(np.linalg.eigvalsh(blocks[deg])))
                for deg in range(1, max_degree + 1)}
     matrix_route = {k: float(mat[-1]) for k, (_, mat) in spectra.items()}
     payload = {
@@ -346,7 +335,7 @@ def cmd_gap(cfg: RunConfig, args) -> int:
     ctx = SpectralContext(_model(cfg), cfg.degree)
     k_hat = spectral_gap(ctx)
     first = k_block(ctx)
-    l_hat = estimate_l(assemble_T(1, cfg.degree))
+    l_hat = estimate_l(cfg.degree)
     write_json(args.out, {
         "m": cfg.m, "n": cfg.n, "degree": cfg.degree,
         "lambda_s": cfg.lambda_s, "lambda_r": cfg.lambda_r, "mu": cfg.mu,
@@ -364,7 +353,7 @@ def cmd_distance(cfg: RunConfig, args) -> int:
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
     curve = distance_curve(ctx, h0, times)
-    bp = _measured_bound_params(cfg, ctx, h0)
+    bp = measured_bound_params(ctx, h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
     header = ["t", "distance", "bound", "bound_term1", "bound_term2"]
     rows = list(zip(curve.times, curve.distance, bc.total, bc.term1, bc.term2))
@@ -389,7 +378,7 @@ def cmd_bound(cfg: RunConfig, args) -> int:
     ctx = SpectralContext(_model(cfg), cfg.degree)
     h0 = perturbation_data(cfg.init["family"], cfg.init["eps"], cfg.m)
     times = _record_times(cfg)
-    bp = _measured_bound_params(cfg, ctx, h0)
+    bp = measured_bound_params(ctx, h0)
     bc = bound_curve(bp, cfg.m, cfg.n, times)
     header = ["t", "bound", "bound_term1", "bound_term2"]
     rows = list(zip(bc.times, bc.total, bc.term1, bc.term2))

@@ -48,7 +48,6 @@ Norms and means are with respect to the background Gaussian weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, NamedTuple
 
@@ -62,16 +61,7 @@ from .randomness import GAMMA_SIGMA, RngStream
 OUTER_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class BoundConstant:
-    """Closed-form contraction constant of the rotation projector."""
-
-    m: int
-    n: int
-    c: float
-
-
-def lemma1_constant(m: int, n: int) -> BoundConstant:
+def lemma1_constant(m: int, n: int) -> float:
     """C(M, N) = sqrt(3M/(3N-5)) + sqrt(((M+N)/N)^3 - 1).
 
     Controls ||R[h] - 1|| <= C ||h - 1|| for mean-one functions h of
@@ -81,8 +71,7 @@ def lemma1_constant(m: int, n: int) -> BoundConstant:
         raise ConfigError(f"M must be >= 1, got {m}")
     if 3 * n - 5 <= 0:
         raise ConfigError(f"N too small for a finite constant: N={n}")
-    c = sqrt(3.0 * m / (3 * n - 5)) + sqrt(((m + n) / n) ** 3 - 1.0)
-    return BoundConstant(m=m, n=n, c=c)
+    return sqrt(3.0 * m / (3 * n - 5)) + sqrt(((m + n) / n) ** 3 - 1.0)
 
 
 def _reach(cols: np.ndarray, m: int) -> np.ndarray:

@@ -77,6 +77,7 @@ __all__ = [
     "OperatorMatrix",
     "pair_avg_block",
     "thermostat_block",
+    "bath_map_blocks",
     "assemble_T",
     "assemble_generator",
     "sector_basis",
@@ -395,6 +396,13 @@ def thermostat_block(d: int) -> np.ndarray:
     return block
 
 
+def bath_map_blocks(d: int) -> list[np.ndarray]:
+    """The degree blocks m = 0..d of thermostat_block(d), the one-particle
+    bath map T: read-only views, as the block itself is."""
+    t, b3 = thermostat_block(d), make_basis(3, d)
+    return [t[b3.degree_slice(m), b3.degree_slice(m)] for m in range(d + 1)]
+
+
 # ---------------------------------------------------------------------------
 # one lift for every operator
 
@@ -637,7 +645,8 @@ def sector_basis(p: ModelParams, d: int) -> SectorBasis:
 
 def assemble_T(m: int, d: int) -> OperatorMatrix:
     """Thermostat average for tagged particle 0 on the 3m-variable basis,
-    size-checked by _dense_basis."""
+    size-checked by _dense_basis: the `bath_map` export. Every other reader
+    of T takes thermostat_block(d) or its sector lift."""
     basis = _dense_basis(3 * m, d, f"tagged basis at M={m}, degree {d}")
     return _lift("thermostat[0]", basis, _basis_layout(basis),
                  [(thermostat_block(d), make_basis(3, d), (0,), 1.0)],
@@ -769,8 +778,7 @@ def orth(a: np.ndarray) -> np.ndarray:
     return u[:, s > np.finfo(float).eps * max(a.shape) * np.amax(s, initial=0.0)]
 
 
-def invariant_projector(p: ModelParams, d: int,
-                        basis: Basis | None = None) -> list[np.ndarray]:
+def invariant_projector(p: ModelParams, d: int) -> list[np.ndarray]:
     """Orthonormal basis of the conserved-quantity polynomials, per degree.
 
     Functions invariant under every momentum-preserving rotation of
@@ -783,12 +791,11 @@ def invariant_projector(p: ModelParams, d: int,
     c_alpha the monomial coefficients of P^a E^b that part is
     sum_alpha c_alpha sqrt(alpha!) (2 pi)^(-m/2) h_alpha.
 
-    Returns one U_m per degree block m of the joint basis of (p, d),
-    passed as `basis` if already enumerated: those columns, orthonormalized
-    by `orth`. Raises ToleranceError, naming the degree, if they are not
-    independent.
+    Returns one U_m per degree block m of the joint basis of (p, d): those
+    columns, orthonormalized by `orth`. Raises ToleranceError, naming the
+    degree, if they are not independent.
     """
-    big = joint_basis(p, d) if basis is None else basis
+    big = joint_basis(p, d)
     mom = [poly_add(*[poly_coord(3 * t + c) for t in range(p.m + p.n)]) for c in range(3)]
     energy = poly_add(*[poly_mul(poly_coord(i), poly_coord(i)) for i in range(big.nvars)])
 
@@ -992,10 +999,11 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
     pair block over the d + 1 representative reservoir slots, each
     weighted by the partners it stands for over N, is (1/N) sum_j R_1j,
     and a lift of its square has the quadratic form
-    (1/N) sum_j ||R_1j u||^2. u and T_1 u are their own orbit sums, on
-    the rows SectorBasis.rows_of gives the tagged basis; variance_bound
-    is read on the tagged basis. The functions share one tagged basis of
-    degree <= ctx.d.
+    (1/N) sum_j ||R_1j u||^2. T_1 is the lift of thermostat_block(ctx.d)
+    onto tagged particle 0 of the same sector. u and T_1 u are their own
+    orbit sums, on the rows SectorBasis.rows_of gives the tagged basis,
+    and variance_bound reads T_1 u back at those rows. The functions share
+    one tagged basis of degree <= ctx.d.
     Returns one result per function, in order.
     """
     p, d = ctx.p, ctx.d
@@ -1017,18 +1025,15 @@ def verify_lemma2(us: Sequence[HermiteCoeffs],
         return lift(name, [(block, b6, (0, p.m + j), w / p.n)
                            for j, w in enumerate(partner)], 0.0)
 
+    # functions of the tagged velocities, each its own orbit sum
     tagged = sec.rows_of(basis.exponents, np.zeros((basis.size, 0), dtype=int))
-
-    def placed(cols: np.ndarray) -> np.ndarray:
-        """Functions of the tagged velocities, each its own orbit sum."""
-        out = np.zeros((sec.size, cols.shape[1]))
-        out[tagged] = cols
-        return out
-
     u = np.stack([c.vec for c in us], axis=1)
-    tu = assemble_T(p.m, basis.degree) @ u
-    u_sec = placed(u)
-    lhs = np.sum((average("interaction average", pair) @ u_sec - placed(tu)) ** 2, axis=0)
+    u_sec = np.zeros((sec.size, len(us)))
+    u_sec[tagged] = u
+    tu_sec = lift("thermostat[0]", [(thermostat_block(d), make_basis(3, d), (0,), 1.0)],
+                  0.0) @ u_sec
+    tu = tu_sec[tagged]
+    lhs = np.sum((average("interaction average", pair) @ u_sec - tu_sec) ** 2, axis=0)
     second_moment = np.einsum("ik,ik->k", u_sec,
                               average("interaction second moment", pair @ pair) @ u_sec)
 

@@ -186,11 +186,16 @@ def sector_generator(kind: str, p: ModelParams, sec: SectorBasis) -> OperatorMat
 
 
 def lemma2_averages(p: ModelParams, sec: SectorBasis) -> list[OperatorMatrix]:
-    """The two sector lifts of `spectral.verify_lemma2`: (1/N) sum_j of the
-    pair block and of its square on tagged particle 0 and reservoir j."""
+    """The three sector lifts of `spectral.verify_lemma2`: the thermostat
+    average on tagged particle 0, then (1/N) sum_j of the pair block and of
+    its square on tagged particle 0 and reservoir j."""
     partner, run = sector_lift(p, sec)
-    pair, b6 = pair_avg_block(sec.degree), make_basis(6, sec.degree)
-    return [run(name, [(block, b6, np.concatenate([v_slots(0), w_slots(p, j)]), w / p.n)
-                       for j, w in enumerate(partner)], 0.0)
-            for name, block in (("interaction average", pair),
-                                ("interaction second moment", pair @ pair))]
+    d = sec.degree
+    pair, b6 = pair_avg_block(d), make_basis(6, d)
+    thermostat = run("thermostat[0]", [(thermostat_block(d), make_basis(3, d), v_slots(0), 1.0)],
+                     0.0)
+    return [thermostat] + [
+        run(name, [(block, b6, np.concatenate([v_slots(0), w_slots(p, j)]), w / p.n)
+                   for j, w in enumerate(partner)], 0.0)
+        for name, block in (("interaction average", pair),
+                            ("interaction second moment", pair @ pair))]

@@ -17,15 +17,11 @@ from kacbath import (
     ModelParams,
     SimConfig,
     SpectralContext,
-    assemble_T,
     bound_curve,
     default_time_grid,
     distance_curve,
-    estimate_l,
-    lemma1_constant,
-    make_bound_params,
+    measured_bound_params,
     run_ensemble,
-    spectral_gap,
 )
 from kacbath.bounds import scaling_study
 from kacbath.cli import main
@@ -33,9 +29,10 @@ from kacbath.evolution import evolve
 from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.jump import PerturbationInit, hermite_observable
 from kacbath.kinematics import pair_collide
-from kacbath.projector import estimate_lemma1_ratio
+from kacbath.projector import estimate_lemma1_ratio, lemma1_constant
 from kacbath.randomness import GAMMA_SIGMA, RngStream
 from kacbath.spectral import (
+    assemble_T,
     assemble_generator,
     conserved_norm,
     joint_basis,
@@ -242,7 +239,7 @@ def test_criterion_4_projector_contraction():
     worst_se_ratio = 0.0
     for m in (1, 2):
         for n in (2, 4, 8):
-            c = lemma1_constant(m, n).c
+            c = lemma1_constant(m, n)
             for idx, (name, h) in enumerate(_battery(m)):
                 est = estimate_lemma1_ratio(
                     h, m, n, outer,
@@ -274,7 +271,6 @@ def test_criterion_4_projector_contraction():
 def test_criterion_5_distance_below_bound():
     start = time.perf_counter()
     grid = default_time_grid(70.0, count=40)
-    l_hat = estimate_l(assemble_T(1, 2))
     families = [
         ("linear", _mean_one(1, [((1,), 0.3)], 1)),
         ("aniso", _mean_one(1, [((2,), 0.2), ((0, 2), -0.2)], 2)),
@@ -282,18 +278,15 @@ def test_criterion_5_distance_below_bound():
     worst_slack = np.inf
     for n in (2, 4, 8):
         ctx = SpectralContext(ModelParams(1, n, lambda_s=1.0, lambda_r=1.0, mu=1.0), 2)
-        k_hat = spectral_gap(ctx)
-        c = lemma1_constant(1, n).c
         for name, h0 in families:
             curve = distance_curve(ctx, h0, grid)
-            bp = make_bound_params(c=c, lambda_s=1.0, mu=1.0, k=k_hat,
-                                   l=l_hat, h0_norm=h0.fluctuation_norm())
+            bp = measured_bound_params(ctx, h0)
             bc = bound_curve(bp, 1, n, grid)
             slack = min(b - d for b, d in zip(bc.total, curve.distance))
             worst_slack = min(worst_slack, slack)
             assert slack >= -1e-9, (n, name, slack)
             limit = conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
-            assert limit <= c * h0.fluctuation_norm(), (n, name, limit)
+            assert limit <= bp.c * h0.fluctuation_norm(), (n, name, limit)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from math import exp, sqrt
 
-from kacbath import ModelParams, assemble_T, bound_curve, estimate_l, make_bound_params
-from kacbath.bounds import anisotropic_pair_data, bump_peak, lambda_rate, scaling_study
+from kacbath import ModelParams, SpectralContext, bound_curve, measured_bound_params, spectral
+from kacbath.bounds import (anisotropic_pair_data, bump_peak, estimate_l, lambda_rate,
+                            make_bound_params, perturbation_data, scaling_study)
 from kacbath.errors import ConfigError, DegenerateBoundError, ToleranceError
+from kacbath.projector import lemma1_constant
+from kacbath.spectral import assemble_T, spectral_gap
 
 
 def _params(k: float = 0.5, l: float = 0.4714, c: float = 3.27,
@@ -23,11 +26,11 @@ def test_lambda_rate_values():
 
 def test_estimate_l_values():
     # degree-1 block: 2/3 - (2/3)^2 = 2/9
-    assert estimate_l(assemble_T(1, 1)) == pytest.approx(sqrt(2.0 / 9.0), abs=1e-12)
+    assert estimate_l(1) == pytest.approx(sqrt(2.0 / 9.0), abs=1e-12)
     # frozen full-truncation values; the sup is attained at degree 2
-    l2 = estimate_l(assemble_T(1, 2))
+    l2 = estimate_l(2)
     assert l2 == pytest.approx(0.49888765156985887, abs=1e-12)
-    l4 = estimate_l(assemble_T(1, 4))
+    l4 = estimate_l(4)
     assert l4 >= l2 - 1e-15
     # the variational sup never exceeds 1/2 for a PSD contraction
     assert l4 <= 0.5 + 1e-12
@@ -80,10 +83,8 @@ def test_bump_peak_closed_form():
 )
 def test_bump_crosses_permanent_term_at_n64():
     m, n = 1, 64
-    from kacbath import lemma1_constant
-
-    c = lemma1_constant(m, n).c
-    l = estimate_l(assemble_T(1, 2))
+    c = lemma1_constant(m, n)
+    l = estimate_l(2)
     times = np.geomspace(1e-6, 50.0, 4000)
     crossed = False
     # the claim is k-independent, so sweep k across everything plausible
@@ -113,14 +114,45 @@ def test_anisotropic_data_properties():
     assert h.degree() == 2
 
 
-def test_estimate_l_rejects_broken_operator():
-    from kacbath.hermite import make_basis
-    from kacbath.spectral import OperatorMatrix
+def test_estimate_l_rejects_broken_operator(monkeypatch):
+    # a cached degree-1 bath map with eigenvalue 2 is not a contraction:
+    # T - T^2 has eigenvalue -2 in degree 1
+    bad = np.diag([1.0, 2.0, 2.0, 2.0])
+    monkeypatch.setattr(spectral, "_cache", {("thermostat", 1): bad})
+    with pytest.raises(ToleranceError, match="eigenvalue -2.000e[+]00 at degree 1"):
+        estimate_l(1)
 
-    b = make_basis(1, 1)
-    bad = OperatorMatrix.from_raw("bad", b, ([0, 1], [0, 1], [1.0, 2.0]))  # not a contraction
-    with pytest.raises(ToleranceError):
-        estimate_l(bad)
+
+def _estimate_l_on(t) -> float:
+    """estimate_l's former route: the top eigenvalue of T - T^2 on each
+    degree block of an assembled bath map t."""
+    top = 0.0
+    for m in range(t.basis.degree + 1):
+        block = t.block(m)
+        gap = block - block @ block
+        top = max(top, float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[-1]))
+    return sqrt(top)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_estimate_l_equals_the_assembled_bath_map_route(d):
+    # the degree blocks of thermostat_block(d) against the lifted operator
+    # on one tagged particle, bitwise
+    assert estimate_l(d).hex() == _estimate_l_on(assemble_T(1, d)).hex()
+
+
+@pytest.mark.parametrize("m,n,d,family,rates", [
+    (1, 8, 2, "h2_aniso", (1.0, 1.0, 1.0)),
+    (2, 5, 2, "h1_v1x", (0.4, 1.3, 0.7)),
+    (1, 6, 3, "h2_aniso", (1.0, 0.5, 2.0)),
+])
+def test_measured_bound_params_equals_the_hand_assembly(m, n, d, family, rates):
+    ctx = SpectralContext(ModelParams(m, n, *rates), d)
+    h0 = perturbation_data(family, 0.2, m)
+    want = make_bound_params(c=lemma1_constant(m, n), lambda_s=rates[0], mu=rates[2],
+                             k=spectral_gap(ctx), l=_estimate_l_on(assemble_T(1, d)),
+                             h0_norm=h0.fluctuation_norm())
+    assert measured_bound_params(ctx, h0) == want
 
 
 def test_scaling_study_two_sizes_smoke():

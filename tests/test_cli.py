@@ -12,12 +12,13 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from kacbath import (ModelParams, assemble_T, bounds, cli, lemma1_constant, make_bound_params,
-                     spectral)
+from kacbath import ModelParams, bounds, cli, spectral
+from kacbath.bounds import make_bound_params
 from kacbath.cli import main, perturbation_data
 from kacbath.jump import BLOCK
 from kacbath.output import read_matrix
-from kacbath.spectral import assemble_generator
+from kacbath.projector import lemma1_constant
+from kacbath.spectral import assemble_T, assemble_generator
 
 from matrix_oracle import dense
 
@@ -152,6 +153,24 @@ def test_an_oversized_sector_exits_before_any_tagged_basis(tmp_path, capsys, mon
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ConfigError" and record["exit_code"] == 2
     assert ("reservoir-symmetric sector at M=16, N=8, degree 4 has 349879 rows"
+            in record["message"])
+    assert not out.exists()
+
+
+def test_an_oversized_sector_in_a_sweep_exits_before_any_row(tmp_path, capsys, monkeypatch):
+    # at degree 7 the sector has 5944 rows at N = 2 and 10319 at N = 3,
+    # over the dense limit; every size is checked before the N = 2 row
+    # assembles its generator
+    def refuse(*args):
+        raise AssertionError("a sector generator was assembled")
+
+    monkeypatch.setattr(spectral, "assemble_sector_generator", refuse)
+    cfg = _write_config(tmp_path, degree=7, reservoir_sizes=[2, 3, 8])
+    out = tmp_path / "scaling.json"
+    assert _run("bound", "--config", cfg, "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert ("reservoir-symmetric sector at M=1, N=3, degree 7 has 10319 rows"
             in record["message"])
     assert not out.exists()
 
@@ -359,7 +378,7 @@ def test_distance_on_both_sides_of_the_gap_pole(tmp_path, n, offset):
     assert _run("report", "--dir", str(rundir)) == 0
     doc = json.loads((rundir / "gap.json").read_text())
     assert doc["k_hat"] - 1.0 / 3.0 == pytest.approx(offset, rel=1e-2)
-    bp = make_bound_params(c=lemma1_constant(1, n).c, lambda_s=1.0, mu=1.0,
+    bp = make_bound_params(c=lemma1_constant(1, n), lambda_s=1.0, mu=1.0,
                            k=doc["k_hat"], l=doc["l_hat"],
                            h0_norm=perturbation_data("h2_aniso", 0.2, 1).fluctuation_norm())
     assert np.sign(bp.b) == np.sign(offset)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacbath import ModelParams, assemble_T
+from kacbath import ModelParams
 from kacbath.errors import ConfigError
 from kacbath.output import (
     format_value,
@@ -15,7 +15,7 @@ from kacbath.output import (
     write_matrix,
 )
 from kacbath.hermite import make_basis
-from kacbath.spectral import OperatorMatrix, assemble_generator
+from kacbath.spectral import OperatorMatrix, assemble_T, assemble_generator
 
 from matrix_oracle import dense, dense_matrix_text, operator
 

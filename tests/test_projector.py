@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from math import sqrt
 
-from kacbath import lemma1_constant
 from kacbath.errors import ConfigError, StateError
 from kacbath.hermite import HermiteCoeffs, make_basis
 from kacbath.kinematics import JointState, total_energy, total_momentum
@@ -14,6 +13,7 @@ from kacbath.projector import (
     _reach,
     _system_rows,
     estimate_lemma1_ratio,
+    lemma1_constant,
 )
 from kacbath.randomness import GAMMA_SIGMA, RngStream
 from conditioning_kernel import verify_gaussian_identity
@@ -86,11 +86,12 @@ def test_frame_g_coordinates_encode_total_momentum():
 
 
 def test_lemma1_constant_values():
-    # sqrt(3M/(3N-5)) + sqrt(((M+N)/N)^3 - 1), frozen at two sizes
-    assert lemma1_constant(1, 100).c == pytest.approx(0.27491572107446327, abs=1e-15)
-    assert lemma1_constant(2, 50).c == pytest.approx(0.5567800562919677, abs=1e-15)
+    # sqrt(3M/(3N-5)) + sqrt(((M+N)/N)^3 - 1), frozen at two sizes, as a float
+    assert type(lemma1_constant(1, 100)) is float
+    assert lemma1_constant(1, 100) == pytest.approx(0.27491572107446327, abs=1e-15)
+    assert lemma1_constant(2, 50) == pytest.approx(0.5567800562919677, abs=1e-15)
     # large-N decay ~ sqrt(3M)*N^{-1/2} + ...: the constant keeps shrinking
-    assert lemma1_constant(1, 1000).c < lemma1_constant(1, 100).c
+    assert lemma1_constant(1, 1000) < lemma1_constant(1, 100)
     with pytest.raises(ConfigError):
         lemma1_constant(1, 1)
     with pytest.raises(ConfigError):
@@ -289,7 +290,7 @@ def test_ratio_always_below_constant():
     for m, n in [(1, 2), (1, 8), (2, 2)]:
         h = _mean_one_h1(m, 0.4)
         est = estimate_lemma1_ratio(h, m, n, 2000, RngStream(31, 10 * m + n))
-        c = lemma1_constant(m, n).c
+        c = lemma1_constant(m, n)
         assert est.ratio <= c + 3.0 * est.stderr
         assert est.fluctuation_norm == pytest.approx(0.4, rel=1e-12)
 

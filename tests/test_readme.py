@@ -21,7 +21,7 @@ def test_package_exports_exactly_the_readme_imports():
                 for alias in node.names}
     assert len(BLOCKS) == 2
     assert set(kacbath.__all__) == imported
-    assert len(kacbath.__all__) == 15
+    assert len(kacbath.__all__) == 11
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb, factorial, pi, prod, sqrt
 
-from kacbath import ModelParams, SpectralContext, assemble_T, spectral, spectral_gap
+from kacbath import ModelParams, SpectralContext, spectral
 from kacbath.errors import ConfigError, QuadratureError, StateError, ToleranceError
 from kacbath.hermite import (
     HermiteCoeffs,
@@ -24,10 +24,12 @@ from kacbath.hermite import (
 from kacbath.randomness import RngStream
 from kacbath.spectral import (
     OperatorMatrix,
+    assemble_T,
     assemble_generator,
     invariant_projector,
     joint_basis,
     pair_avg_block,
+    spectral_gap,
     symmetric_tensor_eigenvalues,
     thermostat_block,
     verify_lemma2,
@@ -232,9 +234,10 @@ def test_lemma2_rejects_wrong_variable_count():
 
 
 def test_lemma2_batch_equals_one_call_per_function(monkeypatch):
-    # one call lifts the interaction average and its second moment once
-    # each onto the sector, over the d + 1 representative reservoir slots,
-    # for all functions, and returns what one call per function returns
+    # one call lifts the thermostat average onto tagged particle 0, then the
+    # interaction average and its second moment over the d + 1
+    # representative reservoir slots, once each onto the sector, for all
+    # functions, and returns what one call per function returns
     ctx = SpectralContext(ModelParams(1, 3), 2)
     basis = make_basis(3, 2)
     us = [HermiteCoeffs(basis, RngStream(7, t).rng.standard_normal(basis.size))
@@ -251,14 +254,16 @@ def test_lemma2_batch_equals_one_call_per_function(monkeypatch):
     batch = verify_lemma2(us, ctx)
     # tagged particle 0 (unit 0) with each reservoir slot j (unit 1 + j)
     pairs = [[0, 1 + j] for j in range(3)]
-    assert [unit_lists for on_sector, unit_lists in lifts if on_sector] == [pairs, pairs]
+    assert [unit_lists for on_sector, unit_lists in lifts if on_sector] == [[[0]], pairs, pairs]
     for got, want in zip(batch, alone, strict=True):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 2, 1), (1, 3, 3), (2, 3, 2), (1, 8, 2), (2, 4, 3)])
 def test_lemma2_equals_the_joint_oracle(m, n, d):
-    # the sector route against the N pair rotations on the joint basis
+    # the sector route against the N pair rotations on the joint basis; T u
+    # read on the sector is bitwise the tagged-basis T u, so variance_bound
+    # keeps its bits
     ctx = SpectralContext(ModelParams(m, n), d)
     basis = make_basis(3 * m, d)
     us = [HermiteCoeffs(basis, RngStream(20 + n, t).rng.standard_normal(basis.size))
@@ -266,6 +271,7 @@ def test_lemma2_equals_the_joint_oracle(m, n, d):
     for got, want in zip(verify_lemma2(us, ctx), lemma2_oracle.verify_lemma2(us, ctx),
                          strict=True):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got.variance_bound.hex() == want.variance_bound.hex()
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 4096])
@@ -385,7 +391,7 @@ def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
     # the sector route against the two joint-basis routes of gap_oracle
     ctx = SpectralContext(ModelParams(m, n), d)
     gen = assemble_generator("reservoir", ctx.p, d)
-    invariants = invariant_projector(ctx.p, d, basis=gen.basis)
+    invariants = invariant_projector(ctx.p, d)
     k = spectral_gap(ctx)
     assert abs(k - gap_oracle.spectral_gap(gen, invariants)) <= 1e-12
     assert abs(k - gap_oracle.lanczos_gap(gen, invariants)) <= 1e-12
@@ -521,10 +527,15 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", range(9))
 def test_embedding_over_every_variable_is_the_block(d):
-    # one tagged particle: the thermostat average lifts onto every variable
-    assert _same_bits(dense(assemble_T(1, d)), thermostat_block(d))
+    # one tagged particle: the thermostat average lifts onto every variable,
+    # so its degree blocks are those estimate_l and verify-lemma3 read
+    t = assemble_T(1, d)
+    assert _same_bits(dense(t), thermostat_block(d))
+    blocks = spectral.bath_map_blocks(d)
+    assert len(blocks) == d + 1
+    assert all(_same_bits(block, t.block(m)) for m, block in enumerate(blocks))
 
 
 @pytest.mark.parametrize("d", range(7))
@@ -594,7 +605,7 @@ def _same_entries(a: OperatorMatrix, b: OperatorMatrix) -> bool:
 
 
 def _lemma2_lifts(ctx: SpectralContext, us) -> list[OperatorMatrix]:
-    """The two sector lifts verify_lemma2 builds, as it builds them."""
+    """The three sector lifts verify_lemma2 builds, as it builds them."""
     lifts = []
     real = spectral._lift
 
@@ -614,7 +625,7 @@ def _lemma2_lifts(ctx: SpectralContext, us) -> list[OperatorMatrix]:
        seed=st.integers(0, 2**32 - 1))
 def test_every_lift_equals_the_per_term_oracle(m, n, d, rates, seed):
     # generators of both kinds on the sector (and on the joint basis where
-    # it is small), the tagged thermostat average, and verify_lemma2's two
+    # it is small), the tagged thermostat average, and verify_lemma2's three
     # sector lifts, each bitwise
     p = ModelParams(m, n, *rates)
     rng = np.random.default_rng(seed)
@@ -632,7 +643,7 @@ def test_every_lift_equals_the_per_term_oracle(m, n, d, rates, seed):
         us = [HermiteCoeffs(tagged, rng.standard_normal(tagged.size))]
         got = _lemma2_lifts(ctx, us)
         want = lift_oracle.lemma2_averages(p, ctx.sector)
-        assert len(got) == 2 and all(map(_same_entries, got, want))
+        assert len(got) == 3 and all(map(_same_entries, got, want))
 
 
 _RATES = {(3, 4, 2): (0.7, 1.3, 0.4), (2, 3, 3): (1.0, 0.0, 1.0)}
