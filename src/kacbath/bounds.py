@@ -273,12 +273,13 @@ def scaling_study(
     measured_bound_params. The reservoir
     flow tends to Pi h0, the projection onto the conserved quantities, and
     with mu > 0 the thermostat relaxes every tagged mode, so the bath flow
-    tends to 1: the limit is ||Pi h0 - 1|| (conserved_norm), and at mu = 0
-    its kernel count check raises. Both read one reservoir generator on
-    the reservoir-symmetric sector, of the same size at every N, so the
-    study reaches any reservoir size; that gap bounds the joint-space gap
-    from above only. Fits log-log power laws through both columns: the
-    limits against M + N, the bump peaks against N.
+    tends to 1: the limit is ||Pi h0 - 1||, which conserved_norm reads from
+    the closed-form conserved quantities on the reservoir-symmetric sector
+    once the gap's kernel checks pass; at mu = 0 they raise. The sector
+    has the same size at every N, so the study reaches any reservoir size;
+    its gap bounds the joint-space gap from above only. Fits log-log power
+    laws through both columns: the limits against M + N, the bump peaks
+    against N.
     """
     if len(ns) < 2:
         raise ConfigError("need at least two reservoir sizes to fit exponents")
@@ -295,7 +296,7 @@ def scaling_study(
     rows = []
     while contexts:
         ctx = contexts.pop(0)
-        limit = conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
+        limit = conserved_norm(ctx, ctx.sector.tagged_coeffs(h0).vec)
         bp = measured_bound_params(ctx, h0)
         bump, _ = bump_peak(bp, m, ctx.p.n)
         rows.append(ScalingRow(n=ctx.p.n, limit=limit, gap=bp.k, bump=bump))

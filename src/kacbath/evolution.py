@@ -41,7 +41,8 @@ N. On the sector k bounds the joint-space gap only from above; it is the
 rate at which data on the tagged velocities relax, since they never
 leave the sector. The curve's long-time limit needs no evolution: the
 reservoir flow tends to the projection of the data onto the kernel of
-its generator, which spectral.conserved_norm reads block by block.
+its generator, the conserved quantities, which spectral.conserved_norm
+reads from their closed-form basis on the sector (invariant_projector).
 """
 
 from __future__ import annotations

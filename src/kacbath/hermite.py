@@ -13,8 +13,7 @@ what makes the truncated matrices exact restrictions rather than
 approximations.
 
 Also hosts the sphere rule (product Gauss-Legendre x uniform), the one
-integration input of the collision-average kernel, and sparse monomial
-polynomials.
+integration input of the collision-average kernel.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ __all__ = [
     "evaluate_basis",
     "sphere_rule",
     "HermiteCoeffs",
-    "poly_coord",
-    "poly_mul",
-    "poly_add",
 ]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -201,37 +197,6 @@ def sphere_rule(max_degree: int):
     nodes[:, 2] = np.repeat(u, nk)
     weights = np.repeat(wu / (2.0 * nk), nk)
     return nodes, weights
-
-
-# ---------------------------------------------------------------------------
-# sparse monomial polynomials, for the conserved quantities:
-# {((var, exp), ...): coeff} with vars sorted, exps > 0
-
-
-def poly_coord(var: int) -> dict:
-    """The coordinate function z_var as a sparse polynomial."""
-    return {((var, 1),): 1.0}
-
-
-def poly_add(*polys: dict) -> dict:
-    out: dict = {}
-    for p in polys:
-        for key, c in p.items():
-            out[key] = out.get(key, 0.0) + c
-    return {k: c for k, c in out.items() if c != 0.0}
-
-
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for kp, cp in p.items():
-        dp = dict(kp)
-        for kq, cq in q.items():
-            exps = dict(dp)
-            for var, e in kq:
-                exps[var] = exps.get(var, 0) + e
-            key = tuple(sorted(exps.items()))
-            out[key] = out.get(key, 0.0) + cp * cq
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,6 @@ from .hermite import (
     HermiteCoeffs,
     basis_rows,
     make_basis,
-    poly_add,
-    poly_coord,
-    poly_mul,
     sphere_rule,
     unit_codes,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "bath_map_blocks",
     "assemble_T",
     "assemble_generator",
-    "sector_basis",
     "assemble_sector_generator",
     "symmetric_tensor_eigenvalues",
     "invariant_projector",
@@ -632,13 +628,6 @@ def _check_sector(p: ModelParams, d: int) -> None:
                  f"reservoir-symmetric sector at M={p.m}, N={p.n}, degree {d}")
 
 
-def sector_basis(p: ModelParams, d: int) -> SectorBasis:
-    """The reservoir-symmetric sector of degree <= d (see kacbath.sector),
-    size-checked by _check_sector."""
-    _check_sector(p, d)
-    return make_sector(p, d)
-
-
 # ---------------------------------------------------------------------------
 # model operators
 
@@ -771,58 +760,63 @@ def symmetric_tensor_eigenvalues(m: int) -> np.ndarray:
 # conserved-quantity subspace and the spectral gap
 
 
-def orth(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of `a`: its left singular vectors
-    whose singular values exceed eps * max(a.shape) * s_max."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, s > np.finfo(float).eps * max(a.shape) * np.amax(s, initial=0.0)]
-
-
-def invariant_projector(p: ModelParams, d: int) -> list[np.ndarray]:
-    """Orthonormal basis of the conserved-quantity polynomials, per degree.
+def invariant_projector(sec: SectorBasis) -> list[np.ndarray]:
+    """Orthonormal basis of the conserved-quantity polynomials on the
+    reservoir-symmetric sector `sec`, per degree, in closed form.
 
     Functions invariant under every momentum-preserving rotation of
     phase space are exactly the polynomials in the three total-momentum
-    components P and the total energy E. Rotations preserve each Hermite
-    degree, so the degree-m part of that subspace is spanned by the
-    degree-m Hermite parts of the homogeneous P^a E^b with |a| + 2b = m.
-    A degree-m monomial x^alpha is sqrt(alpha!) (2 pi)^(-m/2) h_alpha plus
-    lower degrees (the leading-monomial fact of `_exact_block`), so with
-    c_alpha the monomial coefficients of P^a E^b that part is
-    sum_alpha c_alpha sqrt(alpha!) (2 pi)^(-m/2) h_alpha.
+    components P and the total energy E = |x|^2. Rotations preserve each
+    Hermite degree, so the degree-m part of that subspace is spanned by the
+    degree-m Hermite parts of the homogeneous P^a E^b with |a| + 2b = m. A
+    degree-m monomial x^alpha is sqrt(alpha!) (2 pi)^(-m/2) h_alpha plus
+    lower degrees (the leading-monomial fact of `_exact_block`), and P^a E^b
+    is symmetric in the reservoir particles, so its entry on orbit row a is
+    sqrt(|O_a|) sqrt(alpha!) (2 pi)^(-m/2) c_alpha, with x^alpha the row's
+    representative and c_alpha its coefficient in P^a E^b.
 
-    Returns one U_m per degree block m of the joint basis of (p, d): those
-    columns, orthonormalized by `orth`. Raises ToleranceError, naming the
+    c_alpha factors over the coordinates: expanding E^b over the squares of
+    each coordinate, coordinate c takes b_c = (sum_i alpha_ic - a_c) / 2 of
+    them, so c_alpha = b! prod_c a_c! [t^b_c] prod_i g_alpha_ic(t), with
+    g_e(t) = sum_{j <= e/2} t^j / (j! (e - 2j)!), and c_alpha = 0 unless
+    every b_c is a nonnegative integer. A particle at rest has g_0 = 1, so
+    c_alpha is the same at every N.
+
+    Returns one U_m per degree block m of `sec`: those columns, each scaled
+    to unit norm (so b! prod_c a_c! and (2 pi)^(-m/2), common to a column,
+    drop out), orthonormalized by an SVD. Raises ToleranceError, naming the
     degree, if they are not independent.
     """
-    big = joint_basis(p, d)
-    mom = [poly_add(*[poly_coord(3 * t + c) for t in range(p.m + p.n)]) for c in range(3)]
-    energy = poly_add(*[poly_mul(poly_coord(i), poly_coord(i)) for i in range(big.nvars)])
+    d = sec.degree
+    alpha = np.concatenate([sec.tagged.reshape(sec.size, -1, 3),
+                            sec.single.exponents[sec.support]], axis=1)
+    fact = np.array([float(factorial(e)) for e in range(d + 1)])
+    g = np.array([[1.0 / (fact[j] * fact[e - 2 * j]) if 2 * j <= e else 0.0
+                   for j in range(d // 2 + 1)] for e in range(d + 1)])
+    # series[row, c, j] = [t^j] prod_i g_alpha_ic(t), one particle at a time
+    series = g[alpha[:, 0]]
+    for i in range(1, alpha.shape[1]):
+        f = g[alpha[:, i]]
+        series = np.stack([np.einsum("rcj,rcj->rc", series[..., :j + 1], f[..., j::-1])
+                           for j in range(g.shape[1])], axis=-1)
+    sums = alpha.sum(axis=1)
+    root = np.sqrt(sec.orbit_size * fact[alpha].prod(axis=(1, 2)))
 
     blocks = []
     for m in range(d + 1):
-        sl = big.degree_slice(m)
-        cols = []
-        for a in itertools.product(range(m + 1), repeat=3):
-            b, odd = divmod(m - sum(a), 2)
-            if odd or b < 0:
-                continue
-            factors = [g for g, k in zip(mom + [energy], (*a, b)) for _ in range(k)]
-            poly = reduce(poly_mul, factors, {(): 1.0})
-            col = np.zeros(sl.stop - sl.start)
-            for key, c in poly.items():
-                alpha = [0] * big.nvars
-                for var, e in key:
-                    alpha[var] = e
-                col[big.index[tuple(alpha)] - sl.start] = (
-                    c * np.sqrt(float(prod(factorial(e) for _, e in key))))
-            cols.append(col * (2.0 * np.pi) ** (-m / 2))
-        stack = np.stack(cols, axis=1)
-        u = orth(stack)
-        if u.shape[1] != stack.shape[1]:
+        sl = sec.degree_slice(m)
+        a = np.array([a for a in itertools.product(range(m + 1), repeat=3)
+                      if sum(a) <= m and (m - sum(a)) % 2 == 0])
+        half, odd = np.divmod(sums[sl, None, :] - a, 2)  # b_c per (row, column, c)
+        picked = series[sl][np.arange(sl.stop - sl.start)[:, None, None], np.arange(3),
+                            np.maximum(half, 0)]
+        stack = np.where((odd == 0) & (half >= 0), picked, 0.0).prod(axis=2) * root[sl, None]
+        u, s, _ = np.linalg.svd(stack / np.linalg.norm(stack, axis=0), full_matrices=False)
+        rank = int(np.count_nonzero(s > np.finfo(float).eps * max(stack.shape) * s[0]))
+        if rank != stack.shape[1]:
             raise ToleranceError(
                 f"conserved-quantity polynomials of degree {m} not independent: "
-                f"rank {u.shape[1]} of {stack.shape[1]}"
+                f"rank {rank} of {stack.shape[1]}"
             )
         blocks.append(u)
     return blocks
@@ -843,12 +837,13 @@ class SpectralContext:
     """The operators of one configuration (p, d), each built at most once.
 
     All of them live on the reservoir-symmetric sector: the sector basis,
-    which verify_lemma2 lifts its collision averages onto, and both
-    generators, which the distance curve evolves; the gap reads the
-    spectrum of each degree block of the reservoir one (gap_blocks). Each
-    is built on first use and then kept. The sector's size is checked when
-    the context is made, so a caller that makes it first refuses a sector
-    over DENSE_BYTES_MAX before it builds any basis of its own.
+    which verify_lemma2 lifts its collision averages onto, the conserved
+    quantities U_m (invariant_projector), and both generators, which the
+    distance curve evolves; the gap reads the spectrum of each degree block
+    of the reservoir one and checks its kernel against U_m (gap_blocks).
+    Each is built on first use and then kept. The sector's size is checked
+    when the context is made, so a caller that makes it first refuses a
+    sector over DENSE_BYTES_MAX before it builds any basis of its own.
     """
 
     p: ModelParams
@@ -859,7 +854,11 @@ class SpectralContext:
 
     @cached_property
     def sector(self) -> SectorBasis:
-        return sector_basis(self.p, self.d)
+        return make_sector(self.p, self.d)
+
+    @cached_property
+    def invariants(self) -> list[np.ndarray]:
+        return invariant_projector(self.sector)
 
     @cached_property
     def sector_reservoir(self) -> OperatorMatrix:
@@ -872,15 +871,17 @@ class SpectralContext:
     @cached_property
     def gap_blocks(self) -> list[GapBlock]:
         """The spectrum of each degree block m >= 1 of the sector reservoir
-        generator, as spectral_gap reads it (see there)."""
+        generator, as spectral_gap reads it, once _check_kernel has passed
+        it (see there)."""
         if self.d < 1:
             raise StateError("degree cap 0 has no block off the constants to measure a gap in")
         gen = self.sector_reservoir
         tol = KERNEL_TOL * gen.norm_inf()
         blocks = []
         for m in range(1, self.d + 1):
-            evals = np.linalg.eigvalsh(gen.block(m))
-            kernel = int(np.count_nonzero(_conserved_mask(evals, m, tol)))
+            block = gen.block(m)
+            evals = np.linalg.eigvalsh(block)
+            kernel = _check_kernel(m, evals, block @ self.invariants[m], tol)
             top = float(evals[evals < -tol].max())
             blocks.append(GapBlock(m, -top, int(np.count_nonzero(np.abs(evals - top) <= tol)),
                                    kernel))
@@ -894,13 +895,14 @@ def conserved_count(m: int) -> int:
     return sum(comb(m - 2 * b + 2, 2) for b in range(m // 2 + 1))
 
 
-def _conserved_mask(evals: np.ndarray, m: int, tol: float) -> np.ndarray:
-    """Mask of the kernel, the eigenvalues within tol of 0, of a degree-m
-    sector reservoir block. Every P^a E^b lies in the sector, so there must
-    be exactly conserved_count(m) and none above, and then the kernel is
-    their span; raises ToleranceError naming both counts otherwise."""
-    kernel = np.abs(evals) <= tol
-    count = int(np.count_nonzero(kernel))
+def _check_kernel(m: int, evals: np.ndarray, moved: np.ndarray, tol: float) -> int:
+    """The kernel count of a degree-m sector reservoir block G_m with
+    eigenvalues evals, once the kernel is the span of U_m (moved = G_m U_m).
+    Every P^a E^b lies in the sector, so there must be exactly
+    conserved_count(m) eigenvalues within tol of 0 and none above, and
+    max|G_m U_m| <= tol: the count and the span together pin the kernel.
+    Raises ToleranceError naming the degree and what failed otherwise."""
+    count = int(np.count_nonzero(np.abs(evals) <= tol))
     above = int(np.count_nonzero(evals > tol))
     want = conserved_count(m)
     if count != want or above:
@@ -909,7 +911,13 @@ def _conserved_mask(evals: np.ndarray, m: int, tol: float) -> np.ndarray:
             f"{tol:.1e} of 0 and {above} above, expected {want} conserved "
             f"quantities and none above"
         )
-    return kernel
+    worst = float(np.abs(moved).max())
+    if not worst <= tol:
+        raise ToleranceError(
+            f"sector generator in degree {m}: max|G U| = {worst:.3e} over {tol:.1e}, "
+            f"so its kernel is not the span of the conserved quantities"
+        )
+    return count
 
 
 def spectral_gap(ctx: SpectralContext) -> float:
@@ -918,8 +926,9 @@ def spectral_gap(ctx: SpectralContext) -> float:
     Read from the reservoir generator on the reservoir-symmetric sector
     (ctx.sector_reservoir), exactly block diagonal by total degree. Each
     degree block m >= 1 has its whole spectrum taken by a dense eigvalsh
-    and its kernel checked by _conserved_mask; kappa_m is minus the
-    largest eigenvalue off the kernel, and k the minimum over the blocks.
+    and its kernel checked by _check_kernel, by its count and against the
+    closed-form U_m of ctx.invariants; kappa_m is minus the largest
+    eigenvalue off the kernel, and k the minimum over the blocks.
 
     The sector holds the functions symmetric in the reservoir particles,
     where the flow of data on the tagged velocities stays, so k is the
@@ -935,7 +944,7 @@ def spectral_gap(ctx: SpectralContext) -> float:
     block's kernel count, so that `gap` reports which block sets k without
     a second eigensolve. Raises StateError at degree cap 0, which has no
     block to measure, and ToleranceError if a block's kernel is not the
-    conserved quantities'.
+    span of the conserved quantities.
     """
     return min(block.kappa for block in ctx.gap_blocks)
 
@@ -949,21 +958,19 @@ def k_block(ctx: SpectralContext) -> GapBlock:
     return next(block for block in ctx.gap_blocks if block.kappa - k <= tol)
 
 
-def conserved_norm(gen: OperatorMatrix, c: np.ndarray) -> float:
-    """Norm of the projection of c onto the kernel of the sector reservoir
-    generator gen in degrees m >= 1: the long-time limit ||Pi h0 - 1|| of
-    the reservoir flow of mean-one data h0. Each block c fills is factored
-    by a dense eigh, and _conserved_mask checks its kernel."""
-    tol = KERNEL_TOL * gen.norm_inf()
-    total = 0.0
-    for m in range(1, gen.basis.degree + 1):
-        part = c[gen.basis.degree_slice(m)]
-        if not part.any():
-            continue
-        evals, vecs = np.linalg.eigh(gen.block(m))
-        kernel = vecs[:, _conserved_mask(evals, m, tol)]
-        total += float(np.sum((kernel.T @ part) ** 2))
-    return sqrt(total)
+def conserved_norm(ctx: SpectralContext, c: np.ndarray) -> float:
+    """Norm of the projection of c, a vector on ctx.sector, onto the
+    conserved quantities in degrees m >= 1: sqrt(sum_m ||U_m^T c_m||^2)
+    over the closed-form U_m of ctx.invariants, with no eigensolve.
+
+    For mean-one data h0 this is ||Pi h0 - 1||, the long-time limit of the
+    reservoir flow, wherever the kernel of the sector reservoir generator is
+    the span of the U_m. ctx.gap_blocks checks that first, so this raises
+    as spectral_gap does where it is not: at mu = 0 the tagged particles'
+    own momenta join the kernel, and the reservoir flow keeps more of h0."""
+    ctx.gap_blocks  # the kernel checks, run once per context
+    return sqrt(sum(float(np.sum((u.T @ c[ctx.sector.degree_slice(m)]) ** 2))
+                    for m, u in enumerate(ctx.invariants) if m >= 1))
 
 
 # ---------------------------------------------------------------------------

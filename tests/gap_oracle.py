@@ -11,7 +11,9 @@ and N = 10 (d = 3).
 
 Both routes here work on the joint basis, with the generator from
 `assemble_generator` and one orthonormal invariant basis U_m per degree
-block from `invariant_projector`:
+block from the whole-basis expansion of every P^a E^b
+(`invariant_oracle.invariant_projector`), which shares no code with the
+package's closed form on the sector:
 
 - `spectral_gap` ignores the block structure: it builds the dense
   complement projector C = I - blockdiag(U_m U_m^T), diagonalises all of

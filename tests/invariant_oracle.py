@@ -1,15 +1,19 @@
-"""Conserved-quantity basis from whole-polynomial Hermite expansions, kept
-as an oracle for `spectral.invariant_projector`.
+"""Conserved-quantity basis from whole-polynomial Hermite expansions on
+the joint basis, kept as an oracle for `spectral.invariant_projector`.
 
-The package builds each degree block on its own, from the leading
-monomials of the homogeneous P^a E^b. The route here shares none of that:
-it expands every polynomial in P and E of weighted degree <= d exactly in
-the joint Hermite basis, through the 1D conversion x^k = sum_n B[n,k] h_n
-(B the inverse of the triangular Hermite-to-monomial matrix),
-orthonormalizes the whole stack with one `orth` over the full basis, and
-splits the result by degree with one SVD per block, checking that every
-singular value lies at 0 or 1 (so the span splits by degree). Tests
-compare the per-degree projectors U_m U_m^T of the two routes.
+The package builds each degree block on the reservoir-symmetric sector in
+closed form, from the coefficient of each orbit's representative monomial
+in P^a E^b. The route here shares none of that: it multiplies out every
+polynomial in P and E of weighted degree <= d as a sparse monomial
+polynomial, expands it exactly in the joint Hermite basis through the 1D
+conversion x^k = sum_n B[n,k] h_n (B the inverse of the triangular
+Hermite-to-monomial matrix), orthonormalizes the whole stack with one
+`orth` over the full basis, and splits the result by degree with one SVD
+per block, checking that every singular value lies at 0 or 1 (so the span
+splits by degree). `on_joint_basis` carries a sector U_m to the joint
+basis through the orbit sums, so tests compare the per-degree projectors
+U_m U_m^T of the two routes; `tests/gap_oracle.py` takes this basis as
+the invariants of its joint-basis gaps.
 """
 
 import itertools
@@ -19,12 +23,44 @@ import numpy as np
 from scipy.linalg import orth, solve_triangular
 
 from kacbath.errors import StateError, ToleranceError
-from kacbath.hermite import SQRT_2PI, Basis, poly_add, poly_coord, poly_mul
+from kacbath.hermite import SQRT_2PI, Basis
 from kacbath.kinematics import ModelParams
+from kacbath.sector import SectorBasis
 from kacbath.spectral import joint_basis
 
 # largest distance from 0 or 1 of a singular value of the degree-m rows
 IDEMPOTENCY_TOL = 1e-10
+
+
+# sparse monomial polynomials: {((var, exp), ...): coeff} with vars sorted,
+# exps > 0
+
+
+def poly_coord(var: int) -> dict:
+    """The coordinate function z_var as a sparse polynomial."""
+    return {((var, 1),): 1.0}
+
+
+def poly_add(*polys: dict) -> dict:
+    out: dict = {}
+    for p in polys:
+        for key, c in p.items():
+            out[key] = out.get(key, 0.0) + c
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for kp, cp in p.items():
+        dp = dict(kp)
+        for kq, cq in q.items():
+            exps = dict(dp)
+            for var, e in kq:
+                exps[var] = exps.get(var, 0) + e
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, 0.0) + cp * cq
+    return out
+
 
 
 def hermite_monomial_matrix(dmax: int) -> np.ndarray:
@@ -101,3 +137,14 @@ def invariant_projector(p: ModelParams, d: int) -> list[np.ndarray]:
             raise ToleranceError(f"not idempotent in degree {m}: defect {defect:.3e}")
         blocks.append(left[:, sv > 0.5])
     return blocks
+
+
+def on_joint_basis(u: np.ndarray, sec: SectorBasis, p: ModelParams, m: int) -> np.ndarray:
+    """The degree-m sector block u (one column per function) on the degree-m
+    rows of the joint basis of (p, sec.degree): each orbit row a is
+    |O_a|^(-1/2) times the sum of the joint functions of its orbit, so each
+    joint row takes its orbit row's entry with that weight."""
+    big = joint_basis(p, sec.degree)
+    exps = big.exponents[big.degree_slice(m)]
+    rows = sec.rows_of(exps[:, :3 * p.m], exps[:, 3 * p.m:])
+    return u[rows - sec.degree_slice(m).start] / np.sqrt(sec.orbit_size[rows])[:, None]

@@ -285,7 +285,7 @@ def test_criterion_5_distance_below_bound():
             slack = min(b - d for b, d in zip(bc.total, curve.distance))
             worst_slack = min(worst_slack, slack)
             assert slack >= -1e-9, (n, name, slack)
-            limit = conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
+            limit = conserved_norm(ctx, ctx.sector.tagged_coeffs(h0).vec)
             assert limit <= bp.c * h0.fluctuation_norm(), (n, name, limit)
 
     elapsed = time.perf_counter() - start

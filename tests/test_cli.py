@@ -310,7 +310,7 @@ def _count_calls(monkeypatch, name: str, key) -> Counter:
 def test_gap_rejects_the_thermostat_before_assembly(tmp_path, capsys, monkeypatch):
     # the thermostat flow does not conserve total momentum and energy, so
     # the kernel count of the reservoir gap does not apply to it
-    built = _count_calls(monkeypatch, "sector_basis", lambda p, d: (p.n, d))
+    built = _count_calls(monkeypatch, "make_sector", lambda p, d: (p.n, d))
     cfg = _write_config(tmp_path, degree=2, system_kind="thermostat")
     out = tmp_path / "gap.json"
     assert _run("gap", "--config", cfg, "--out", str(out)) == 2
@@ -344,7 +344,7 @@ def test_each_operator_is_built_once_per_configuration(tmp_path, monkeypatch):
 def test_verify_lemma2_builds_one_sector_basis_and_no_joint_basis(tmp_path, monkeypatch):
     # every trial and both collision averages share one sector basis
     bases = _count_calls(monkeypatch, "joint_basis", lambda p, d: (p.n, d))
-    sectors = _count_calls(monkeypatch, "sector_basis", lambda p, d: (p.n, d))
+    sectors = _count_calls(monkeypatch, "make_sector", lambda p, d: (p.n, d))
     cfg = _write_config(tmp_path, n=3, degree=2, random_polynomials=4)
     assert _run("verify-lemma2", "--config", cfg, "--out", str(tmp_path / "l2.json")) == 0
     assert not bases

@@ -251,7 +251,7 @@ def test_evolve_at_time_zero_integrates_nothing(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("build", [
     assemble_generator,
-    lambda kind, p, d: assemble_sector_generator(kind, p, spectral.sector_basis(p, d)),
+    lambda kind, p, d: assemble_sector_generator(kind, p, SpectralContext(p, d).sector),
 ], ids=["joint", "sector"])
 def test_an_asymmetric_generator_is_refused_when_built(build, m, monkeypatch):
     # one entry of the top-degree pair block moved by 3e-9: the joint and
@@ -351,7 +351,7 @@ def test_distance_vanishes_when_couplings_match_in_law():
 
 def _limit(ctx: SpectralContext, h0: HermiteCoeffs) -> float:
     """The long-time distance ||Pi h0 - 1|| on the context's sector."""
-    return conserved_norm(ctx.sector_reservoir, ctx.sector.tagged_coeffs(h0).vec)
+    return conserved_norm(ctx, ctx.sector.tagged_coeffs(h0).vec)
 
 
 def test_degree_one_limit_is_momentum_overlap():
@@ -484,13 +484,13 @@ def test_limit_is_the_evolved_curve_at_t_80(m, n, d):
 
 def test_limit_without_reservoir_collisions_and_without_coupling():
     # lambda_R = 0 leaves the conserved quantities, and so the limit, alone;
-    # mu = 0 decouples the tagged particle, whose own polynomials then join
-    # the kernel, and the kernel count refuses them
+    # mu = 0 decouples the tagged particle, whose own polynomials (its
+    # momentum first) then join the kernel, and the kernel count refuses them
     h0 = anisotropic_pair_data(0.2)
     for lambda_r in (0.0, 1.0):
         limit = _limit(SpectralContext(ModelParams(1, 8, lambda_r=lambda_r), 2), h0)
         assert limit == pytest.approx(0.2 * sqrt(2.0) / 9, rel=1e-13)
-    with pytest.raises(ToleranceError, match="sector generator in degree 2: 22 eigenvalues"):
+    with pytest.raises(ToleranceError, match="sector generator in degree 1: 6 eigenvalues"):
         _limit(SpectralContext(ModelParams(1, 8, mu=0.0), 2), h0)
 
 

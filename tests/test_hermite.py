@@ -18,9 +18,6 @@ from kacbath.hermite import (
     evaluate_basis,
     make_basis,
     hermite_value_table,
-    poly_add,
-    poly_coord,
-    poly_mul,
     sphere_rule,
 )
 from kacbath.randomness import RngStream
@@ -29,6 +26,9 @@ from invariant_oracle import (
     hermite_coeffs_from_poly,
     hermite_monomial_matrix,
     monomial_to_hermite_1d,
+    poly_add,
+    poly_coord,
+    poly_mul,
 )
 from quadrature_oracle import gauss_hermite_gamma
 

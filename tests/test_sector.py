@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from kacbath import ModelParams, spectral
+from kacbath import ModelParams, SpectralContext, spectral
 from kacbath.cli import perturbation_data
 from kacbath.errors import ConfigError, StateError
 from kacbath.sector import make_sector, sector_sizes
@@ -16,7 +16,6 @@ from kacbath.spectral import (
     assemble_generator,
     assemble_sector_generator,
     joint_basis,
-    sector_basis,
 )
 
 from matrix_oracle import dense
@@ -32,7 +31,7 @@ def _degree_rows(basis) -> list[int]:
 def test_sector_rows_per_degree_do_not_depend_on_n(d, want, n):
     p = ModelParams(1, n)
     assert sector_sizes(p, d) == want
-    assert _degree_rows(sector_basis(p, d)) == want
+    assert _degree_rows(SpectralContext(p, d).sector) == want
 
 
 def test_sector_sizes_at_degree_6():
@@ -43,7 +42,7 @@ def test_sector_sizes_at_degree_6():
 def test_sector_with_fewer_reservoir_particles_than_the_degree():
     # at N=2 no support holds three particles: 126 rows, not 136
     assert sum(sector_sizes(ModelParams(1, 2), 3)) == 126
-    assert sector_basis(ModelParams(1, 2), 3).size == 126
+    assert SpectralContext(ModelParams(1, 2), 3).sector.size == 126
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 2, 2), (1, 2, 4), (1, 3, 4), (1, 9, 5),
@@ -60,7 +59,7 @@ def test_counted_sizes_equal_the_sector_rows(m, n, d):
 def test_orbits_partition_the_joint_basis(m, n, d):
     # every joint row lands in one orbit, and each orbit holds |O_a| rows
     p = ModelParams(m, n)
-    sec, big = sector_basis(p, d), joint_basis(p, d)
+    sec, big = SpectralContext(p, d).sector, joint_basis(p, d)
     rows = sec.rows_of(big.exponents[:, :3 * m], big.exponents[:, 3 * m:])
     assert (np.bincount(rows, minlength=sec.size) == sec.orbit_size).all()
     assert (sec.degree_of[rows] == big.degree_of).all()
@@ -79,7 +78,7 @@ def test_orbits_partition_the_joint_basis(m, n, d):
 def test_sector_generator_is_the_joint_generator_restricted(kind, m, n, d, rates):
     # Q^T G Q with Q the normalised orbit sums
     p = ModelParams(m, n, *rates)
-    sec, big = sector_basis(p, d), joint_basis(p, d)
+    sec, big = SpectralContext(p, d).sector, joint_basis(p, d)
     rows = sec.rows_of(big.exponents[:, :3 * m], big.exponents[:, 3 * m:])
     q = sparse.csr_matrix((1.0 / np.sqrt(sec.orbit_size[rows]), (np.arange(big.size), rows)),
                           shape=(big.size, sec.size))
@@ -91,7 +90,7 @@ def test_sector_generator_is_the_joint_generator_restricted(kind, m, n, d, rates
 
 def test_tagged_data_are_their_own_orbit_sums():
     p = ModelParams(2, 3)
-    sec = sector_basis(p, 2)
+    sec = SpectralContext(p, 2).sector
     h = perturbation_data("h2_aniso", 0.3, 2)
     c = sec.tagged_coeffs(h)
     assert c.norm() == pytest.approx(h.norm(), rel=1e-15)
@@ -111,7 +110,7 @@ def test_tagged_data_are_their_own_orbit_sums():
     pytest.param(4, 2, [0, 0, 3], id="4-2-003"),
 ])
 def test_rows_of_rejects_an_exponent_outside_the_sector(n, d, reservoir):
-    sec = sector_basis(ModelParams(1, n), d)
+    sec = SpectralContext(ModelParams(1, n), d).sector
     with pytest.raises(StateError, match=f"outside the sector of degree {d} at N={n}"):
         sec.rows_of(np.zeros((1, 3), dtype=int), np.array([reservoir]))
 
@@ -125,4 +124,4 @@ def test_an_oversize_sector_is_a_config_error_before_enumeration(monkeypatch):
     rows = sum(sector_sizes(ModelParams(1, 64), 7))
     assert rows == 14005 and 8 * rows ** 2 > DENSE_BYTES_MAX
     with pytest.raises(ConfigError, match="reservoir-symmetric sector .* has 14005 rows"):
-        sector_basis(ModelParams(1, 64), 7)
+        SpectralContext(ModelParams(1, 64), 7)

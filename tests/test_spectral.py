@@ -1,6 +1,7 @@
 """Operator assembly on truncated Hermite spaces: contraction, block
 structure, bath-map spectra, rotation-average identity, spectral gaps."""
 
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -13,14 +14,7 @@ from math import comb, factorial, pi, prod, sqrt
 
 from kacbath import ModelParams, SpectralContext, spectral
 from kacbath.errors import ConfigError, QuadratureError, StateError, ToleranceError
-from kacbath.hermite import (
-    HermiteCoeffs,
-    make_basis,
-    poly_add,
-    poly_coord,
-    poly_mul,
-    sphere_rule,
-)
+from kacbath.hermite import HermiteCoeffs, make_basis, sphere_rule
 from kacbath.randomness import RngStream
 from kacbath.spectral import (
     OperatorMatrix,
@@ -38,6 +32,7 @@ from kacbath.spectral import (
 import embedding_oracle
 import gap_oracle
 import invariant_oracle
+from invariant_oracle import poly_add, poly_coord, poly_mul
 import lemma2_oracle
 import lift_oracle
 from lift_oracle import v_slots, w_slots
@@ -315,34 +310,69 @@ def test_lemma2_rejects_an_empty_or_mixed_batch():
 # invariants and the gap
 
 
-@pytest.mark.parametrize("m,n,d", [(1, 2, 2), (2, 3, 2), (1, 6, 2),
-                                   (1, 2, 3), (2, 2, 3)])
-def test_invariant_projector_structure(m, n, d):
-    p = ModelParams(m, n)
-    blocks = invariant_projector(p, d)
-    # per degree: 1 constant; 3 momenta; 6 momentum quadratics and the
-    # energy; 10 momentum cubics and the energy times each momentum
-    assert tuple(u.shape[1] for u in blocks) == (1, 3, 7, 13)[: d + 1]
-    gen = assemble_generator("reservoir", p, d)
-    for k, u in enumerate(blocks):
-        assert u.shape[0] == gen.block(k).shape[0]
-        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
-        # the columns really are invariants of the generator
-        assert np.abs(gen.block(k) @ u).max() < 1e-10
-    if d == 2:
-        assert sum(u.shape[1] for u in blocks) == 11
+def _eigh_kernels(ctx: SpectralContext) -> list[np.ndarray]:
+    """The kernel of each degree block m >= 1 of the sector reservoir
+    generator, from a dense eigh: its eigenvectors within the kernel
+    tolerance of 0."""
+    gen = ctx.sector_reservoir
+    tol = spectral.KERNEL_TOL * gen.norm_inf()
+    kernels = []
+    for m in range(1, ctx.d + 1):
+        evals, vecs = np.linalg.eigh(gen.block(m))
+        kernels.append(vecs[:, np.abs(evals) <= tol])
+    return kernels
+
+
+# the shapes of test_per_degree_gap_equals_the_dense_oracle, then N = 4096,
+# where degree 4 is the first with E^2 (b_c = 2 for one coordinate)
+_KERNEL_SHAPES = [(1, 2, 1), (1, 2, 2), (1, 2, 3), (2, 3, 2), (1, 16, 2), (1, 6, 3),
+                  (1, 8, 3), (2, 2, 3)] + [(1, 4096, d) for d in range(1, 6)] + [(2, 4096, 4)]
+
+
+@pytest.mark.parametrize("m,n,d", _KERNEL_SHAPES)
+def test_invariant_projector_spans_the_eigh_kernel_of_every_sector_block(m, n, d):
+    ctx = SpectralContext(ModelParams(m, n), d)
+    blocks = invariant_projector(ctx.sector)
+    assert [u.shape[1] for u in blocks] == [1] + [spectral.conserved_count(k)
+                                                 for k in range(1, d + 1)]
+    for u, kernel in zip(blocks[1:], _eigh_kernels(ctx), strict=True):
+        assert np.abs(u @ u.T - kernel @ kernel.T).max() <= 1e-12
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 2, 2), (1, 16, 2), (2, 3, 2), (1, 2, 3),
                                    (1, 6, 3), (2, 2, 3), (2, 4, 3)])
 def test_invariant_projector_matches_the_whole_basis_oracle(m, n, d):
-    # per degree block, the leading-monomial route spans what the whole
-    # polynomials expanded in the joint basis span
+    # per degree block, the closed form carried to the joint basis through
+    # the orbit sums spans what the whole polynomials expanded in the joint
+    # basis span
     p = ModelParams(m, n)
-    for u, want in zip(invariant_projector(p, d), invariant_oracle.invariant_projector(p, d),
-                       strict=True):
-        assert u.shape == want.shape
-        assert np.abs(u @ u.T - want @ want.T).max() <= 1e-13
+    ctx = SpectralContext(p, d)
+    blocks = invariant_projector(ctx.sector)
+    # per degree: 1 constant; 3 momenta; 6 momentum quadratics and the
+    # energy; 10 momentum cubics and the energy times each momentum
+    assert tuple(u.shape[1] for u in blocks) == (1, 3, 7, 13)[: d + 1]
+    gen = ctx.sector_reservoir
+    for k, (u, want) in enumerate(zip(blocks, invariant_oracle.invariant_projector(p, d),
+                                      strict=True)):
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        # the columns really are invariants of the generator
+        assert np.abs(gen.block(k) @ u).max() < 1e-10
+        joint = invariant_oracle.on_joint_basis(u, ctx.sector, p, k)
+        assert joint.shape == want.shape
+        assert np.abs(joint @ joint.T - want @ want.T).max() <= 1e-13
+
+
+def test_invariant_projector_names_a_rank_deficient_block():
+    # on the tagged rows alone the energy of degree 2 is the sum of the
+    # three squared momenta: the SVD finds the rank one short, and the
+    # projector names the degree
+    sec = SpectralContext(ModelParams(1, 2), 3).sector
+    keep = np.flatnonzero(sec.support.sum(axis=1) == 0)
+    tagged = dataclasses.replace(
+        sec, tagged=sec.tagged[keep], support=sec.support[keep],
+        orbit_size=sec.orbit_size[keep], degree_of=sec.degree_of[keep])
+    with pytest.raises(ToleranceError, match="degree 2 not independent: rank 6 of 7"):
+        invariant_projector(tagged)
 
 
 def test_spectral_gap_small_reservoir_values():
@@ -391,7 +421,7 @@ def test_per_degree_gap_equals_the_dense_oracle(m, n, d):
     # the sector route against the two joint-basis routes of gap_oracle
     ctx = SpectralContext(ModelParams(m, n), d)
     gen = assemble_generator("reservoir", ctx.p, d)
-    invariants = invariant_projector(ctx.p, d)
+    invariants = invariant_oracle.invariant_projector(ctx.p, d)
     k = spectral_gap(ctx)
     assert abs(k - gap_oracle.spectral_gap(gen, invariants)) <= 1e-12
     assert abs(k - gap_oracle.lanczos_gap(gen, invariants)) <= 1e-12
@@ -412,27 +442,6 @@ def _with_block(op: OperatorMatrix, m: int, change) -> OperatorMatrix:
     sl = op.basis.degree_slice(m)
     mat[sl, sl] = change(mat[sl, sl])
     return operator(op.name, op.basis, mat)
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_invariant_projector_names_a_rank_deficient_block(m, monkeypatch):
-    # one invariant of degree m repeated in place of another: orth finds
-    # the rank one short, and the projector names the degree
-    p = ModelParams(1, 2)
-    rows = joint_basis(p, 2).degree_slice(m)
-    real = spectral.orth
-
-    def deficient(a):
-        if len(a) == rows.stop - rows.start:
-            a = a.copy()
-            a[:, -1] = a[:, 0]
-        return real(a)
-
-    monkeypatch.setattr(spectral, "orth", deficient)
-    want = (1, 3, 7)[m]
-    with pytest.raises(ToleranceError, match=f"degree {m} not independent: "
-                                             f"rank {want - 1} of {want}"):
-        invariant_projector(p, 2)
 
 
 def _sector_kernel(p: ModelParams) -> np.ndarray:
@@ -482,6 +491,27 @@ def test_gap_rejects_a_generator_growing_off_the_invariants(monkeypatch):
     with pytest.raises(ToleranceError, match="sector generator in degree 2: ") as err:
         spectral_gap(SpectralContext(p, 2))
     assert _counts(str(err.value)) == (7, rows - 7, 7)
+
+
+def test_gap_rejects_a_generator_whose_degree_2_kernel_is_moved():
+    # Q G_2 Q^T, with Q a Givens rotation of 0.1 rad between one kernel
+    # vector and kappa_2's eigenvector, has the spectrum and so the kernel
+    # count of G_2; only the span check sees that its kernel has moved off
+    # the conserved quantities
+    ctx = SpectralContext(ModelParams(1, 8), 2)
+    gen = ctx.sector_reservoir
+    tol = spectral.KERNEL_TOL * gen.norm_inf()
+    evals, vecs = np.linalg.eigh(gen.block(2))
+    kernel = vecs[:, np.flatnonzero(np.abs(evals) <= tol)[0]]
+    slow = vecs[:, np.flatnonzero(evals < -tol)[-1]]
+    c, s = np.cos(0.1), np.sin(0.1)
+    q = (np.eye(len(evals)) + (c - 1.0) * (np.outer(kernel, kernel) + np.outer(slow, slow))
+         + s * (np.outer(slow, kernel) - np.outer(kernel, slow)))
+    ctx.__dict__["sector_reservoir"] = _with_block(gen, 2, lambda g: q @ g @ q.T)
+    moved = np.linalg.eigvalsh(ctx.sector_reservoir.block(2))
+    assert np.abs(moved - evals).max() <= 1e-14
+    with pytest.raises(ToleranceError, match=re.escape("sector generator in degree 2: max|G U|")):
+        spectral_gap(ctx)
 
 
 @pytest.mark.parametrize("n", [2, 8, 4096])
@@ -629,7 +659,7 @@ def test_every_lift_equals_the_per_term_oracle(m, n, d, rates, seed):
     # sector lifts, each bitwise
     p = ModelParams(m, n, *rates)
     rng = np.random.default_rng(seed)
-    sec = spectral.sector_basis(p, d)
+    sec = SpectralContext(p, d).sector
     for kind in ("reservoir", "thermostat"):
         assert _same_entries(spectral.assemble_sector_generator(kind, p, sec),
                              lift_oracle.sector_generator(kind, p, sec))
@@ -662,7 +692,7 @@ def test_joint_generators_equal_the_per_term_oracle(m, n, d):
                                    (2, 4096, 4), (1, 4096, 5)])
 def test_sector_generators_equal_the_per_term_oracle(m, n, d):
     p = ModelParams(m, n, *_RATES.get((m, n, d), ()))
-    sec = spectral.sector_basis(p, d)
+    sec = SpectralContext(p, d).sector
     for kind in ("reservoir", "thermostat"):
         assert _same_entries(spectral.assemble_sector_generator(kind, p, sec),
                              lift_oracle.sector_generator(kind, p, sec))
@@ -707,7 +737,7 @@ def test_from_raw_drops_off_degree_roundoff_and_rejects_more(seed, noise):
 @pytest.mark.parametrize("kind", ["reservoir", "thermostat"])
 @pytest.mark.parametrize("build", [
     spectral.assemble_generator,
-    lambda kind, p, d: spectral.assemble_sector_generator(kind, p, spectral.sector_basis(p, d)),
+    lambda kind, p, d: spectral.assemble_sector_generator(kind, p, SpectralContext(p, d).sector),
 ], ids=["joint", "sector"])
 def test_products_and_blocks_read_the_dense_matrix(build, kind):
     g = build(kind, ModelParams(2, 3), 3)
